@@ -1,0 +1,89 @@
+"""Byte-for-byte pins of results.json and results.csv for small configs.
+
+Each config below covers one attack kind or session shape. The test parses
+the config from its JSON form, runs it, and compares both output documents
+with the files under tests/golden/. Running this module as a script rewrites
+those files from the current code:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from pathlib import Path
+
+import pytest
+
+from qmemcheck.harness import ExperimentConfig, run_experiment
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+MIXED_SCRIPT = [
+    {"op": "store"},
+    {"op": "retrieve"},
+    {"op": "retrieve"},
+    {"op": "store"},
+    {"op": "retrieve", "index": "cycle"},
+    {"op": "store"},
+    {"op": "retrieve"},
+    {"op": "retrieve"},
+]
+
+CONFIGS = {
+    "noop-n3": {"n": 3, "trials": 200, "seed": 1},
+    "substitute-random-n4": {
+        "n": 4, "k": 7, "attack": {"kind": "substitute", "target": "random"}, "trials": 300, "seed": 2,
+    },
+    "substitute-explicit-n4": {
+        "n": 4, "k": 3, "message": "0110", "attack": {"kind": "substitute", "target": "1010"},
+        "trials": 300, "seed": 3,
+    },
+    "flipcount-uniform-n6": {
+        "n": 6, "attack": {"kind": "flip_count", "bits_per_step": 4}, "steps": 3, "trials": 200, "seed": 4,
+    },
+    "flipcount-prefix-cycle-n5": {
+        "n": 5, "attack": {"kind": "flip_count", "bits_per_step": 3, "policy": "prefix"}, "steps": 2,
+        "retrieve_index": "cycle", "trials": 200, "seed": 5,
+    },
+    "incremental-uniform-n3": {
+        "n": 3, "k": 1, "attack": {"kind": "incremental", "deltas": [0.25, 0.25]}, "trials": 400, "seed": 6,
+    },
+    "incremental-prefix-reach-n3": {
+        "n": 3, "k": 2,
+        "attack": {"kind": "incremental", "deltas": [0.25, 0.25], "policy": "prefix", "require_reach": True},
+        "trials": 200, "seed": 7,
+    },
+    "honest-mixed-n8": {"n": 8, "script": MIXED_SCRIPT, "record_trials": True, "trials": 60, "seed": 8},
+    "script-attack-n3": {
+        "n": 3, "k": 2, "attack": {"kind": "flip_count", "bits_per_step": 1},
+        "script": [
+            {"op": "store", "message": "101"},
+            {"op": "retrieve", "index": 0},
+            {"op": "attack"},
+            {"op": "retrieve", "index": "cycle"},
+            {"op": "store"},
+            {"op": "attack"},
+            {"op": "retrieve"},
+        ],
+        "record_trials": True, "trials": 40, "seed": 9,
+    },
+}
+
+
+def render(name: str) -> dict[str, str]:
+    result = run_experiment(ExperimentConfig.from_dict(CONFIGS[name]))
+    return {"json": result.results_json(), "csv": result.render_csv()}
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_results_match_golden(name):
+    rendered = render(name)
+    for ext, text in rendered.items():
+        expected = (GOLDEN_DIR / f"{name}.results.{ext}").read_bytes()
+        assert text.encode() == expected, f"{name}.results.{ext} differs from the golden file"
+
+
+if __name__ == "__main__":
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    for name in sorted(CONFIGS):
+        for ext, text in render(name).items():
+            (GOLDEN_DIR / f"{name}.results.{ext}").write_bytes(text.encode())
+        print(f"wrote {name}")
