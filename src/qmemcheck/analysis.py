@@ -23,6 +23,7 @@ Two facts about the protocol are verified here at desk scale:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
@@ -32,6 +33,9 @@ from .fingerprint import Fingerprint, cswap_statevector_prob, swap_accept_prob
 
 #: Absolute slack for float roundoff when comparing analytically equal quantities.
 FLOAT_TOL = 1e-12
+
+#: Most schedules verify_lemma2 will enumerate; larger grids fail fast instead of running for days.
+MAX_LEMMA2_SCHEDULES = 10**7
 
 
 @dataclass
@@ -159,6 +163,15 @@ def verify_lemma2(grid: int = 20, t_max: int = 4, tolerance: float = FLOAT_TOL) 
         raise ValueError(f"grid must be >= 1, got {grid}")
     if t_max < 2:
         raise ValueError(f"t_max must be >= 2, got {t_max}")
+    # T-part splits of a total <= grid: C(grid + T, T), by stars and bars
+    schedules = 0
+    for t in range(1, t_max + 1):
+        schedules += math.comb(grid + t, t)
+        if schedules > MAX_LEMMA2_SCHEDULES:
+            raise ValueError(
+                f"grid {grid} with t_max {t_max} means more than the cap of "
+                f"{MAX_LEMMA2_SCHEDULES} schedules to enumerate"
+            )
 
     violations = 0
     worst_margin = -np.inf  # max of p_multi - p_single(sum); <= 0 means the bound holds

@@ -21,56 +21,69 @@ import io
 import json
 import platform
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
 from .adversary import (
-    POSITION_POLICIES,
-    AdversaryLog,
-    AttackSchedule,
-    FlipCount,
-    IncrementalAttack,
-    NoOpAttack,
-    SubstituteCodeword,
-    apply_step,
-    codeword_reachability_check,
+    SCHEDULES, AdversaryLog, AttackSchedule, ConfigError, FlipCount, IncrementalAttack, NoOpAttack,
+    SubstituteCodeword, _is_bitstring, _is_int, apply_step,
 )
-from .analysis import BoundReport, lemma1_bound, p_single
-from .bits import as_bits, bits_to_str, random_bits
-from .checker import (
-    PublicMemory,
-    complexity_report,
-    new_checker,
-    retrieve,
-    store,
-)
+from .analysis import BoundReport, binomial_std_error, lemma1_bound, p_single
+from .bits import as_bits, random_bits
+from .checker import PublicMemory, complexity_report, new_checker, retrieve, store
 from .code import MAX_HADAMARD_N, HadamardCode
 
 RESULTS_SCHEMA = "qmemcheck.results.v1"
 
 OP_KINDS = ("store", "attack", "retrieve")
-ATTACK_KINDS = ("noop", "substitute", "flip_count", "incremental")
 INDEX_POLICIES = ("random", "cycle")
 
 
-class ConfigError(ValueError):
-    """Invalid experiment configuration; carries the offending field's path."""
+def _from_dict(cls, raw, path: str, **convert: Callable[[Any, str], Any]):
+    """Build dataclass cls from a JSON object whose keys are its field names.
 
-    def __init__(self, path: str, message: str):
-        self.path = path
-        super().__init__(f"{path}: {message}")
+    Unknown keys and missing required keys are rejected; convert[key] maps a
+    present value (given its path) before construction; errors the
+    constructor raises are re-reported under path. path "" is the top level.
+    """
+
+    def at(key: str) -> str:
+        return f"{path}.{key}" if path else key
+
+    if not isinstance(raw, dict):
+        raise ConfigError(path or "config", f"expected an object, got {type(raw).__name__}")
+    unknown = set(raw) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ConfigError(path or "config", f"unknown keys {sorted(unknown)}")
+    for f in fields(cls):
+        if f.name not in raw and f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(at(f.name), "missing required key")
+    kwargs = {key: convert[key](value, at(key)) if key in convert else value for key, value in raw.items()}
+    try:
+        return cls(**kwargs)
+    except ConfigError as exc:
+        raise (exc.under(path) if path else exc) from None
 
 
-def _is_int(value) -> bool:
-    # bool is an int subclass; a config saying trials=true is a mistake, not a 1
-    return isinstance(value, int) and not isinstance(value, bool)
+def _schedule_from_dict(raw, path: str) -> AttackSchedule:
+    """An attack object: "kind" picks the schedule class, the other keys are its fields."""
+    if not isinstance(raw, dict):
+        raise ConfigError(path, f"expected an object, got {type(raw).__name__}")
+    kind = raw.get("kind")
+    if not isinstance(kind, str) or kind not in SCHEDULES:
+        raise ConfigError(f"{path}.kind", f"unknown attack kind {kind!r}, expected one of {tuple(SCHEDULES)}")
+    return _from_dict(SCHEDULES[kind], {key: v for key, v in raw.items() if key != "kind"}, path)
 
 
-def _is_bitstring(value) -> bool:
-    return isinstance(value, str) and len(value) > 0 and set(value) <= {"0", "1"}
+def _script_from_list(raw, path: str) -> tuple[OpSpec, ...] | None:
+    if raw is None:
+        return None
+    if not isinstance(raw, list):
+        raise ConfigError(path, f"expected a list, got {type(raw).__name__}")
+    return tuple(_from_dict(OpSpec, op, f"{path}[{i}]") for i, op in enumerate(raw))
 
 
 @dataclass(frozen=True)
@@ -89,112 +102,17 @@ class OpSpec:
     def __post_init__(self) -> None:
         if self.op not in OP_KINDS:
             raise ConfigError("op", f"unknown op {self.op!r}, expected one of {OP_KINDS}")
+        if self.message is not None and not isinstance(self.message, str):
+            raise ConfigError("message", "expected a string")
+        if self.index is not None and not (_is_int(self.index) or self.index in INDEX_POLICIES):
+            raise ConfigError("index", f"expected an integer or one of {INDEX_POLICIES}")
         if self.op != "store" and self.message is not None:
             raise ConfigError("message", f"message only applies to store ops, not {self.op!r}")
         if self.op != "retrieve" and self.index is not None:
             raise ConfigError("index", f"index only applies to retrieve ops, not {self.op!r}")
 
     def to_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {"op": self.op}
-        if self.message is not None:
-            out["message"] = self.message
-        if self.index is not None:
-            out["index"] = self.index
-        return out
-
-
-def _op_from_dict(raw, path: str) -> OpSpec:
-    if not isinstance(raw, dict):
-        raise ConfigError(path, f"expected an object, got {type(raw).__name__}")
-    unknown = set(raw) - {"op", "message", "index"}
-    if unknown:
-        raise ConfigError(path, f"unknown keys {sorted(unknown)}")
-    if "op" not in raw:
-        raise ConfigError(path, "missing required key 'op'")
-    op = raw["op"]
-    if op not in OP_KINDS:
-        raise ConfigError(f"{path}.op", f"unknown op {op!r}, expected one of {OP_KINDS}")
-    message = raw.get("message")
-    if message is not None and not isinstance(message, str):
-        raise ConfigError(f"{path}.message", "expected a string")
-    index = raw.get("index")
-    if index is not None and not (_is_int(index) or index in INDEX_POLICIES):
-        raise ConfigError(f"{path}.index", f"expected an integer or one of {INDEX_POLICIES}")
-    try:
-        return OpSpec(op=op, message=message, index=index)
-    except ConfigError as exc:
-        raise ConfigError(f"{path}.{exc.path}", str(exc).split(": ", 1)[1]) from None
-
-
-def _attack_to_dict(schedule: AttackSchedule) -> dict[str, Any]:
-    if isinstance(schedule, NoOpAttack):
-        return {"kind": "noop"}
-    if isinstance(schedule, SubstituteCodeword):
-        return {"kind": "substitute", "target": schedule.target}
-    if isinstance(schedule, FlipCount):
-        return {
-            "kind": "flip_count",
-            "bits_per_step": schedule.bits_per_step,
-            "policy": schedule.policy,
-        }
-    if isinstance(schedule, IncrementalAttack):
-        return {
-            "kind": "incremental",
-            "deltas": list(schedule.deltas),
-            "policy": schedule.policy,
-            "require_reach": schedule.require_reach,
-        }
-    raise TypeError(f"unknown schedule type {type(schedule).__name__}")
-
-
-def _attack_from_dict(raw, path: str) -> AttackSchedule:
-    if not isinstance(raw, dict):
-        raise ConfigError(path, f"expected an object, got {type(raw).__name__}")
-    kind = raw.get("kind")
-    if kind not in ATTACK_KINDS:
-        raise ConfigError(f"{path}.kind", f"unknown attack kind {kind!r}, expected one of {ATTACK_KINDS}")
-
-    allowed = {
-        "noop": {"kind"},
-        "substitute": {"kind", "target"},
-        "flip_count": {"kind", "bits_per_step", "policy"},
-        "incremental": {"kind", "deltas", "policy", "require_reach"},
-    }[kind]
-    unknown = set(raw) - allowed
-    if unknown:
-        raise ConfigError(path, f"unknown keys {sorted(unknown)} for attack kind {kind!r}")
-
-    try:
-        if kind == "noop":
-            return NoOpAttack()
-        if kind == "substitute":
-            target = raw.get("target", "random")
-            if not isinstance(target, str):
-                raise ConfigError(f"{path}.target", "expected a string")
-            return SubstituteCodeword(target=target)
-        if kind == "flip_count":
-            bits = raw.get("bits_per_step")
-            if not _is_int(bits):
-                raise ConfigError(f"{path}.bits_per_step", "expected an integer")
-            return FlipCount(bits_per_step=bits, policy=raw.get("policy", "uniform"))
-        deltas = raw.get("deltas")
-        if not isinstance(deltas, (list, tuple)) or not all(
-            isinstance(d, (int, float)) and not isinstance(d, bool) for d in deltas
-        ):
-            raise ConfigError(f"{path}.deltas", "expected a list of numbers")
-        require_reach = raw.get("require_reach", False)
-        if not isinstance(require_reach, bool):
-            raise ConfigError(f"{path}.require_reach", "expected a boolean")
-        return IncrementalAttack(
-            deltas=tuple(float(d) for d in deltas),
-            policy=raw.get("policy", "uniform"),
-            require_reach=require_reach,
-        )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        # schedule dataclasses validate themselves; re-raise with the config path
-        raise ConfigError(path, str(exc)) from None
+        return {f.name: getattr(self, f.name) for f in fields(self) if getattr(self, f.name) is not None}
 
 
 @dataclass(frozen=True)
@@ -250,18 +168,12 @@ class ExperimentConfig:
 
         self._check_message(self.message, "message")
 
-        if isinstance(self.attack, SubstituteCodeword) and self.attack.target != "random":
-            if not _is_bitstring(self.attack.target) or len(self.attack.target) != self.n:
-                raise ConfigError(
-                    "attack.target", f"expected 'random' or a {self.n}-bit string, got {self.attack.target!r}"
-                )
-        if isinstance(self.attack, IncrementalAttack) and self.attack.require_reach:
-            params = HadamardCode(self.n, delta_dec=self.delta_dec).params
-            if not codeword_reachability_check(self.attack, params):
-                raise ConfigError(
-                    "attack.deltas",
-                    f"rounded flip total never reaches the code distance {params.delta} for m={params.m}",
-                )
+        if not isinstance(self.attack, AttackSchedule):
+            raise ConfigError("attack", f"expected an attack schedule, got {self.attack!r}")
+        try:
+            self.attack.check(HadamardCode(self.n, delta_dec=self.delta_dec).params, self.message)
+        except ConfigError as exc:
+            raise exc.under("attack") from None
 
         self._check_script(self.build_script())
 
@@ -296,14 +208,8 @@ class ExperimentConfig:
         """The op sequence a session runs: explicit script, or the default shape."""
         if self.script is not None:
             return self.script
-        steps = self.steps
-        if steps is None:
-            steps = self.attack.intrinsic_steps or 1
-        ops = [OpSpec(op="store")]
-        for _ in range(steps):
-            ops.append(OpSpec(op="attack"))
-            ops.append(OpSpec(op="retrieve"))
-        return tuple(ops)
+        steps = (self.attack.intrinsic_steps or 1) if self.steps is None else self.steps
+        return (OpSpec(op="store"),) + (OpSpec(op="attack"), OpSpec(op="retrieve")) * steps
 
     def resolved_k(self) -> int:
         if self.k is not None:
@@ -312,67 +218,18 @@ class ExperimentConfig:
         return new_checker(code, self.epsilon).k
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "n": self.n,
-            "delta_dec": self.delta_dec,
-            "epsilon": self.epsilon,
-            "k": "auto" if self.k is None else self.k,
-            "attack": _attack_to_dict(self.attack),
-            "steps": self.steps,
-            "retrieve_index": self.retrieve_index,
-            "message": self.message,
-            "script": None if self.script is None else [op.to_dict() for op in self.script],
-            "trials": self.trials,
-            "seed": self.seed,
-            "record_trials": self.record_trials,
-            "out_dir": self.out_dir,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["k"] = "auto" if self.k is None else self.k
+        out["attack"] = self.attack.to_dict()
+        out["script"] = None if self.script is None else [op.to_dict() for op in self.script]
+        return out
 
     @classmethod
     def from_dict(cls, raw) -> "ExperimentConfig":
-        if not isinstance(raw, dict):
-            raise ConfigError("config", f"expected an object, got {type(raw).__name__}")
-        known = {
-            "n", "delta_dec", "epsilon", "k", "attack", "steps", "retrieve_index",
-            "message", "script", "trials", "seed", "record_trials", "out_dir",
-        }
-        unknown = set(raw) - known
-        if unknown:
-            raise ConfigError("config", f"unknown keys {sorted(unknown)}")
-        if "n" not in raw:
-            raise ConfigError("n", "missing required key")
-
-        kwargs: dict[str, Any] = {"n": raw["n"]}
-        if "delta_dec" in raw:
-            kwargs["delta_dec"] = raw["delta_dec"]
-        if "epsilon" in raw:
-            kwargs["epsilon"] = raw["epsilon"]
-        if "k" in raw:
-            k = raw["k"]
-            kwargs["k"] = None if k in (None, "auto") else k
-        if "attack" in raw:
-            kwargs["attack"] = _attack_from_dict(raw["attack"], "attack")
-        if "steps" in raw:
-            kwargs["steps"] = raw["steps"]
-        if "retrieve_index" in raw:
-            kwargs["retrieve_index"] = raw["retrieve_index"]
-        if "message" in raw:
-            kwargs["message"] = raw["message"]
-        if "script" in raw and raw["script"] is not None:
-            if not isinstance(raw["script"], list):
-                raise ConfigError("script", f"expected a list, got {type(raw['script']).__name__}")
-            kwargs["script"] = tuple(
-                _op_from_dict(op, f"script[{i}]") for i, op in enumerate(raw["script"])
-            )
-        if "trials" in raw:
-            kwargs["trials"] = raw["trials"]
-        if "seed" in raw:
-            kwargs["seed"] = raw["seed"]
-        if "record_trials" in raw:
-            kwargs["record_trials"] = raw["record_trials"]
-        if "out_dir" in raw:
-            kwargs["out_dir"] = raw["out_dir"]
-        return cls(**kwargs)
+        return _from_dict(
+            cls, raw, "", k=lambda k, path: None if k in (None, "auto") else k,
+            attack=_schedule_from_dict, script=_script_from_list,
+        )
 
     def with_overrides(
         self,
@@ -380,15 +237,9 @@ class ExperimentConfig:
         trials: int | None = None,
         out_dir: str | None = None,
     ) -> "ExperimentConfig":
-        """Copy with seed/trials/out_dir replaced (CLI and environment overrides)."""
-        out = self
-        if seed is not None:
-            out = replace(out, seed=seed)
-        if trials is not None:
-            out = replace(out, trials=trials)
-        if out_dir is not None:
-            out = replace(out, out_dir=out_dir)
-        return out
+        """Copy with seed/trials/out_dir replaced where given (CLI and environment overrides)."""
+        given = {"seed": seed, "trials": trials, "out_dir": out_dir}
+        return replace(self, **{key: value for key, value in given.items() if value is not None})
 
 
 def derive_trial_seed(master_seed: int, trial_index: int) -> int:
@@ -432,13 +283,6 @@ def _resolve_index(spec, n: int, cycle_state: list[int], rng: np.random.Generato
     return int(spec)
 
 
-def _draw_distinct_message(current: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
-    while True:
-        candidate = random_bits(n, rng)
-        if not np.array_equal(candidate, current):
-            return candidate
-
-
 def _run_trial(
     config: ExperimentConfig,
     code: HadamardCode,
@@ -474,13 +318,8 @@ def _run_trial(
             log = AdversaryLog(memory.bits)
             out.verdicts.append(f"store:{verdict.bit}")
         elif op.op == "attack":
-            schedule = config.attack
-            if isinstance(schedule, SubstituteCodeword) and schedule.target == "random":
-                assert current_msg is not None
-                target = _draw_distinct_message(current_msg, config.n, rng)
-                schedule = SubstituteCodeword(target=bits_to_str(target))
-            assert log is not None
-            apply_step(schedule, attack_step, memory, code, log, rng)
+            assert log is not None and current_msg is not None
+            apply_step(config.attack.resolve(current_msg, rng), attack_step, memory, code, log, rng)
             attack_step += 1
         else:
             idx_spec = op.index if op.index is not None else config.retrieve_index
@@ -553,14 +392,20 @@ def _attach_bounds(
         bound_accept = lemma1_bound(code.params.delta, k)
         # distinct codewords here sit at exactly half distance: inner product 0
         exact_accept = 0.5**k
-        detect_floor = 1.0 - bound_accept
-        tol = band(1.0 - exact_accept)
+        # a fixed target meets a random message with probability 2^-n, and
+        # then the "substitution" rewrites the stored codeword unchanged
+        distinct = 1.0
+        if config.message == "random" and config.attack.target != "random":
+            distinct = 1.0 - 0.5**config.n
+        detect_floor = distinct * (1.0 - bound_accept)
+        detect_exact = distinct * (1.0 - exact_accept)
+        tol = band(detect_exact)
         reports.append(
             BoundReport(
                 name="substitution_detection",
                 analytic={
                     "detect_lower_bound": detect_floor,
-                    "detect_exact_orthogonal": 1.0 - exact_accept,
+                    "detect_exact_orthogonal": detect_exact,
                 },
                 empirical=rates["buggy"],
                 samples=n_trials,
@@ -773,8 +618,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             "all_accept": all_accept / n_trials,
         },
         "std_errors": {
-            "buggy": _std_error(buggy / n_trials, n_trials),
-            "all_accept": _std_error(all_accept / n_trials, n_trials),
+            "buggy": binomial_std_error(buggy / n_trials, n_trials),
+            "all_accept": binomial_std_error(all_accept / n_trials, n_trials),
         },
         "per_step_accept": per_step,
         "complexity": _probe_complexity(config, code),
@@ -798,6 +643,3 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         result.write_outputs(config.out_dir)
     return result
 
-
-def _std_error(p_hat: float, n: int) -> float:
-    return float(np.sqrt(p_hat * (1.0 - p_hat) / n))

@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmemcheck.adversary import (
+    SCHEDULES,
     AdversaryLog,
+    ConfigError,
     FlipCount,
     IncrementalAttack,
     NoOpAttack,
@@ -61,10 +63,79 @@ class TestScheduleValidation:
         assert FlipCount(bits_per_step=2).intrinsic_steps is None
         assert IncrementalAttack(deltas=(0.25, 0.25)).intrinsic_steps == 2
 
+    @pytest.mark.parametrize("bits", [2.5, "3", True])
+    def test_flip_count_must_be_integer(self, bits):
+        with pytest.raises(ConfigError) as exc:
+            FlipCount(bits_per_step=bits)
+        assert exc.value.path == "bits_per_step"
+
+    def test_deltas_normalised_to_float_tuple(self):
+        sched = IncrementalAttack(deltas=[0, 0.25])
+        assert sched.deltas == (0.0, 0.25)
+        assert all(type(d) is float for d in sched.deltas)
+        assert hash(sched) == hash(IncrementalAttack(deltas=(0.0, 0.25)))
+
+    @pytest.mark.parametrize("deltas", ["0.5", [0.5, None], [True]])
+    def test_deltas_must_be_numbers(self, deltas):
+        with pytest.raises(ConfigError) as exc:
+            IncrementalAttack(deltas=deltas)
+        assert exc.value.path == "deltas"
+
+    def test_field_types_checked(self):
+        with pytest.raises(ConfigError):
+            IncrementalAttack(deltas=(0.25,), require_reach=1)
+        with pytest.raises(ConfigError):
+            SubstituteCodeword(target=101)
+        with pytest.raises(ConfigError):
+            SubstituteCodeword(target="10x")
+
     def test_step_flip_counts(self):
         sched = IncrementalAttack(deltas=(0.25, 0.25))
         assert sched.step_flip_counts(8) == [2, 2]
         assert sched.step_flip_counts(6) == [2, 2]  # 1.5 rounds up
+
+
+class TestScheduleProtocol:
+    def test_kind_table(self):
+        assert SCHEDULES == {
+            "noop": NoOpAttack,
+            "substitute": SubstituteCodeword,
+            "flip_count": FlipCount,
+            "incremental": IncrementalAttack,
+        }
+
+    def test_to_dict(self):
+        assert NoOpAttack().to_dict() == {"kind": "noop"}
+        assert SubstituteCodeword("01").to_dict() == {"kind": "substitute", "target": "01"}
+        assert FlipCount(3).to_dict() == {"kind": "flip_count", "bits_per_step": 3, "policy": "uniform"}
+        assert IncrementalAttack([0.5]).to_dict() == {
+            "kind": "incremental", "deltas": (0.5,), "policy": "uniform", "require_reach": False,
+        }
+
+    def test_resolve_draws_distinct_target(self, rng):
+        current = as_bits("101")
+        for _ in range(20):
+            resolved = SubstituteCodeword().resolve(current, rng)
+            assert len(resolved.target) == 3 and resolved.target != "101"
+
+    def test_resolve_keeps_fixed_choices(self, rng):
+        for sched in (NoOpAttack(), SubstituteCodeword("011"), FlipCount(1), IncrementalAttack((0.5,))):
+            assert sched.resolve(as_bits("101"), rng) is sched
+
+    def test_check_overflowing_increments(self):
+        # m=2: four quarter steps each round up to one flip, 4 > 2
+        with pytest.raises(ConfigError) as exc:
+            IncrementalAttack(deltas=(0.25,) * 4).check(HadamardCode(1).params, "random")
+        assert exc.value.path == "deltas"
+        IncrementalAttack(deltas=(0.25,) * 4).check(HadamardCode(3).params, "random")
+
+    def test_check_substitute_target(self):
+        params = HadamardCode(3).params
+        SubstituteCodeword("011").check(params, "101")
+        with pytest.raises(ConfigError):
+            SubstituteCodeword("0110").check(params, "random")
+        with pytest.raises(ConfigError):
+            SubstituteCodeword("101").check(params, "101")
 
 
 class TestNoOp(object):

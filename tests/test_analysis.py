@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmemcheck.analysis import (
+    MAX_LEMMA2_SCHEDULES,
     BoundReport,
     binomial_std_error,
     lemma1_bound,
@@ -130,6 +131,19 @@ class TestVerifyLemma2:
             verify_lemma2(grid=0)
         with pytest.raises(ValueError):
             verify_lemma2(t_max=1)
+
+    def test_oversized_grid_rejected_before_enumerating(self):
+        # sum over T <= 8 of C(200 + T, T) is about 7.9e13 schedules
+        with pytest.raises(ValueError, match="cap"):
+            verify_lemma2(grid=200, t_max=8)
+        with pytest.raises(ValueError, match="cap"):
+            verify_lemma2(grid=1, t_max=10**9)
+
+    def test_default_and_benchmark_grids_under_cap(self):
+        for grid, t_max in ((20, 4), (36, 4)):
+            count = sum(math.comb(grid + t, t) for t in range(1, t_max + 1))
+            assert count < MAX_LEMMA2_SCHEDULES
+        assert verify_lemma2().samples == 12649
 
 
 class TestVerifySwapOracle:

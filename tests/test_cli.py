@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -86,6 +87,30 @@ class TestSimulate:
         assert code == EXIT_VALIDATION
         assert "n" in err
 
+    def test_incremental_overflow_rejected_without_traceback(self, tmp_path):
+        # four rounded-up quarter steps at m=2 need 4 flips of 2 positions
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(
+            {"n": 1, "k": 1, "trials": 50, "attack": {"kind": "incremental", "deltas": [0.25] * 4}}
+        ))
+        proc = subprocess.run(
+            [sys.executable, "-m", "qmemcheck.cli", "simulate", "--config", str(path)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == EXIT_VALIDATION
+        assert "attack.deltas" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_target_equal_to_message_rejected(self, capsys, tmp_path):
+        path = tmp_path / "same.json"
+        path.write_text(json.dumps(
+            {"n": 4, "k": 7, "message": "1010", "attack": {"kind": "substitute", "target": "1010"}}
+        ))
+        code, _, err = run_cli(["simulate", "--config", str(path)], capsys)
+        assert code == EXIT_VALIDATION
+        assert "attack.target" in err
+
     def test_unknown_flag(self, config_path, capsys):
         code, _, err = run_cli(["simulate", "--config", config_path, "--fast"], capsys)
         assert code == EXIT_VALIDATION
@@ -151,6 +176,13 @@ class TestVerifyLemma2:
         code, _, err = run_cli(["verify-lemma2", "--grid", "0"], capsys)
         assert code == EXIT_VALIDATION
         assert err
+
+    def test_oversized_grid_fails_fast(self, capsys):
+        start = time.monotonic()
+        code, out, err = run_cli(["verify-lemma2", "--grid", "200", "--t-max", "8"], capsys)
+        assert code == EXIT_VALIDATION
+        assert "cap" in err and out == ""
+        assert time.monotonic() - start < 5.0
 
 
 class TestOracleCheck:

@@ -68,6 +68,7 @@ class TestConfigValidation:
             {"n": 3, "retrieve_index": 3},
             {"n": 3, "message": "10"},
             {"n": 3, "message": "10x"},
+            {"n": 3, "attack": {"kind": "noop"}},  # a schedule object, not its JSON form
         ],
     )
     def test_rejected(self, kwargs):
@@ -105,6 +106,10 @@ class TestConfigValidation:
         with pytest.raises(ConfigError) as exc:
             make_config(script=script)
         assert "script[1].index" in str(exc.value)
+
+    def test_list_deltas_config_is_hashable(self):
+        cfg = ExperimentConfig(n=3, attack=IncrementalAttack(deltas=[0.25, 0.25]))
+        assert hash(cfg) == hash(ExperimentConfig(n=3, attack=IncrementalAttack(deltas=(0.25, 0.25))))
 
     def test_steps_beyond_schedule(self):
         with pytest.raises(ConfigError):
@@ -178,6 +183,45 @@ class TestSerialization:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(raw)
 
+    @pytest.mark.parametrize(
+        "attack, path",
+        [
+            ({"kind": ["noop"]}, "attack.kind"),
+            ({"kind": "flip_count"}, "attack.bits_per_step"),
+            ({"kind": "flip_count", "bits_per_step": 1, "policy": "x"}, "attack.policy"),
+            ({"kind": "incremental", "deltas": [0.7, 0.7]}, "attack.deltas"),
+            ("noop", "attack"),
+        ],
+    )
+    def test_attack_error_paths(self, attack, path):
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig.from_dict({"n": 3, "attack": attack})
+        assert exc.value.path == path
+
+    @pytest.mark.parametrize(
+        "script, path",
+        [
+            ({"op": "store"}, "script"),
+            ([{}], "script[0].op"),
+            (["store"], "script[0]"),
+            ([{"op": "store", "message": 5}], "script[0].message"),
+            ([{"op": "store"}, {"op": "retrieve", "index": "z"}], "script[1].index"),
+            ([{"op": "store"}, {"op": "retrieve", "extra": 1}], "script[1]"),
+        ],
+    )
+    def test_script_error_paths(self, script, path):
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig.from_dict({"n": 3, "script": script})
+        assert exc.value.path == path
+
+    def test_top_level_errors(self):
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig.from_dict([])
+        assert exc.value.path == "config"
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig.from_dict({"n": 3, "trails": 1})
+        assert exc.value.path == "config"
+
     def test_with_overrides(self):
         cfg = make_config()
         out = cfg.with_overrides(seed=99, trials=5, out_dir="/tmp/x")
@@ -232,6 +276,18 @@ class TestRunExperiment:
         bound = next(b for b in agg["bounds"] if b["name"] == "substitution_detection")
         assert bound["passed"]
         assert bound["analytic"]["detect_lower_bound"] == pytest.approx(1 - 0.5**7)
+
+    def test_fixed_target_against_random_message(self):
+        # 1 in 2^n sessions store the target itself, so detection is at most
+        # (1 - 2^-n)(1 - 2^-k), not 1 - 2^-k
+        cfg = ExperimentConfig(n=4, k=7, attack=SubstituteCodeword(target="1010"), trials=2000, seed=5)
+        agg = run_experiment(cfg).aggregates
+        bound = next(b for b in agg["bounds"] if b["name"] == "substitution_detection")
+        exact = (1 - 2**-4) * (1 - 2**-7)
+        assert bound["analytic"]["detect_exact_orthogonal"] == pytest.approx(exact)
+        assert bound["analytic"]["detect_lower_bound"] == pytest.approx(exact)
+        assert abs(agg["rates"]["buggy"] - exact) <= bound["tolerance"]
+        assert bound["passed"]
 
     def test_incremental_all_accept_bound(self):
         cfg = make_config(
