@@ -65,6 +65,18 @@ CONFIGS = {
         ],
         "record_trials": True, "trials": 40, "seed": 9,
     },
+    "script-store-reject-n3": {
+        "n": 3, "k": 2, "attack": {"kind": "flip_count", "bits_per_step": 2},
+        "script": [
+            {"op": "store"},
+            {"op": "attack"},
+            {"op": "store", "message": "011"},
+            {"op": "retrieve", "index": 1},
+            {"op": "attack"},
+            {"op": "retrieve"},
+        ],
+        "record_trials": True, "trials": 60, "seed": 10,
+    },
 }
 
 
