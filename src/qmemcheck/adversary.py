@@ -142,10 +142,10 @@ class SubstituteCodeword(AttackSchedule):
     def apply(self, step, memory, code, log, rng) -> np.ndarray:
         if self.target == "random":
             raise ScheduleError('unresolved "random" substitution target; resolve it to concrete bits first')
-        before = memory.bits.copy()
         word = code.encode(as_bits(self.target, name="target"))
+        touched = np.flatnonzero(memory.bits != word)
         memory.adversary_overwrite(word)
-        return np.flatnonzero(before != word)
+        return touched
 
 
 @dataclass(frozen=True)
@@ -252,7 +252,7 @@ class AdversaryLog:
     """Per-session corruption bookkeeping: flipped positions per step, distance tracking."""
 
     def __init__(self, baseline) -> None:
-        self.baseline = as_bits(baseline, name="baseline").copy()
+        self.baseline = as_bits(baseline, name="baseline")
         self.step_positions: list[np.ndarray] = []
 
     @property

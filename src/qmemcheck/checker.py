@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .analysis import p_single
 from .bits import as_bits
 from .code import LocallyDecodableCode
 from .fingerprint import Fingerprint, make_fingerprint, sample_swap_test
@@ -130,7 +131,7 @@ class PublicMemory:
         arr = as_bits(word, name="codeword")
         if self._bits is not None and arr.size != self._bits.size:
             raise ValueError(f"codeword length {arr.size} != established m={self._bits.size}")
-        self._bits = arr.copy()
+        self._bits = arr
 
     def read_bits(self, positions) -> np.ndarray:
         """Serve individual codeword bits; each position served counts once."""
@@ -139,7 +140,7 @@ class PublicMemory:
         if idx.size and (idx.min() < 0 or idx.max() >= self._bits.size):
             raise IndexError(f"read positions out of range [0, {self._bits.size})")
         self.read_log += int(idx.size)
-        return self._bits[idx].copy()
+        return self._bits[idx]
 
     def fetch_summaries(self, count: int) -> list[Fingerprint]:
         """Serve *count* summary fingerprints of the current contents."""
@@ -172,7 +173,7 @@ class PublicMemory:
         arr = as_bits(word, name="replacement")
         if arr.size != self._bits.size:
             raise ValueError(f"replacement length {arr.size} != m={self._bits.size}")
-        self._bits = arr.copy()
+        self._bits = arr
 
 
 @dataclass
@@ -207,14 +208,14 @@ def required_k(epsilon: float, delta: float) -> int:
     """Copies needed to push the all-accept probability below epsilon.
 
     A single comparison against memory at relative distance >= delta accepts
-    with probability at most 1 - 2*delta + 2*delta^2, so
-    k = ceil(log(epsilon) / log(1 - 2*delta + 2*delta^2)) suffices.
+    with probability at most p_single(delta) = 1 - 2*delta + 2*delta^2, so
+    k = ceil(log(epsilon) / log(p_single(delta))) suffices.
     """
     if not 0.0 < epsilon < 0.5:
         raise ValueError(f"epsilon must be in (0, 1/2), got {epsilon}")
     if not 0.0 < delta <= 1.0:
         raise ValueError(f"delta must be in (0, 1], got {delta}")
-    base = 1.0 - 2.0 * delta + 2.0 * delta * delta
+    base = p_single(delta)
     if base >= 1.0:
         # delta == 1: a full complement is a global phase flip, invisible to the
         # comparison test; no finite k reaches the target error rate.

@@ -22,6 +22,7 @@ import json
 import platform
 import time
 from dataclasses import MISSING, dataclass, field, fields, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
@@ -33,7 +34,7 @@ from .adversary import (
 )
 from .analysis import BoundReport, binomial_std_error, lemma1_bound, p_single
 from .bits import as_bits, random_bits
-from .checker import PublicMemory, complexity_report, new_checker, retrieve, store
+from .checker import PublicMemory, complexity_report, new_checker, required_k, retrieve, store
 from .code import MAX_HADAMARD_N, HadamardCode
 
 RESULTS_SCHEMA = "qmemcheck.results.v1"
@@ -122,7 +123,8 @@ class ExperimentConfig:
     k=None means "derive from epsilon and the code distance". script=None
     means the default script: one store, then `steps` rounds of
     (attack, retrieve); steps defaults to the schedule's intrinsic step count
-    (1 for schedules without one).
+    (1 for schedules without one). The HadamardCode is built once per
+    instance, on first use, and shared by every trial of its run.
     """
 
     n: int
@@ -171,7 +173,7 @@ class ExperimentConfig:
         if not isinstance(self.attack, AttackSchedule):
             raise ConfigError("attack", f"expected an attack schedule, got {self.attack!r}")
         try:
-            self.attack.check(HadamardCode(self.n, delta_dec=self.delta_dec).params, self.message)
+            self.attack.check(self.code.params, self.message)
         except ConfigError as exc:
             raise exc.under("attack") from None
 
@@ -183,19 +185,33 @@ class ExperimentConfig:
         if not _is_bitstring(message) or len(message) != self.n:
             raise ConfigError(path, f"expected 'random' or a {self.n}-bit string, got {message!r}")
 
+    @cached_property
+    def code(self) -> HadamardCode:
+        return HadamardCode(self.n, delta_dec=self.delta_dec)
+
     def _check_script(self, script: tuple[OpSpec, ...]) -> None:
         where = "script" if self.script is not None else "steps"
         seen_store = False
         attack_ops = 0
+        # the last store with an explicit message, until an attack op checks it
+        pending_store: int | None = None
         for i, op in enumerate(script):
             if op.op == "store":
                 seen_store = True
+                pending_store = None
                 if op.message is not None:
                     self._check_message(op.message, f"script[{i}].message")
+                    pending_store = i
             elif not seen_store:
                 raise ConfigError(f"script[{i}]", f"{op.op} before the first store")
             elif op.op == "attack":
                 attack_ops += 1
+                if pending_store is not None:
+                    try:
+                        self.attack.check(self.code.params, script[pending_store].message)
+                    except ConfigError as exc:
+                        raise ConfigError(f"script[{pending_store}].message", exc.message) from None
+                    pending_store = None
             elif op.index is not None and _is_int(op.index) and not 0 <= op.index < self.n:
                 raise ConfigError(f"script[{i}].index", f"index {op.index} out of range [0, {self.n})")
         intrinsic = self.attack.intrinsic_steps
@@ -212,10 +228,7 @@ class ExperimentConfig:
         return (OpSpec(op="store"),) + (OpSpec(op="attack"), OpSpec(op="retrieve")) * steps
 
     def resolved_k(self) -> int:
-        if self.k is not None:
-            return self.k
-        code = HadamardCode(self.n, delta_dec=self.delta_dec)
-        return new_checker(code, self.epsilon).k
+        return self.k if self.k is not None else required_k(self.epsilon, self.code.params.delta)
 
     def to_dict(self) -> dict[str, Any]:
         out = {f.name: getattr(self, f.name) for f in fields(self)}
@@ -263,87 +276,77 @@ def derive_trial_seed(master_seed: int, trial_index: int) -> int:
 
 
 @dataclass
-class _TrialOutcome:
-    buggy: bool = False
-    false_buggy: bool = False
-    answers: int = 0
+class _Tally:
+    """Run-wide session counters; _run_trial adds each session into them.
+
+    A session stops at its first reject, so the retrieves it reached and
+    accepted are prefixes of the script's retrieves. verdicts is None unless
+    the run records per-trial verdict streams.
+    """
+
+    reached: list[int]
+    accepted: list[int]
+    buggy: int = 0
+    false_buggy: int = 0
     correct: int = 0
-    reached: list[bool] = field(default_factory=list)
-    accepted: list[bool] = field(default_factory=list)
-    verdicts: list[str] = field(default_factory=list)
-
-
-def _resolve_index(spec, n: int, cycle_state: list[int], rng: np.random.Generator) -> int:
-    if spec == "random":
-        return int(rng.integers(n))
-    if spec == "cycle":
-        idx = cycle_state[0] % n
-        cycle_state[0] += 1
-        return idx
-    return int(spec)
+    verdicts: list[list[str]] | None = None
 
 
 def _run_trial(
-    config: ExperimentConfig,
-    code: HadamardCode,
-    script: Sequence[OpSpec],
-    n_retrieves: int,
-    rng: np.random.Generator,
-) -> _TrialOutcome:
-    out = _TrialOutcome(reached=[False] * n_retrieves, accepted=[False] * n_retrieves)
-    state = new_checker(code, config.epsilon, config.k)
+    config: ExperimentConfig, k: int, script: Sequence[OpSpec], rng: np.random.Generator, tally: _Tally
+) -> None:
+    code = config.code
+    state = new_checker(code, config.epsilon, k)
     memory = PublicMemory()
     log: AdversaryLog | None = None
     current_msg: np.ndarray | None = None
     attack_step = 0
     retrieve_pos = 0
-    cycle_state = [0]
-
-    def memory_is_honest() -> bool:
-        # "false buggy" means rejecting a memory that matches the stored
-        # codeword; the adversary-log baseline is that codeword verbatim
-        return log is not None and np.array_equal(memory.bits, log.baseline)
+    cycle = 0
+    verdicts: list[str] | None = None if tally.verdicts is None else []
 
     for op in script:
+        if op.op == "attack":
+            apply_step(config.attack.resolve(current_msg, rng), attack_step, memory, code, log, rng)
+            attack_step += 1
+            continue
         if op.op == "store":
             msg_spec = op.message if op.message is not None else config.message
             msg = random_bits(config.n, rng) if msg_spec == "random" else as_bits(msg_spec)
             verdict = store(state, memory, msg, rng)
-            if verdict.is_buggy:
-                out.buggy = True
-                out.false_buggy = memory_is_honest()
-                out.verdicts.append("store:buggy")
-                break
+        else:
+            idx = op.index if op.index is not None else config.retrieve_index
+            if idx == "random":
+                idx = int(rng.integers(config.n))
+            elif idx == "cycle":
+                idx, cycle = cycle % config.n, cycle + 1
+            tally.reached[retrieve_pos] += 1
+            verdict = retrieve(state, memory, idx, rng)
+        if verdict.is_buggy:
+            tally.buggy += 1
+            # "false buggy" means rejecting a memory that matches the stored
+            # codeword; the adversary-log baseline is that codeword verbatim
+            tally.false_buggy += log is not None and np.array_equal(memory.bits, log.baseline)
+            if verdicts is not None:
+                verdicts.append(f"{op.op}:buggy")
+            break
+        if op.op == "store":
             current_msg = msg
             log = AdversaryLog(memory.bits)
-            out.verdicts.append(f"store:{verdict.bit}")
-        elif op.op == "attack":
-            assert log is not None and current_msg is not None
-            apply_step(config.attack.resolve(current_msg, rng), attack_step, memory, code, log, rng)
-            attack_step += 1
         else:
-            idx_spec = op.index if op.index is not None else config.retrieve_index
-            idx = _resolve_index(idx_spec, config.n, cycle_state, rng)
-            out.reached[retrieve_pos] = True
-            verdict = retrieve(state, memory, idx, rng)
-            if verdict.is_buggy:
-                out.buggy = True
-                out.false_buggy = memory_is_honest()
-                out.verdicts.append("retrieve:buggy")
-                break
-            out.accepted[retrieve_pos] = True
+            tally.accepted[retrieve_pos] += 1
             retrieve_pos += 1
-            out.answers += 1
-            assert current_msg is not None
-            out.correct += int(verdict.bit == int(current_msg[idx]))
-            out.verdicts.append(f"retrieve:{verdict.bit}")
-    return out
+            tally.correct += int(verdict.bit == int(current_msg[idx]))
+        if verdicts is not None:
+            verdicts.append(f"{op.op}:{verdict.bit}")
+    if verdicts is not None:
+        tally.verdicts.append(verdicts)
 
 
-def _probe_complexity(config: ExperimentConfig, code: HadamardCode) -> dict[str, int]:
+def _probe_complexity(config: ExperimentConfig, k: int) -> dict[str, int]:
     """Resource counts measured on a live honest session, not recomputed formulas."""
     rng = np.random.default_rng(derive_trial_seed(config.seed, config.trials))
-    state = new_checker(code, config.epsilon, config.k)
+    state = new_checker(config.code, config.epsilon, k)
     memory = PublicMemory()
     store(state, memory, "0" * config.n, rng)
     retrieve(state, memory, 0, rng)
@@ -351,23 +354,38 @@ def _probe_complexity(config: ExperimentConfig, code: HadamardCode) -> dict[str,
     return {"s_qubits": report.s_qubits, "t_qubits_per_retrieve": report.t_qubits_per_retrieve}
 
 
-def _attach_bounds(
-    config: ExperimentConfig, code: HadamardCode, aggregates: dict[str, Any]
-) -> list[BoundReport]:
-    """Analytic predictions matching the default script, compared 4 sigma wide.
+def _rate_check(
+    name: str, analytic: dict[str, float], expected: float, empirical: float | None, samples: int,
+    details: dict[str, Any], floor: float | None = None,
+) -> BoundReport:
+    """Monte Carlo rate against its analytic value, 4 sigma wide.
 
-    Sigma is computed from the analytic rate, so a prediction of exactly 0 or
-    1 demands an exact empirical match. Explicit scripts get no attack-shaped
-    bounds; their structure is the caller's, not the default one these
-    formulas describe.
+    Sigma is computed from the analytic rate (expected), so a prediction of
+    exactly 0 or 1 demands an exact empirical match. With floor the check is
+    one-sided (empirical >= floor - tolerance); without, two-sided around
+    expected. A rate that was never sampled (None) fails.
     """
-    k = config.resolved_k()
+    tol = 4.0 * float(np.sqrt(expected * (1.0 - expected) / max(samples, 1)))
+    passed = empirical is not None and (
+        abs(empirical - expected) <= tol if floor is None else empirical >= floor - tol
+    )
+    return BoundReport(
+        name=name, analytic=analytic, empirical=empirical, samples=samples,
+        std_error=tol / 4.0, tolerance=tol, passed=passed, details=details,
+    )
+
+
+def _attach_bounds(config: ExperimentConfig, aggregates: dict[str, Any]) -> list[BoundReport]:
+    """Analytic predictions matching the default script, checked by _rate_check.
+
+    Explicit scripts get no attack-shaped bounds; their structure is the
+    caller's, not the default one these formulas describe.
+    """
+    k = aggregates["k"]
+    params = config.code.params
     n_trials = config.trials
     rates = aggregates["rates"]
     reports: list[BoundReport] = []
-
-    def band(p: float) -> float:
-        return 4.0 * float(np.sqrt(p * (1.0 - p) / n_trials))
 
     if isinstance(config.attack, NoOpAttack):
         correctness = rates["correctness"]
@@ -388,8 +406,9 @@ def _attach_bounds(
     if config.script is not None:
         return reports
 
-    if isinstance(config.attack, SubstituteCodeword):
-        bound_accept = lemma1_bound(code.params.delta, k)
+    # steps 0 runs no substitution, so there is nothing to detect
+    if isinstance(config.attack, SubstituteCodeword) and config.steps != 0:
+        bound_accept = lemma1_bound(params.delta, k)
         # distinct codewords here sit at exactly half distance: inner product 0
         exact_accept = 0.5**k
         # a fixed target meets a random message with probability 2^-n, and
@@ -399,25 +418,18 @@ def _attach_bounds(
             distinct = 1.0 - 0.5**config.n
         detect_floor = distinct * (1.0 - bound_accept)
         detect_exact = distinct * (1.0 - exact_accept)
-        tol = band(detect_exact)
         reports.append(
-            BoundReport(
-                name="substitution_detection",
-                analytic={
-                    "detect_lower_bound": detect_floor,
-                    "detect_exact_orthogonal": detect_exact,
-                },
-                empirical=rates["buggy"],
-                samples=n_trials,
-                std_error=tol / 4.0,
-                tolerance=tol,
-                passed=rates["buggy"] >= detect_floor - tol,
-                details={"k": k, "all_accept_bound": bound_accept},
+            _rate_check(
+                "substitution_detection",
+                {"detect_lower_bound": detect_floor, "detect_exact_orthogonal": detect_exact},
+                detect_exact, rates["buggy"], n_trials,
+                {"k": k, "all_accept_bound": bound_accept},
+                floor=detect_floor,
             )
         )
 
     if isinstance(config.attack, IncrementalAttack):
-        m = code.params.m
+        m = params.m
         counts = config.attack.step_flip_counts(m)
         steps = config.steps if config.steps is not None else len(counts)
         used = counts[:steps]
@@ -425,46 +437,24 @@ def _attach_bounds(
         # rounded flip fractions actually applied, not the requested deltas
         per_step = [p_single(c / m) ** k for c in used]
         analytic_all = float(np.prod(per_step)) if per_step else 1.0
-        tol = band(analytic_all)
         reports.append(
-            BoundReport(
-                name="incremental_all_accept",
-                analytic={"all_accept": analytic_all},
-                empirical=rates["all_accept"],
-                samples=n_trials,
-                std_error=tol / 4.0,
-                tolerance=tol,
-                passed=abs(rates["all_accept"] - analytic_all) <= tol,
-                details={
-                    "k": k,
-                    "flip_counts": list(used),
-                    "per_step_accept": per_step,
-                },
+            _rate_check(
+                "incremental_all_accept", {"all_accept": analytic_all}, analytic_all,
+                rates["all_accept"], n_trials,
+                {"k": k, "flip_counts": list(used), "per_step_accept": per_step},
             )
         )
 
-    if isinstance(config.attack, FlipCount):
-        steps_info = aggregates["per_step_accept"]
-        if steps_info:
-            m = code.params.m
-            d = min(config.attack.bits_per_step, m) / m
-            analytic_first = p_single(d) ** k
-            first = steps_info[0]
-            reached = first["reached"]
-            rate = first["rate"]
-            tol = 4.0 * float(np.sqrt(analytic_first * (1.0 - analytic_first) / max(reached, 1)))
-            reports.append(
-                BoundReport(
-                    name="first_step_accept",
-                    analytic={"accept": analytic_first},
-                    empirical=rate,
-                    samples=reached,
-                    std_error=tol / 4.0,
-                    tolerance=tol,
-                    passed=rate is not None and abs(rate - analytic_first) <= tol,
-                    details={"k": k, "flip_fraction": d},
-                )
+    if isinstance(config.attack, FlipCount) and aggregates["per_step_accept"]:
+        first = aggregates["per_step_accept"][0]
+        d = min(config.attack.bits_per_step, params.m) / params.m
+        analytic_first = p_single(d) ** k
+        reports.append(
+            _rate_check(
+                "first_step_accept", {"accept": analytic_first}, analytic_first,
+                first["rate"], first["reached"], {"k": k, "flip_fraction": d},
             )
+        )
 
     return reports
 
@@ -560,61 +550,37 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     started = datetime.datetime.now(datetime.timezone.utc)
     t0 = time.monotonic()
 
-    code = HadamardCode(config.n, delta_dec=config.delta_dec)
+    k = config.resolved_k()
     script = config.build_script()
-    n_retrieves = sum(1 for op in script if op.op == "retrieve")
-
-    buggy = 0
-    false_buggy = 0
-    all_accept = 0
-    answers_total = 0
-    answers_correct = 0
-    reached = [0] * n_retrieves
-    accepted = [0] * n_retrieves
-    verdict_streams: list[list[str]] | None = [] if config.record_trials else None
-
+    n_retrieves = sum(op.op == "retrieve" for op in script)
+    tally = _Tally(
+        reached=[0] * n_retrieves, accepted=[0] * n_retrieves, verdicts=[] if config.record_trials else None
+    )
     for i in range(config.trials):
         rng = np.random.default_rng(derive_trial_seed(config.seed, i))
-        outcome = _run_trial(config, code, script, n_retrieves, rng)
-        buggy += outcome.buggy
-        false_buggy += outcome.false_buggy
-        all_accept += not outcome.buggy
-        answers_total += outcome.answers
-        answers_correct += outcome.correct
-        for pos in range(n_retrieves):
-            reached[pos] += outcome.reached[pos]
-            accepted[pos] += outcome.accepted[pos]
-        if verdict_streams is not None:
-            verdict_streams.append(outcome.verdicts)
+        _run_trial(config, k, script, rng, tally)
 
     n_trials = config.trials
+    buggy = tally.buggy
+    # an accepted retrieve answers; every session without a reject accepts all
+    answers_total = sum(tally.accepted)
+    all_accept = n_trials - buggy
     per_step = [
-        {
-            "step": pos,
-            "reached": reached[pos],
-            "accepted": accepted[pos],
-            "rate": (accepted[pos] / reached[pos]) if reached[pos] else None,
-        }
-        for pos in range(n_retrieves)
+        {"step": pos, "reached": reached, "accepted": accepted, "rate": accepted / reached if reached else None}
+        for pos, (reached, accepted) in enumerate(zip(tally.reached, tally.accepted))
     ]
     aggregates: dict[str, Any] = {
         "trials": n_trials,
-        "k": config.resolved_k(),
+        "k": k,
         "sessions": {
-            "buggy": buggy,
-            "clean": n_trials - buggy,
-            "false_buggy": false_buggy,
-            "all_accept": all_accept,
+            "buggy": buggy, "clean": all_accept, "false_buggy": tally.false_buggy, "all_accept": all_accept,
         },
-        "counts": {
-            "answers_total": answers_total,
-            "answers_correct": answers_correct,
-        },
+        "counts": {"answers_total": answers_total, "answers_correct": tally.correct},
         "rates": {
             # no answers means no answer was ever wrong; answers_total disambiguates
-            "correctness": (answers_correct / answers_total) if answers_total else 1.0,
+            "correctness": (tally.correct / answers_total) if answers_total else 1.0,
             "buggy": buggy / n_trials,
-            "false_buggy": false_buggy / n_trials,
+            "false_buggy": tally.false_buggy / n_trials,
             "all_accept": all_accept / n_trials,
         },
         "std_errors": {
@@ -622,9 +588,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             "all_accept": binomial_std_error(all_accept / n_trials, n_trials),
         },
         "per_step_accept": per_step,
-        "complexity": _probe_complexity(config, code),
+        "complexity": _probe_complexity(config, k),
     }
-    aggregates["bounds"] = [r.to_dict() for r in _attach_bounds(config, code, aggregates)]
+    aggregates["bounds"] = [r.to_dict() for r in _attach_bounds(config, aggregates)]
 
     run_meta = {
         "started_utc": started.isoformat(),
@@ -634,10 +600,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         "numpy": np.__version__,
     }
     result = ExperimentResult(
-        config=config,
-        aggregates=aggregates,
-        trial_verdicts=verdict_streams,
-        run_meta=run_meta,
+        config=config, aggregates=aggregates, trial_verdicts=tally.verdicts, run_meta=run_meta
     )
     if config.out_dir is not None:
         result.write_outputs(config.out_dir)

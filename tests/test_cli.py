@@ -111,6 +111,26 @@ class TestSimulate:
         assert code == EXIT_VALIDATION
         assert "attack.target" in err
 
+    def test_substitution_without_steps_passes(self, capsys, tmp_path):
+        # steps 0 runs no substitution, so no detection bound applies
+        path = tmp_path / "no_steps.json"
+        path.write_text(json.dumps({"n": 4, "attack": {"kind": "substitute"}, "steps": 0, "trials": 200}))
+        code, out, _ = run_cli(["simulate", "--config", str(path)], capsys)
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        assert doc["aggregates"]["rates"]["buggy"] == 0.0
+        assert "substitution_detection" not in [b["name"] for b in doc["aggregates"]["bounds"]]
+
+    def test_scripted_store_equal_to_target_rejected(self, capsys, tmp_path):
+        path = tmp_path / "same.json"
+        path.write_text(json.dumps({
+            "n": 4, "attack": {"kind": "substitute", "target": "1010"},
+            "script": [{"op": "store", "message": "1010"}, {"op": "attack"}, {"op": "retrieve"}],
+        }))
+        code, _, err = run_cli(["simulate", "--config", str(path)], capsys)
+        assert code == EXIT_VALIDATION
+        assert "script[0].message" in err
+
     def test_unknown_flag(self, config_path, capsys):
         code, _, err = run_cli(["simulate", "--config", config_path, "--fast"], capsys)
         assert code == EXIT_VALIDATION

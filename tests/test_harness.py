@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from qmemcheck import checker, harness
 from qmemcheck.adversary import (
     FlipCount,
     IncrementalAttack,
@@ -110,6 +111,22 @@ class TestConfigValidation:
     def test_list_deltas_config_is_hashable(self):
         cfg = ExperimentConfig(n=3, attack=IncrementalAttack(deltas=[0.25, 0.25]))
         assert hash(cfg) == hash(ExperimentConfig(n=3, attack=IncrementalAttack(deltas=(0.25, 0.25))))
+
+    def test_scripted_store_equal_to_target_rejected(self):
+        # only the store an attack op follows is checked against the target
+        attack = SubstituteCodeword(target="101")
+        make_config(attack=attack, script=(OpSpec(op="store", message="101"), OpSpec(op="retrieve")))
+        with pytest.raises(ConfigError) as exc:
+            make_config(
+                attack=attack,
+                script=(
+                    OpSpec(op="store", message="011"),
+                    OpSpec(op="store", message="101"),
+                    OpSpec(op="attack"),
+                    OpSpec(op="retrieve"),
+                ),
+            )
+        assert exc.value.path == "script[1].message"
 
     def test_steps_beyond_schedule(self):
         with pytest.raises(ConfigError):
@@ -305,6 +322,30 @@ class TestRunExperiment:
         assert len(steps) == 2
         assert steps[0]["reached"] == cfg.trials
         assert steps[1]["reached"] == steps[0]["accepted"]
+
+    def test_one_code_per_config(self, monkeypatch):
+        built = []
+
+        class CountingCode(harness.HadamardCode):
+            def __init__(self, *args, **kwargs):
+                built.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "HadamardCode", CountingCode)
+        for trials in (5, 50):
+            built.clear()
+            cfg = make_config(attack=SubstituteCodeword(), trials=trials)
+            run_experiment(cfg)
+            run_experiment(cfg.with_overrides(seed=3))
+            assert len(built) == 2  # one per config instance, none per trial
+
+    def test_resolved_k_builds_no_checker_state(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("resolved_k built a CheckerState")
+
+        monkeypatch.setattr(checker, "CheckerState", refuse)
+        assert make_config().resolved_k() == 7
+        assert make_config(k=2).resolved_k() == 2
 
     def test_record_trials(self):
         cfg = make_config(trials=25, record_trials=True)
