@@ -2,12 +2,15 @@
 
 The checker keeps k fingerprints of the codeword it last wrote. On every
 retrieve it fetches k fresh summary fingerprints of the public memory, runs
-one comparison test per (stored, summary) pair, and replies "buggy" the moment
-any test rejects. Otherwise it answers the requested bit via one local decode
-routed through counted memory reads, then replaces its private fingerprints
-with k new summaries of the current memory (measured copies are never reused,
-so a retrieve fetches 2k summaries in total: k for testing, k for refresh;
-both are charged to the query log).
+one comparison test per (stored, summary) pair, and replies "buggy" if any
+test rejects. All k stored copies describe one snapshot and all k summaries
+another, so the k tests share one Hamming distance: a verification computes
+that distance once and samples the k copies from it. Otherwise the checker
+answers the requested bit via one local decode routed through counted memory
+reads, then replaces its private fingerprints with k new summaries of the
+current memory (measured copies are never reused, so a retrieve fetches 2k
+summaries in total: k for testing, k for refresh; both are charged to the
+query log).
 
 Store runs the same verification phase against the current memory first
 (skipped on the very first store, when there is nothing to verify), then
@@ -52,11 +55,11 @@ class Verdict:
     def answer(cls, bit: int) -> "Verdict":
         if bit not in (0, 1):
             raise ValueError(f"answer bit must be 0 or 1, got {bit}")
-        return cls(kind="answer", bit=bit)
+        return _ANSWERS[int(bit)]
 
     @classmethod
     def buggy(cls) -> "Verdict":
-        return cls(kind="buggy", bit=None)
+        return _BUGGY
 
     def __post_init__(self) -> None:
         if self.kind not in ("answer", "buggy"):
@@ -67,6 +70,11 @@ class Verdict:
     @property
     def is_buggy(self) -> bool:
         return self.kind == "buggy"
+
+
+# Verdicts are immutable, so every store and retrieve shares these three instances.
+_ANSWERS = (Verdict("answer", 0), Verdict("answer", 1))
+_BUGGY = Verdict("buggy")
 
 
 @dataclass(frozen=True)
@@ -161,9 +169,10 @@ class PublicMemory:
         idx = np.asarray(positions, dtype=np.int64)
         if idx.size == 0:
             return
-        if idx.min() < 0 or idx.max() >= self._bits.size:
+        ordered = np.sort(idx, axis=None)
+        if ordered[0] < 0 or ordered[-1] >= self._bits.size:
             raise IndexError(f"flip positions out of range [0, {self._bits.size})")
-        if np.unique(idx).size != idx.size:
+        if (ordered[1:] == ordered[:-1]).any():
             raise ValueError("flip positions must be distinct")
         self._bits[idx] ^= 1
 
@@ -229,20 +238,19 @@ def required_k(epsilon: float, delta: float) -> int:
 def _verification_accepts(
     state: CheckerState, memory: PublicMemory, rng: np.random.Generator
 ) -> bool:
-    """Fetch k summaries and test them pairwise against the stored fingerprints.
+    """Fetch k summaries and test them against the k stored fingerprints.
 
-    Stored fingerprint i is tested against summary i (all honest copies are
-    identical, so the pairing is arbitrary; a fixed one keeps runs
-    deterministic). All k tests are sampled even after a rejection, which
-    keeps the Monte Carlo statistics simple; the verdict is "reject" the
-    moment any outcome is 1, within this same operation.
+    The k stored copies are one object, and so are the k summaries, so all k
+    pairs sit at one Hamming distance: one sample_swap_test call on k copies
+    samples them all (even after a rejection, which keeps the Monte Carlo
+    statistics simple). A stored list of distinct objects would break that
+    shortcut, so it raises ProtocolError.
     """
+    stored = state.fingerprints[0]
+    if any(fp is not stored for fp in state.fingerprints):
+        raise ProtocolError("stored fingerprints must be k copies of one snapshot")
     summaries = memory.fetch_summaries(state.k)
-    outcomes = [
-        sample_swap_test(stored, summary, rng)
-        for stored, summary in zip(state.fingerprints, summaries)
-    ]
-    return all(o.bit == 0 for o in outcomes)
+    return sample_swap_test(stored, summaries[0], rng, copies=state.k).bit == 0
 
 
 def store(

@@ -27,6 +27,11 @@ from .bits import as_bits
 # Hadamard codeword length is 2^n; keep n at desk scale.
 MAX_HADAMARD_N = 20
 
+# Masks of the codeword's first 2^8 positions: one parity pass over them
+# replaces eight doubling steps, whose per-call overhead dominates at that size.
+_BLOCK_BITS = 8
+_BLOCK_MASKS = np.arange(1 << _BLOCK_BITS, dtype=np.uint8)
+
 
 @dataclass(frozen=True)
 class CodeParams:
@@ -124,7 +129,6 @@ class HadamardCode(LocallyDecodableCode):
             delta_dec=delta_dec,
             eps_dec=0.5 - 2.0 * delta_dec,
         )
-        self._masks = np.arange(m, dtype=np.uint64)
 
     @property
     def params(self) -> CodeParams:
@@ -140,11 +144,21 @@ class HadamardCode(LocallyDecodableCode):
         n = self._params.n
         if bits.size != n:
             raise ValueError(f"message length {bits.size} != n={n}")
-        x = 0
-        for b in bits:
-            x = (x << 1) | int(b)
-        # parity of (x AND a) for every mask a
-        return (np.bitwise_count(self._masks & np.uint64(x)) & 1).astype(np.uint8)
+        # The last `low` message bits weigh 1, 2, ..., so positions [0, 2^low)
+        # are their parities <x, a>. Then doubling: positions [w, 2w) are the
+        # masks [0, w) with the weight-w bit set, which belongs to message bit
+        # n-1-log2(w), so they are the first w positions xor that bit.
+        low = min(n, _BLOCK_BITS)
+        x_low = 0
+        for b in bits[n - low :].tolist():
+            x_low = (x_low << 1) | b
+        word = np.empty(self._params.m, dtype=np.uint8)
+        w = 1 << low
+        np.bitwise_and(np.bitwise_count(_BLOCK_MASKS[:w] & x_low), 1, out=word[:w])
+        for b in bits[: n - low][::-1]:
+            np.bitwise_xor(word[:w], b, out=word[w : 2 * w])
+            w *= 2
+        return word
 
     def plan_for_mask(self, index: int, mask: int) -> list[int]:
         """The two positions read for a given sampled mask: [a, a xor e_index]."""

@@ -15,7 +15,8 @@ floating-point error stays far below that).
 
 Measured copies are assumed to be discarded by the caller: each sampled test
 consumes one copy of each input state in the caller's resource accounting, and
-no post-measurement state is tracked.
+no post-measurement state is tracked. Because k copies of one pair all see the
+same distance, sample_swap_test runs them together: one distance, k uniforms.
 """
 
 from __future__ import annotations
@@ -112,14 +113,24 @@ def swap_accept_prob(a: Fingerprint, b: Fingerprint) -> float:
     return (1.0 + ip * ip) / 2.0
 
 
-def sample_swap_test(a: Fingerprint, b: Fingerprint, rng: np.random.Generator) -> SwapOutcome:
-    """Sample one comparison test: 0 with probability swap_accept_prob(a, b), else 1.
+# Outcomes are immutable, so every test shares these two instances.
+_OUTCOMES = (SwapOutcome(0), SwapOutcome(1))
 
-    Consumes one copy of each state in the caller's accounting; the sampled
-    copies must not be reused.
+
+def sample_swap_test(
+    a: Fingerprint, b: Fingerprint, rng: np.random.Generator, copies: int = 1
+) -> SwapOutcome:
+    """Sample the comparison test on *copies* copies of the pair: 1 if any copy rejects.
+
+    Each copy accepts with probability swap_accept_prob(a, b), computed once.
+    rng.random(copies) yields the same doubles as *copies* scalar draws, so
+    this consumes the stream exactly as *copies* single tests would. The
+    sampled copies are consumed and must not be reused.
     """
+    if copies < 1:
+        raise ValueError(f"copies must be >= 1, got {copies}")
     p = swap_accept_prob(a, b)
-    return SwapOutcome(0 if rng.random() < p else 1)
+    return _OUTCOMES[int((rng.random(copies) >= p).any())]
 
 
 def cswap_statevector_prob(a: Fingerprint, b: Fingerprint) -> float:

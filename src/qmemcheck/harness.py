@@ -250,9 +250,19 @@ class ExperimentConfig:
         trials: int | None = None,
         out_dir: str | None = None,
     ) -> "ExperimentConfig":
-        """Copy with seed/trials/out_dir replaced where given (CLI and environment overrides)."""
+        """Copy with seed/trials/out_dir replaced where given (CLI and environment overrides).
+
+        Returns self when every given value equals the current one (same type
+        and value), so an override that changes nothing validates nothing twice.
+        """
         given = {"seed": seed, "trials": trials, "out_dir": out_dir}
-        return replace(self, **{key: value for key, value in given.items() if value is not None})
+        changes = {
+            key: value
+            for key, value in given.items()
+            if value is not None
+            and (type(value) is not type(getattr(self, key)) or value != getattr(self, key))
+        }
+        return replace(self, **changes) if changes else self
 
 
 def derive_trial_seed(master_seed: int, trial_index: int) -> int:

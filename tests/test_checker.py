@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qmemcheck import fingerprint
 from qmemcheck.bits import as_bits, int_to_bits
 from qmemcheck.checker import (
     ComplexityReport,
@@ -18,6 +21,7 @@ from qmemcheck.checker import (
     store,
 )
 from qmemcheck.code import HadamardCode
+from qmemcheck.fingerprint import make_fingerprint
 
 
 class TestVerdict:
@@ -123,6 +127,81 @@ class TestPublicMemory:
         mem.write(as_bits("0000"))
         with pytest.raises(ValueError):
             mem.adversary_flip([1, 1])
+
+    def test_adversary_flip_rejects_far_apart_duplicate(self):
+        mem = PublicMemory()
+        mem.write(np.zeros(65_536, dtype=np.uint8))
+        with pytest.raises(ValueError):
+            mem.adversary_flip([5, 60_000, 5])
+        assert not mem.bits.any()  # nothing flipped
+
+    def test_adversary_flip_unsorted_distinct(self):
+        mem = PublicMemory()
+        mem.write(np.zeros(65_536, dtype=np.uint8))
+        mem.adversary_flip([60_000, 5, 65_535, 0])
+        assert np.flatnonzero(mem.bits).tolist() == [0, 5, 60_000, 65_535]
+
+    @pytest.mark.parametrize("positions", [[3, -1], [16, 0], [2, 16, 2]])
+    def test_adversary_flip_range_checked_unsorted(self, positions):
+        mem = PublicMemory()
+        mem.write(np.zeros(16, dtype=np.uint8))
+        with pytest.raises(IndexError):
+            mem.adversary_flip(positions)
+
+    @given(st.lists(st.integers(0, 63), max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_adversary_flip_rejects_exactly_duplicates(self, positions):
+        idx = np.asarray(positions, dtype=np.int64)
+        mem = PublicMemory()
+        mem.write(np.zeros(64, dtype=np.uint8))
+        if np.unique(idx).size != idx.size:
+            with pytest.raises(ValueError):
+                mem.adversary_flip(idx)
+            assert not mem.bits.any()
+        else:
+            mem.adversary_flip(idx)
+            assert np.flatnonzero(mem.bits).tolist() == sorted(positions)
+
+
+class TestVerification:
+    def test_one_distance_per_verification(self, rng, monkeypatch):
+        calls = []
+        exact = fingerprint.swap_accept_prob
+
+        def counting(a, b):
+            calls.append(1)
+            return exact(a, b)
+
+        monkeypatch.setattr(fingerprint, "swap_accept_prob", counting)
+        state = new_checker(HadamardCode(4), 0.01)
+        assert state.k == 7
+        mem = PublicMemory()
+        store(state, mem, "1011", rng)
+        assert calls == []  # the first store has nothing to verify
+        retrieve(state, mem, 0, rng)
+        assert len(calls) == 1
+        store(state, mem, "0110", rng)
+        assert len(calls) == 2
+
+    def test_distinct_stored_fingerprints_rejected(self, rng):
+        code = HadamardCode(3)
+        state = new_checker(code, 0.01, k=2)
+        mem = PublicMemory()
+        store(state, mem, "101", rng)
+        word = code.encode("101")
+        state.fingerprints = [make_fingerprint(word), make_fingerprint(word)]
+        with pytest.raises(ProtocolError):
+            retrieve(state, mem, 0, rng)
+        with pytest.raises(ProtocolError):
+            store(state, mem, "011", rng)
+        assert mem.summary_log == 0  # refused before any summary was served
+
+    def test_verdicts_are_shared(self, rng):
+        state = new_checker(HadamardCode(3), 0.01)
+        mem = PublicMemory()
+        assert store(state, mem, "101", rng) is Verdict.answer(1)
+        assert retrieve(state, mem, 1, rng) is Verdict.answer(0)
+        assert Verdict.buggy() is Verdict.buggy()
 
 
 class TestStoreRetrieve:

@@ -78,6 +78,17 @@ class TestEncode:
         with pytest.raises(ValueError):
             HadamardCode(3).encode("10")
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 13, MAX_HADAMARD_N])
+    def test_matches_parity_definition(self, n, rng):
+        # reference: position a holds the parity of <x, a>, x read MSB-first
+        masks = np.arange(2**n, dtype=np.uint64)
+        code = HadamardCode(n)
+        for _ in range(3):
+            msg = rng.integers(0, 2, size=n, dtype=np.uint8)
+            x = int("".join(map(str, msg)), 2)
+            expected = (np.bitwise_count(masks & np.uint64(x)) & 1).astype(np.uint8)
+            assert np.array_equal(code.encode(msg), expected)
+
     @given(st.integers(1, 6), st.data())
     @settings(max_examples=40, deadline=None)
     def test_linearity(self, n, data):

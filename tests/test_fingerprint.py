@@ -133,6 +133,32 @@ class TestSampling:
         sigma = math.sqrt(0.25 / n)
         assert abs(accepts / n - 0.5) < 3 * sigma
 
+    @pytest.mark.parametrize("copies", [1, 7])
+    @pytest.mark.parametrize("d_frac", [0, 0.25, 0.5, 1])
+    def test_copies_match_sequential_tests(self, copies, d_frac):
+        # one call on k copies == k sequential single tests, draw for draw
+        m = 64
+        a, b = fp_with_distance(m, int(d_frac * m))
+        g1, g2 = np.random.default_rng(2024), np.random.default_rng(2024)
+        rejects = 0
+        for _ in range(300):
+            together = sample_swap_test(a, b, g1, copies=copies).bit
+            apart = [sample_swap_test(a, b, g2).bit for _ in range(copies)]
+            assert together == int(any(apart))
+            rejects += together
+        assert g1.bit_generator.state == g2.bit_generator.state
+        if 0 < d_frac < 1:
+            assert rejects > 0  # the comparison saw both outcomes
+
+    def test_copies_validated(self, rng):
+        a, b = fp_with_distance(4, 0)
+        with pytest.raises(ValueError):
+            sample_swap_test(a, b, rng, copies=0)
+
+    def test_outcomes_are_shared(self, rng):
+        a, b = fp_with_distance(4, 0)
+        assert sample_swap_test(a, b, rng) is sample_swap_test(a, b, rng, copies=3)
+
     def test_seeded_reproducibility(self):
         a, b = fp_with_distance(8, 2)
         runs = []

@@ -245,6 +245,17 @@ class TestSerialization:
         assert (out.seed, out.trials, out.out_dir) == (99, 5, "/tmp/x")
         assert cfg.seed == 11  # original untouched
 
+    def test_with_overrides_that_change_nothing_return_self(self):
+        cfg = make_config()
+        assert cfg.with_overrides() is cfg
+        assert cfg.with_overrides(seed=11, trials=40) is cfg
+        assert cfg.with_overrides(seed=12) is not cfg
+
+    def test_with_overrides_still_validates_a_retyped_value(self):
+        cfg = make_config(trials=1)
+        with pytest.raises(ConfigError):
+            cfg.with_overrides(trials=True)  # equal to 1, but not an integer
+
 
 class TestDeriveTrialSeed:
     def test_frozen_value(self):
