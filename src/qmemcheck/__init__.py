@@ -41,7 +41,6 @@ from .checker import (
     ComplexityReport,
     ProtocolError,
     PublicMemory,
-    RetrieveLog,
     Verdict,
     complexity_report,
     new_checker,
@@ -90,7 +89,6 @@ __all__ = [
     "OpSpec",
     "ProtocolError",
     "PublicMemory",
-    "RetrieveLog",
     "ScheduleError",
     "SubstituteCodeword",
     "SwapOutcome",

@@ -7,13 +7,14 @@ state, so a step flipping a fraction delta of fresh positions is accepted per
 comparison with probability exactly 1 - 2*delta + 2*delta^2.
 
 Schedules are immutable config values; all per-session mutable bookkeeping
-(which positions have flipped, distance from the stored codeword) lives in
-AdversaryLog. Strategies are information-theoretic scripts: they never observe
-checker verdicts or measurement outcomes. Everything that depends on the kind
-of attack (field checks, serialisation, config checks against the code,
-per-session random choices, the corruption itself) is a method of its
-schedule class, so a new kind is added here, plus its analytic bound in
-harness._attach_bounds if it has one.
+lives in AdversaryLog: the stored codeword, and one boolean mask of the
+positions any step has touched, which each step sets in place. Strategies
+are information-theoretic scripts: they never observe checker verdicts or
+measurement outcomes. Everything that depends on the kind of attack (field
+checks, serialisation, config checks against the code, per-session random
+choices, the corruption itself) is a method of its schedule class, so a new
+kind is added here, plus its analytic bound in harness._attach_bounds if it
+has one.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Any
 
 import numpy as np
 
-from .bits import as_bits, bits_to_str, hamming_distance, random_bits
+from .bits import as_bits, bits_to_str, random_bits
 from .checker import PublicMemory
 from .code import CodeParams, LocallyDecodableCode
 
@@ -57,6 +58,10 @@ def round_half_up(x: float) -> int:
 def _is_int(value) -> bool:
     # bool is an int subclass; a config saying trials=true is a mistake, not a 1
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _is_bitstring(value) -> bool:
@@ -200,9 +205,7 @@ class IncrementalAttack(AttackSchedule):
     kind = "incremental"
 
     def __post_init__(self) -> None:
-        if not isinstance(self.deltas, (list, tuple)) or not all(
-            isinstance(d, (int, float)) and not isinstance(d, bool) for d in self.deltas
-        ):
+        if not isinstance(self.deltas, (list, tuple)) or not all(_is_number(d) for d in self.deltas):
             raise ConfigError("deltas", "expected a list of numbers")
         object.__setattr__(self, "deltas", tuple(float(d) for d in self.deltas))
         if not self.deltas:
@@ -232,7 +235,7 @@ class IncrementalAttack(AttackSchedule):
 
     def apply(self, step, memory, code, log, rng) -> np.ndarray:
         d = self.step_flip_counts(memory.m)[step]
-        fresh = _unflipped_positions(log, memory.m)
+        fresh = np.flatnonzero(~log.flipped)
         if d > fresh.size:
             raise ScheduleError(f"step {step} needs {d} fresh positions but only {fresh.size} remain unflipped")
         if self.policy == "prefix":
@@ -249,37 +252,15 @@ SCHEDULES: dict[str, type[AttackSchedule]] = {
 
 
 class AdversaryLog:
-    """Per-session corruption bookkeeping: flipped positions per step, distance tracking."""
+    """Per-session corruption bookkeeping: the stored codeword (baseline) and a
+    mask of every position a step has touched since (flipped)."""
 
     def __init__(self, baseline) -> None:
         self.baseline = as_bits(baseline, name="baseline")
-        self.step_positions: list[np.ndarray] = []
-
-    @property
-    def steps_applied(self) -> int:
-        return len(self.step_positions)
-
-    def flipped_union(self) -> np.ndarray:
-        """All positions touched so far (sorted, without duplicates)."""
-        if not self.step_positions:
-            return np.empty(0, dtype=np.int64)
-        return np.unique(np.concatenate(self.step_positions))
+        self.flipped = np.zeros(self.baseline.size, dtype=bool)
 
     def record_step(self, positions) -> None:
-        self.step_positions.append(np.asarray(positions, dtype=np.int64))
-
-    def relative_distance(self, memory: PublicMemory) -> float:
-        """Current Hamming distance from the original codeword, as a fraction of m.
-
-        Recomputed from the live contents, never cached."""
-        return hamming_distance(self.baseline, memory.bits) / self.baseline.size
-
-
-def _unflipped_positions(log: AdversaryLog, m: int) -> np.ndarray:
-    touched = log.flipped_union()
-    keep = np.ones(m, dtype=bool)
-    keep[touched] = False
-    return np.flatnonzero(keep)
+        self.flipped[positions] = True
 
 
 def apply_step(

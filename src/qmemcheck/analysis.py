@@ -227,8 +227,13 @@ def verify_swap_oracle(
 
     Draws random phase-pattern pairs at each size and compares
     swap_accept_prob with cswap_statevector_prob; reports the worst absolute
-    deviation observed.
+    deviation observed. Empty sizes and a tolerance that is not a finite
+    number >= 0 are rejected: either would make the check vacuous or false.
     """
+    if not sizes:
+        raise ValueError("sizes must name at least one codeword length")
+    if not 0.0 <= tolerance < math.inf:
+        raise ValueError(f"tolerance must be a finite number >= 0, got {tolerance}")
     rng = np.random.default_rng(seed)
     worst = 0.0
     count = 0

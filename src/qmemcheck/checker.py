@@ -1,24 +1,24 @@
 """The online memory checker: store/retrieve protocols over adversarial public memory.
 
-The checker keeps k fingerprints of the codeword it last wrote. On every
+The checker's private memory is k copies of one fingerprint of the codeword
+it last wrote; CheckerState keeps that snapshot once, with k. On every
 retrieve it fetches k fresh summary fingerprints of the public memory, runs
 one comparison test per (stored, summary) pair, and replies "buggy" if any
-test rejects. All k stored copies describe one snapshot and all k summaries
-another, so the k tests share one Hamming distance: a verification computes
-that distance once and samples the k copies from it. Otherwise the checker
-answers the requested bit via one local decode routed through counted memory
-reads, then replaces its private fingerprints with k new summaries of the
-current memory (measured copies are never reused, so a retrieve fetches 2k
-summaries in total: k for testing, k for refresh; both are charged to the
-query log).
+test rejects. The k summaries are also one snapshot, so the k tests share
+one Hamming distance: a verification computes that distance once and
+samples the k copies from it. Otherwise the checker answers the requested
+bit via one local decode routed through counted memory reads, then replaces
+its private snapshot with one of k new summaries of the current memory
+(measured copies are never reused, so a retrieve fetches 2k summaries in
+total: k for testing, k for refresh).
 
 Store runs the same verification phase against the current memory first
 (skipped on the very first store, when there is nothing to verify), then
-writes the fresh codeword and regenerates its k fingerprints locally.
+writes the fresh codeword and regenerates its fingerprint locally.
 
 Complexity accounting: private memory holds k fingerprints of ceil(log2 m)
-qubits each; one retrieve is served 2k summaries of ceil(log2 m) qubits each
-plus at most q codeword bits for the local decode.
+qubits each. PublicMemory meters the traffic it serves (summaries and
+decode reads), and complexity_report reads t from those meters alone.
 
 A CheckerState plus its PublicMemory form one sequential protocol session;
 distinct sessions are independent and may run in parallel workers.
@@ -27,7 +27,7 @@ distinct sessions are independent and may run in parallel workers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,14 +75,6 @@ class Verdict:
 # Verdicts are immutable, so every store and retrieve shares these three instances.
 _ANSWERS = (Verdict("answer", 0), Verdict("answer", 1))
 _BUGGY = Verdict("buggy")
-
-
-@dataclass(frozen=True)
-class RetrieveLog:
-    """Memory traffic of a single retrieve: summaries served and bits read."""
-
-    summaries_fetched: int
-    bits_read: int
 
 
 @dataclass(frozen=True)
@@ -187,30 +179,28 @@ class PublicMemory:
 
 @dataclass
 class CheckerState:
-    """Private, reliable side of the checker: k stored fingerprints plus parameters."""
+    """Private, reliable side of the checker: k copies of one stored fingerprint,
+    kept once (None until the first store)."""
 
     code: LocallyDecodableCode
-    epsilon: float
     k: int
-    fingerprints: list[Fingerprint] = field(default_factory=list)
-    last_retrieve: RetrieveLog | None = None
+    fingerprint: Fingerprint | None = None
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.epsilon < 0.5:
-            raise ValueError(f"epsilon must be in (0, 1/2), got {self.epsilon}")
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
 
     @property
     def initialized(self) -> bool:
-        return len(self.fingerprints) == self.k
+        return self.fingerprint is not None
 
 
 def new_checker(code: LocallyDecodableCode, epsilon: float, k: int | None = None) -> CheckerState:
-    """Fresh checker state; k defaults to required_k(epsilon, code distance)."""
-    if k is None:
-        k = required_k(epsilon, code.params.delta)
-    return CheckerState(code=code, epsilon=epsilon, k=k)
+    """Fresh checker state; k defaults to required_k(epsilon, code distance).
+    epsilon is validated whether or not k is given."""
+    if not 0.0 < epsilon < 0.5:
+        raise ValueError(f"epsilon must be in (0, 1/2), got {epsilon}")
+    return CheckerState(code=code, k=required_k(epsilon, code.params.delta) if k is None else k)
 
 
 def required_k(epsilon: float, delta: float) -> int:
@@ -238,19 +228,15 @@ def required_k(epsilon: float, delta: float) -> int:
 def _verification_accepts(
     state: CheckerState, memory: PublicMemory, rng: np.random.Generator
 ) -> bool:
-    """Fetch k summaries and test them against the k stored fingerprints.
+    """Fetch k summaries and test them against the k stored copies.
 
-    The k stored copies are one object, and so are the k summaries, so all k
-    pairs sit at one Hamming distance: one sample_swap_test call on k copies
+    The k stored copies are one snapshot, and so are the k summaries, so all
+    k pairs sit at one Hamming distance: one sample_swap_test call on k copies
     samples them all (even after a rejection, which keeps the Monte Carlo
-    statistics simple). A stored list of distinct objects would break that
-    shortcut, so it raises ProtocolError.
+    statistics simple).
     """
-    stored = state.fingerprints[0]
-    if any(fp is not stored for fp in state.fingerprints):
-        raise ProtocolError("stored fingerprints must be k copies of one snapshot")
     summaries = memory.fetch_summaries(state.k)
-    return sample_swap_test(stored, summaries[0], rng, copies=state.k).bit == 0
+    return sample_swap_test(state.fingerprint, summaries[0], rng, copies=state.k).bit == 0
 
 
 def store(
@@ -261,7 +247,7 @@ def store(
     The verification phase runs against the memory as found (and returns
     "buggy" with the state untouched if any test rejects); the very first
     store skips it since nothing has been stored yet. On success the checker
-    writes E(msg), regenerates its k fingerprints locally from that codeword,
+    writes E(msg), regenerates its fingerprint locally from that codeword,
     and acknowledges with Answer(1).
     """
     bits = as_bits(msg, name="message")
@@ -274,9 +260,7 @@ def store(
 
     word = state.code.encode(bits)
     memory.write(word)
-    # k identical copies; the object is immutable, so one allocation serves all
-    fp = make_fingerprint(word)
-    state.fingerprints = [fp] * state.k
+    state.fingerprint = make_fingerprint(word)
     return Verdict.answer(1)
 
 
@@ -287,26 +271,24 @@ def retrieve(
 
     Verification first: k summaries fetched and tested; any rejection yields
     "buggy" immediately, with no decode and no refresh. Otherwise one local
-    decode runs through counted memory reads, the private fingerprints are
+    decode runs through counted memory reads, the private snapshot is
     replaced by k fresh summaries of the current memory, and the decoded bit
     is returned.
     """
     if not state.initialized:
-        raise ProtocolError("retrieve before any store: checker holds no fingerprints")
+        raise ProtocolError("retrieve before any store: checker holds no fingerprint")
     code = state.code
     if not 0 <= index < code.params.n:
         raise IndexError(f"bit index {index} out of range [0, {code.params.n})")
 
     if not _verification_accepts(state, memory, rng):
-        state.last_retrieve = RetrieveLog(summaries_fetched=state.k, bits_read=0)
         return Verdict.buggy()
 
     plan = code.decode_query_plan(index, rng)
     answers = memory.read_bits(plan)
     decoded = code.decode_from_answers(index, plan, answers)
 
-    state.fingerprints = memory.fetch_summaries(state.k)
-    state.last_retrieve = RetrieveLog(summaries_fetched=2 * state.k, bits_read=len(plan))
+    state.fingerprint = memory.fetch_summaries(state.k)[0]
     return Verdict.answer(decoded)
 
 
@@ -317,19 +299,18 @@ def qubits_per_summary(m: int) -> int:
     return (m - 1).bit_length()
 
 
-def complexity_report(state: CheckerState, log: RetrieveLog | None = None) -> ComplexityReport:
-    """Resource usage: private qubits held, and qubits served by the last retrieve.
+def complexity_report(state: CheckerState, memory: PublicMemory) -> ComplexityReport:
+    """Resource usage: private qubits held, and qubits the memory has served.
 
     s = k * ceil(log2 m). t charges ceil(log2 m) qubits per summary served
     (testing and refresh copies alike) plus one qubit per codeword bit read
-    for decoding. Recomputed from the log on every call.
+    for decoding, all read from the memory's meters; after one store and one
+    retrieve on a fresh memory, that is the traffic of the retrieve.
     """
-    if log is None:
-        log = state.last_retrieve
-    if log is None:
-        raise ProtocolError("complexity report requires at least one completed retrieve")
+    if memory.summary_log == 0:
+        raise ProtocolError("complexity report requires a memory that has served a summary")
     per_summary = qubits_per_summary(state.code.params.m)
     return ComplexityReport(
         s_qubits=state.k * per_summary,
-        t_qubits_per_retrieve=log.summaries_fetched * per_summary + log.bits_read,
+        t_qubits_per_retrieve=memory.summary_log * per_summary + memory.read_log,
     )

@@ -30,7 +30,7 @@ import numpy as np
 
 from .adversary import (
     SCHEDULES, AdversaryLog, AttackSchedule, ConfigError, FlipCount, IncrementalAttack, NoOpAttack,
-    SubstituteCodeword, _is_bitstring, _is_int, apply_step,
+    SubstituteCodeword, _is_bitstring, _is_int, _is_number, apply_step,
 )
 from .analysis import BoundReport, binomial_std_error, lemma1_bound, p_single
 from .bits import as_bits, random_bits
@@ -144,9 +144,9 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if not _is_int(self.n) or not 1 <= self.n <= MAX_HADAMARD_N:
             raise ConfigError("n", f"expected an integer in [1, {MAX_HADAMARD_N}], got {self.n!r}")
-        if not isinstance(self.delta_dec, (int, float)) or not 0.0 <= self.delta_dec < 0.25:
+        if not _is_number(self.delta_dec) or not 0.0 <= self.delta_dec < 0.25:
             raise ConfigError("delta_dec", f"expected a number in [0, 0.25), got {self.delta_dec!r}")
-        if not isinstance(self.epsilon, (int, float)) or not 0.0 < self.epsilon < 0.5:
+        if not _is_number(self.epsilon) or not 0.0 < self.epsilon < 0.5:
             raise ConfigError("epsilon", f"expected a number in (0, 1/2), got {self.epsilon!r}")
         if self.k is not None and (not _is_int(self.k) or self.k < 1):
             raise ConfigError("k", f"expected an integer >= 1 or null, got {self.k!r}")
@@ -360,7 +360,7 @@ def _probe_complexity(config: ExperimentConfig, k: int) -> dict[str, int]:
     memory = PublicMemory()
     store(state, memory, "0" * config.n, rng)
     retrieve(state, memory, 0, rng)
-    report = complexity_report(state)
+    report = complexity_report(state, memory)
     return {"s_qubits": report.s_qubits, "t_qubits_per_retrieve": report.t_qubits_per_retrieve}
 
 

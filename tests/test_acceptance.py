@@ -251,7 +251,7 @@ def test_criterion_6_complexity_accounting():
             msg = rng.integers(0, 2, size=n).astype(np.uint8)
             store(state, memory, msg, rng)
             verdict = retrieve(state, memory, 0, rng)
-            rep = complexity_report(state)
+            rep = complexity_report(state, memory)
             if verdict.is_buggy or rep.s_qubits != k * n or rep.t_qubits_per_retrieve != 2 * k * n + 2:
                 scaling_ok = False
 

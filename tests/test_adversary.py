@@ -16,7 +16,7 @@ from qmemcheck.adversary import (
     codeword_reachability_check,
     round_half_up,
 )
-from qmemcheck.bits import as_bits
+from qmemcheck.bits import as_bits, hamming_distance
 from qmemcheck.checker import PublicMemory
 from qmemcheck.code import HadamardCode
 
@@ -145,8 +145,8 @@ class TestNoOp(object):
         before = mem.bits.copy()
         apply_step(NoOpAttack(), 0, mem, code, log, rng)
         assert np.array_equal(mem.bits, before)
-        assert log.relative_distance(mem) == 0.0
-        assert log.steps_applied == 1
+        assert hamming_distance(log.baseline, mem.bits) == 0
+        assert not log.flipped.any()
 
 
 class TestSubstitute(object):
@@ -155,7 +155,8 @@ class TestSubstitute(object):
         mem, log = fresh_memory(code, "100")
         apply_step(SubstituteCodeword(target="001"), 0, mem, code, log, rng)
         assert np.array_equal(mem.bits, code.encode("001"))
-        assert log.relative_distance(mem) == 0.5
+        assert hamming_distance(log.baseline, mem.bits) == 4
+        assert np.array_equal(np.flatnonzero(log.flipped), np.flatnonzero(mem.bits != log.baseline))
 
     def test_unresolved_random_rejected(self, rng):
         code = HadamardCode(3)
@@ -192,8 +193,8 @@ class TestFlipCount(object):
         sched = FlipCount(bits_per_step=2, policy="prefix")
         apply_step(sched, 0, mem, code, log, rng)
         apply_step(sched, 1, mem, code, log, rng)
-        assert log.relative_distance(mem) == 0.0
-        assert log.steps_applied == 2
+        assert hamming_distance(log.baseline, mem.bits) == 0
+        assert np.flatnonzero(log.flipped).tolist() == [0, 1]  # touched, though flipped back
 
 
 class TestIncremental(object):
@@ -203,10 +204,10 @@ class TestIncremental(object):
         mem, log = fresh_memory(code, "101")
         sched = IncrementalAttack(deltas=(0.25, 0.25))
         apply_step(sched, 0, mem, code, log, rng)
-        assert log.relative_distance(mem) == 0.25
+        assert hamming_distance(log.baseline, mem.bits) == 2
         apply_step(sched, 1, mem, code, log, rng)
-        assert log.relative_distance(mem) == 0.5
-        assert len(log.flipped_union()) == 4
+        assert hamming_distance(log.baseline, mem.bits) == 4
+        assert np.flatnonzero(log.flipped).size == 4
 
     def test_prefix_positions(self, rng):
         code = HadamardCode(3)
@@ -223,6 +224,20 @@ class TestIncremental(object):
         apply_step(sched, 0, mem, code, log, rng)
         with pytest.raises(ScheduleError):
             apply_step(sched, 1, mem, code, log, rng)
+
+    @pytest.mark.parametrize("policy", ["uniform", "prefix"])
+    def test_never_draws_a_marked_position(self, policy):
+        # with 12 of 16 positions marked, a quarter step must take exactly the other 4
+        code = HadamardCode(4)
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            mem, log = fresh_memory(code, "0000")
+            marked = rng.choice(16, size=12, replace=False)
+            log.record_step(marked)
+            apply_step(IncrementalAttack(deltas=(0.25,), policy=policy), 0, mem, code, log, rng)
+            drawn = np.flatnonzero(mem.bits != log.baseline)
+            assert sorted(drawn.tolist()) == sorted(set(range(16)) - set(marked.tolist()))
+            assert log.flipped.all()
 
     def test_exhausted_fresh_positions(self, rng):
         # rounding half-fractions up makes the flip total overflow m here:
@@ -257,8 +272,8 @@ class TestIncremental(object):
         for step, c in enumerate(counts):
             apply_step(sched, step, mem, code, log, rng)
             total += c
-            assert log.relative_distance(mem) == total / m
-        assert len(log.flipped_union()) == total
+            assert hamming_distance(log.baseline, mem.bits) == total
+        assert np.flatnonzero(log.flipped).size == total
 
 
 class TestAdversaryLog:
@@ -274,14 +289,15 @@ class TestAdversaryLog:
         mem, log = fresh_memory(code, "000")
         log.record_step([5, 1])
         log.record_step([3])
-        assert log.flipped_union().tolist() == [1, 3, 5]
+        log.record_step([])
+        assert np.flatnonzero(log.flipped).tolist() == [1, 3, 5]
 
     def test_relative_distance_tracks_memory(self):
         mem = PublicMemory()
         mem.write(as_bits("0000"))
         log = AdversaryLog(mem.bits)
         mem.adversary_flip([0, 1])
-        assert log.relative_distance(mem) == 0.5
+        assert hamming_distance(log.baseline, mem.bits) == 2
 
 
 class TestReachability:

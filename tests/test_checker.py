@@ -11,7 +11,6 @@ from qmemcheck.checker import (
     ComplexityReport,
     ProtocolError,
     PublicMemory,
-    RetrieveLog,
     Verdict,
     complexity_report,
     new_checker,
@@ -21,7 +20,6 @@ from qmemcheck.checker import (
     store,
 )
 from qmemcheck.code import HadamardCode
-from qmemcheck.fingerprint import make_fingerprint
 
 
 class TestVerdict:
@@ -183,19 +181,6 @@ class TestVerification:
         store(state, mem, "0110", rng)
         assert len(calls) == 2
 
-    def test_distinct_stored_fingerprints_rejected(self, rng):
-        code = HadamardCode(3)
-        state = new_checker(code, 0.01, k=2)
-        mem = PublicMemory()
-        store(state, mem, "101", rng)
-        word = code.encode("101")
-        state.fingerprints = [make_fingerprint(word), make_fingerprint(word)]
-        with pytest.raises(ProtocolError):
-            retrieve(state, mem, 0, rng)
-        with pytest.raises(ProtocolError):
-            store(state, mem, "011", rng)
-        assert mem.summary_log == 0  # refused before any summary was served
-
     def test_verdicts_are_shared(self, rng):
         state = new_checker(HadamardCode(3), 0.01)
         mem = PublicMemory()
@@ -212,8 +197,8 @@ class TestStoreRetrieve:
         verdict = store(state, mem, "101", rng)
         assert verdict == Verdict.answer(1)
         assert mem.bits.tolist() == list(code.encode("101"))
-        assert len(state.fingerprints) == state.k == 7
-        assert state.fingerprints[0].phases.tolist() == list(mem.bits)
+        assert state.initialized and state.k == 7
+        assert state.fingerprint.phases.tolist() == list(mem.bits)
 
     def test_store_wrong_length(self, rng):
         state = new_checker(HadamardCode(3), 0.01)
@@ -254,22 +239,22 @@ class TestStoreRetrieve:
     def test_reject_skips_decode_and_refresh(self, rng):
         # keep the memory at half distance (re-flipping after any accepting
         # retrieve, since acceptance refreshes the fingerprints) until a
-        # rejection lands, then check the logs and fingerprints
+        # rejection lands, then check the meters and the stored snapshot
         code = HadamardCode(3)
         state = new_checker(code, 0.01, k=2)
         mem = PublicMemory()
         store(state, mem, "101", rng)
         mem.adversary_flip(range(4))  # distance 1/2: each test accepts w.p. 1/2
         while True:
-            before = state.fingerprints
-            reads_before = mem.read_log
+            before = state.fingerprint
+            meters_before = (mem.summary_log, mem.read_log)
             verdict = retrieve(state, mem, 0, rng)
             if verdict.is_buggy:
                 break
             mem.adversary_flip(range(4))
-        assert state.last_retrieve == RetrieveLog(summaries_fetched=2, bits_read=0)
-        assert mem.read_log == reads_before  # no decode reads on the rejecting retrieve
-        assert state.fingerprints is before  # no refresh either
+        # k summaries served for the tests, no decode reads, no refresh
+        assert (mem.summary_log - meters_before[0], mem.read_log - meters_before[1]) == (2, 0)
+        assert state.fingerprint is before
 
     def test_accept_refreshes_fingerprints(self, rng):
         code = HadamardCode(4)
@@ -278,11 +263,13 @@ class TestStoreRetrieve:
         store(state, mem, "1011", rng)
         mem.adversary_flip([0])  # distance 1/16: accept probability 0.8828
         while True:
+            meters_before = (mem.summary_log, mem.read_log)
             verdict = retrieve(state, mem, 2, rng)
             if not verdict.is_buggy:
                 break
-        assert state.fingerprints[0].phases.tolist() == list(mem.bits)
-        assert state.last_retrieve == RetrieveLog(summaries_fetched=2, bits_read=2)
+        assert state.fingerprint.phases.tolist() == list(mem.bits)
+        # k summaries for the tests, k for the refresh, q = 2 decode reads
+        assert (mem.summary_log - meters_before[0], mem.read_log - meters_before[1]) == (2, 2)
 
     def test_substituted_codeword_mostly_caught(self, rng):
         code = HadamardCode(3)
@@ -326,7 +313,7 @@ class TestComplexity:
         mem = PublicMemory()
         store(state, mem, "10110100", rng)
         retrieve(state, mem, 0, rng)
-        report = complexity_report(state)
+        report = complexity_report(state, mem)
         assert report == ComplexityReport(s_qubits=56, t_qubits_per_retrieve=114)
 
     def test_minimal_point(self, rng):
@@ -334,18 +321,25 @@ class TestComplexity:
         mem = PublicMemory()
         store(state, mem, "1", rng)
         retrieve(state, mem, 0, rng)
-        report = complexity_report(state)
+        report = complexity_report(state, mem)
         assert report.s_qubits == 1
         assert report.t_qubits_per_retrieve == 2 * 1 * 1 + 2
 
     def test_requires_a_retrieve(self, rng):
+        # the first store is served no summary, so there is no traffic to report yet
         state = new_checker(HadamardCode(3), 0.01)
+        mem = PublicMemory()
         with pytest.raises(ProtocolError):
-            complexity_report(state)
+            complexity_report(state, mem)
+        store(state, mem, "101", rng)
+        with pytest.raises(ProtocolError):
+            complexity_report(state, mem)
 
     def test_explicit_log_overrides(self):
         state = new_checker(HadamardCode(3), 0.01, k=2)
-        report = complexity_report(state, RetrieveLog(summaries_fetched=4, bits_read=2))
+        mem = PublicMemory()
+        mem.summary_log, mem.read_log = 4, 2
+        report = complexity_report(state, mem)
         assert report.t_qubits_per_retrieve == 4 * 3 + 2
 
     def test_negative_counts_rejected(self):
@@ -364,6 +358,8 @@ class TestCheckerState:
     def test_epsilon_validated(self):
         with pytest.raises(ValueError):
             new_checker(HadamardCode(3), 0.7)
+        with pytest.raises(ValueError):
+            new_checker(HadamardCode(3), 0.7, k=3)
 
     def test_k_validated(self):
         with pytest.raises(ValueError):

@@ -218,6 +218,22 @@ class TestOracleCheck:
         assert code == EXIT_VALIDATION
         assert err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--tolerance", "nan"],  # crashed in canonical_json
+            ["--tolerance", "inf"],  # crashed in canonical_json
+            ["--tolerance", "-1"],  # no deviation can pass: a false self-check failure
+            ["--sizes", ""],  # checks 0 pairs and passes vacuously
+        ],
+        ids=["nan", "inf", "negative", "empty-sizes"],
+    )
+    def test_vacuous_or_false_check_rejected(self, argv, capsys):
+        code, out, err = run_cli(["oracle-check", "--pairs", "2", *argv], capsys)
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 def test_installed_entry_point(tmp_path):
     config = tmp_path / "c.json"

@@ -58,6 +58,8 @@ class TestConfigValidation:
             {"n": 0},
             {"n": True},  # bools are not sizes
             {"n": 3, "delta_dec": 0.25},
+            {"n": 3, "delta_dec": False},  # bools are not rates
+            {"n": 3, "epsilon": True},
             {"n": 3, "epsilon": 0.0},
             {"n": 3, "epsilon": 0.5},
             {"n": 3, "k": 0},
