@@ -10,7 +10,6 @@ Carlo harness with a CLI.
 """
 
 from .adversary import (
-    AdversaryLog,
     AttackSchedule,
     FlipCount,
     IncrementalAttack,
@@ -18,7 +17,6 @@ from .adversary import (
     ScheduleError,
     SubstituteCodeword,
     apply_step,
-    codeword_reachability_check,
 )
 from .analysis import (
     BoundReport,
@@ -71,7 +69,6 @@ from .harness import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdversaryLog",
     "AttackSchedule",
     "BoundReport",
     "CheckerState",
@@ -98,7 +95,6 @@ __all__ = [
     "as_bits",
     "bits_to_int",
     "bits_to_str",
-    "codeword_reachability_check",
     "complexity_report",
     "cswap_statevector_prob",
     "derive_trial_seed",

@@ -6,10 +6,11 @@ each retrieve compares the memory against fingerprints of the previous memory
 state, so a step flipping a fraction delta of fresh positions is accepted per
 comparison with probability exactly 1 - 2*delta + 2*delta^2.
 
-Schedules are immutable config values; all per-session mutable bookkeeping
-lives in AdversaryLog: the stored codeword, and one boolean mask of the
-positions any step has touched, which each step sets in place. Strategies
-are information-theoretic scripts: they never observe checker verdicts or
+Schedules are immutable config values, and no per-session state is kept
+beside the memory: a step reads the baseline, the codeword of the last
+accepted store (read-only, shared with the checker's stored fingerprint),
+and compares the memory against it where it needs to. Strategies are
+information-theoretic scripts: they never observe checker verdicts or
 measurement outcomes. Everything that depends on the kind of attack (field
 checks, serialisation, config checks against the code, per-session random
 choices, the corruption itself) is a method of its schedule class, so a new
@@ -25,7 +26,7 @@ from typing import Any
 
 import numpy as np
 
-from .bits import as_bits, bits_to_str, random_bits
+from .bits import bits_to_str, random_bits
 from .checker import PublicMemory
 from .code import CodeParams, LocallyDecodableCode
 
@@ -94,9 +95,9 @@ class AttackSchedule:
         """The schedule with its per-session random choices drawn (may consume rng)."""
         return self
 
-    def apply(self, step, memory, code, log, rng) -> np.ndarray:
+    def apply(self, step, memory, code, baseline, rng) -> None:
         """Corrupt the PublicMemory for one in-range step, given the session's
-        LocallyDecodableCode and AdversaryLog; return the positions touched."""
+        LocallyDecodableCode and the stored codeword (baseline)."""
         raise NotImplementedError
 
 
@@ -106,8 +107,8 @@ class NoOpAttack(AttackSchedule):
 
     kind = "noop"
 
-    def apply(self, step, memory, code, log, rng) -> np.ndarray:
-        return np.empty(0, dtype=np.int64)
+    def apply(self, step, memory, code, baseline, rng) -> None:
+        pass
 
 
 @dataclass(frozen=True)
@@ -144,13 +145,10 @@ class SubstituteCodeword(AttackSchedule):
             if not np.array_equal(candidate, current_msg):
                 return SubstituteCodeword(target=bits_to_str(candidate))
 
-    def apply(self, step, memory, code, log, rng) -> np.ndarray:
+    def apply(self, step, memory, code, baseline, rng) -> None:
         if self.target == "random":
             raise ScheduleError('unresolved "random" substitution target; resolve it to concrete bits first')
-        word = code.encode(as_bits(self.target, name="target"))
-        touched = np.flatnonzero(memory.bits != word)
-        memory.adversary_overwrite(word)
-        return touched
+        memory.adversary_overwrite(code.encode(self.target))
 
 
 @dataclass(frozen=True)
@@ -174,27 +172,25 @@ class FlipCount(AttackSchedule):
             raise ConfigError("bits_per_step", f"must be >= 0, got {self.bits_per_step}")
         _check_policy(self.policy)
 
-    def apply(self, step, memory, code, log, rng) -> np.ndarray:
+    def apply(self, step, memory, code, baseline, rng) -> None:
         m = memory.m
         d = min(self.bits_per_step, m)
         if self.policy == "prefix":
-            positions = np.arange(d, dtype=np.int64)
+            memory.adversary_flip(np.arange(d, dtype=np.int64))
         else:
-            positions = rng.choice(m, size=d, replace=False)
-        memory.adversary_flip(positions)
-        return positions
+            memory.adversary_flip(rng.choice(m, size=d, replace=False))
 
 
 @dataclass(frozen=True)
 class IncrementalAttack(AttackSchedule):
     """Drift toward another codeword: step i flips round(deltas[i] * m) fresh positions.
 
-    Positions flipped across steps are pairwise disjoint (a flipped bit is
-    never flipped back), so after step i the distance from the original
-    codeword is exactly the running sum of per-step flip counts. policy
-    "uniform" samples fresh positions uniformly; "prefix" takes the lowest
-    unflipped indices, for reproducible unit tests. deltas is stored as a
-    tuple of floats. check rejects rounded flips that exceed m and, with
+    A fresh position is one that still holds the stored codeword's bit. Steps
+    flip only fresh positions and nothing flips them back, so after step i the
+    distance from the stored codeword is exactly the running sum of per-step
+    flip counts. policy "uniform" samples fresh positions uniformly; "prefix"
+    takes the lowest fresh indices, for reproducible unit tests. deltas is
+    stored as a tuple of floats. check rejects rounded flips that exceed m and, with
     require_reach, a total short of the code distance.
     """
 
@@ -230,12 +226,13 @@ class IncrementalAttack(AttackSchedule):
         total = sum(self.step_flip_counts(params.m))
         if total > params.m:
             raise ConfigError("deltas", f"rounded flips total {total}, more than the m={params.m} positions")
-        if self.require_reach and not codeword_reachability_check(self, params):
+        # reaching the code distance means the drift can have turned one codeword into another
+        if self.require_reach and total < params.delta * params.m - 1e-9:
             raise ConfigError("deltas", f"rounded flip total {total} falls short of the code distance")
 
-    def apply(self, step, memory, code, log, rng) -> np.ndarray:
+    def apply(self, step, memory, code, baseline, rng) -> None:
         d = self.step_flip_counts(memory.m)[step]
-        fresh = np.flatnonzero(~log.flipped)
+        fresh = np.flatnonzero(memory.bits == baseline)
         if d > fresh.size:
             raise ScheduleError(f"step {step} needs {d} fresh positions but only {fresh.size} remain unflipped")
         if self.policy == "prefix":
@@ -243,7 +240,6 @@ class IncrementalAttack(AttackSchedule):
         else:
             positions = rng.choice(fresh, size=d, replace=False) if d else fresh[:0]
         memory.adversary_flip(positions)
-        return positions
 
 
 SCHEDULES: dict[str, type[AttackSchedule]] = {
@@ -251,40 +247,16 @@ SCHEDULES: dict[str, type[AttackSchedule]] = {
 }
 
 
-class AdversaryLog:
-    """Per-session corruption bookkeeping: the stored codeword (baseline) and a
-    mask of every position a step has touched since (flipped)."""
-
-    def __init__(self, baseline) -> None:
-        self.baseline = as_bits(baseline, name="baseline")
-        self.flipped = np.zeros(self.baseline.size, dtype=bool)
-
-    def record_step(self, positions) -> None:
-        self.flipped[positions] = True
-
-
 def apply_step(
     schedule: AttackSchedule,
     step: int,
     memory: PublicMemory,
     code: LocallyDecodableCode,
-    log: AdversaryLog,
+    baseline: np.ndarray,
     rng: np.random.Generator,
 ) -> None:
-    """Apply step *step* (0-based) of the schedule, mutating memory and updating the log."""
+    """Apply step *step* (0-based) of the schedule to memory; baseline is the stored codeword."""
     intrinsic = schedule.intrinsic_steps
     if step < 0 or (intrinsic is not None and step >= intrinsic):
         raise ScheduleError(f"step {step} out of range for schedule with {intrinsic} steps")
-    log.record_step(schedule.apply(step, memory, code, log, rng))
-
-
-def codeword_reachability_check(schedule: IncrementalAttack, params: CodeParams) -> bool:
-    """Whether the rounded per-step flips add up to the code distance.
-
-    True iff sum_i round(deltas[i] * m) >= delta * m, i.e. the scheduled
-    drift is large enough to have turned one codeword into another.
-    """
-    if not isinstance(schedule, IncrementalAttack):
-        raise TypeError("reachability is defined for incremental schedules only")
-    total = sum(schedule.step_flip_counts(params.m))
-    return total >= params.delta * params.m - 1e-9
+    schedule.apply(step, memory, code, baseline, rng)

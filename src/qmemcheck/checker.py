@@ -12,9 +12,13 @@ its private snapshot with one of k new summaries of the current memory
 (measured copies are never reused, so a retrieve fetches 2k summaries in
 total: k for testing, k for refresh).
 
-Store runs the same verification phase against the current memory first
+Store encodes the message first (encoding parses it and draws no
+randomness), runs the same verification against the current memory
 (skipped on the very first store, when there is nothing to verify), then
-writes the fresh codeword and regenerates its fingerprint locally.
+writes the codeword and fingerprints it locally. PublicMemory parses every
+write into its own array; the stored fingerprint takes over the fresh
+codeword, and each summary fetch copies the contents once, since the
+adversary flips memory in place. Nothing the package built is re-parsed.
 
 Complexity accounting: private memory holds k fingerprints of ceil(log2 m)
 qubits each. PublicMemory meters the traffic it serves (summaries and
@@ -148,7 +152,7 @@ class PublicMemory:
         if count < 1:
             raise ValueError(f"summary count must be >= 1, got {count}")
         self.summary_log += count
-        snapshot = make_fingerprint(self._bits)
+        snapshot = make_fingerprint(self._bits.copy())
         # Identical physical copies of one snapshot; Fingerprint is immutable,
         # so sharing the pattern is observationally equivalent.
         return [snapshot] * count
@@ -242,23 +246,18 @@ def _verification_accepts(
 def store(
     state: CheckerState, memory: PublicMemory, msg, rng: np.random.Generator
 ) -> Verdict:
-    """Handle a store request: verify current memory, then write the new codeword.
+    """Handle a store request: encode, verify current memory, then write the codeword.
 
-    The verification phase runs against the memory as found (and returns
-    "buggy" with the state untouched if any test rejects); the very first
-    store skips it since nothing has been stored yet. On success the checker
-    writes E(msg), regenerates its fingerprint locally from that codeword,
-    and acknowledges with Answer(1).
+    Encoding parses msg and draws no randomness, so a bad message raises
+    before any summary is served. The verification phase runs against the
+    memory as found (and returns "buggy" with the state untouched if any test
+    rejects); the very first store skips it since nothing has been stored
+    yet. On success the checker writes E(msg), fingerprints that codeword
+    locally, and acknowledges with Answer(1).
     """
-    bits = as_bits(msg, name="message")
-    if bits.size != state.code.params.n:
-        raise ValueError(f"message length {bits.size} != n={state.code.params.n}")
-
-    if state.initialized:
-        if not _verification_accepts(state, memory, rng):
-            return Verdict.buggy()
-
-    word = state.code.encode(bits)
+    word = state.code.encode(msg)
+    if state.initialized and not _verification_accepts(state, memory, rng):
+        return Verdict.buggy()
     memory.write(word)
     state.fingerprint = make_fingerprint(word)
     return Verdict.answer(1)

@@ -80,9 +80,17 @@ class SwapOutcome:
             raise ValueError(f"outcome bit must be 0 or 1, got {self.bit}")
 
 
-def make_fingerprint(word) -> Fingerprint:
-    """Fingerprint of a codeword or of raw memory contents: phases = word bits, verbatim."""
-    return Fingerprint(word)
+def make_fingerprint(word: np.ndarray) -> Fingerprint:
+    """Fingerprint of a bit vector the package built: phases = word bits, verbatim.
+
+    Takes *word* over with no parse and no copy, and makes it read-only; the
+    caller hands over a uint8 0/1 array it no longer writes. Values from
+    outside the package go through Fingerprint(...), which parses them.
+    """
+    word.setflags(write=False)
+    fp = object.__new__(Fingerprint)
+    object.__setattr__(fp, "phases", word)
+    return fp
 
 
 def amplitudes(fp: Fingerprint) -> np.ndarray:

@@ -29,7 +29,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from .adversary import (
-    SCHEDULES, AdversaryLog, AttackSchedule, ConfigError, FlipCount, IncrementalAttack, NoOpAttack,
+    SCHEDULES, AttackSchedule, ConfigError, FlipCount, IncrementalAttack, NoOpAttack,
     SubstituteCodeword, _is_bitstring, _is_int, _is_number, apply_step,
 )
 from .analysis import BoundReport, binomial_std_error, lemma1_bound, p_single
@@ -38,6 +38,11 @@ from .checker import PublicMemory, complexity_report, new_checker, required_k, r
 from .code import MAX_HADAMARD_N, HadamardCode
 
 RESULTS_SCHEMA = "qmemcheck.results.v1"
+
+# Fail-fast caps: a verification draws k uniforms, and the default script
+# holds 2*steps + 1 ops, so larger values only exhaust memory or time.
+MAX_K = 10**6
+MAX_STEPS = 10**4
 
 OP_KINDS = ("store", "attack", "retrieve")
 INDEX_POLICIES = ("random", "cycle")
@@ -148,10 +153,10 @@ class ExperimentConfig:
             raise ConfigError("delta_dec", f"expected a number in [0, 0.25), got {self.delta_dec!r}")
         if not _is_number(self.epsilon) or not 0.0 < self.epsilon < 0.5:
             raise ConfigError("epsilon", f"expected a number in (0, 1/2), got {self.epsilon!r}")
-        if self.k is not None and (not _is_int(self.k) or self.k < 1):
-            raise ConfigError("k", f"expected an integer >= 1 or null, got {self.k!r}")
-        if self.steps is not None and (not _is_int(self.steps) or self.steps < 0):
-            raise ConfigError("steps", f"expected an integer >= 0 or null, got {self.steps!r}")
+        if self.k is not None and (not _is_int(self.k) or not 1 <= self.k <= MAX_K):
+            raise ConfigError("k", f"expected an integer in [1, {MAX_K}] or null, got {self.k!r}")
+        if self.steps is not None and (not _is_int(self.steps) or not 0 <= self.steps <= MAX_STEPS):
+            raise ConfigError("steps", f"expected an integer in [0, {MAX_STEPS}] or null, got {self.steps!r}")
         if not _is_int(self.trials) or self.trials < 1:
             raise ConfigError("trials", f"expected an integer >= 1, got {self.trials!r}")
         if not _is_int(self.seed) or not 0 <= self.seed < 2**64:
@@ -190,6 +195,8 @@ class ExperimentConfig:
         return HadamardCode(self.n, delta_dec=self.delta_dec)
 
     def _check_script(self, script: tuple[OpSpec, ...]) -> None:
+        if not script:
+            raise ConfigError("script", "expected at least one op")
         where = "script" if self.script is not None else "steps"
         seen_store = False
         attack_ops = 0
@@ -308,7 +315,7 @@ def _run_trial(
     code = config.code
     state = new_checker(code, config.epsilon, k)
     memory = PublicMemory()
-    log: AdversaryLog | None = None
+    baseline: np.ndarray | None = None  # the stored codeword, set by each accepted store
     current_msg: np.ndarray | None = None
     attack_step = 0
     retrieve_pos = 0
@@ -317,7 +324,7 @@ def _run_trial(
 
     for op in script:
         if op.op == "attack":
-            apply_step(config.attack.resolve(current_msg, rng), attack_step, memory, code, log, rng)
+            apply_step(config.attack.resolve(current_msg, rng), attack_step, memory, code, baseline, rng)
             attack_step += 1
             continue
         if op.op == "store":
@@ -334,15 +341,14 @@ def _run_trial(
             verdict = retrieve(state, memory, idx, rng)
         if verdict.is_buggy:
             tally.buggy += 1
-            # "false buggy" means rejecting a memory that matches the stored
-            # codeword; the adversary-log baseline is that codeword verbatim
-            tally.false_buggy += log is not None and np.array_equal(memory.bits, log.baseline)
+            # "false buggy" means rejecting a memory that matches the stored codeword
+            tally.false_buggy += baseline is not None and np.array_equal(memory.bits, baseline)
             if verdicts is not None:
                 verdicts.append(f"{op.op}:buggy")
             break
         if op.op == "store":
             current_msg = msg
-            log = AdversaryLog(memory.bits)
+            baseline = state.fingerprint.phases
         else:
             tally.accepted[retrieve_pos] += 1
             retrieve_pos += 1
@@ -553,9 +559,9 @@ def canonical_json(payload) -> str:
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Execute config.trials independent sessions and aggregate their verdicts.
 
-    Trials are isolated: each gets its own memory, checker state, adversary
-    log, and RNG seeded by derive_trial_seed, so the aggregate is independent
-    of execution order. A session ends at its first "buggy" verdict.
+    Trials are isolated: each gets its own memory, checker state, and RNG
+    seeded by derive_trial_seed, so the aggregate is independent of
+    execution order. A session ends at its first "buggy" verdict.
     """
     started = datetime.datetime.now(datetime.timezone.utc)
     t0 = time.monotonic()

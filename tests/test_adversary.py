@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from qmemcheck.adversary import (
     SCHEDULES,
-    AdversaryLog,
     ConfigError,
     FlipCount,
     IncrementalAttack,
@@ -13,18 +12,19 @@ from qmemcheck.adversary import (
     ScheduleError,
     SubstituteCodeword,
     apply_step,
-    codeword_reachability_check,
     round_half_up,
 )
 from qmemcheck.bits import as_bits, hamming_distance
-from qmemcheck.checker import PublicMemory
+from qmemcheck.checker import PublicMemory, new_checker, store
 from qmemcheck.code import HadamardCode
 
 
 def fresh_memory(code, msg):
-    mem = PublicMemory()
-    mem.write(code.encode(msg))
-    return mem, AdversaryLog(mem.bits)
+    """Memory after one store of msg, and the stored codeword as the baseline,
+    exactly as a session holds them (a first store draws no randomness)."""
+    state, mem = new_checker(code, 0.01), PublicMemory()
+    store(state, mem, msg, np.random.default_rng(0))
+    return mem, state.fingerprint.phases
 
 
 class TestRounding:
@@ -141,89 +141,85 @@ class TestScheduleProtocol:
 class TestNoOp(object):
     def test_memory_untouched(self, rng):
         code = HadamardCode(3)
-        mem, log = fresh_memory(code, "101")
+        mem, baseline = fresh_memory(code, "101")
         before = mem.bits.copy()
-        apply_step(NoOpAttack(), 0, mem, code, log, rng)
+        apply_step(NoOpAttack(), 0, mem, code, baseline, rng)
         assert np.array_equal(mem.bits, before)
-        assert hamming_distance(log.baseline, mem.bits) == 0
-        assert not log.flipped.any()
+        assert hamming_distance(baseline, mem.bits) == 0
 
 
 class TestSubstitute(object):
     def test_distance_becomes_half(self, rng):
         code = HadamardCode(3)
-        mem, log = fresh_memory(code, "100")
-        apply_step(SubstituteCodeword(target="001"), 0, mem, code, log, rng)
+        mem, baseline = fresh_memory(code, "100")
+        apply_step(SubstituteCodeword(target="001"), 0, mem, code, baseline, rng)
         assert np.array_equal(mem.bits, code.encode("001"))
-        assert hamming_distance(log.baseline, mem.bits) == 4
-        assert np.array_equal(np.flatnonzero(log.flipped), np.flatnonzero(mem.bits != log.baseline))
+        assert hamming_distance(baseline, mem.bits) == 4
 
     def test_unresolved_random_rejected(self, rng):
         code = HadamardCode(3)
-        mem, log = fresh_memory(code, "100")
+        mem, baseline = fresh_memory(code, "100")
         with pytest.raises(ScheduleError):
-            apply_step(SubstituteCodeword(target="random"), 0, mem, code, log, rng)
+            apply_step(SubstituteCodeword(target="random"), 0, mem, code, baseline, rng)
 
     def test_second_step_rejected(self, rng):
         code = HadamardCode(3)
-        mem, log = fresh_memory(code, "100")
+        mem, baseline = fresh_memory(code, "100")
         sched = SubstituteCodeword(target="001")
-        apply_step(sched, 0, mem, code, log, rng)
+        apply_step(sched, 0, mem, code, baseline, rng)
         with pytest.raises(ScheduleError):
-            apply_step(sched, 1, mem, code, log, rng)
+            apply_step(sched, 1, mem, code, baseline, rng)
 
 
 class TestFlipCount(object):
     def test_prefix_policy(self, rng):
         code = HadamardCode(3)
-        mem, log = fresh_memory(code, "000")
-        apply_step(FlipCount(bits_per_step=3, policy="prefix"), 0, mem, code, log, rng)
+        mem, baseline = fresh_memory(code, "000")
+        apply_step(FlipCount(bits_per_step=3, policy="prefix"), 0, mem, code, baseline, rng)
         assert mem.bits.tolist() == [1, 1, 1, 0, 0, 0, 0, 0]
 
     def test_uniform_flips_exact_count(self, rng):
         code = HadamardCode(4)
-        mem, log = fresh_memory(code, "0000")
-        apply_step(FlipCount(bits_per_step=5), 0, mem, code, log, rng)
+        mem, baseline = fresh_memory(code, "0000")
+        apply_step(FlipCount(bits_per_step=5), 0, mem, code, baseline, rng)
         assert int(mem.bits.sum()) == 5
 
     def test_repeat_steps_may_undo(self, rng):
         # prefix policy flips the same positions twice: back to the codeword
         code = HadamardCode(3)
-        mem, log = fresh_memory(code, "000")
+        mem, baseline = fresh_memory(code, "000")
         sched = FlipCount(bits_per_step=2, policy="prefix")
-        apply_step(sched, 0, mem, code, log, rng)
-        apply_step(sched, 1, mem, code, log, rng)
-        assert hamming_distance(log.baseline, mem.bits) == 0
-        assert np.flatnonzero(log.flipped).tolist() == [0, 1]  # touched, though flipped back
+        apply_step(sched, 0, mem, code, baseline, rng)
+        apply_step(sched, 1, mem, code, baseline, rng)
+        assert not (mem.bits != baseline).any()
 
 
 class TestIncremental(object):
     def test_two_quarter_steps(self, rng):
         # m=8: two bits per step, disjoint, half distance after both
         code = HadamardCode(3)
-        mem, log = fresh_memory(code, "101")
+        mem, baseline = fresh_memory(code, "101")
         sched = IncrementalAttack(deltas=(0.25, 0.25))
-        apply_step(sched, 0, mem, code, log, rng)
-        assert hamming_distance(log.baseline, mem.bits) == 2
-        apply_step(sched, 1, mem, code, log, rng)
-        assert hamming_distance(log.baseline, mem.bits) == 4
-        assert np.flatnonzero(log.flipped).size == 4
+        apply_step(sched, 0, mem, code, baseline, rng)
+        assert hamming_distance(baseline, mem.bits) == 2
+        apply_step(sched, 1, mem, code, baseline, rng)
+        assert np.count_nonzero(mem.bits != baseline) == 4
 
     def test_prefix_positions(self, rng):
         code = HadamardCode(3)
-        mem, log = fresh_memory(code, "000")
+        mem, baseline = fresh_memory(code, "000")
         sched = IncrementalAttack(deltas=(0.25, 0.25), policy="prefix")
-        apply_step(sched, 0, mem, code, log, rng)
-        apply_step(sched, 1, mem, code, log, rng)
+        apply_step(sched, 0, mem, code, baseline, rng)
+        apply_step(sched, 1, mem, code, baseline, rng)
         assert mem.bits.tolist() == [1, 1, 1, 1, 0, 0, 0, 0]
 
     def test_step_out_of_range(self, rng):
         code = HadamardCode(3)
-        mem, log = fresh_memory(code, "101")
+        mem, baseline = fresh_memory(code, "101")
         sched = IncrementalAttack(deltas=(0.25,))
-        apply_step(sched, 0, mem, code, log, rng)
+        apply_step(sched, 0, mem, code, baseline, rng)
         with pytest.raises(ScheduleError):
-            apply_step(sched, 1, mem, code, log, rng)
+            apply_step(sched, 1, mem, code, baseline, rng)
 
     @pytest.mark.parametrize("policy", ["uniform", "prefix"])
     def test_never_draws_a_marked_position(self, policy):
@@ -231,24 +227,25 @@ class TestIncremental(object):
         code = HadamardCode(4)
         for seed in range(20):
             rng = np.random.default_rng(seed)
-            mem, log = fresh_memory(code, "0000")
+            mem, baseline = fresh_memory(code, "0000")
             marked = rng.choice(16, size=12, replace=False)
-            log.record_step(marked)
-            apply_step(IncrementalAttack(deltas=(0.25,), policy=policy), 0, mem, code, log, rng)
-            drawn = np.flatnonzero(mem.bits != log.baseline)
+            mem.adversary_flip(marked)
+            before = mem.bits.copy()
+            apply_step(IncrementalAttack(deltas=(0.25,), policy=policy), 0, mem, code, baseline, rng)
+            drawn = np.flatnonzero(mem.bits != before)
             assert sorted(drawn.tolist()) == sorted(set(range(16)) - set(marked.tolist()))
-            assert log.flipped.all()
+            assert (mem.bits != baseline).all()
 
     def test_exhausted_fresh_positions(self, rng):
         # rounding half-fractions up makes the flip total overflow m here:
         # m=4 gives counts 2, 2, 1, but only 4 positions exist
         code = HadamardCode(2)
-        mem, log = fresh_memory(code, "00")
+        mem, baseline = fresh_memory(code, "00")
         sched = IncrementalAttack(deltas=(0.375, 0.375, 0.25))
-        apply_step(sched, 0, mem, code, log, rng)
-        apply_step(sched, 1, mem, code, log, rng)
+        apply_step(sched, 0, mem, code, baseline, rng)
+        apply_step(sched, 1, mem, code, baseline, rng)
         with pytest.raises(ScheduleError):
-            apply_step(sched, 2, mem, code, log, rng)
+            apply_step(sched, 2, mem, code, baseline, rng)
 
     @given(st.integers(2, 5), st.data())
     @settings(max_examples=30, deadline=None)
@@ -266,53 +263,37 @@ class TestIncremental(object):
             return
         code = HadamardCode(n)
         rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
-        mem, log = fresh_memory(code, "0" * n)
+        mem, baseline = fresh_memory(code, "0" * n)
         sched = IncrementalAttack(deltas=deltas)
         total = 0
         for step, c in enumerate(counts):
-            apply_step(sched, step, mem, code, log, rng)
+            apply_step(sched, step, mem, code, baseline, rng)
             total += c
-            assert hamming_distance(log.baseline, mem.bits) == total
-        assert np.flatnonzero(log.flipped).size == total
+            assert np.count_nonzero(mem.bits != baseline) == total
 
 
-class TestAdversaryLog:
-    def test_baseline_is_a_copy(self):
-        mem = PublicMemory()
-        mem.write(as_bits("0101"))
-        log = AdversaryLog(mem.bits)
-        mem.adversary_flip([0])
-        assert log.baseline.tolist() == [0, 1, 0, 1]
-
-    def test_flipped_union_sorted_unique(self, rng):
+class TestBaseline:
+    def test_read_only_and_unchanged_by_flips(self, rng):
+        # the baseline is the stored codeword, shared with the checker: steps only read it
         code = HadamardCode(3)
-        mem, log = fresh_memory(code, "000")
-        log.record_step([5, 1])
-        log.record_step([3])
-        log.record_step([])
-        assert np.flatnonzero(log.flipped).tolist() == [1, 3, 5]
-
-    def test_relative_distance_tracks_memory(self):
-        mem = PublicMemory()
-        mem.write(as_bits("0000"))
-        log = AdversaryLog(mem.bits)
-        mem.adversary_flip([0, 1])
-        assert hamming_distance(log.baseline, mem.bits) == 2
+        mem, baseline = fresh_memory(code, "101")
+        with pytest.raises(ValueError):
+            baseline[0] = 1
+        apply_step(FlipCount(bits_per_step=2, policy="prefix"), 0, mem, code, baseline, rng)
+        assert baseline.tolist() == code.encode("101").tolist()
+        assert hamming_distance(baseline, mem.bits) == 2
 
 
 class TestReachability:
     def test_exact_budget(self):
         params = HadamardCode(3).params
-        assert codeword_reachability_check(IncrementalAttack(deltas=(0.25, 0.25)), params)
+        IncrementalAttack(deltas=(0.25, 0.25), require_reach=True).check(params, "random")
 
     def test_under_budget(self):
         params = HadamardCode(3).params
-        assert not codeword_reachability_check(IncrementalAttack(deltas=(0.1, 0.1)), params)
+        with pytest.raises(ConfigError):
+            IncrementalAttack(deltas=(0.1, 0.1), require_reach=True).check(params, "random")
 
     def test_single_step(self):
         params = HadamardCode(3).params
-        assert codeword_reachability_check(IncrementalAttack(deltas=(0.5,)), params)
-
-    def test_type_checked(self):
-        with pytest.raises(TypeError):
-            codeword_reachability_check(NoOpAttack(), HadamardCode(3).params)
+        IncrementalAttack(deltas=(0.5,), require_reach=True).check(params, "random")

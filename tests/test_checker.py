@@ -112,6 +112,15 @@ class TestPublicMemory:
         assert mem.summary_log == 3
         assert out[0].phases.tolist() == [0, 1, 1, 0]
 
+    def test_summary_keeps_phases_after_flip(self):
+        # a fetch copies the contents, so later in-place corruption leaves it alone
+        mem = PublicMemory()
+        mem.write(as_bits("0110"))
+        summaries = mem.fetch_summaries(2)
+        mem.adversary_flip([0, 3])
+        assert mem.bits.tolist() == [1, 1, 1, 1]
+        assert all(s.phases.tolist() == [0, 1, 1, 0] for s in summaries)
+
     def test_adversary_ops_not_counted(self):
         mem = PublicMemory()
         mem.write(as_bits("0000"))
@@ -201,9 +210,24 @@ class TestStoreRetrieve:
         assert state.fingerprint.phases.tolist() == list(mem.bits)
 
     def test_store_wrong_length(self, rng):
+        # encoding parses the message before verification, so no summary is served
         state = new_checker(HadamardCode(3), 0.01)
+        mem = PublicMemory()
         with pytest.raises(ValueError):
-            store(state, PublicMemory(), "10", rng)
+            store(state, mem, "10", rng)
+        store(state, mem, "101", rng)
+        with pytest.raises(ValueError):
+            store(state, mem, "1x1", rng)
+        assert mem.summary_log == 0
+
+    def test_stored_fingerprint_is_not_memory(self, rng):
+        # memory parses the write into its own array; the fingerprint keeps the codeword
+        code = HadamardCode(3)
+        state = new_checker(code, 0.01)
+        mem = PublicMemory()
+        store(state, mem, "101", rng)
+        mem.adversary_flip([0, 5])
+        assert state.fingerprint.phases.tolist() == list(code.encode("101"))
 
     def test_honest_restore_never_buggy(self, rng):
         # verification against untouched memory accepts with probability 1

@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from qmemcheck import harness
 from qmemcheck.cli import (
     EXIT_CHECK_FAILED,
     EXIT_IO,
@@ -130,6 +131,16 @@ class TestSimulate:
         code, _, err = run_cli(["simulate", "--config", str(path)], capsys)
         assert code == EXIT_VALIDATION
         assert "script[0].message" in err
+
+    @pytest.mark.parametrize("field, cap", [("k", "MAX_K"), ("steps", "MAX_STEPS")])
+    def test_oversized_field_rejected(self, field, cap, capsys, tmp_path):
+        # one past the cap is refused while validating; nothing that large is run
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"n": 3, "trials": 5, field: getattr(harness, cap) + 1}))
+        code, out, err = run_cli(["simulate", "--config", str(path)], capsys)
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert err.startswith(f"error: {field}: ") and err.count("\n") == 1
 
     def test_unknown_flag(self, config_path, capsys):
         code, _, err = run_cli(["simulate", "--config", config_path, "--fast"], capsys)

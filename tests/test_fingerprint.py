@@ -28,7 +28,7 @@ def fp_with_distance(m: int, d: int) -> tuple[Fingerprint, Fingerprint]:
 
 class TestFingerprint:
     def test_zero_word_amplitudes(self):
-        fp = make_fingerprint("0000")
+        fp = Fingerprint("0000")
         assert np.allclose(amplitudes(fp), 0.5)
 
     def test_amplitudes_signs_and_norm(self):
@@ -40,6 +40,15 @@ class TestFingerprint:
     def test_phases_from_codeword(self):
         word = HadamardCode(3).encode("101")
         assert make_fingerprint(word).phases.tolist() == [0, 1, 0, 1, 1, 0, 1, 0]
+
+    def test_make_fingerprint_takes_over_and_freezes(self):
+        # a package-built word is shared, not parsed or copied, and made read-only
+        word = HadamardCode(2).encode("01")
+        fp = make_fingerprint(word)
+        assert fp.phases is word
+        assert not word.flags.writeable
+        with pytest.raises(ValueError):
+            word[0] = 1
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

@@ -1,8 +1,11 @@
+import importlib
 import json
+import pkgutil
 
 import pytest
 
-from qmemcheck import checker, harness
+import qmemcheck
+from qmemcheck import bits, checker, harness
 from qmemcheck.adversary import (
     FlipCount,
     IncrementalAttack,
@@ -63,7 +66,9 @@ class TestConfigValidation:
             {"n": 3, "epsilon": 0.0},
             {"n": 3, "epsilon": 0.5},
             {"n": 3, "k": 0},
+            {"n": 3, "k": harness.MAX_K + 1},  # every verification would draw k uniforms
             {"n": 3, "steps": -1},
+            {"n": 3, "steps": harness.MAX_STEPS + 1},  # the default script grows with steps
             {"n": 3, "trials": 0},
             {"n": 3, "seed": -1},
             {"n": 3, "seed": 2**64},
@@ -226,6 +231,7 @@ class TestSerialization:
             ([{"op": "store", "message": 5}], "script[0].message"),
             ([{"op": "store"}, {"op": "retrieve", "index": "z"}], "script[1].index"),
             ([{"op": "store"}, {"op": "retrieve", "extra": 1}], "script[1]"),
+            ([], "script"),  # runs no ops, so every session would pass vacuously
         ],
     )
     def test_script_error_paths(self, script, path):
@@ -359,6 +365,26 @@ class TestRunExperiment:
         monkeypatch.setattr(checker, "CheckerState", refuse)
         assert make_config().resolved_k() == 7
         assert make_config(k=2).resolved_k() == 2
+
+    def test_as_bits_only_where_bits_enter(self, monkeypatch):
+        # every store parses twice, the message in encode and the codeword in
+        # PublicMemory.write; the complexity probe stores once more, and
+        # attacks, retrieves and fingerprints of package-built arrays parse nothing
+        real = bits.as_bits
+        calls = 0
+
+        def counted(value, **kwargs):
+            nonlocal calls
+            calls += 1
+            return real(value, **kwargs)
+
+        for info in pkgutil.iter_modules(qmemcheck.__path__):
+            module = importlib.import_module(f"qmemcheck.{info.name}")
+            if getattr(module, "as_bits", None) is real:
+                monkeypatch.setattr(module, "as_bits", counted)
+        trials = 50
+        run_experiment(make_config(n=5, attack=FlipCount(bits_per_step=3), steps=3, trials=trials))
+        assert calls == 2 * (trials + 1)
 
     def test_record_trials(self):
         cfg = make_config(trials=25, record_trials=True)
