@@ -12,10 +12,10 @@ accepted store (read-only, shared with the checker's stored fingerprint),
 and compares the memory against it where it needs to. Strategies are
 information-theoretic scripts: they never observe checker verdicts or
 measurement outcomes. Everything that depends on the kind of attack (field
-checks, serialisation, config checks against the code, per-session random
-choices, the corruption itself) is a method of its schedule class, so a new
-kind is added here, plus its analytic bound in harness._attach_bounds if it
-has one.
+checks, serialisation, config checks against the code, the corruption
+itself, and the distance each step puts between memory and the checker's
+fingerprint) is a method of its schedule class. A new kind is added here
+alone: its step_distances is all harness._attach_bounds needs to check it.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import Any
 
 import numpy as np
 
-from .bits import bits_to_str, random_bits
+from .bits import random_bits
 from .checker import PublicMemory
 from .code import CodeParams, LocallyDecodableCode
 
@@ -91,9 +91,11 @@ class AttackSchedule:
         """Reject a schedule that cannot run against this code and the
         config-level message (a bitstring or "random")."""
 
-    def resolve(self, current_msg: np.ndarray, rng: np.random.Generator) -> "AttackSchedule":
-        """The schedule with its per-session random choices drawn (may consume rng)."""
-        return self
+    def step_distances(self, params: CodeParams, message: str, step: int) -> dict[int, float]:
+        """{distance: probability} of the Hamming distance from memory to the
+        checker's fingerprint, refreshed at the last accepted op, right after
+        step *step* of the default script storing the config-level message."""
+        raise NotImplementedError
 
     def apply(self, step, memory, code, baseline, rng) -> None:
         """Corrupt the PublicMemory for one in-range step, given the session's
@@ -107,6 +109,9 @@ class NoOpAttack(AttackSchedule):
 
     kind = "noop"
 
+    def step_distances(self, params, message, step) -> dict[int, float]:
+        return {0: 1.0}
+
     def apply(self, step, memory, code, baseline, rng) -> None:
         pass
 
@@ -115,9 +120,8 @@ class NoOpAttack(AttackSchedule):
 class SubstituteCodeword(AttackSchedule):
     """Overwrite the memory with the codeword of another message, in one step.
 
-    target is the message as a bitstring, or "random" for a per-session
-    uniform draw distinct from the currently stored message (drawn by
-    resolve before the step applies).
+    target is the message as a bitstring, or "random" for a uniform draw,
+    made as the step applies, whose codeword differs from the stored one.
     """
 
     target: str = "random"
@@ -137,18 +141,22 @@ class SubstituteCodeword(AttackSchedule):
         if self.target == message:
             raise ConfigError("target", "equals the stored message, so the substitution changes nothing")
 
-    def resolve(self, current_msg: np.ndarray, rng: np.random.Generator) -> "SubstituteCodeword":
-        if self.target != "random":
-            return self
-        while True:
-            candidate = random_bits(current_msg.size, rng)
-            if not np.array_equal(candidate, current_msg):
-                return SubstituteCodeword(target=bits_to_str(candidate))
+    def step_distances(self, params, message, step) -> dict[int, float]:
+        # distinct Hadamard codewords sit exactly m/2 = delta*m apart, a fact of
+        # the code. A random message equals a fixed target in 1 of 2^n sessions.
+        half = params.m // 2
+        if self.target != "random" and message == "random":
+            return {half: 1.0 - 0.5**params.n, 0: 0.5**params.n}
+        return {half: 1.0}
 
     def apply(self, step, memory, code, baseline, rng) -> None:
-        if self.target == "random":
-            raise ScheduleError('unresolved "random" substitution target; resolve it to concrete bits first')
-        memory.adversary_overwrite(code.encode(self.target))
+        if self.target != "random":
+            word = code.encode(self.target)
+        else:  # the code is injective: this draws any message but the stored one
+            word = baseline
+            while np.array_equal(word, baseline):
+                word = code.encode(random_bits(code.params.n, rng))
+        memory.adversary_overwrite(word)
 
 
 @dataclass(frozen=True)
@@ -171,6 +179,11 @@ class FlipCount(AttackSchedule):
         if self.bits_per_step < 0:
             raise ConfigError("bits_per_step", f"must be >= 0, got {self.bits_per_step}")
         _check_policy(self.policy)
+
+    def step_distances(self, params, message, step) -> dict[int, float]:
+        # every step flips that many positions of the refreshed memory (prefix
+        # toggles the same ones again)
+        return {min(self.bits_per_step, params.m): 1.0}
 
     def apply(self, step, memory, code, baseline, rng) -> None:
         m = memory.m
@@ -229,6 +242,10 @@ class IncrementalAttack(AttackSchedule):
         # reaching the code distance means the drift can have turned one codeword into another
         if self.require_reach and total < params.delta * params.m - 1e-9:
             raise ConfigError("deltas", f"rounded flip total {total} falls short of the code distance")
+
+    def step_distances(self, params, message, step) -> dict[int, float]:
+        # flips land on whole bits: the rounded count, not the requested fraction
+        return {self.step_flip_counts(params.m)[step]: 1.0}
 
     def apply(self, step, memory, code, baseline, rng) -> None:
         d = self.step_flip_counts(memory.m)[step]

@@ -24,7 +24,7 @@ Two facts about the protocol are verified here at desk scale:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -58,16 +58,7 @@ class BoundReport:
     details: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "analytic": dict(self.analytic),
-            "empirical": self.empirical,
-            "samples": self.samples,
-            "std_error": self.std_error,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "details": dict(self.details),
-        }
+        return asdict(self)
 
 
 def binomial_std_error(p_hat: float, n: int) -> float:
@@ -75,6 +66,26 @@ def binomial_std_error(p_hat: float, n: int) -> float:
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
     return float(np.sqrt(p_hat * (1.0 - p_hat) / n))
+
+
+def binomial_tail(count: int, samples: int, p: float, stop: float = math.inf) -> float:
+    """For X ~ Bin(samples, p), 0 < p < 1: P(X >= count) if count is at least
+    the mean samples*p, else P(X <= count). Terms shrink walking away from the
+    mean; they are summed in log space until negligible, or until the sum
+    reaches stop (then that partial sum is returned)."""
+    if not 0 < p < 1:
+        raise ValueError(f"p must be in (0, 1), got {p}")
+    step = 1 if count >= samples * p else -1
+    head = math.lgamma(samples + 1)
+    log_p, log_q = math.log(p), math.log1p(-p)
+    total = 0.0
+    for j in range(count, samples + 1 if step > 0 else -1, step):
+        log_choose = head - math.lgamma(j + 1) - math.lgamma(samples - j + 1)
+        term = math.exp(log_choose + j * log_p + (samples - j) * log_q)
+        total += term
+        if total >= stop or term <= total * 1e-17:
+            break
+    return total
 
 
 def p_single(delta_frac: float) -> float:

@@ -23,7 +23,7 @@ from typing import Sequence
 
 from .analysis import p_multi, p_single, lemma1_bound, verify_lemma2, verify_swap_oracle
 from .checker import required_k
-from .harness import ConfigError, ExperimentConfig, canonical_json, run_experiment
+from .harness import ConfigError, ExperimentConfig, canonical_json, flat_csv, run_experiment
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -86,33 +86,8 @@ def _resolve_seed(flag_value: int | None) -> int | None:
     return value
 
 
-def _flat_items(payload, prefix: str = "") -> list[tuple[str, str]]:
-    """Flatten nested dicts/lists into dotted metric names for the CSV view."""
-    rows: list[tuple[str, str]] = []
-    if isinstance(payload, dict):
-        for key in sorted(payload):
-            rows.extend(_flat_items(payload[key], f"{prefix}{key}."))
-    elif isinstance(payload, (list, tuple)):
-        if all(not isinstance(v, (dict, list, tuple)) for v in payload):
-            rows.append((prefix.rstrip("."), ";".join("" if v is None else str(v) for v in payload)))
-        else:
-            for i, item in enumerate(payload):
-                rows.extend(_flat_items(item, f"{prefix.rstrip('.')}[{i}]."))
-    else:
-        rows.append((prefix.rstrip("."), "" if payload is None else str(payload)))
-    return rows
-
-
-def _csv_table(payload: dict) -> str:
-    lines = ["metric,value"]
-    for name, value in _flat_items(payload):
-        quoted = f'"{value}"' if ("," in value) else value
-        lines.append(f"{name},{quoted}")
-    return "\n".join(lines) + "\n"
-
-
 def _emit(payload: dict, fmt: str, out_dir: str | None, stem: str) -> int:
-    sys.stdout.write(canonical_json(payload) if fmt == "json" else _csv_table(payload))
+    sys.stdout.write(canonical_json(payload) if fmt == "json" else flat_csv(payload))
     if out_dir is not None:
         try:
             target = Path(out_dir)

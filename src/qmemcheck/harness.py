@@ -19,6 +19,7 @@ import datetime
 import hashlib
 import io
 import json
+import math
 import platform
 import time
 from dataclasses import MISSING, dataclass, field, fields, replace
@@ -29,20 +30,22 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from .adversary import (
-    SCHEDULES, AttackSchedule, ConfigError, FlipCount, IncrementalAttack, NoOpAttack,
-    SubstituteCodeword, _is_bitstring, _is_int, _is_number, apply_step,
+    SCHEDULES, AttackSchedule, ConfigError, NoOpAttack, _is_bitstring, _is_int, _is_number, apply_step,
 )
-from .analysis import BoundReport, binomial_std_error, lemma1_bound, p_single
-from .bits import as_bits, random_bits
+from .analysis import BoundReport, binomial_std_error, binomial_tail, lemma1_bound, p_single
+from .bits import random_bits
 from .checker import PublicMemory, complexity_report, new_checker, required_k, retrieve, store
 from .code import MAX_HADAMARD_N, HadamardCode
 
-RESULTS_SCHEMA = "qmemcheck.results.v1"
+RESULTS_SCHEMA = "qmemcheck.results.v2"
 
 # Fail-fast caps: a verification draws k uniforms, and the default script
 # holds 2*steps + 1 ops, so larger values only exhaust memory or time.
 MAX_K = 10**6
 MAX_STEPS = 10**4
+
+# Phi(-4): the tail mass a 4-sigma band leaves on one side of a normal rate
+TAIL_ALPHA = 0.5 * math.erfc(4.0 / math.sqrt(2.0))
 
 OP_KINDS = ("store", "attack", "retrieve")
 INDEX_POLICIES = ("random", "cycle")
@@ -133,7 +136,6 @@ class ExperimentConfig:
     """
 
     n: int
-    delta_dec: float = 0.125
     epsilon: float = 0.01
     k: int | None = None
     attack: AttackSchedule = field(default_factory=NoOpAttack)
@@ -149,8 +151,6 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if not _is_int(self.n) or not 1 <= self.n <= MAX_HADAMARD_N:
             raise ConfigError("n", f"expected an integer in [1, {MAX_HADAMARD_N}], got {self.n!r}")
-        if not _is_number(self.delta_dec) or not 0.0 <= self.delta_dec < 0.25:
-            raise ConfigError("delta_dec", f"expected a number in [0, 0.25), got {self.delta_dec!r}")
         if not _is_number(self.epsilon) or not 0.0 < self.epsilon < 0.5:
             raise ConfigError("epsilon", f"expected a number in (0, 1/2), got {self.epsilon!r}")
         if self.k is not None and (not _is_int(self.k) or not 1 <= self.k <= MAX_K):
@@ -192,7 +192,7 @@ class ExperimentConfig:
 
     @cached_property
     def code(self) -> HadamardCode:
-        return HadamardCode(self.n, delta_dec=self.delta_dec)
+        return HadamardCode(self.n)
 
     def _check_script(self, script: tuple[OpSpec, ...]) -> None:
         if not script:
@@ -316,7 +316,7 @@ def _run_trial(
     state = new_checker(code, config.epsilon, k)
     memory = PublicMemory()
     baseline: np.ndarray | None = None  # the stored codeword, set by each accepted store
-    current_msg: np.ndarray | None = None
+    current_msg: np.ndarray | str | None = None
     attack_step = 0
     retrieve_pos = 0
     cycle = 0
@@ -324,12 +324,13 @@ def _run_trial(
 
     for op in script:
         if op.op == "attack":
-            apply_step(config.attack.resolve(current_msg, rng), attack_step, memory, code, baseline, rng)
+            apply_step(config.attack, attack_step, memory, code, baseline, rng)
             attack_step += 1
             continue
         if op.op == "store":
             msg_spec = op.message if op.message is not None else config.message
-            msg = random_bits(config.n, rng) if msg_spec == "random" else as_bits(msg_spec)
+            # encode parses an explicit message string, once per store
+            msg = random_bits(config.n, rng) if msg_spec == "random" else msg_spec
             verdict = store(state, memory, msg, rng)
         else:
             idx = op.index if op.index is not None else config.retrieve_index
@@ -371,107 +372,66 @@ def _probe_complexity(config: ExperimentConfig, k: int) -> dict[str, int]:
 
 
 def _rate_check(
-    name: str, analytic: dict[str, float], expected: float, empirical: float | None, samples: int,
-    details: dict[str, Any], floor: float | None = None,
+    name: str, analytic: dict[str, float], expected: float, count: int, samples: int, details: dict[str, Any],
 ) -> BoundReport:
-    """Monte Carlo rate against its analytic value, 4 sigma wide.
-
-    Sigma is computed from the analytic rate (expected), so a prediction of
-    exactly 0 or 1 demands an exact empirical match. With floor the check is
-    one-sided (empirical >= floor - tolerance); without, two-sided around
-    expected. A rate that was never sampled (None) fails.
-    """
-    tol = 4.0 * float(np.sqrt(expected * (1.0 - expected) / max(samples, 1)))
-    passed = empirical is not None and (
-        abs(empirical - expected) <= tol if floor is None else empirical >= floor - tol
+    """count of samples against the exact rate expected: passes inside the 4 sigma
+    band (sigma from expected), or while the exact binomial tail at count, on its
+    side of the mean, is at least TAIL_ALPHA, since near 0 or 1 the band is far
+    narrower than the tail. An exact rate of 0 or 1 demands an exact match."""
+    empirical = count / samples
+    sigma = binomial_std_error(expected, samples)
+    tol = 4.0 * sigma
+    passed = abs(empirical - expected) <= tol or (
+        0.0 < expected < 1.0 and binomial_tail(count, samples, expected, stop=TAIL_ALPHA) >= TAIL_ALPHA
     )
     return BoundReport(
         name=name, analytic=analytic, empirical=empirical, samples=samples,
-        std_error=tol / 4.0, tolerance=tol, passed=passed, details=details,
+        std_error=sigma, tolerance=tol, passed=passed, details=details,
     )
 
 
 def _attach_bounds(config: ExperimentConfig, aggregates: dict[str, Any]) -> list[BoundReport]:
-    """Analytic predictions matching the default script, checked by _rate_check.
-
-    Explicit scripts get no attack-shaped bounds; their structure is the
-    caller's, not the default one these formulas describe.
-    """
+    """Exact checks of the run's rates. Honest runs with answers get
+    honest_completeness. On the default script (explicit scripts are shaped by
+    the caller), each step's distance distribution {d: w} from the schedule
+    gives its exact accept rate sum(w * p_single(d/m)^k), checked on every
+    reached step; their product is checked against all_accept."""
     k = aggregates["k"]
-    params = config.code.params
-    n_trials = config.trials
     rates = aggregates["rates"]
     reports: list[BoundReport] = []
 
-    if isinstance(config.attack, NoOpAttack):
-        correctness = rates["correctness"]
-        ok = correctness == 1.0 and rates["buggy"] == 0.0 and rates["false_buggy"] == 0.0
-        reports.append(
-            BoundReport(
-                name="honest_completeness",
-                analytic={"correctness": 1.0, "buggy": 0.0},
-                empirical=correctness,
-                samples=n_trials,
-                std_error=0.0,
-                tolerance=0.0,
-                passed=ok,
-                details={"buggy_rate": rates["buggy"], "false_buggy_rate": rates["false_buggy"]},
-            )
-        )
+    if isinstance(config.attack, NoOpAttack) and aggregates["counts"]["answers_total"]:
+        ok = rates["correctness"] == 1.0 and rates["buggy"] == 0.0 and rates["false_buggy"] == 0.0
+        reports.append(BoundReport(
+            name="honest_completeness", analytic={"correctness": 1.0, "buggy": 0.0},
+            empirical=rates["correctness"], samples=config.trials, std_error=0.0, tolerance=0.0, passed=ok,
+            details={"buggy_rate": rates["buggy"], "false_buggy_rate": rates["false_buggy"]},
+        ))
 
     if config.script is not None:
         return reports
 
-    # steps 0 runs no substitution, so there is nothing to detect
-    if isinstance(config.attack, SubstituteCodeword) and config.steps != 0:
-        bound_accept = lemma1_bound(params.delta, k)
-        # distinct codewords here sit at exactly half distance: inner product 0
-        exact_accept = 0.5**k
-        # a fixed target meets a random message with probability 2^-n, and
-        # then the "substitution" rewrites the stored codeword unchanged
-        distinct = 1.0
-        if config.message == "random" and config.attack.target != "random":
-            distinct = 1.0 - 0.5**config.n
-        detect_floor = distinct * (1.0 - bound_accept)
-        detect_exact = distinct * (1.0 - exact_accept)
-        reports.append(
-            _rate_check(
-                "substitution_detection",
-                {"detect_lower_bound": detect_floor, "detect_exact_orthogonal": detect_exact},
-                detect_exact, rates["buggy"], n_trials,
-                {"k": k, "all_accept_bound": bound_accept},
-                floor=detect_floor,
-            )
-        )
-
-    if isinstance(config.attack, IncrementalAttack):
-        m = params.m
-        counts = config.attack.step_flip_counts(m)
-        steps = config.steps if config.steps is not None else len(counts)
-        used = counts[:steps]
-        # flips land on whole bits, so the analytic per-step accept uses the
-        # rounded flip fractions actually applied, not the requested deltas
-        per_step = [p_single(c / m) ** k for c in used]
-        analytic_all = float(np.prod(per_step)) if per_step else 1.0
-        reports.append(
-            _rate_check(
-                "incremental_all_accept", {"all_accept": analytic_all}, analytic_all,
-                rates["all_accept"], n_trials,
-                {"k": k, "flip_counts": list(used), "per_step_accept": per_step},
-            )
-        )
-
-    if isinstance(config.attack, FlipCount) and aggregates["per_step_accept"]:
-        first = aggregates["per_step_accept"][0]
-        d = min(config.attack.bits_per_step, params.m) / params.m
-        analytic_first = p_single(d) ** k
-        reports.append(
-            _rate_check(
-                "first_step_accept", {"accept": analytic_first}, analytic_first,
-                first["rate"], first["reached"], {"k": k, "flip_fraction": d},
-            )
-        )
-
+    params = config.code.params
+    m, delta = params.m, params.delta
+    per_step = []
+    for entry in aggregates["per_step_accept"]:
+        step = entry["step"]
+        dist = config.attack.step_distances(params, config.message, step)
+        exact = sum(w * p_single(d / m) ** k for d, w in dist.items())
+        per_step.append(exact)
+        if not entry["reached"]:
+            continue  # no session got here, so there is no evidence to check
+        analytic = {"accept": exact}
+        # Lemma 1 caps the accept rate where every distance lies in [delta*m, (1 - delta)*m]
+        if all(delta * m <= d <= (1.0 - delta) * m for d in dist):
+            analytic["lemma1_bound"] = lemma1_bound(delta, k)
+        details = {"k": k, "distances": {str(d): w for d, w in sorted(dist.items())}}
+        name = f"step_accept[{step}]"
+        reports.append(_rate_check(name, analytic, exact, entry["accepted"], entry["reached"], details))
+    all_accept = math.prod(per_step)
+    details = {"k": k, "per_step_accept": per_step}
+    sessions = aggregates["sessions"]["all_accept"]
+    reports.append(_rate_check("all_accept", {"all_accept": all_accept}, all_accept, sessions, config.trials, details))
     return reports
 
 
@@ -506,35 +466,7 @@ class ExperimentResult:
         return canonical_json(self.result_document())
 
     def render_csv(self) -> str:
-        """One flat table: metric, step, numerator, denominator, value."""
-        agg = self.aggregates
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["metric", "step", "numerator", "denominator", "value"])
-        counts = agg["counts"]
-        sessions = agg["sessions"]
-        n_trials = agg["trials"]
-        writer.writerow(
-            ["correctness", "", counts["answers_correct"], counts["answers_total"], agg["rates"]["correctness"]]
-        )
-        for name, num in (
-            ("buggy", sessions["buggy"]),
-            ("false_buggy", sessions["false_buggy"]),
-            ("all_accept", sessions["all_accept"]),
-        ):
-            writer.writerow([name, "", num, n_trials, agg["rates"][name]])
-        for entry in agg["per_step_accept"]:
-            writer.writerow(
-                ["step_accept", entry["step"], entry["accepted"], entry["reached"],
-                 "" if entry["rate"] is None else entry["rate"]]
-            )
-        writer.writerow(["s_qubits", "", "", "", agg["complexity"]["s_qubits"]])
-        writer.writerow(["t_qubits_per_retrieve", "", "", "", agg["complexity"]["t_qubits_per_retrieve"]])
-        for bound in agg["bounds"]:
-            writer.writerow(
-                ["bound:" + bound["name"], "", "", "", "pass" if bound["passed"] else "FAIL"]
-            )
-        return buf.getvalue()
+        return flat_csv(self.aggregates)
 
     def write_outputs(self, out_dir) -> dict[str, Path]:
         """Write results.json, results.csv, and the run_meta.json sidecar."""
@@ -549,6 +481,32 @@ class ExperimentResult:
         paths["csv"].write_text(self.render_csv())
         paths["meta"].write_text(canonical_json(self.run_meta))
         return paths
+
+
+def flat_csv(payload: dict[str, Any]) -> str:
+    """A JSON document as a two-column CSV table: dotted metric path, value.
+
+    Keys are sorted; a list of scalars is one row joined with ";", a list of
+    objects is indexed as name[i]; None renders empty.
+    """
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["metric", "value"])
+
+    def walk(value, path: str) -> None:
+        if isinstance(value, dict):
+            for key in sorted(value):
+                walk(value[key], f"{path}.{key}" if path else key)
+        elif isinstance(value, (list, tuple)) and any(isinstance(v, (dict, list, tuple)) for v in value):
+            for i, item in enumerate(value):
+                walk(item, f"{path}[{i}]")
+        elif isinstance(value, (list, tuple)):
+            writer.writerow([path, ";".join("" if v is None else str(v) for v in value)])
+        else:
+            writer.writerow([path, "" if value is None else str(value)])
+
+    walk(payload, "")
+    return buf.getvalue()
 
 
 def canonical_json(payload) -> str:
@@ -588,9 +546,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     aggregates: dict[str, Any] = {
         "trials": n_trials,
         "k": k,
-        "sessions": {
-            "buggy": buggy, "clean": all_accept, "false_buggy": tally.false_buggy, "all_accept": all_accept,
-        },
+        "sessions": {"buggy": buggy, "false_buggy": tally.false_buggy, "all_accept": all_accept},
         "counts": {"answers_total": answers_total, "answers_correct": tally.correct},
         "rates": {
             # no answers means no answer was ever wrong; answers_total disambiguates

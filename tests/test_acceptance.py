@@ -67,7 +67,7 @@ def test_criterion_2_detection_rate():
     sigma = math.sqrt(exact * (1 - exact) / cfg.trials)
     floor = exact - 4 * sigma
     loose_floor = 1 - 0.75**7
-    bound = next(b for b in agg["bounds"] if b["name"] == "substitution_detection")
+    bound = next(b for b in agg["bounds"] if b["name"] == "all_accept")
     ok = (
         k == 7
         and buggy >= floor

@@ -14,7 +14,7 @@ from qmemcheck.adversary import (
     apply_step,
     round_half_up,
 )
-from qmemcheck.bits import as_bits, hamming_distance
+from qmemcheck.bits import hamming_distance
 from qmemcheck.checker import PublicMemory, new_checker, store
 from qmemcheck.code import HadamardCode
 
@@ -112,15 +112,34 @@ class TestScheduleProtocol:
             "kind": "incremental", "deltas": (0.5,), "policy": "uniform", "require_reach": False,
         }
 
-    def test_resolve_draws_distinct_target(self, rng):
-        current = as_bits("101")
+    def test_apply_draws_distinct_target(self, rng):
+        # a random target is drawn as the step applies: another codeword, at half distance
+        code = HadamardCode(3)
+        codewords = {tuple(code.encode(f"{x:03b}")) for x in range(8)}
         for _ in range(20):
-            resolved = SubstituteCodeword().resolve(current, rng)
-            assert len(resolved.target) == 3 and resolved.target != "101"
+            mem, baseline = fresh_memory(code, "101")
+            apply_step(SubstituteCodeword(), 0, mem, code, baseline, rng)
+            assert tuple(mem.bits) in codewords
+            assert hamming_distance(baseline, mem.bits) == 4
 
-    def test_resolve_keeps_fixed_choices(self, rng):
-        for sched in (NoOpAttack(), SubstituteCodeword("011"), FlipCount(1), IncrementalAttack((0.5,))):
-            assert sched.resolve(as_bits("101"), rng) is sched
+    def test_apply_fixed_choices_draw_nothing(self, rng):
+        code = HadamardCode(3)
+        for sched in (NoOpAttack(), SubstituteCodeword("011"), FlipCount(1, policy="prefix")):
+            mem, baseline = fresh_memory(code, "101")
+            before = rng.bit_generator.state
+            apply_step(sched, 0, mem, code, baseline, rng)
+            assert rng.bit_generator.state == before
+
+    def test_step_distances(self):
+        params = HadamardCode(3).params
+        assert NoOpAttack().step_distances(params, "random", 0) == {0: 1.0}
+        assert FlipCount(3).step_distances(params, "random", 2) == {3: 1.0}
+        assert FlipCount(20, policy="prefix").step_distances(params, "101", 0) == {8: 1.0}
+        assert IncrementalAttack((0.25, 0.5)).step_distances(params, "random", 1) == {4: 1.0}
+        assert SubstituteCodeword().step_distances(params, "random", 0) == {4: 1.0}
+        assert SubstituteCodeword("011").step_distances(params, "101", 0) == {4: 1.0}
+        # a random message equals the fixed target in 1 of 2^n sessions
+        assert SubstituteCodeword("011").step_distances(params, "random", 0) == {4: 7 / 8, 0: 1 / 8}
 
     def test_check_overflowing_increments(self):
         # m=2: four quarter steps each round up to one flip, 4 > 2
@@ -155,12 +174,6 @@ class TestSubstitute(object):
         apply_step(SubstituteCodeword(target="001"), 0, mem, code, baseline, rng)
         assert np.array_equal(mem.bits, code.encode("001"))
         assert hamming_distance(baseline, mem.bits) == 4
-
-    def test_unresolved_random_rejected(self, rng):
-        code = HadamardCode(3)
-        mem, baseline = fresh_memory(code, "100")
-        with pytest.raises(ScheduleError):
-            apply_step(SubstituteCodeword(target="random"), 0, mem, code, baseline, rng)
 
     def test_second_step_rejected(self, rng):
         code = HadamardCode(3)

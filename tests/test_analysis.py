@@ -8,6 +8,7 @@ from qmemcheck.analysis import (
     MAX_LEMMA2_SCHEDULES,
     BoundReport,
     binomial_std_error,
+    binomial_tail,
     lemma1_bound,
     p_multi,
     p_single,
@@ -17,6 +18,29 @@ from qmemcheck.analysis import (
     verify_swap_oracle,
 )
 from qmemcheck.fingerprint import Fingerprint, cswap_statevector_prob
+
+
+class TestBinomialTail:
+    @pytest.mark.parametrize("count, samples, p", [(0, 10, 0.3), (3, 10, 0.3), (7, 10, 0.3), (10, 10, 0.3), (19, 40, 0.5)])
+    def test_matches_direct_sum(self, count, samples, p):
+        pmf = [math.comb(samples, j) * p**j * (1 - p) ** (samples - j) for j in range(samples + 1)]
+        # the tail on the observed count's side of the mean
+        want = sum(pmf[count:]) if count >= samples * p else sum(pmf[: count + 1])
+        assert binomial_tail(count, samples, p) == pytest.approx(want, rel=1e-12)
+
+    def test_stops_once_the_sum_reaches_stop(self):
+        full = binomial_tail(500, 1000, 0.5)
+        partial = binomial_tail(500, 1000, 0.5, stop=0.01)
+        assert 0.01 <= partial < full
+
+    def test_far_tail_is_tiny(self):
+        assert binomial_tail(190, 200, 0.99979) < 1e-15
+        assert binomial_tail(19, 1000, 2**-7) == pytest.approx(4.6e-4, rel=0.05)
+
+    @pytest.mark.parametrize("p", [0.0, 1.0])
+    def test_degenerate_rate_rejected(self, p):
+        with pytest.raises(ValueError):
+            binomial_tail(1, 2, p)
 
 
 class TestPSingle:

@@ -39,7 +39,7 @@ class TestSimulate:
         code, out, _ = run_cli(["simulate", "--config", config_path], capsys)
         assert code == EXIT_OK
         doc = json.loads(out)
-        assert doc["schema"] == "qmemcheck.results.v1"
+        assert doc["schema"] == "qmemcheck.results.v2"
         assert doc["config"]["n"] == 3
         assert doc["aggregates"]["rates"]["correctness"] == 1.0
 
@@ -51,7 +51,7 @@ class TestSimulate:
     def test_csv_format(self, config_path, capsys):
         code, out, _ = run_cli(["simulate", "--config", config_path, "--format", "csv"], capsys)
         assert code == EXIT_OK
-        assert out.splitlines()[0] == "metric,step,numerator,denominator,value"
+        assert out.splitlines()[0] == "metric,value"
 
     def test_overrides_reflected(self, config_path, capsys):
         code, out, _ = run_cli(
@@ -120,7 +120,8 @@ class TestSimulate:
         assert code == EXIT_OK
         doc = json.loads(out)
         assert doc["aggregates"]["rates"]["buggy"] == 0.0
-        assert "substitution_detection" not in [b["name"] for b in doc["aggregates"]["bounds"]]
+        assert [b["name"] for b in doc["aggregates"]["bounds"]] == ["all_accept"]
+        assert doc["aggregates"]["bounds"][0]["passed"]
 
     def test_scripted_store_equal_to_target_rejected(self, capsys, tmp_path):
         path = tmp_path / "same.json"
@@ -141,6 +142,35 @@ class TestSimulate:
         assert code == EXIT_VALIDATION
         assert out == ""
         assert err.startswith(f"error: {field}: ") and err.count("\n") == 1
+
+    def test_delta_dec_rejected_as_unknown_key(self, capsys, tmp_path):
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({"n": 3, "delta_dec": 0.125, "trials": 5}))
+        code, out, err = run_cli(["simulate", "--config", str(path)], capsys)
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert "unknown keys ['delta_dec']" in err
+
+    def test_single_flip_at_large_m_passes(self, capsys, tmp_path):
+        # 199 of 200 accepted at an exact rate of 0.99979 lies outside the 4 sigma
+        # band, but its exact binomial tail is 0.04
+        path = tmp_path / "n16.json"
+        path.write_text(json.dumps(
+            {"n": 16, "k": 7, "attack": {"kind": "flip_count", "bits_per_step": 1}, "steps": 1, "trials": 200}
+        ))
+        code, out, err = run_cli(["simulate", "--config", str(path), "--seed", "12"], capsys)
+        assert code == EXIT_OK, err
+        assert json.loads(out)["aggregates"]["sessions"]["all_accept"] == 199
+
+    def test_unreached_steps_pass(self, capsys, tmp_path):
+        path = tmp_path / "half.json"
+        path.write_text(json.dumps(
+            {"n": 4, "k": 7, "attack": {"kind": "flip_count", "bits_per_step": 8}, "steps": 3, "trials": 20}
+        ))
+        code, out, err = run_cli(["simulate", "--config", str(path), "--seed", "0"], capsys)
+        assert code == EXIT_OK, err
+        names = [b["name"] for b in json.loads(out)["aggregates"]["bounds"]]
+        assert names == ["step_accept[0]", "all_accept"]
 
     def test_unknown_flag(self, config_path, capsys):
         code, _, err = run_cli(["simulate", "--config", config_path, "--fast"], capsys)

@@ -22,6 +22,10 @@ from qmemcheck.harness import (
 )
 
 
+def bound_named(agg, name):
+    return next(b for b in agg["bounds"] if b["name"] == name)
+
+
 def make_config(**overrides):
     base = dict(n=3, trials=40, seed=11)
     base.update(overrides)
@@ -49,7 +53,7 @@ class TestOpSpec:
 class TestConfigValidation:
     def test_defaults(self):
         cfg = ExperimentConfig(n=3)
-        assert cfg.delta_dec == 0.125
+        assert cfg.code.params.delta_dec == 0.125
         assert cfg.epsilon == 0.01
         assert cfg.k is None
         assert cfg.resolved_k() == 7
@@ -60,8 +64,8 @@ class TestConfigValidation:
         [
             {"n": 0},
             {"n": True},  # bools are not sizes
-            {"n": 3, "delta_dec": 0.25},
-            {"n": 3, "delta_dec": False},  # bools are not rates
+            {"n": 3, "k": True},  # bools are not counts
+            {"n": 3, "epsilon": -0.1},
             {"n": 3, "epsilon": True},
             {"n": 3, "epsilon": 0.0},
             {"n": 3, "epsilon": 0.5},
@@ -188,6 +192,13 @@ class TestSerialization:
             ExperimentConfig.from_dict(raw)
         assert "trails" in str(exc.value)
 
+    def test_delta_dec_is_an_unknown_key(self):
+        # no result reads a decoder radius, so the config has no such knob
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig.from_dict({"n": 3, "delta_dec": 0.125})
+        assert exc.value.path == "config"
+        assert "delta_dec" in str(exc.value)
+
     def test_missing_n_rejected(self):
         raw = make_config().to_dict()
         del raw["n"]
@@ -303,26 +314,27 @@ class TestRunExperiment:
         cfg = make_config(attack=SubstituteCodeword(), trials=300, k=2)
         agg = run_experiment(cfg).aggregates
         s = agg["sessions"]
-        assert s["buggy"] + s["clean"] == cfg.trials
+        assert s["buggy"] + s["all_accept"] == cfg.trials
         assert agg["per_step_accept"][0]["reached"] == cfg.trials
 
     def test_substitution_bound_attached_and_passes(self):
         cfg = make_config(trials=400, attack=SubstituteCodeword())
         agg = run_experiment(cfg).aggregates
-        bound = next(b for b in agg["bounds"] if b["name"] == "substitution_detection")
+        bound = bound_named(agg, "step_accept[0]")
         assert bound["passed"]
-        assert bound["analytic"]["detect_lower_bound"] == pytest.approx(1 - 0.5**7)
+        # distinct codewords sit at half distance, where Lemma 1 is tight
+        assert bound["analytic"] == {"accept": 0.5**7, "lemma1_bound": 0.5**7}
+        assert bound["details"]["distances"] == {"4": 1.0}
 
     def test_fixed_target_against_random_message(self):
-        # 1 in 2^n sessions store the target itself, so detection is at most
-        # (1 - 2^-n)(1 - 2^-k), not 1 - 2^-k
+        # 1 in 2^n sessions store the target itself and then accept surely, so
+        # the accept rate is 2^-n + (1 - 2^-n) 2^-k, and Lemma 1 does not apply
         cfg = ExperimentConfig(n=4, k=7, attack=SubstituteCodeword(target="1010"), trials=2000, seed=5)
         agg = run_experiment(cfg).aggregates
-        bound = next(b for b in agg["bounds"] if b["name"] == "substitution_detection")
-        exact = (1 - 2**-4) * (1 - 2**-7)
-        assert bound["analytic"]["detect_exact_orthogonal"] == pytest.approx(exact)
-        assert bound["analytic"]["detect_lower_bound"] == pytest.approx(exact)
-        assert abs(agg["rates"]["buggy"] - exact) <= bound["tolerance"]
+        bound = bound_named(agg, "step_accept[0]")
+        exact = 2**-4 + (1 - 2**-4) * 2**-7
+        assert bound["analytic"] == {"accept": pytest.approx(exact)}
+        assert abs(agg["rates"]["all_accept"] - exact) <= bound["tolerance"]
         assert bound["passed"]
 
     def test_incremental_all_accept_bound(self):
@@ -333,9 +345,13 @@ class TestRunExperiment:
             seed=3,
         )
         agg = run_experiment(cfg).aggregates
-        bound = next(b for b in agg["bounds"] if b["name"] == "incremental_all_accept")
+        bound = bound_named(agg, "all_accept")
         assert bound["passed"]
         assert bound["analytic"]["all_accept"] == pytest.approx(0.390625)
+        for step in (0, 1):
+            step_bound = bound_named(agg, f"step_accept[{step}]")
+            assert step_bound["passed"]
+            assert step_bound["analytic"] == {"accept": pytest.approx(0.625)}
         # two retrieve rounds tracked separately, later rounds only reached on accept
         steps = agg["per_step_accept"]
         assert len(steps) == 2
@@ -383,8 +399,10 @@ class TestRunExperiment:
             if getattr(module, "as_bits", None) is real:
                 monkeypatch.setattr(module, "as_bits", counted)
         trials = 50
-        run_experiment(make_config(n=5, attack=FlipCount(bits_per_step=3), steps=3, trials=trials))
-        assert calls == 2 * (trials + 1)
+        for message in ("random", "10101"):  # an explicit message is parsed by encode alone
+            calls = 0
+            run_experiment(make_config(n=5, message=message, attack=FlipCount(bits_per_step=3), steps=3, trials=trials))
+            assert calls == 2 * (trials + 1)
 
     def test_record_trials(self):
         cfg = make_config(trials=25, record_trials=True)
@@ -414,6 +432,31 @@ class TestRunExperiment:
         assert agg["counts"]["answers_total"] == 0
         assert agg["rates"]["correctness"] == 1.0
 
+    def test_completeness_needs_answers(self):
+        # no retrieve ran, so there is no answer whose correctness could be checked
+        agg = run_experiment(ExperimentConfig(n=3, steps=0, trials=5)).aggregates
+        assert agg["counts"]["answers_total"] == 0
+        assert [b["name"] for b in agg["bounds"]] == ["all_accept"]
+
+    def test_unreached_steps_get_no_report(self):
+        # half-distance flips at k=7 accept 1 in 128: no session reaches step 1
+        cfg = ExperimentConfig(n=4, k=7, attack=FlipCount(bits_per_step=8), steps=3, trials=20)
+        agg = run_experiment(cfg).aggregates
+        assert [s["reached"] for s in agg["per_step_accept"]] == [20, 0, 0]
+        assert [b["name"] for b in agg["bounds"]] == ["step_accept[0]", "all_accept"]
+        assert all(b["passed"] for b in agg["bounds"])
+
+    def test_every_step_checked(self):
+        # uniform flips put the same distance between memory and the refreshed
+        # fingerprint at every step, so each reached step has the same exact rate
+        cfg = ExperimentConfig(n=5, k=2, attack=FlipCount(bits_per_step=4), steps=3, trials=400, seed=2)
+        agg = run_experiment(cfg).aggregates
+        steps = [b for b in agg["bounds"] if b["name"].startswith("step_accept")]
+        assert len(steps) == 3
+        for bound in steps:
+            assert bound["analytic"] == {"accept": pytest.approx((1 - 2 / 8 + 2 / 64) ** 2)}
+            assert bound["passed"]
+
     def test_explicit_script_multiple_rounds(self):
         script = (
             OpSpec(op="store", message="101"),
@@ -435,7 +478,7 @@ class TestRunExperiment:
         res = run_experiment(cfg)
         out = tmp_path / "run"
         results = json.loads((out / "results.json").read_text())
-        assert results["schema"] == "qmemcheck.results.v1"
+        assert results["schema"] == "qmemcheck.results.v2"
         assert results["aggregates"] == res.aggregates
         assert (out / "results.csv").read_text().startswith("metric,")
         meta = json.loads((out / "run_meta.json").read_text())
@@ -450,8 +493,26 @@ class TestRunExperiment:
     def test_csv_has_bound_rows(self):
         res = run_experiment(make_config(trials=20))
         lines = res.render_csv().splitlines()
-        assert lines[0] == "metric,step,numerator,denominator,value"
-        assert any(line.startswith("bound:honest_completeness") for line in lines)
+        assert lines[0] == "metric,value"
+        assert "bounds[0].name,honest_completeness" in lines
+        assert "bounds[0].passed,True" in lines
+
+
+class TestRateCheck:
+    def check(self, count, samples, p):
+        return harness._rate_check("r", {}, p, count, samples, {}).passed
+
+    def test_exact_tail_passes_near_one(self):
+        # 4 sigma is 0.004 here, but P(X <= 199) = 1 - p^200 = 0.041
+        assert self.check(199, 200, 0.99979)
+
+    def test_far_tail_fails(self):
+        assert not self.check(190, 200, 0.99979)
+
+    def test_exact_rates_demand_an_exact_match(self):
+        assert not self.check(199, 200, 1.0)
+        assert not self.check(1, 200, 0.0)
+        assert self.check(200, 200, 1.0)
 
 
 def test_canonical_json_is_stable():
