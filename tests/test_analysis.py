@@ -21,7 +21,9 @@ from qmemcheck.fingerprint import Fingerprint, cswap_statevector_prob
 
 
 class TestBinomialTail:
-    @pytest.mark.parametrize("count, samples, p", [(0, 10, 0.3), (3, 10, 0.3), (7, 10, 0.3), (10, 10, 0.3), (19, 40, 0.5)])
+    @pytest.mark.parametrize(
+        "count, samples, p", [(0, 10, 0.3), (3, 10, 0.3), (7, 10, 0.3), (10, 10, 0.3), (19, 40, 0.5)]
+    )
     def test_matches_direct_sum(self, count, samples, p):
         pmf = [math.comb(samples, j) * p**j * (1 - p) ** (samples - j) for j in range(samples + 1)]
         # the tail on the observed count's side of the mean
