@@ -29,7 +29,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .fingerprint import Fingerprint, cswap_statevector_prob, swap_accept_prob
+# p_single lives with the comparison test it describes; it is re-exported here
+from .fingerprint import Fingerprint, cswap_statevector_prob, p_single, swap_accept_prob
 
 #: Absolute slack for float roundoff when comparing analytically equal quantities.
 FLOAT_TOL = 1e-12
@@ -86,18 +87,6 @@ def binomial_tail(count: int, samples: int, p: float, stop: float = math.inf) ->
         if total >= stop or term <= total * 1e-17:
             break
     return total
-
-
-def p_single(delta_frac: float) -> float:
-    """Accept probability of one comparison test against a fraction-delta_frac corruption.
-
-    1 - 2*d + 2*d^2: equals (1 + ip^2)/2 at inner product ip = 1 - 2*d. Note
-    d = 1 gives 1 again: a full complement is a global phase flip of the state
-    and is invisible to the test.
-    """
-    if not 0.0 <= delta_frac <= 1.0:
-        raise ValueError(f"flip fraction must be in [0, 1], got {delta_frac}")
-    return 1.0 - 2.0 * delta_frac + 2.0 * delta_frac * delta_frac
 
 
 def p_multi(deltas: Sequence[float]) -> float:
@@ -237,7 +226,8 @@ def verify_swap_oracle(
     """Cross-validate the analytic accept probability against the dense circuit.
 
     Draws random phase-pattern pairs at each size and compares
-    swap_accept_prob with cswap_statevector_prob; reports the worst absolute
+    swap_accept_prob, which is p_single(d/m), with cswap_statevector_prob, so
+    the formula every bound uses is the one checked; reports the worst absolute
     deviation observed. Empty sizes and a tolerance that is not a finite
     number >= 0 are rejected: either would make the check vacuous or false.
     """

@@ -35,10 +35,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import p_single
 from .bits import as_bits
 from .code import LocallyDecodableCode
-from .fingerprint import Fingerprint, make_fingerprint, sample_swap_test
+from .fingerprint import Fingerprint, make_fingerprint, p_single, sample_swap_test
 
 
 class ProtocolError(RuntimeError):

@@ -15,6 +15,7 @@ else the QMEMCHECK_SEED environment variable, else the config value/default.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -113,19 +114,19 @@ def _cmd_simulate(args) -> int:
 
     try:
         config = ExperimentConfig.from_dict(raw)
-        config = config.with_overrides(
-            seed=_resolve_seed(args.seed), trials=args.trials, out_dir=args.out
-        )
+        given = {"seed": _resolve_seed(args.seed), "trials": args.trials}
+        config = dataclasses.replace(config, **{key: value for key, value in given.items() if value is not None})
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
-    try:
-        result = run_experiment(config)
-    except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return EXIT_IO
-
+    result = run_experiment(config)
+    if args.out is not None:
+        try:
+            result.write_outputs(args.out)
+        except OSError as exc:
+            print(f"error: cannot write output: {exc}", file=sys.stderr)
+            return EXIT_IO
     sys.stdout.write(result.results_json() if args.format == "json" else result.render_csv())
     failed = [b["name"] for b in result.aggregates["bounds"] if not b["passed"]]
     if failed:

@@ -109,26 +109,16 @@ class LocallyDecodableCode(ABC):
 class HadamardCode(LocallyDecodableCode):
     """The Hadamard code: m = 2^n, q = 2, relative distance 1/2.
 
-    delta_dec defaults to 1/8, which gives decoder advantage
-    eps_dec = 1/2 - 2*delta_dec = 1/4 (the decoder fails only when exactly
-    one of its two reads is corrupted, so its failure probability is at most
-    2*delta_dec over the uniform mask).
+    The decode radius is fixed at delta_dec = 1/8, which gives decoder
+    advantage eps_dec = 1/2 - 2*delta_dec = 1/4 (the decoder fails only when
+    exactly one of its two reads is corrupted, so its failure probability is
+    at most 2*delta_dec over the uniform mask).
     """
 
-    def __init__(self, n: int, delta_dec: float = 0.125):
+    def __init__(self, n: int):
         if not 1 <= n <= MAX_HADAMARD_N:
             raise ValueError(f"n must be in [1, {MAX_HADAMARD_N}], got {n}")
-        if not 0.0 <= delta_dec < 0.25:
-            raise ValueError(f"delta_dec must be in [0, 0.25), got {delta_dec}")
-        m = 1 << n
-        self._params = CodeParams(
-            n=n,
-            m=m,
-            q=2,
-            delta=0.5,
-            delta_dec=delta_dec,
-            eps_dec=0.5 - 2.0 * delta_dec,
-        )
+        self._params = CodeParams(n=n, m=1 << n, q=2, delta=0.5, delta_dec=0.125, eps_dec=0.25)
 
     @property
     def params(self) -> CodeParams:

@@ -4,14 +4,14 @@ A fingerprint of an m-bit word y is the state with amplitude (-1)^(y_j)/sqrt(m)
 on basis state |j>. Such states are fully described by their classical phase
 pattern: the inner product of two fingerprints is (m - 2d)/m where d is the
 Hamming distance of the patterns, and the comparison test accepts (control
-qubit measures 0) with probability (1 + ip^2)/2. All protocol probabilities
-can therefore be computed exactly from integer Hamming distances, which keeps
-million-trial Monte Carlo cheap.
+qubit measures 0) with probability (1 + ip^2)/2 = p_single(d/m). All protocol
+probabilities can therefore be computed exactly from integer Hamming
+distances, which keeps million-trial Monte Carlo cheap.
 
 cswap_statevector_prob is the guard against modeling error: it runs the actual
-H / controlled-SWAP / H circuit on a dense statevector and must agree with the
-analytic swap_accept_prob to 1e-10 (the circuit uses 2*log2(m) + 1 qubits, so
-floating-point error stays far below that).
+H / controlled-SWAP / H circuit on a dense statevector and must agree with
+p_single, the formula every bound uses, to 1e-10 (the circuit uses
+2*log2(m) + 1 qubits, so floating-point error stays far below that).
 
 Measured copies are assumed to be discarded by the caller: each sampled test
 consumes one copy of each input state in the caller's resource accounting, and
@@ -115,10 +115,22 @@ def inner_product(a: Fingerprint, b: Fingerprint) -> float:
     return (m - 2 * d) / m
 
 
+def p_single(delta_frac: float) -> float:
+    """Accept probability of one comparison test against a fraction-delta_frac corruption.
+
+    1 - 2*d + 2*d^2: equals (1 + ip^2)/2 at inner product ip = 1 - 2*d. Note
+    d = 1 gives 1 again: a full complement is a global phase flip of the state
+    and is invisible to the test.
+    """
+    if not 0.0 <= delta_frac <= 1.0:
+        raise ValueError(f"flip fraction must be in [0, 1], got {delta_frac}")
+    return 1.0 - 2.0 * delta_frac + 2.0 * delta_frac * delta_frac
+
+
 def swap_accept_prob(a: Fingerprint, b: Fingerprint) -> float:
-    """Probability the comparison test accepts: (1 + <a|b>^2) / 2, in [1/2, 1]."""
-    ip = inner_product(a, b)
-    return (1.0 + ip * ip) / 2.0
+    """Probability the comparison test accepts: p_single(d/m) at Hamming distance d, in [1/2, 1]."""
+    m = _check_same_m(a, b)
+    return p_single(int(np.count_nonzero(a.phases != b.phases)) / m)
 
 
 # Outcomes are immutable, so every test shares these two instances.
@@ -147,7 +159,7 @@ def cswap_statevector_prob(a: Fingerprint, b: Fingerprint) -> float:
     Builds |0>|psi_a>|psi_b> on 2*log2(m) + 1 qubits, applies a Hadamard on
     the control, a register swap controlled on it (log2(m) qubit-pair swaps),
     a second Hadamard, and returns the probability of measuring the control
-    as 0. Serves as the independent oracle for swap_accept_prob; requires m
+    as 0. Serves as the independent oracle for p_single; requires m
     to be a power of two and at most 64.
     """
     m = _check_same_m(a, b)

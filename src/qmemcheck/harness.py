@@ -2,11 +2,11 @@
 
 A run executes N independent checker sessions against a public memory under a
 scheduled adversary, aggregates verdicts into rates, attaches the matching
-analytic bounds, and emits structured results. Everything downstream of the
+analytic bounds, and returns structured results. Everything downstream of the
 (config, seed) pair is deterministic: per-trial RNGs come from counter-mode
 hashing of the master seed, and the JSON results document is byte-identical
-across runs. Wall-clock facts live in a separate metadata sidecar so they
-never break that guarantee.
+across runs, wherever it is written. Wall-clock facts live in a separate
+metadata sidecar so they never break that guarantee.
 
 The default session script is one store followed by alternating
 (adversary step, retrieve) rounds; an explicit op list can replace it.
@@ -22,7 +22,7 @@ import json
 import math
 import platform
 import time
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
 from typing import Any, Callable, Sequence
@@ -34,10 +34,10 @@ from .adversary import (
 )
 from .analysis import BoundReport, binomial_std_error, binomial_tail, lemma1_bound, p_single
 from .bits import random_bits
-from .checker import PublicMemory, complexity_report, new_checker, required_k, retrieve, store
+from .checker import CheckerState, PublicMemory, complexity_report, required_k, retrieve, store
 from .code import MAX_HADAMARD_N, HadamardCode
 
-RESULTS_SCHEMA = "qmemcheck.results.v2"
+RESULTS_SCHEMA = "qmemcheck.results.v3"
 
 # Fail-fast caps: a verification draws k uniforms, and the default script
 # holds 2*steps + 1 ops, so larger values only exhaust memory or time.
@@ -146,7 +146,6 @@ class ExperimentConfig:
     trials: int = 1000
     seed: int = 0
     record_trials: bool = False
-    out_dir: str | None = None
 
     def __post_init__(self) -> None:
         if not _is_int(self.n) or not 1 <= self.n <= MAX_HADAMARD_N:
@@ -163,8 +162,6 @@ class ExperimentConfig:
             raise ConfigError("seed", f"expected an integer in [0, 2^64), got {self.seed!r}")
         if not isinstance(self.record_trials, bool):
             raise ConfigError("record_trials", f"expected a boolean, got {self.record_trials!r}")
-        if self.out_dir is not None and not isinstance(self.out_dir, str):
-            raise ConfigError("out_dir", f"expected a string or null, got {self.out_dir!r}")
 
         if not (self.retrieve_index in INDEX_POLICIES or _is_int(self.retrieve_index)):
             raise ConfigError(
@@ -251,26 +248,6 @@ class ExperimentConfig:
             attack=_schedule_from_dict, script=_script_from_list,
         )
 
-    def with_overrides(
-        self,
-        seed: int | None = None,
-        trials: int | None = None,
-        out_dir: str | None = None,
-    ) -> "ExperimentConfig":
-        """Copy with seed/trials/out_dir replaced where given (CLI and environment overrides).
-
-        Returns self when every given value equals the current one (same type
-        and value), so an override that changes nothing validates nothing twice.
-        """
-        given = {"seed": seed, "trials": trials, "out_dir": out_dir}
-        changes = {
-            key: value
-            for key, value in given.items()
-            if value is not None
-            and (type(value) is not type(getattr(self, key)) or value != getattr(self, key))
-        }
-        return replace(self, **changes) if changes else self
-
 
 def derive_trial_seed(master_seed: int, trial_index: int) -> int:
     """Per-trial RNG seed: counter-mode hash of (master seed, trial index).
@@ -313,7 +290,7 @@ def _run_trial(
     config: ExperimentConfig, k: int, script: Sequence[OpSpec], rng: np.random.Generator, tally: _Tally
 ) -> None:
     code = config.code
-    state = new_checker(code, config.epsilon, k)
+    state = CheckerState(code, k)
     memory = PublicMemory()
     baseline: np.ndarray | None = None  # the stored codeword, set by each accepted store
     current_msg: np.ndarray | str | None = None
@@ -363,7 +340,7 @@ def _run_trial(
 def _probe_complexity(config: ExperimentConfig, k: int) -> dict[str, int]:
     """Resource counts measured on a live honest session, not recomputed formulas."""
     rng = np.random.default_rng(derive_trial_seed(config.seed, config.trials))
-    state = new_checker(config.code, config.epsilon, k)
+    state = CheckerState(config.code, k)
     memory = PublicMemory()
     store(state, memory, "0" * config.n, rng)
     retrieve(state, memory, 0, rng)
@@ -469,7 +446,8 @@ class ExperimentResult:
         return flat_csv(self.aggregates)
 
     def write_outputs(self, out_dir) -> dict[str, Path]:
-        """Write results.json, results.csv, and the run_meta.json sidecar."""
+        """Write results.json, results.csv, and the run_meta.json sidecar; the
+        library writes files nowhere else."""
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         paths = {
@@ -519,7 +497,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     Trials are isolated: each gets its own memory, checker state, and RNG
     seeded by derive_trial_seed, so the aggregate is independent of
-    execution order. A session ends at its first "buggy" verdict.
+    execution order. A session ends at its first "buggy" verdict. Writes no
+    files: see ExperimentResult.write_outputs.
     """
     started = datetime.datetime.now(datetime.timezone.utc)
     t0 = time.monotonic()
@@ -538,7 +517,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     buggy = tally.buggy
     # an accepted retrieve answers; every session without a reject accepts all
     answers_total = sum(tally.accepted)
-    all_accept = n_trials - buggy
     per_step = [
         {"step": pos, "reached": reached, "accepted": accepted, "rate": accepted / reached if reached else None}
         for pos, (reached, accepted) in enumerate(zip(tally.reached, tally.accepted))
@@ -546,19 +524,15 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     aggregates: dict[str, Any] = {
         "trials": n_trials,
         "k": k,
-        "sessions": {"buggy": buggy, "false_buggy": tally.false_buggy, "all_accept": all_accept},
+        "sessions": {"buggy": buggy, "false_buggy": tally.false_buggy, "all_accept": n_trials - buggy},
         "counts": {"answers_total": answers_total, "answers_correct": tally.correct},
         "rates": {
             # no answers means no answer was ever wrong; answers_total disambiguates
             "correctness": (tally.correct / answers_total) if answers_total else 1.0,
             "buggy": buggy / n_trials,
             "false_buggy": tally.false_buggy / n_trials,
-            "all_accept": all_accept / n_trials,
         },
-        "std_errors": {
-            "buggy": binomial_std_error(buggy / n_trials, n_trials),
-            "all_accept": binomial_std_error(all_accept / n_trials, n_trials),
-        },
+        "std_errors": {"buggy": binomial_std_error(buggy / n_trials, n_trials)},
         "per_step_accept": per_step,
         "complexity": _probe_complexity(config, k),
     }
@@ -571,10 +545,5 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         "platform": platform.platform(),
         "numpy": np.__version__,
     }
-    result = ExperimentResult(
-        config=config, aggregates=aggregates, trial_verdicts=tally.verdicts, run_meta=run_meta
-    )
-    if config.out_dir is not None:
-        result.write_outputs(config.out_dir)
-    return result
+    return ExperimentResult(config=config, aggregates=aggregates, trial_verdicts=tally.verdicts, run_meta=run_meta)
 

@@ -98,7 +98,7 @@ def test_criterion_3_single_step_dominance():
     agg = run_experiment(cfg).aggregates
     elapsed = time.perf_counter() - t0
 
-    all_accept = agg["rates"]["all_accept"]
+    all_accept = agg["sessions"]["all_accept"] / cfg.trials
     target = p_multi((0.25, 0.25))  # 0.390625
     sigma = math.sqrt(target * (1 - target) / cfg.trials)
     ok = (

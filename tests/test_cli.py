@@ -39,7 +39,7 @@ class TestSimulate:
         code, out, _ = run_cli(["simulate", "--config", config_path], capsys)
         assert code == EXIT_OK
         doc = json.loads(out)
-        assert doc["schema"] == "qmemcheck.results.v2"
+        assert doc["schema"] == "qmemcheck.results.v3"
         assert doc["config"]["n"] == 3
         assert doc["aggregates"]["rates"]["correctness"] == 1.0
 
@@ -62,12 +62,49 @@ class TestSimulate:
         assert doc["config"]["trials"] == 7
         assert doc["config"]["seed"] == 123
 
+    def test_flag_overrides_replace_file_values(self, capsys, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"n": 3, "trials": 40, "seed": 11, "message": "101"}))
+        code, out, _ = run_cli(["simulate", "--config", str(path), "--seed", "99", "--trials", "5"], capsys)
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        assert (doc["config"]["seed"], doc["config"]["trials"], doc["config"]["message"]) == (99, 5, "101")
+        assert doc["aggregates"]["trials"] == 5
+
     def test_out_dir_writes_files(self, config_path, capsys, tmp_path):
         out_dir = tmp_path / "results"
         code, _, _ = run_cli(["simulate", "--config", config_path, "--out", str(out_dir)], capsys)
         assert code == EXIT_OK
         for name in ("results.json", "results.csv", "run_meta.json"):
             assert (out_dir / name).exists()
+
+    def test_out_changes_no_byte(self, config_path, capsys, tmp_path):
+        outs = []
+        for where in ("a", "b", None):
+            argv = ["simulate", "--config", config_path] + ([] if where is None else ["--out", str(tmp_path / where)])
+            code, out, _ = run_cli(argv, capsys)
+            assert code == EXIT_OK
+            outs.append(out)
+        assert outs[0] == outs[1] == outs[2]
+        assert (tmp_path / "a" / "results.json").read_bytes() == (tmp_path / "b" / "results.json").read_bytes()
+        assert (tmp_path / "a" / "results.json").read_text() == outs[2]
+
+    def test_out_dir_key_rejected_as_unknown(self, capsys, tmp_path):
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({"n": 3, "out_dir": str(tmp_path / "o"), "trials": 5}))
+        code, out, err = run_cli(["simulate", "--config", str(path)], capsys)
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert "unknown keys ['out_dir']" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_unwritable_out_exits_3(self, config_path, capsys, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code, out, err = run_cli(["simulate", "--config", config_path, "--out", str(blocker)], capsys)
+        assert code == EXIT_IO
+        assert out == ""
+        assert err.startswith("error: cannot write output:")
 
     def test_missing_config_file(self, capsys, tmp_path):
         code, _, err = run_cli(["simulate", "--config", str(tmp_path / "nope.json")], capsys)

@@ -40,9 +40,6 @@ class TestHadamardParams:
         assert p.delta_dec == 0.125
         assert p.eps_dec == 0.25
 
-    def test_eps_dec_tracks_delta_dec(self):
-        assert HadamardCode(3, delta_dec=0.1).params.eps_dec == pytest.approx(0.3)
-
     def test_size_cap(self):
         with pytest.raises(ValueError):
             HadamardCode(MAX_HADAMARD_N + 1)

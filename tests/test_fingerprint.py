@@ -14,6 +14,7 @@ from qmemcheck.fingerprint import (
     cswap_statevector_prob,
     inner_product,
     make_fingerprint,
+    p_single,
     sample_swap_test,
     swap_accept_prob,
 )
@@ -206,6 +207,13 @@ class TestStatevectorOracle:
                 assert cswap_statevector_prob(a, b) == pytest.approx(
                     swap_accept_prob(a, b), abs=1e-10
                 )
+
+    def test_circuit_matches_p_single_at_every_distance(self):
+        # p_single is the formula every bound, required_k and lemma1_bound use
+        for d in range(17):
+            a, b = fp_with_distance(16, d)
+            assert abs(cswap_statevector_prob(a, b) - p_single(d / 16)) <= 1e-10
+            assert swap_accept_prob(a, b) == p_single(d / 16)
 
     def test_rejects_non_power_of_two(self):
         a, b = fp_with_distance(6, 2)

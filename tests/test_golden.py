@@ -2,17 +2,24 @@
 
 Each config below covers one attack kind or session shape. The test parses
 the config from its JSON form, runs it, and compares both output documents
-with the files under tests/golden/. Running this module as a script rewrites
+with the files under tests/golden/. Running this module as a script writes
 those files from the current code:
 
     PYTHONPATH=src python tests/test_golden.py
+
+It writes a config's files when they are missing or when its golden JSON
+carries an older schema than RESULTS_SCHEMA. It refuses, with exit 1 naming
+the file, to change a golden file of the current schema: the goldens change
+only together with a deliberate schema bump.
 """
 
+import json
+import sys
 from pathlib import Path
 
 import pytest
 
-from qmemcheck.harness import ExperimentConfig, run_experiment
+from qmemcheck.harness import RESULTS_SCHEMA, ExperimentConfig, run_experiment
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -93,9 +100,39 @@ def test_results_match_golden(name):
         assert text.encode() == expected, f"{name}.results.{ext} differs from the golden file"
 
 
+def test_rewrite_only_at_a_schema_bump(tmp_path):
+    name = "noop-n3"
+    json_path = tmp_path / f"{name}.results.json"
+    assert rewrite(name, tmp_path) == []  # missing files are written
+    fresh = json_path.read_bytes()
+    assert fresh == (GOLDEN_DIR / json_path.name).read_bytes()
+    json_path.write_bytes(fresh + b"\n")  # still the current schema, but different
+    assert rewrite(name, tmp_path) == [json_path]
+    assert json_path.read_bytes() == fresh + b"\n"  # refused: left as it was
+    json_path.write_text(json.dumps({"schema": "qmemcheck.results.v2"}))
+    assert rewrite(name, tmp_path) == []
+    assert json_path.read_bytes() == fresh  # an older schema is rewritten
+
+
+def rewrite(name: str, golden_dir: Path = GOLDEN_DIR) -> list[Path]:
+    """Write name's golden files where the guard allows; return the existing
+    files of the current schema that the current code would change."""
+    json_path = golden_dir / f"{name}.results.json"
+    current = json_path.exists() and json.loads(json_path.read_text()).get("schema") == RESULTS_SCHEMA
+    refused = []
+    for ext, text in render(name).items():
+        path = golden_dir / f"{name}.results.{ext}"
+        if not (current and path.exists()):
+            path.write_bytes(text.encode())
+            print(f"wrote {path.name}")
+        elif path.read_bytes() != text.encode():
+            refused.append(path)
+    return refused
+
+
 if __name__ == "__main__":
     GOLDEN_DIR.mkdir(exist_ok=True)
-    for name in sorted(CONFIGS):
-        for ext, text in render(name).items():
-            (GOLDEN_DIR / f"{name}.results.{ext}").write_bytes(text.encode())
-        print(f"wrote {name}")
+    refused = [path for name in sorted(CONFIGS) for path in rewrite(name)]
+    for path in refused:
+        print(f"refused: {path} is {RESULTS_SCHEMA} and would change; bump the schema first", file=sys.stderr)
+    sys.exit(1 if refused else 0)

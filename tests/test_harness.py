@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import json
 import pkgutil
@@ -258,22 +259,12 @@ class TestSerialization:
             ExperimentConfig.from_dict({"n": 3, "trails": 1})
         assert exc.value.path == "config"
 
-    def test_with_overrides(self):
-        cfg = make_config()
-        out = cfg.with_overrides(seed=99, trials=5, out_dir="/tmp/x")
-        assert (out.seed, out.trials, out.out_dir) == (99, 5, "/tmp/x")
-        assert cfg.seed == 11  # original untouched
-
-    def test_with_overrides_that_change_nothing_return_self(self):
-        cfg = make_config()
-        assert cfg.with_overrides() is cfg
-        assert cfg.with_overrides(seed=11, trials=40) is cfg
-        assert cfg.with_overrides(seed=12) is not cfg
-
-    def test_with_overrides_still_validates_a_retyped_value(self):
-        cfg = make_config(trials=1)
-        with pytest.raises(ConfigError):
-            cfg.with_overrides(trials=True)  # equal to 1, but not an integer
+    def test_out_dir_is_an_unknown_key(self):
+        # where results are written is no part of the experiment
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig.from_dict({"n": 3, "out_dir": "results"})
+        assert exc.value.path == "config"
+        assert "unknown keys ['out_dir']" in str(exc.value)
 
 
 class TestDeriveTrialSeed:
@@ -334,7 +325,7 @@ class TestRunExperiment:
         bound = bound_named(agg, "step_accept[0]")
         exact = 2**-4 + (1 - 2**-4) * 2**-7
         assert bound["analytic"] == {"accept": pytest.approx(exact)}
-        assert abs(agg["rates"]["all_accept"] - exact) <= bound["tolerance"]
+        assert abs(agg["sessions"]["all_accept"] / cfg.trials - exact) <= bound["tolerance"]
         assert bound["passed"]
 
     def test_incremental_all_accept_bound(self):
@@ -371,7 +362,7 @@ class TestRunExperiment:
             built.clear()
             cfg = make_config(attack=SubstituteCodeword(), trials=trials)
             run_experiment(cfg)
-            run_experiment(cfg.with_overrides(seed=3))
+            run_experiment(dataclasses.replace(cfg, seed=3))
             assert len(built) == 2  # one per config instance, none per trial
 
     def test_resolved_k_builds_no_checker_state(self, monkeypatch):
@@ -379,6 +370,7 @@ class TestRunExperiment:
             raise AssertionError("resolved_k built a CheckerState")
 
         monkeypatch.setattr(checker, "CheckerState", refuse)
+        monkeypatch.setattr(harness, "CheckerState", refuse)
         assert make_config().resolved_k() == 7
         assert make_config(k=2).resolved_k() == 2
 
@@ -423,8 +415,8 @@ class TestRunExperiment:
 
     def test_seed_changes_samples(self):
         cfg = make_config(attack=IncrementalAttack(deltas=(0.25,)), k=1, trials=400)
-        a = run_experiment(cfg).aggregates["rates"]["all_accept"]
-        b = run_experiment(cfg.with_overrides(seed=12)).aggregates["rates"]["all_accept"]
+        a = run_experiment(cfg).aggregates["sessions"]["all_accept"] / cfg.trials
+        b = run_experiment(dataclasses.replace(cfg, seed=12)).aggregates["sessions"]["all_accept"] / cfg.trials
         assert a != b
 
     def test_store_only_script_has_vacuous_correctness(self):
@@ -474,15 +466,29 @@ class TestRunExperiment:
         assert agg["complexity"] == {"s_qubits": 56, "t_qubits_per_retrieve": 114}
 
     def test_write_outputs(self, tmp_path):
-        cfg = make_config(trials=20, out_dir=str(tmp_path / "run"))
-        res = run_experiment(cfg)
+        res = run_experiment(make_config(trials=20))
         out = tmp_path / "run"
+        paths = res.write_outputs(out)
+        assert paths == {"json": out / "results.json", "csv": out / "results.csv", "meta": out / "run_meta.json"}
         results = json.loads((out / "results.json").read_text())
-        assert results["schema"] == "qmemcheck.results.v2"
+        assert results["schema"] == "qmemcheck.results.v3"
         assert results["aggregates"] == res.aggregates
         assert (out / "results.csv").read_text().startswith("metric,")
         meta = json.loads((out / "run_meta.json").read_text())
         assert "elapsed_seconds" in meta
+
+    def test_run_experiment_writes_nothing(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        res = run_experiment(make_config(attack=SubstituteCodeword(), trials=20, record_trials=True))
+        assert list(tmp_path.iterdir()) == []
+        assert "out_dir" not in res.result_document()["config"]
+
+    def test_each_fact_said_once(self):
+        # all_accept is trials - buggy, so only its count is reported
+        agg = run_experiment(make_config(attack=SubstituteCodeword(), k=1, trials=40)).aggregates
+        assert set(agg["rates"]) == {"correctness", "buggy", "false_buggy"}
+        assert set(agg["std_errors"]) == {"buggy"}
+        assert agg["sessions"]["all_accept"] == agg["trials"] - agg["sessions"]["buggy"]
 
     def test_results_json_excludes_wall_clock(self):
         res = run_experiment(make_config(trials=5))
