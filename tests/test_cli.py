@@ -61,15 +61,8 @@ class TestSimulate:
         doc = json.loads(out)
         assert doc["config"]["trials"] == 7
         assert doc["config"]["seed"] == 123
-
-    def test_flag_overrides_replace_file_values(self, capsys, tmp_path):
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps({"n": 3, "trials": 40, "seed": 11, "message": "101"}))
-        code, out, _ = run_cli(["simulate", "--config", str(path), "--seed", "99", "--trials", "5"], capsys)
-        assert code == EXIT_OK
-        doc = json.loads(out)
-        assert (doc["config"]["seed"], doc["config"]["trials"], doc["config"]["message"]) == (99, 5, "101")
-        assert doc["aggregates"]["trials"] == 5
+        assert doc["config"]["n"] == 3  # the file's other values are kept
+        assert doc["aggregates"]["trials"] == 7
 
     def test_out_dir_writes_files(self, config_path, capsys, tmp_path):
         out_dir = tmp_path / "results"

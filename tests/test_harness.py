@@ -259,13 +259,6 @@ class TestSerialization:
             ExperimentConfig.from_dict({"n": 3, "trails": 1})
         assert exc.value.path == "config"
 
-    def test_out_dir_is_an_unknown_key(self):
-        # where results are written is no part of the experiment
-        with pytest.raises(ConfigError) as exc:
-            ExperimentConfig.from_dict({"n": 3, "out_dir": "results"})
-        assert exc.value.path == "config"
-        assert "unknown keys ['out_dir']" in str(exc.value)
-
 
 class TestDeriveTrialSeed:
     def test_frozen_value(self):
