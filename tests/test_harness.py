@@ -259,6 +259,15 @@ class TestSerialization:
             ExperimentConfig.from_dict({"n": 3, "trails": 1})
         assert exc.value.path == "config"
 
+    def test_with_overrides(self):
+        # the CLI applies --seed/--trials by replacing fields of the loaded config
+        cfg = make_config()
+        out = dataclasses.replace(cfg, seed=99, trials=5)
+        assert (out.seed, out.trials, out.n) == (99, 5, 3)
+        assert (cfg.seed, cfg.trials) == (11, 40)  # original untouched
+        with pytest.raises(ConfigError):
+            dataclasses.replace(cfg, trials=True)  # equal to 1, but not an integer
+
 
 class TestDeriveTrialSeed:
     def test_frozen_value(self):
