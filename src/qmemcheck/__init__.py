@@ -62,7 +62,6 @@ from .harness import (
     ExperimentConfig,
     ExperimentResult,
     OpSpec,
-    derive_trial_seed,
     run_experiment,
 )
 
@@ -97,7 +96,6 @@ __all__ = [
     "bits_to_str",
     "complexity_report",
     "cswap_statevector_prob",
-    "derive_trial_seed",
     "hamming_distance",
     "inner_product",
     "int_to_bits",

@@ -20,15 +20,18 @@ alone: its step_distances is all harness._attach_bounds needs to check it.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from typing import Any
 
 import numpy as np
 
-from .bits import random_bits
+from .bits import as_bits, random_bits
 from .checker import PublicMemory
 from .code import CodeParams, LocallyDecodableCode
+from .engine import flip_rows
 
 POSITION_POLICIES = ("uniform", "prefix")
 
@@ -102,6 +105,12 @@ class AttackSchedule:
         LocallyDecodableCode and the stored codeword (baseline)."""
         raise NotImplementedError
 
+    def apply_batch(self, step, memory, baseline, code, draws) -> None:
+        """The same step on a chunk of sessions, one row each: corrupt the
+        (T, m) memory array in place, given each row's stored codeword
+        (baseline) and the step's counter-based draws (engine.OpDraws)."""
+        raise NotImplementedError
+
 
 @dataclass(frozen=True)
 class NoOpAttack(AttackSchedule):
@@ -113,6 +122,9 @@ class NoOpAttack(AttackSchedule):
         return {0: 1.0}
 
     def apply(self, step, memory, code, baseline, rng) -> None:
+        pass
+
+    def apply_batch(self, step, memory, baseline, code, draws) -> None:
         pass
 
 
@@ -158,6 +170,22 @@ class SubstituteCodeword(AttackSchedule):
                 word = code.encode(random_bits(code.params.n, rng))
         memory.adversary_overwrite(word)
 
+    @cached_property
+    def _target_bits(self) -> np.ndarray:
+        # parsed once per schedule, however many chunks a run has
+        return as_bits(self.target, name="target")
+
+    def apply_batch(self, step, memory, baseline, code, draws) -> None:
+        if self.target != "random":
+            memory[:] = code.encode_batch(self._target_bits[None, :])
+            return
+        rows = np.arange(len(memory))
+        for slot in itertools.count():  # redraw the rows that drew the stored message
+            memory[rows] = code.encode_batch(draws.messages(code.params.n, slot, rows))
+            rows = rows[(memory[rows] == baseline[rows]).all(axis=1)]
+            if not rows.size:
+                return
+
 
 @dataclass(frozen=True)
 class FlipCount(AttackSchedule):
@@ -192,6 +220,14 @@ class FlipCount(AttackSchedule):
             memory.adversary_flip(np.arange(d, dtype=np.int64))
         else:
             memory.adversary_flip(rng.choice(m, size=d, replace=False))
+
+    def apply_batch(self, step, memory, baseline, code, draws) -> None:
+        t, m = memory.shape
+        d = min(self.bits_per_step, m)
+        if self.policy == "prefix":
+            memory[:, :d] ^= 1
+        else:
+            flip_rows(memory, draws.distinct(m, d))
 
 
 @dataclass(frozen=True)
@@ -257,6 +293,22 @@ class IncrementalAttack(AttackSchedule):
         else:
             positions = rng.choice(fresh, size=d, replace=False) if d else fresh[:0]
         memory.adversary_flip(positions)
+
+    def apply_batch(self, step, memory, baseline, code, draws) -> None:
+        t, m = memory.shape
+        d = self.step_flip_counts(m)[step]
+        fresh = memory == baseline
+        # every row has run the same flip counts since its last store, so all hold f fresh positions
+        counts = np.count_nonzero(fresh, axis=1)
+        f = int(counts[0])
+        if d > f or (counts != f).any():
+            raise ScheduleError(f"step {step} needs {d} fresh positions in every row, rows hold {sorted(set(counts.tolist()))}")
+        positions = np.nonzero(fresh)[1].reshape(t, f)  # each row's fresh positions, ascending
+        if self.policy == "prefix":
+            positions = positions[:, :d]
+        else:
+            positions = np.take_along_axis(positions, draws.distinct(f, d), axis=1)
+        flip_rows(memory, positions)
 
 
 SCHEDULES: dict[str, type[AttackSchedule]] = {

@@ -87,6 +87,10 @@ class LocallyDecodableCode(ABC):
         """Deterministically encode an n-bit message into an m-bit codeword."""
 
     @abstractmethod
+    def encode_batch(self, msgs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Encode a (T, n) uint8 array of messages into a (T, m) array of codewords (into out, if given)."""
+
+    @abstractmethod
     def decode_query_plan(self, index: int, rng: np.random.Generator) -> list[int]:
         """Sample the <= q codeword positions a local decode of bit *index* will read.
 
@@ -134,21 +138,25 @@ class HadamardCode(LocallyDecodableCode):
         n = self._params.n
         if bits.size != n:
             raise ValueError(f"message length {bits.size} != n={n}")
+        return self.encode_batch(bits[None, :])[0]
+
+    def encode_batch(self, msgs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Codewords of a (T, n) uint8 batch of package-built messages, as a
+        (T, m) array (out, when given), one row per message; nothing is parsed."""
+        n = self._params.n
         # The last `low` message bits weigh 1, 2, ..., so positions [0, 2^low)
         # are their parities <x, a>. Then doubling: positions [w, 2w) are the
         # masks [0, w) with the weight-w bit set, which belongs to message bit
         # n-1-log2(w), so they are the first w positions xor that bit.
         low = min(n, _BLOCK_BITS)
-        x_low = 0
-        for b in bits[n - low :].tolist():
-            x_low = (x_low << 1) | b
-        word = np.empty(self._params.m, dtype=np.uint8)
+        x_low = (msgs[:, n - low :] @ (1 << np.arange(low - 1, -1, -1))).astype(np.uint8)
+        words = np.empty((msgs.shape[0], self._params.m), dtype=np.uint8) if out is None else out
         w = 1 << low
-        np.bitwise_and(np.bitwise_count(_BLOCK_MASKS[:w] & x_low), 1, out=word[:w])
-        for b in bits[: n - low][::-1]:
-            np.bitwise_xor(word[:w], b, out=word[w : 2 * w])
+        np.bitwise_and(np.bitwise_count(_BLOCK_MASKS[:w] & x_low[:, None]), 1, out=words[:, :w])
+        for i in range(n - low - 1, -1, -1):
+            np.bitwise_xor(words[:, :w], msgs[:, i, None], out=words[:, w : 2 * w])
             w *= 2
-        return word
+        return words
 
     def plan_for_mask(self, index: int, mask: int) -> list[int]:
         """The two positions read for a given sampled mask: [a, a xor e_index]."""

@@ -3,8 +3,8 @@
 A run executes N independent checker sessions against a public memory under a
 scheduled adversary, aggregates verdicts into rates, attaches the matching
 analytic bounds, and returns structured results. Everything downstream of the
-(config, seed) pair is deterministic: per-trial RNGs come from counter-mode
-hashing of the master seed, and the JSON results document is byte-identical
+(config, seed) pair is deterministic: every draw is a counter-based hash of
+(master seed, trial, op, slot), and the JSON results document is byte-identical
 across runs, wherever it is written. Wall-clock facts live in a separate
 metadata sidecar so they never break that guarantee.
 
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import csv
 import datetime
-import hashlib
 import io
 import json
 import math
@@ -25,22 +24,21 @@ import time
 from dataclasses import MISSING, dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
 import numpy as np
 
-from .adversary import (
-    SCHEDULES, AttackSchedule, ConfigError, NoOpAttack, _is_bitstring, _is_int, _is_number, apply_step,
-)
+from .adversary import SCHEDULES, AttackSchedule, ConfigError, NoOpAttack, _is_bitstring, _is_int, _is_number
 from .analysis import BoundReport, binomial_std_error, binomial_tail, lemma1_bound, p_single
-from .bits import random_bits
 from .checker import CheckerState, PublicMemory, complexity_report, required_k, retrieve, store
 from .code import MAX_HADAMARD_N, HadamardCode
+from .engine import run_sessions
 
-RESULTS_SCHEMA = "qmemcheck.results.v3"
+RESULTS_SCHEMA = "qmemcheck.results.v4"
 
-# Fail-fast caps: a verification draws k uniforms, and the default script
-# holds 2*steps + 1 ops, so larger values only exhaust memory or time.
+# Fail-fast caps: a library verification (checker.store/retrieve) draws k
+# uniforms, and the default script holds 2*steps + 1 ops, so larger values
+# only exhaust memory or time.
 MAX_K = 10**6
 MAX_STEPS = 10**4
 
@@ -249,97 +247,9 @@ class ExperimentConfig:
         )
 
 
-def derive_trial_seed(master_seed: int, trial_index: int) -> int:
-    """Per-trial RNG seed: counter-mode hash of (master seed, trial index).
-
-    SHA-256 over a domain tag plus both values as 8-byte little-endian words,
-    truncated to 128 bits. Distinct indices hash distinct inputs, so seeds are
-    (cryptographically) collision-free within a run, and the derivation is
-    platform-independent.
-    """
-    if not 0 <= master_seed < 2**64:
-        raise ValueError(f"master seed must be in [0, 2^64), got {master_seed}")
-    if not 0 <= trial_index < 2**64:
-        raise ValueError(f"trial index must be in [0, 2^64), got {trial_index}")
-    digest = hashlib.sha256(
-        b"qmemcheck-trial"
-        + master_seed.to_bytes(8, "little")
-        + trial_index.to_bytes(8, "little")
-    ).digest()
-    return int.from_bytes(digest[:16], "little")
-
-
-@dataclass
-class _Tally:
-    """Run-wide session counters; _run_trial adds each session into them.
-
-    A session stops at its first reject, so the retrieves it reached and
-    accepted are prefixes of the script's retrieves. verdicts is None unless
-    the run records per-trial verdict streams.
-    """
-
-    reached: list[int]
-    accepted: list[int]
-    buggy: int = 0
-    false_buggy: int = 0
-    correct: int = 0
-    verdicts: list[list[str]] | None = None
-
-
-def _run_trial(
-    config: ExperimentConfig, k: int, script: Sequence[OpSpec], rng: np.random.Generator, tally: _Tally
-) -> None:
-    code = config.code
-    state = CheckerState(code, k)
-    memory = PublicMemory()
-    baseline: np.ndarray | None = None  # the stored codeword, set by each accepted store
-    current_msg: np.ndarray | str | None = None
-    attack_step = 0
-    retrieve_pos = 0
-    cycle = 0
-    verdicts: list[str] | None = None if tally.verdicts is None else []
-
-    for op in script:
-        if op.op == "attack":
-            apply_step(config.attack, attack_step, memory, code, baseline, rng)
-            attack_step += 1
-            continue
-        if op.op == "store":
-            msg_spec = op.message if op.message is not None else config.message
-            # encode parses an explicit message string, once per store
-            msg = random_bits(config.n, rng) if msg_spec == "random" else msg_spec
-            verdict = store(state, memory, msg, rng)
-        else:
-            idx = op.index if op.index is not None else config.retrieve_index
-            if idx == "random":
-                idx = int(rng.integers(config.n))
-            elif idx == "cycle":
-                idx, cycle = cycle % config.n, cycle + 1
-            tally.reached[retrieve_pos] += 1
-            verdict = retrieve(state, memory, idx, rng)
-        if verdict.is_buggy:
-            tally.buggy += 1
-            # "false buggy" means rejecting a memory that matches the stored codeword
-            tally.false_buggy += baseline is not None and np.array_equal(memory.bits, baseline)
-            if verdicts is not None:
-                verdicts.append(f"{op.op}:buggy")
-            break
-        if op.op == "store":
-            current_msg = msg
-            baseline = state.fingerprint.phases
-        else:
-            tally.accepted[retrieve_pos] += 1
-            retrieve_pos += 1
-            tally.correct += int(verdict.bit == int(current_msg[idx]))
-        if verdicts is not None:
-            verdicts.append(f"{op.op}:{verdict.bit}")
-    if verdicts is not None:
-        tally.verdicts.append(verdicts)
-
-
 def _probe_complexity(config: ExperimentConfig, k: int) -> dict[str, int]:
     """Resource counts measured on a live honest session, not recomputed formulas."""
-    rng = np.random.default_rng(derive_trial_seed(config.seed, config.trials))
+    rng = np.random.default_rng(config.seed)  # an honest session's counts do not depend on it
     state = CheckerState(config.code, k)
     memory = PublicMemory()
     store(state, memory, "0" * config.n, rng)
@@ -445,9 +355,11 @@ class ExperimentResult:
     def render_csv(self) -> str:
         return flat_csv(self.aggregates)
 
-    def write_outputs(self, out_dir) -> dict[str, Path]:
+    def write_outputs(self, out_dir, texts: dict[str, str] | None = None) -> dict[str, Path]:
         """Write results.json, results.csv, and the run_meta.json sidecar; the
-        library writes files nowhere else."""
+        library writes files nowhere else. texts may hold the "json" and "csv"
+        documents already rendered, so that a caller renders each once."""
+        texts = texts or {"json": self.results_json(), "csv": self.render_csv()}
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         paths = {
@@ -455,8 +367,8 @@ class ExperimentResult:
             "csv": out / "results.csv",
             "meta": out / "run_meta.json",
         }
-        paths["json"].write_text(self.results_json())
-        paths["csv"].write_text(self.render_csv())
+        paths["json"].write_text(texts["json"])
+        paths["csv"].write_text(texts["csv"])
         paths["meta"].write_text(canonical_json(self.run_meta))
         return paths
 
@@ -495,23 +407,17 @@ def canonical_json(payload) -> str:
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Execute config.trials independent sessions and aggregate their verdicts.
 
-    Trials are isolated: each gets its own memory, checker state, and RNG
-    seeded by derive_trial_seed, so the aggregate is independent of
-    execution order. A session ends at its first "buggy" verdict. Writes no
-    files: see ExperimentResult.write_outputs.
+    Trials are isolated: engine.run_sessions plays each session on its own
+    row of memory with counter-based draws keyed by (seed, trial index), so
+    the aggregate is independent of chunking and execution order. A session
+    ends at its first "buggy" verdict. Writes no files: see
+    ExperimentResult.write_outputs.
     """
     started = datetime.datetime.now(datetime.timezone.utc)
     t0 = time.monotonic()
 
     k = config.resolved_k()
-    script = config.build_script()
-    n_retrieves = sum(op.op == "retrieve" for op in script)
-    tally = _Tally(
-        reached=[0] * n_retrieves, accepted=[0] * n_retrieves, verdicts=[] if config.record_trials else None
-    )
-    for i in range(config.trials):
-        rng = np.random.default_rng(derive_trial_seed(config.seed, i))
-        _run_trial(config, k, script, rng, tally)
+    tally = run_sessions(config, k, range(config.trials), record=config.record_trials)
 
     n_trials = config.trials
     buggy = tally.buggy

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from qmemcheck import harness
+from qmemcheck import cli, harness
 from qmemcheck.cli import (
     EXIT_CHECK_FAILED,
     EXIT_IO,
@@ -39,7 +39,7 @@ class TestSimulate:
         code, out, _ = run_cli(["simulate", "--config", config_path], capsys)
         assert code == EXIT_OK
         doc = json.loads(out)
-        assert doc["schema"] == "qmemcheck.results.v3"
+        assert doc["schema"] == "qmemcheck.results.v4"
         assert doc["config"]["n"] == 3
         assert doc["aggregates"]["rates"]["correctness"] == 1.0
 
@@ -81,6 +81,25 @@ class TestSimulate:
         assert outs[0] == outs[1] == outs[2]
         assert (tmp_path / "a" / "results.json").read_bytes() == (tmp_path / "b" / "results.json").read_bytes()
         assert (tmp_path / "a" / "results.json").read_text() == outs[2]
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_out_renders_each_document_once(self, fmt, config_path, capsys, tmp_path, monkeypatch):
+        calls = []
+        for name in ("results_json", "render_csv"):
+            real = getattr(harness.ExperimentResult, name)
+
+            def counted(self, real=real, name=name):
+                calls.append(name)
+                return real(self)
+
+            monkeypatch.setattr(harness.ExperimentResult, name, counted)
+        code, out, _ = run_cli(["simulate", "--config", config_path, "--format", fmt, "--out", str(tmp_path)], capsys)
+        assert code == EXIT_OK
+        assert sorted(calls) == ["render_csv", "results_json"]
+        assert out == (tmp_path / f"results.{fmt}").read_text()
+        calls.clear()
+        run_cli(["simulate", "--config", config_path, "--format", fmt], capsys)
+        assert calls == ["results_json" if fmt == "json" else "render_csv"]
 
     def test_out_dir_key_rejected_as_unknown(self, capsys, tmp_path):
         path = tmp_path / "old.json"
@@ -188,7 +207,7 @@ class TestSimulate:
         path.write_text(json.dumps(
             {"n": 16, "k": 7, "attack": {"kind": "flip_count", "bits_per_step": 1}, "steps": 1, "trials": 200}
         ))
-        code, out, err = run_cli(["simulate", "--config", str(path), "--seed", "12"], capsys)
+        code, out, err = run_cli(["simulate", "--config", str(path), "--seed", "38"], capsys)
         assert code == EXIT_OK, err
         assert json.loads(out)["aggregates"]["sessions"]["all_accept"] == 199
 
@@ -304,6 +323,31 @@ class TestOracleCheck:
         assert code == EXIT_VALIDATION
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_parser_built_once(config_path, capsys, monkeypatch):
+    built = []
+    real_init = cli._Parser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real_init(self, *args, **kwargs)
+
+    cli.build_parser.cache_clear()
+    monkeypatch.setattr(cli._Parser, "__init__", counted)
+    try:
+        code, out, _ = run_cli(["simulate", "--config", config_path, "--trials", "5"], capsys)
+        assert code == EXIT_OK
+        assert json.loads(out)["aggregates"]["trials"] == 5
+        code, out, _ = run_cli(["bounds", "--epsilon", "0.05", "--format", "csv"], capsys)
+        assert code == EXIT_OK
+        assert "required_k,5" in out.splitlines()
+        code, out, _ = run_cli(["simulate", "--config", config_path], capsys)
+        assert json.loads(out)["aggregates"]["trials"] == 50  # no value carried over from the first call
+    finally:
+        cli.build_parser.cache_clear()
+    assert built.count("qmemcheck") == 1  # the top-level parser, and its subparsers, built once
+    assert len(built) == 5
 
 
 def test_installed_entry_point(tmp_path):

@@ -86,6 +86,19 @@ class TestEncode:
             expected = (np.bitwise_count(masks & np.uint64(x)) & 1).astype(np.uint8)
             assert np.array_equal(code.encode(msg), expected)
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 13])
+    def test_batch_matches_parity_definition(self, n, rng):
+        # each row of a batch is the codeword of its message, with or without out
+        masks = np.arange(2**n, dtype=np.uint64)
+        msgs = rng.integers(0, 2, size=(5, n), dtype=np.uint8)
+        weights = 1 << np.arange(n - 1, -1, -1, dtype=np.uint64)
+        expected = (np.bitwise_count(masks & (msgs @ weights)[:, None]) & 1).astype(np.uint8)
+        code = HadamardCode(n)
+        assert np.array_equal(code.encode_batch(msgs), expected)
+        out = np.full((5, 2**n), 7, dtype=np.uint8)
+        assert code.encode_batch(msgs, out=out) is out
+        assert np.array_equal(out, expected)
+
     @given(st.integers(1, 6), st.data())
     @settings(max_examples=40, deadline=None)
     def test_linearity(self, n, data):

@@ -6,7 +6,7 @@ import pkgutil
 import pytest
 
 import qmemcheck
-from qmemcheck import bits, checker, harness
+from qmemcheck import bits, checker, engine, harness
 from qmemcheck.adversary import (
     FlipCount,
     IncrementalAttack,
@@ -18,7 +18,6 @@ from qmemcheck.harness import (
     ExperimentConfig,
     OpSpec,
     canonical_json,
-    derive_trial_seed,
     run_experiment,
 )
 
@@ -269,27 +268,30 @@ class TestSerialization:
             dataclasses.replace(cfg, trials=True)  # equal to 1, but not an integer
 
 
-class TestDeriveTrialSeed:
+class TestCounterDraw:
     def test_frozen_value(self):
         # pinned: the derivation must not drift across platforms or releases
-        assert derive_trial_seed(0, 0) == 285295601229159067524018170220488861561
+        assert engine.counter_draw(0, 0, 0, 0) == 2391539541053276776
+        assert engine.counter_draw(1, 2, 3, 4) == 4181974824002594042
 
     def test_distinct_across_indices(self):
-        seeds = {derive_trial_seed(42, i) for i in range(2000)}
-        assert len(seeds) == 2000
+        draws = {engine.counter_draw(42, i, 0, 0) for i in range(2000)}
+        assert len(draws) == 2000
+        # and across the ops and slots of one trial
+        assert len({engine.counter_draw(42, 0, op, slot) for op in range(40) for slot in range(50)}) == 2000
 
     def test_distinct_across_masters(self):
-        assert derive_trial_seed(1, 0) != derive_trial_seed(2, 0)
+        assert engine.counter_draw(1, 0, 0, 0) != engine.counter_draw(2, 0, 0, 0)
 
     def test_range(self):
-        for _ in range(5):
-            assert 0 <= derive_trial_seed(7, 3) < 2**128
+        top = 2**64 - 1
+        for args in ((7, 3, 0, 0), (top, top, top, top), (0, top, 1, 2**32)):
+            assert 0 <= engine.counter_draw(*args) < 2**64
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            derive_trial_seed(-1, 0)
-        with pytest.raises(ValueError):
-            derive_trial_seed(0, 2**64)
+        for args in ((-1, 0, 0, 0), (0, 2**64, 0, 0), (0, 0, -1, 0), (0, 0, 0, 2**64), (0.5, 0, 0, 0)):
+            with pytest.raises(ValueError):
+                engine.counter_draw(*args)
 
 
 class TestRunExperiment:
@@ -377,9 +379,10 @@ class TestRunExperiment:
         assert make_config(k=2).resolved_k() == 2
 
     def test_as_bits_only_where_bits_enter(self, monkeypatch):
-        # every store parses twice, the message in encode and the codeword in
-        # PublicMemory.write; the complexity probe stores once more, and
-        # attacks, retrieves and fingerprints of package-built arrays parse nothing
+        # each explicit message (a stored message or a substitution target) is
+        # parsed once per run, however many chunks and sessions it has; the
+        # complexity probe's one store parses twice, the message in encode and
+        # the codeword in PublicMemory.write; nothing the package built is parsed
         real = bits.as_bits
         calls = 0
 
@@ -392,11 +395,19 @@ class TestRunExperiment:
             module = importlib.import_module(f"qmemcheck.{info.name}")
             if getattr(module, "as_bits", None) is real:
                 monkeypatch.setattr(module, "as_bits", counted)
-        trials = 50
-        for message in ("random", "10101"):  # an explicit message is parsed by encode alone
+        monkeypatch.setattr(engine, "CHUNK_ELEMENTS", 7 * 32)  # 7 sessions per chunk, 8 chunks
+        flips = dict(attack=FlipCount(bits_per_step=3), steps=3)
+        script = tuple(OpSpec(op="store", message=msg) for msg in ("10101", "01100", "10101")) + (OpSpec(op="retrieve"),)
+        for parsed, kwargs in (
+            (0, dict(message="random", **flips)),
+            (1, dict(message="10101", **flips)),
+            (1, dict(attack=SubstituteCodeword(target="11100"))),
+            (2, dict(message="10101", attack=SubstituteCodeword(target="11100"))),
+            (2, dict(script=script)),
+        ):
             calls = 0
-            run_experiment(make_config(n=5, message=message, attack=FlipCount(bits_per_step=3), steps=3, trials=trials))
-            assert calls == 2 * (trials + 1)
+            run_experiment(make_config(n=5, trials=50, **kwargs))
+            assert calls == parsed + 2, kwargs
 
     def test_record_trials(self):
         cfg = make_config(trials=25, record_trials=True)
@@ -473,7 +484,7 @@ class TestRunExperiment:
         paths = res.write_outputs(out)
         assert paths == {"json": out / "results.json", "csv": out / "results.csv", "meta": out / "run_meta.json"}
         results = json.loads((out / "results.json").read_text())
-        assert results["schema"] == "qmemcheck.results.v3"
+        assert results["schema"] == "qmemcheck.results.v4"
         assert results["aggregates"] == res.aggregates
         assert (out / "results.csv").read_text().startswith("metric,")
         meta = json.loads((out / "run_meta.json").read_text())
