@@ -222,7 +222,7 @@ class FlipCount(AttackSchedule):
             memory.adversary_flip(rng.choice(m, size=d, replace=False))
 
     def apply_batch(self, step, memory, baseline, code, draws) -> None:
-        t, m = memory.shape
+        m = memory.shape[1]
         d = min(self.bits_per_step, m)
         if self.policy == "prefix":
             memory[:, :d] ^= 1
@@ -302,7 +302,8 @@ class IncrementalAttack(AttackSchedule):
         counts = np.count_nonzero(fresh, axis=1)
         f = int(counts[0])
         if d > f or (counts != f).any():
-            raise ScheduleError(f"step {step} needs {d} fresh positions in every row, rows hold {sorted(set(counts.tolist()))}")
+            held = sorted(set(counts.tolist()))
+            raise ScheduleError(f"step {step} needs {d} fresh positions in every row, rows hold {held}")
         positions = np.nonzero(fresh)[1].reshape(t, f)  # each row's fresh positions, ascending
         if self.policy == "prefix":
             positions = positions[:, :d]

@@ -174,7 +174,7 @@ def test_max_k_draws_one_uniform_per_verification():
     assert all(b["passed"] for b in agg["bounds"])
 
 
-class TestDistinct:
+class TestDraws:
     def draws(self, rows, op=0):
         return engine.OpDraws(engine._stream(engine.trial_keys(5, np.arange(rows, dtype=np.uint64)), op))
 
@@ -195,6 +195,12 @@ class TestDistinct:
         expected = rows / n_subsets
         chi2 = ((counts - expected) ** 2 / expected).sum()
         assert chi2 < 45  # 14 degrees of freedom: P(chi2 > 45) < 1e-4
+
+    def test_power_of_two_bounds_take_the_top_bits(self):
+        # the shortcut gives exactly floor(uniform * bound)
+        draws = self.draws(3).u64(np.arange(200))
+        for bound in (1, 2, 16, 1 << 20):
+            assert np.array_equal(engine._below(draws, bound), (engine._uniform(draws) * bound).astype(np.int64))
 
     def test_rows_independent_of_chunk(self):
         # a row's subset depends on its own key only

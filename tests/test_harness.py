@@ -397,7 +397,8 @@ class TestRunExperiment:
                 monkeypatch.setattr(module, "as_bits", counted)
         monkeypatch.setattr(engine, "CHUNK_ELEMENTS", 7 * 32)  # 7 sessions per chunk, 8 chunks
         flips = dict(attack=FlipCount(bits_per_step=3), steps=3)
-        script = tuple(OpSpec(op="store", message=msg) for msg in ("10101", "01100", "10101")) + (OpSpec(op="retrieve"),)
+        stores = tuple(OpSpec(op="store", message=msg) for msg in ("10101", "01100", "10101"))
+        script = stores + (OpSpec(op="retrieve"),)
         for parsed, kwargs in (
             (0, dict(message="random", **flips)),
             (1, dict(message="10101", **flips)),
