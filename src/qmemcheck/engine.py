@@ -241,8 +241,8 @@ def _accept_prob(distance: np.ndarray, m: int, k: int):
 
 def _run_chunk(config, k: int, script, messages: dict, indices: np.ndarray, buffers: _Buffers, tally: Tally) -> None:
     """Play the script on one chunk, one session per row. A rejected session's
-    row plays on, but its verdict ends its session: alive marks the rows whose
-    verdicts still count, so no array is reshaped or copied."""
+    row plays on, but its reject ends the session: alive marks the rows whose
+    verdicts still count, so rows never move within the run's buffers."""
     code = config.code
     n, m = code.params.n, code.params.m
     rows = np.arange(indices.size)
@@ -263,7 +263,6 @@ def _run_chunk(config, k: int, script, messages: dict, indices: np.ndarray, buff
         if op.op == "retrieve":
             tally.reached[retrieve_pos] += int(np.count_nonzero(alive))
         if stored is not None:  # the first store has nothing to verify
-            # all k copies of the comparison test accept with p_single(d/m)**k
             accept = _uniform(drawn[:, VERIFY_SLOT]) < _accept_prob(buffers.distance(stored, memory), m, k)
             reject = alive & ~accept
             if reject.any():
