@@ -382,21 +382,24 @@ def flat_csv(payload: dict[str, Any]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["metric", "value"])
-
-    def walk(value, path: str) -> None:
-        if isinstance(value, dict):
-            for key in sorted(value):
-                walk(value[key], f"{path}.{key}" if path else key)
-        elif isinstance(value, (list, tuple)) and any(isinstance(v, (dict, list, tuple)) for v in value):
-            for i, item in enumerate(value):
-                walk(item, f"{path}[{i}]")
-        elif isinstance(value, (list, tuple)):
-            writer.writerow([path, ";".join("" if v is None else str(v) for v in value)])
-        else:
-            writer.writerow([path, "" if value is None else str(value)])
-
-    walk(payload, "")
+    writer.writerows(_flat_rows(payload, ""))
     return buf.getvalue()
+
+
+def _flat_rows(value, path: str):
+    # a module-level generator, not a closure that calls itself: that closure
+    # is a reference cycle, which kept each writer's 128 KiB buffer alive
+    # until the cyclic garbage collector next ran
+    if isinstance(value, dict):
+        for key in sorted(value):
+            yield from _flat_rows(value[key], f"{path}.{key}" if path else key)
+    elif isinstance(value, (list, tuple)) and any(isinstance(v, (dict, list, tuple)) for v in value):
+        for i, item in enumerate(value):
+            yield from _flat_rows(item, f"{path}[{i}]")
+    elif isinstance(value, (list, tuple)):
+        yield [path, ";".join("" if v is None else str(v) for v in value)]
+    else:
+        yield [path, "" if value is None else str(value)]
 
 
 def canonical_json(payload) -> str:

@@ -1,3 +1,4 @@
+import gc
 import json
 import subprocess
 import sys
@@ -348,6 +349,20 @@ def test_parser_built_once(config_path, capsys, monkeypatch):
         cli.build_parser.cache_clear()
     assert built.count("qmemcheck") == 1  # the top-level parser, and its subparsers, built once
     assert len(built) == 5
+
+
+def test_simulate_leaves_no_reference_cycles(config_path, capsys, tmp_path):
+    # cyclic garbage waits for the collector; a csv writer left that way holds a 128 KiB buffer
+    main(["simulate", "--config", config_path, "--out", str(tmp_path)])  # builds the parser
+    gc.collect()
+    gc.disable()
+    try:
+        for fmt in ("json", "csv"):
+            assert main(["simulate", "--config", config_path, "--format", fmt, "--out", str(tmp_path)]) == EXIT_OK
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    capsys.readouterr()
 
 
 def test_installed_entry_point(tmp_path):
