@@ -387,9 +387,9 @@ def flat_csv(payload: dict[str, Any]) -> str:
 
 
 def _flat_rows(value, path: str):
-    # a module-level generator, not a closure that calls itself: that closure
-    # is a reference cycle, which kept each writer's 128 KiB buffer alive
-    # until the cyclic garbage collector next ran
+    # a module-level generator: a closure that called itself would be a
+    # reference cycle, keeping each csv writer and its 128 KiB buffer alive
+    # until the cyclic garbage collector runs
     if isinstance(value, dict):
         for key in sorted(value):
             yield from _flat_rows(value[key], f"{path}.{key}" if path else key)

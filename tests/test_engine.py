@@ -1,8 +1,8 @@
 """The batch session engine against the per-trial protocol, plus its determinism and caps.
 
 reference_tally plays each session through the library API (checker.store
-and retrieve, adversary.apply_step) with one generator per trial, the way
-runs were simulated before the engine. Every golden config shape runs under
+and retrieve, adversary.apply_step) with one numpy Generator per trial, one
+op at a time. Every golden config shape runs under
 both, and each rate must agree within 4 sigma of the pooled rate (or, near 0
 and 1, on the exact binomial tail), while the values that are exact by
 construction must match exactly.
