@@ -16,7 +16,7 @@ SplitMix64-style hash of (master seed, i, j, s) (Steele, Lea & Flood, "Fast
 splittable pseudorandom number generators", OOPSLA 2014; Salmon et al.,
 "Parallel random numbers: as easy as 1, 2, 3", SC 2011). No generator state
 passes between trials, so results do not depend on the chunk size, and
-run_sessions(config, k, range(i, i + 1), record=True) replays trial i alone.
+run_sessions(config, k, range(i, i + 1)) replays trial i alone.
 
 A chunk holds T = max(1, CHUNK_ELEMENTS // m) sessions, so no (T, m) array
 exceeds CHUNK_ELEMENTS entries unless m alone does; a run allocates its
@@ -185,15 +185,16 @@ def chunk_trials(m: int) -> int:
     return max(1, CHUNK_ELEMENTS // m)
 
 
-def run_sessions(config, k: int, trials: range, record: bool = False) -> Tally:
+def run_sessions(config, k: int, trials: range) -> Tally:
     """Run the sessions of config whose trial indices lie in trials, in chunks,
-    with k comparison copies per verification; record keeps verdict streams.
+    with k comparison copies per verification; verdict streams are kept when
+    config.record_trials is set.
 
     Each explicit message is parsed once, here.
     """
     script = config.build_script()
     n_retrieves = sum(op.op == "retrieve" for op in script)
-    tally = Tally([0] * n_retrieves, [0] * n_retrieves, verdicts=[] if record else None)
+    tally = Tally([0] * n_retrieves, [0] * n_retrieves, verdicts=[] if config.record_trials else None)
     specs = {config.message if op.message is None else op.message for op in script if op.op == "store"}
     messages = {spec: as_bits(spec, name="message") for spec in specs - {"random"}}
     m = config.code.params.m

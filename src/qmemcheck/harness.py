@@ -420,7 +420,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     t0 = time.monotonic()
 
     k = config.resolved_k()
-    tally = run_sessions(config, k, range(config.trials), record=config.record_trials)
+    tally = run_sessions(config, k, range(config.trials))
 
     n_trials = config.trials
     buggy = tally.buggy

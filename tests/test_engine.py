@@ -121,7 +121,7 @@ def test_one_trial_replays_alone(name):
     config = dataclasses.replace(ExperimentConfig.from_dict(CONFIGS[name]), trials=40, record_trials=True)
     k = config.resolved_k()
     full = run_experiment(config)
-    alone = [engine.run_sessions(config, k, range(i, i + 1), record=True) for i in range(config.trials)]
+    alone = [engine.run_sessions(config, k, range(i, i + 1)) for i in range(config.trials)]
     assert [t.verdicts[0] for t in alone] == full.trial_verdicts
     whole = engine.run_sessions(config, k, range(config.trials))
     assert sum(t.buggy for t in alone) == whole.buggy
