@@ -297,19 +297,18 @@ class IncrementalAttack(AttackSchedule):
     def apply_batch(self, step, memory, baseline, code, draws) -> None:
         t, m = memory.shape
         d = self.step_flip_counts(m)[step]
-        fresh = memory == baseline
+        fresh = np.flatnonzero(memory == baseline)  # flat positions, row by row, ascending
         # every row has run the same flip counts since its last store, so all hold f fresh positions
-        counts = np.count_nonzero(fresh, axis=1)
+        counts = np.diff(np.searchsorted(fresh, np.arange(0, (t + 1) * m, m)))
         f = int(counts[0])
         if d > f or (counts != f).any():
             held = sorted(set(counts.tolist()))
             raise ScheduleError(f"step {step} needs {d} fresh positions in every row, rows hold {held}")
-        positions = np.nonzero(fresh)[1].reshape(t, f)  # each row's fresh positions, ascending
         if self.policy == "prefix":
-            positions = positions[:, :d]
-        else:
-            positions = np.take_along_axis(positions, draws.distinct(f, d), axis=1)
-        flip_rows(memory, positions)
+            chosen = fresh.reshape(t, f)[:, :d]
+        else:  # the ranks of row r index its f entries of fresh
+            chosen = fresh[draws.distinct(f, d) + np.arange(0, t * f, f)[:, None]]
+        flip_rows(memory, chosen % m)
 
 
 SCHEDULES: dict[str, type[AttackSchedule]] = {
