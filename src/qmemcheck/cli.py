@@ -122,16 +122,13 @@ def _cmd_simulate(args) -> int:
         return EXIT_VALIDATION
 
     result = run_experiment(config)
-    # each document is rendered once: for stdout, and for its file under --out
-    render = {"json": result.results_json, "csv": result.render_csv}
-    texts = {fmt: render[fmt]() for fmt in (render if args.out is not None else (args.format,))}
     if args.out is not None:
         try:
-            result.write_outputs(args.out, texts)
+            result.write_outputs(args.out)
         except OSError as exc:
             print(f"error: cannot write output: {exc}", file=sys.stderr)
             return EXIT_IO
-    sys.stdout.write(texts[args.format])
+    sys.stdout.write(result.results_json() if args.format == "json" else result.render_csv())
     failed = [b["name"] for b in result.aggregates["bounds"] if not b["passed"]]
     if failed:
         print(f"bound check failed: {', '.join(failed)}", file=sys.stderr)

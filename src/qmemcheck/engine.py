@@ -93,10 +93,9 @@ def _uniform(draws: np.ndarray) -> np.ndarray:
 
 
 def _below(draws: np.ndarray, bound: int) -> np.ndarray:
-    """Integers in [0, bound): floor(uniform * bound), exactly uniform when
-    bound is a power of two up to 2^53, which is then just the top bits."""
-    if bound & (bound - 1) == 0:
-        return (draws >> np.uint64(65 - bound.bit_length())).astype(np.int64)
+    """Integers in [0, bound): floor(uniform * bound). At a power-of-two bound
+    up to 2^53 the product is exact, so this is the draw's top bits and
+    exactly uniform."""
     return (_uniform(draws) * bound).astype(np.int64)
 
 
@@ -188,13 +187,18 @@ def chunk_trials(m: int) -> int:
 def run_sessions(config, k: int, trials: range) -> Tally:
     """Run the sessions of config whose trial indices lie in trials, in chunks,
     with k comparison copies per verification; verdict streams are kept when
-    config.record_trials is set.
+    config.record_trials is set. trials must have step 1; an empty range gives
+    an empty tally.
 
     Each explicit message is parsed once, here.
     """
+    if trials.step != 1:
+        raise ValueError(f"trials must be a range of step 1, got {trials!r}")
     script = config.build_script()
     n_retrieves = sum(op.op == "retrieve" for op in script)
     tally = Tally([0] * n_retrieves, [0] * n_retrieves, verdicts=[] if config.record_trials else None)
+    if not trials:
+        return tally
     specs = {config.message if op.message is None else op.message for op in script if op.op == "store"}
     messages = {spec: as_bits(spec, name="message") for spec in specs - {"random"}}
     m = config.code.params.m
@@ -232,10 +236,7 @@ def _words(a: np.ndarray) -> np.ndarray:
 
 def _accept_prob(distance: np.ndarray, m: int, k: int):
     """p_single(d/m)**k per row: the chance that all k copies of the comparison
-    test accept at distance d. Usually every row sits at one distance."""
-    lo, hi = int(distance.min()), int(distance.max())
-    if lo == hi:
-        return p_single(lo / m) ** k
+    test accept at distance d, computed once per distinct distance."""
     values, inverse = np.unique(distance, return_inverse=True)
     return np.array([p_single(d / m) ** k for d in values.tolist()])[inverse]
 

@@ -322,13 +322,14 @@ def _attach_bounds(config: ExperimentConfig, aggregates: dict[str, Any]) -> list
     return reports
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentResult:
     """Aggregated run outcome plus the exact config that produced it.
 
     aggregates (and the results JSON built from them) are a pure function of
     (config, seed); run_meta holds the wall-clock and platform facts and is
-    written to its own sidecar file.
+    written to its own sidecar file. A result is read, not changed: its
+    documents are rendered once and the text kept.
     """
 
     config: ExperimentConfig
@@ -349,17 +350,23 @@ class ExperimentResult:
     def aggregates_json(self) -> str:
         return canonical_json(self.aggregates)
 
-    def results_json(self) -> str:
+    @cached_property
+    def _json_text(self) -> str:
         return canonical_json(self.result_document())
 
-    def render_csv(self) -> str:
+    @cached_property
+    def _csv_text(self) -> str:
         return flat_csv(self.aggregates)
 
-    def write_outputs(self, out_dir, texts: dict[str, str] | None = None) -> dict[str, Path]:
+    def results_json(self) -> str:
+        return self._json_text
+
+    def render_csv(self) -> str:
+        return self._csv_text
+
+    def write_outputs(self, out_dir) -> dict[str, Path]:
         """Write results.json, results.csv, and the run_meta.json sidecar; the
-        library writes files nowhere else. texts may hold the "json" and "csv"
-        documents already rendered, so that a caller renders each once."""
-        texts = texts or {"json": self.results_json(), "csv": self.render_csv()}
+        library writes files nowhere else."""
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         paths = {
@@ -367,8 +374,8 @@ class ExperimentResult:
             "csv": out / "results.csv",
             "meta": out / "run_meta.json",
         }
-        paths["json"].write_text(texts["json"])
-        paths["csv"].write_text(texts["csv"])
+        paths["json"].write_text(self.results_json())
+        paths["csv"].write_text(self.render_csv())
         paths["meta"].write_text(canonical_json(self.run_meta))
         return paths
 

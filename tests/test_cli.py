@@ -85,22 +85,27 @@ class TestSimulate:
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_out_renders_each_document_once(self, fmt, config_path, capsys, tmp_path, monkeypatch):
+        # result_document is the json render's one call, flat_csv the csv render's
         calls = []
-        for name in ("results_json", "render_csv"):
-            real = getattr(harness.ExperimentResult, name)
+        real_document, real_csv = harness.ExperimentResult.result_document, harness.flat_csv
 
-            def counted(self, real=real, name=name):
-                calls.append(name)
-                return real(self)
+        def counted_document(self):
+            calls.append("json")
+            return real_document(self)
 
-            monkeypatch.setattr(harness.ExperimentResult, name, counted)
+        def counted_csv(payload):
+            calls.append("csv")
+            return real_csv(payload)
+
+        monkeypatch.setattr(harness.ExperimentResult, "result_document", counted_document)
+        monkeypatch.setattr(harness, "flat_csv", counted_csv)
         code, out, _ = run_cli(["simulate", "--config", config_path, "--format", fmt, "--out", str(tmp_path)], capsys)
         assert code == EXIT_OK
-        assert sorted(calls) == ["render_csv", "results_json"]
+        assert sorted(calls) == ["csv", "json"]
         assert out == (tmp_path / f"results.{fmt}").read_text()
         calls.clear()
         run_cli(["simulate", "--config", config_path, "--format", fmt], capsys)
-        assert calls == ["results_json" if fmt == "json" else "render_csv"]
+        assert calls == [fmt]
 
     def test_out_dir_key_rejected_as_unknown(self, capsys, tmp_path):
         path = tmp_path / "old.json"

@@ -128,6 +128,17 @@ def test_one_trial_replays_alone(name):
     assert [sum(t.reached[p] for t in alone) for p in range(len(whole.reached))] == whole.reached
 
 
+def test_trials_must_be_a_step_one_range():
+    config = ExperimentConfig.from_dict(CONFIGS["script-attack-n3"])
+    with pytest.raises(ValueError, match="step 1"):
+        engine.run_sessions(config, 3, range(0, 10, 2))
+    for empty in (range(0), range(5, 5), range(7, 3)):
+        tally = engine.run_sessions(config, 3, empty)
+        assert (tally.buggy, tally.false_buggy, tally.correct) == (0, 0, 0)
+        assert tally.reached == tally.accepted == [0] * len(tally.reached)
+        assert tally.verdicts == []  # the config records trials: a stream for each of none
+
+
 def test_chunk_arrays_capped_at_n16(monkeypatch):
     chunks = []
     real = engine._run_chunk
@@ -197,10 +208,10 @@ class TestDraws:
         assert chi2 < 45  # 14 degrees of freedom: P(chi2 > 45) < 1e-4
 
     def test_power_of_two_bounds_take_the_top_bits(self):
-        # the shortcut gives exactly floor(uniform * bound)
-        draws = self.draws(3).u64(np.arange(200))
-        for bound in (1, 2, 16, 1 << 20):
-            assert np.array_equal(engine._below(draws, bound), (engine._uniform(draws) * bound).astype(np.int64))
+        # floor(uniform * 2^b) is exact up to b = 53, so every value is equally likely
+        draws = self.draws(3).u64(np.arange(200)).reshape(-1)
+        for bits in (0, 1, 4, 20, 53):
+            assert engine._below(draws, 1 << bits).tolist() == [d >> (64 - bits) for d in draws.tolist()]
 
     def test_rows_independent_of_chunk(self):
         # a row's subset depends on its own key only
