@@ -237,8 +237,8 @@ def _words(a: np.ndarray) -> np.ndarray:
 def _accept_prob(distance: np.ndarray, m: int, k: int):
     """p_single(d/m)**k per row: the chance that all k copies of the comparison
     test accept at distance d, computed once per distinct distance."""
-    values, inverse = np.unique(distance, return_inverse=True)
-    return np.array([p_single(d / m) ** k for d in values.tolist()])[inverse]
+    values = sorted(set(distance.tolist()))
+    return np.array([p_single(d / m) ** k for d in values])[np.searchsorted(values, distance)]
 
 
 def _run_chunk(config, k: int, script, messages: dict, indices: np.ndarray, buffers: _Buffers, tally: Tally) -> None:
