@@ -28,10 +28,10 @@ from typing import Any
 
 import numpy as np
 
-from .bits import as_bits, random_bits
+from .bits import as_bits
 from .checker import PublicMemory
 from .code import CodeParams, LocallyDecodableCode
-from .engine import flip_rows
+from .engine import OpDraws, flip_rows
 
 POSITION_POLICIES = ("uniform", "prefix")
 
@@ -100,15 +100,10 @@ class AttackSchedule:
         step *step* of the default script storing the config-level message."""
         raise NotImplementedError
 
-    def apply(self, step, memory, code, baseline, rng) -> None:
-        """Corrupt the PublicMemory for one in-range step, given the session's
-        LocallyDecodableCode and the stored codeword (baseline)."""
-        raise NotImplementedError
-
-    def apply_batch(self, step, memory, baseline, code, draws) -> None:
-        """The same step on a chunk of sessions, one row each: corrupt the
-        (T, m) memory array in place, given each row's stored codeword
-        (baseline) and the step's counter-based draws (engine.OpDraws)."""
+    def apply(self, step, memory, baseline, code, draws) -> None:
+        """The schedule's one corruption method, run by the engine on its chunks and by
+        apply_step on one row: corrupt one in-range step of the (T, m) memory array in
+        place, given each row's stored codeword (baseline) and the step's draws (OpDraws)."""
         raise NotImplementedError
 
 
@@ -121,10 +116,7 @@ class NoOpAttack(AttackSchedule):
     def step_distances(self, params, message, step) -> dict[int, float]:
         return {0: 1.0}
 
-    def apply(self, step, memory, code, baseline, rng) -> None:
-        pass
-
-    def apply_batch(self, step, memory, baseline, code, draws) -> None:
+    def apply(self, step, memory, baseline, code, draws) -> None:
         pass
 
 
@@ -161,21 +153,12 @@ class SubstituteCodeword(AttackSchedule):
             return {half: 1.0 - 0.5**params.n, 0: 0.5**params.n}
         return {half: 1.0}
 
-    def apply(self, step, memory, code, baseline, rng) -> None:
-        if self.target != "random":
-            word = code.encode(self.target)
-        else:  # the code is injective: this draws any message but the stored one
-            word = baseline
-            while np.array_equal(word, baseline):
-                word = code.encode(random_bits(code.params.n, rng))
-        memory.adversary_overwrite(word)
-
     @cached_property
     def _target_bits(self) -> np.ndarray:
         # parsed once per schedule, however many chunks a run has
         return as_bits(self.target, name="target")
 
-    def apply_batch(self, step, memory, baseline, code, draws) -> None:
+    def apply(self, step, memory, baseline, code, draws) -> None:
         if self.target != "random":
             memory[:] = code.encode_batch(self._target_bits[None, :])
             return
@@ -213,15 +196,7 @@ class FlipCount(AttackSchedule):
         # toggles the same ones again)
         return {min(self.bits_per_step, params.m): 1.0}
 
-    def apply(self, step, memory, code, baseline, rng) -> None:
-        m = memory.m
-        d = min(self.bits_per_step, m)
-        if self.policy == "prefix":
-            memory.adversary_flip(np.arange(d, dtype=np.int64))
-        else:
-            memory.adversary_flip(rng.choice(m, size=d, replace=False))
-
-    def apply_batch(self, step, memory, baseline, code, draws) -> None:
+    def apply(self, step, memory, baseline, code, draws) -> None:
         m = memory.shape[1]
         d = min(self.bits_per_step, m)
         if self.policy == "prefix":
@@ -283,18 +258,7 @@ class IncrementalAttack(AttackSchedule):
         # flips land on whole bits: the rounded count, not the requested fraction
         return {self.step_flip_counts(params.m)[step]: 1.0}
 
-    def apply(self, step, memory, code, baseline, rng) -> None:
-        d = self.step_flip_counts(memory.m)[step]
-        fresh = np.flatnonzero(memory.bits == baseline)
-        if d > fresh.size:
-            raise ScheduleError(f"step {step} needs {d} fresh positions but only {fresh.size} remain unflipped")
-        if self.policy == "prefix":
-            positions = fresh[:d]
-        else:
-            positions = rng.choice(fresh, size=d, replace=False) if d else fresh[:0]
-        memory.adversary_flip(positions)
-
-    def apply_batch(self, step, memory, baseline, code, draws) -> None:
+    def apply(self, step, memory, baseline, code, draws) -> None:
         t, m = memory.shape
         d = self.step_flip_counts(m)[step]
         fresh = np.flatnonzero(memory == baseline)  # flat positions, row by row, ascending
@@ -307,13 +271,25 @@ class IncrementalAttack(AttackSchedule):
         if self.policy == "prefix":
             chosen = fresh.reshape(t, f)[:, :d]
         else:  # the ranks of row r index its f entries of fresh
-            chosen = fresh[draws.distinct(f, d) + np.arange(0, t * f, f)[:, None]]
+            chosen = fresh[draws.distinct(f, d) + f * np.arange(t)[:, None]]
         flip_rows(memory, chosen % m)
 
 
 SCHEDULES: dict[str, type[AttackSchedule]] = {
     cls.kind: cls for cls in (NoOpAttack, SubstituteCodeword, FlipCount, IncrementalAttack)
 }
+
+
+class _GeneratorDraws(OpDraws):
+    """One session's draws, keyed by a 64-bit integer that a numpy Generator
+    gives on first use: a step that draws nothing consumes nothing of it."""
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        self._rng = rng
+
+    @cached_property
+    def keys(self) -> np.ndarray:
+        return self._rng.integers(2**64, size=1, dtype=np.uint64)
 
 
 def apply_step(
@@ -324,8 +300,11 @@ def apply_step(
     baseline: np.ndarray,
     rng: np.random.Generator,
 ) -> None:
-    """Apply step *step* (0-based) of the schedule to memory; baseline is the stored codeword."""
+    """Apply step *step* (0-based) of the schedule to memory; baseline is the stored codeword.
+    The schedule's apply runs on a one-row copy of the memory, written back after."""
     intrinsic = schedule.intrinsic_steps
     if step < 0 or (intrinsic is not None and step >= intrinsic):
         raise ScheduleError(f"step {step} out of range for schedule with {intrinsic} steps")
-    schedule.apply(step, memory, code, baseline, rng)
+    row = memory.bits[None, :].copy()
+    schedule.apply(step, row, baseline[None, :], code, _GeneratorDraws(rng))
+    memory.adversary_overwrite(row[0])

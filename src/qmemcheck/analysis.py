@@ -228,11 +228,14 @@ def verify_swap_oracle(
     Draws random phase-pattern pairs at each size and compares
     swap_accept_prob, which is p_single(d/m), with cswap_statevector_prob, so
     the formula every bound uses is the one checked; reports the worst absolute
-    deviation observed. Empty sizes and a tolerance that is not a finite
-    number >= 0 are rejected: either would make the check vacuous or false.
+    deviation observed. Empty sizes, fewer than one pair per size and a
+    tolerance that is not a finite number >= 0 are rejected: each would make
+    the check vacuous or false.
     """
     if not sizes:
         raise ValueError("sizes must name at least one codeword length")
+    if pairs_per_size < 1:
+        raise ValueError(f"pairs_per_size must be >= 1, got {pairs_per_size}")
     if not 0.0 <= tolerance < math.inf:
         raise ValueError(f"tolerance must be a finite number >= 0, got {tolerance}")
     rng = np.random.default_rng(seed)

@@ -103,13 +103,13 @@ def _emit(payload: dict, fmt: str, out_dir: str | None, stem: str) -> int:
 
 def _cmd_simulate(args) -> int:
     try:
-        text = Path(args.config).read_text()
+        data = Path(args.config).read_bytes()  # JSON is UTF-8, whatever the locale
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return EXIT_IO
     try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+        raw = json.loads(data)
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, an integer over the digit limit
         print(f"error: config is not valid JSON: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

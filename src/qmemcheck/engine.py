@@ -7,9 +7,11 @@ snapshots. A verification is one row-wise Hamming distance d and one uniform
 per session, compared with p_single(d/m)**k: that is the chance that all k
 copies of the comparison test accept, so the verdict has exactly the law of
 k copies without drawing k numbers. A decode reads each row at mask and
-mask ^ e. A session that rejects stops counting. The per-trial
-checker and schedule code stays the library API and the reference that the
-tests compare this engine against.
+mask ^ e. A session that rejects stops counting. An attack op runs its
+schedule's apply on the chunk's rows, the one corruption method each schedule
+has; adversary.apply_step runs the same method on one row. The per-trial
+checker.store and retrieve stay the library API and the reference that the
+tests compare this engine's verification, decode and refresh against.
 
 Every draw is counter-based: the draw of trial i's op j at slot s is a
 SplitMix64-style hash of (master seed, i, j, s) (Steele, Lea & Flood, "Fast
@@ -258,7 +260,7 @@ def _run_chunk(config, k: int, script, messages: dict, indices: np.ndarray, buff
     for j, op in enumerate(script):
         draws = OpDraws(op_keys[:, j])
         if op.op == "attack":
-            config.attack.apply_batch(attack_step, memory, baseline, code, draws)
+            config.attack.apply(attack_step, memory, baseline, code, draws)
             attack_step += 1
             continue
         drawn = draws.u64(np.arange(_PROTOCOL_SLOTS))  # every draw of a store or retrieve, one column per slot

@@ -260,6 +260,17 @@ class TestIncremental(object):
         with pytest.raises(ScheduleError):
             apply_step(sched, 2, mem, code, baseline, rng)
 
+    @pytest.mark.parametrize("policy", ["uniform", "prefix"])
+    @pytest.mark.parametrize("n, deltas", [(2, (1.0, 0.0)), (3, (0.5, 0.5, 0.0))])
+    def test_trailing_zero_step_with_no_fresh_position(self, n, deltas, policy, rng):
+        # the earlier steps flip all m positions, so the last one picks 0 of f = 0
+        code = HadamardCode(n)
+        mem, baseline = fresh_memory(code, "1" * n)
+        sched = IncrementalAttack(deltas=deltas, policy=policy)
+        for step in range(len(deltas)):
+            apply_step(sched, step, mem, code, baseline, rng)
+        assert (mem.bits != baseline).all()
+
     @given(st.integers(2, 5), st.data())
     @settings(max_examples=30, deadline=None)
     def test_disjoint_and_cumulative(self, n, data):

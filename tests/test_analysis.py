@@ -179,6 +179,12 @@ class TestVerifySwapOracle:
         assert report.samples == 80
         assert report.empirical <= 1e-10
 
+    @pytest.mark.parametrize("pairs", [0, -3])
+    def test_no_pairs_rejected(self, pairs):
+        # 0 samples would pass vacuously
+        with pytest.raises(ValueError, match="pairs_per_size"):
+            verify_swap_oracle(sizes=(2,), pairs_per_size=pairs)
+
     def test_deterministic(self):
         a = verify_swap_oracle(sizes=(4,), pairs_per_size=10, seed=9)
         b = verify_swap_oracle(sizes=(4,), pairs_per_size=10, seed=9)

@@ -136,6 +136,17 @@ class TestSimulate:
         assert code == EXIT_VALIDATION
         assert err
 
+    @pytest.mark.parametrize(
+        "data", [b"\xc3\x28", b"[" * 100_000, b"1" * 5000], ids=["not-utf8", "deep-nesting", "huge-integer"]
+    )
+    def test_undecodable_json_rejected_in_one_line(self, data, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(data)
+        code, out, err = run_cli(["simulate", "--config", str(path)], capsys)
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert err.startswith("error: config is not valid JSON: ") and err.count("\n") == 1
+
     def test_invalid_config_reports_field(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"n": 0}))
@@ -157,6 +168,16 @@ class TestSimulate:
         assert proc.returncode == EXIT_VALIDATION
         assert "attack.deltas" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("n, deltas", [(2, [1.0, 0.0]), (3, [0.5, 0.5, 0.0])])
+    def test_incremental_step_with_no_fresh_position_runs(self, n, deltas, capsys, tmp_path):
+        # the last step flips 0 of the 0 positions left fresh
+        path = tmp_path / "drained.json"
+        config = {"n": n, "k": 1, "attack": {"kind": "incremental", "deltas": deltas}, "trials": 10}
+        path.write_text(json.dumps(config))
+        code, out, err = run_cli(["simulate", "--config", str(path)], capsys)
+        assert code == EXIT_OK, err
+        assert all(b["passed"] for b in json.loads(out)["aggregates"]["bounds"])
 
     def test_target_equal_to_message_rejected(self, capsys, tmp_path):
         path = tmp_path / "same.json"

@@ -2,10 +2,12 @@
 
 reference_tally plays each session through the library API (checker.store
 and retrieve, adversary.apply_step) with one numpy Generator per trial, one
-op at a time. Every golden config shape runs under
-both, and each rate must agree within 4 sigma of the pooled rate (or, near 0
-and 1, on the exact binomial tail), while the values that are exact by
-construction must match exactly.
+op at a time. apply_step runs the same schedule code as the engine, on one
+row, so the comparison checks the engine's verification, decode and refresh
+law; test_attack_law checks the schedules against their exact step law. Every
+golden config shape runs under both, and each rate must agree within 4 sigma
+of the pooled rate (or, near 0 and 1, on the exact binomial tail), while the
+values that are exact by construction must match exactly.
 """
 
 import dataclasses
