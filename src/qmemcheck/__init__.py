@@ -32,7 +32,6 @@ from .bits import (
     bits_to_str,
     hamming_distance,
     int_to_bits,
-    random_bits,
 )
 from .checker import (
     CheckerState,
@@ -104,7 +103,6 @@ __all__ = [
     "new_checker",
     "p_multi",
     "p_single",
-    "random_bits",
     "required_k",
     "retrieve",
     "run_experiment",

@@ -136,17 +136,14 @@ def printed_t2_identity_variant(d1: float, total: float) -> float:
     return 4.0 * d1 * d2 * (total + d1 * d2)
 
 
-def _compositions(grid: int, t_max: int) -> Iterator[tuple[int, ...]]:
-    """All tuples (g_1..g_T), 1 <= T <= t_max, g_i >= 0 integers, sum <= grid."""
-
-    def extend(prefix: tuple[int, ...], remaining: int) -> Iterator[tuple[int, ...]]:
-        for g in range(remaining + 1):
-            tup = prefix + (g,)
-            yield tup
-            if len(tup) < t_max:
-                yield from extend(tup, remaining - g)
-
-    yield from extend((), grid)
+def _compositions(grid: int, t_max: int, prefix: tuple[int, ...] = ()) -> Iterator[tuple[int, ...]]:
+    """All tuples prefix + (g_1..g_j), j >= 1, of length <= t_max, with integers g_i >= 0 summing to <= grid."""
+    # module-level, as a self-calling closure would be a reference cycle left for the garbage collector
+    for g in range(grid + 1):
+        tup = prefix + (g,)
+        yield tup
+        if len(tup) < t_max:
+            yield from _compositions(grid - g, t_max, tup)
 
 
 def verify_lemma2(grid: int = 20, t_max: int = 4, tolerance: float = FLOAT_TOL) -> BoundReport:

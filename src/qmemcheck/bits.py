@@ -63,7 +63,3 @@ def hamming_distance(a: np.ndarray, b: np.ndarray) -> int:
         raise ValueError(f"length mismatch: {a.shape} vs {b.shape}")
     return int(np.count_nonzero(a != b))
 
-
-def random_bits(length: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform random bit vector of the given length."""
-    return rng.integers(0, 2, size=length, dtype=np.uint8)

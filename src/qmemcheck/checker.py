@@ -282,9 +282,7 @@ def retrieve(
     if not _verification_accepts(state, memory, rng):
         return Verdict.buggy()
 
-    plan = code.decode_query_plan(index, rng)
-    answers = memory.read_bits(plan)
-    decoded = code.decode_from_answers(index, plan, answers)
+    decoded = code.decode(index, [int(rng.integers(code.params.m))], memory.read_bits)[0]
 
     state.fingerprint = memory.fetch_summaries(state.k)[0]
     return Verdict.answer(decoded)

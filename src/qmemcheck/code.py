@@ -10,9 +10,9 @@ the unit mask of bit i. That makes the code 2-query locally decodable: with
 at most a delta_dec fraction of positions corrupted, a uniformly random mask
 yields the correct bit with probability at least 1 - 2*delta_dec.
 
-The decoder performs exactly one plan/answers round per call; amplification
-(repeating the decode) is deliberately left to callers so that per-request
-query counts stay honest.
+A decode reads each row's q positions through a caller-supplied read, once
+per call; amplification (repeating the decode) is deliberately left to
+callers so that per-request query counts stay honest.
 """
 
 from __future__ import annotations
@@ -72,10 +72,10 @@ class CodeParams:
 class LocallyDecodableCode(ABC):
     """Encoding plus probabilistic local decoding under bounded corruption.
 
-    Implementations must be pure: encode is deterministic, and
-    decode_from_answers depends only on (index, plan, answers). Randomness
-    enters solely through the caller-supplied generator in decode_query_plan,
-    which keeps every operation safe to use from concurrent workers.
+    Implementations must be pure: encode is deterministic, and decode depends
+    only on (index, masks) and the bits read. Randomness enters solely
+    through the caller-supplied masks, which keeps every operation safe to
+    use from concurrent workers.
     """
 
     @property
@@ -91,23 +91,27 @@ class LocallyDecodableCode(ABC):
         """Encode a (T, n) uint8 array of messages into a (T, m) array of codewords (into out, if given)."""
 
     @abstractmethod
-    def decode_query_plan(self, index: int, rng: np.random.Generator) -> list[int]:
-        """Sample the <= q codeword positions a local decode of bit *index* will read.
+    def decode(self, index, masks: np.ndarray, read) -> np.ndarray:
+        """Message bit index (an int, or one per row) of each row, decoded with
+        that row's randomness masks[row].
 
-        Returns the positions without reading them, so the caller can route
-        the reads through whatever oracle holds the codeword and count them.
+        read maps a (rows, q) array of codeword positions to their bits, so the
+        caller routes the reads through whatever holds the codewords and can
+        count them. Out-of-range inputs raise before read is called.
         """
-
-    @abstractmethod
-    def decode_from_answers(self, index: int, plan: list[int], answers) -> int:
-        """Recover message bit *index* from the answers to a previously emitted plan."""
 
     # -- shared validation -------------------------------------------------
 
-    def _check_index(self, index: int) -> None:
+    def _check_index(self, index) -> None:
         n = self.params.n
-        if not 0 <= index < n:
+        if not _in_range(index, n):
             raise IndexError(f"bit index {index} out of range [0, {n})")
+
+
+def _in_range(values, bound: int) -> bool:
+    """Every entry of an int or integer array lies in [0, bound)."""
+    values = np.asarray(values)
+    return not values.size or (values.min() >= 0 and values.max() < bound)
 
 
 class HadamardCode(LocallyDecodableCode):
@@ -128,8 +132,9 @@ class HadamardCode(LocallyDecodableCode):
     def params(self) -> CodeParams:
         return self._params
 
-    def unit_mask(self, index: int) -> int:
-        """Integer mask with a single 1 at message bit *index* (MSB-first weights)."""
+    def unit_mask(self, index):
+        """Integer mask with a single 1 at message bit *index* (MSB-first
+        weights); for an integer array of indices, one mask per entry."""
         self._check_index(index)
         return 1 << (self._params.n - 1 - index)
 
@@ -158,26 +163,11 @@ class HadamardCode(LocallyDecodableCode):
             w *= 2
         return words
 
-    def plan_for_mask(self, index: int, mask: int) -> list[int]:
-        """The two positions read for a given sampled mask: [a, a xor e_index]."""
-        self._check_index(index)
-        m = self._params.m
-        if not 0 <= mask < m:
-            raise ValueError(f"mask {mask} out of range [0, {m})")
-        return [mask, mask ^ self.unit_mask(index)]
-
-    def decode_query_plan(self, index: int, rng: np.random.Generator) -> list[int]:
-        self._check_index(index)
-        mask = int(rng.integers(self._params.m))
-        return self.plan_for_mask(index, mask)
-
-    def decode_from_answers(self, index: int, plan: list[int], answers) -> int:
-        self._check_index(index)
-        answers = np.asarray(answers)
-        if len(plan) != 2:
-            raise ValueError(f"plan must hold exactly 2 positions, got {len(plan)}")
-        if answers.shape != (2,):
-            raise ValueError(f"answers length {answers.size} does not match plan length 2")
-        if plan[0] ^ plan[1] != self.unit_mask(index):
-            raise ValueError(f"plan {plan} is not a valid query pair for bit {index}")
-        return int(answers[0]) ^ int(answers[1])
+    def decode(self, index, masks: np.ndarray, read) -> np.ndarray:
+        """Reads [a, a xor e_index] for each row's mask a, and xors the two bits."""
+        units = self.unit_mask(index)
+        masks = np.asarray(masks)
+        if not _in_range(masks, self._params.m):
+            raise ValueError(f"decode masks out of range [0, {self._params.m})")
+        bits = read(np.array([masks, masks ^ units]).T)
+        return bits[:, 0] ^ bits[:, 1]

@@ -6,12 +6,14 @@ and the baseline (the codeword of the last accepted store) are (T, m)
 snapshots. A verification is one row-wise Hamming distance d and one uniform
 per session, compared with p_single(d/m)**k: that is the chance that all k
 copies of the comparison test accept, so the verdict has exactly the law of
-k copies without drawing k numbers. A decode reads each row at mask and
-mask ^ e. A session that rejects stops counting. An attack op runs its
-schedule's apply on the chunk's rows, the one corruption method each schedule
-has; adversary.apply_step runs the same method on one row. The per-trial
-checker.store and retrieve stay the library API and the reference that the
-tests compare this engine's verification, decode and refresh against.
+k copies without drawing k numbers. A decode is the code's decode on the
+chunk's rows, each row reading its own memory; checker.retrieve runs the
+same method on one row. A session that rejects stops counting. An attack op
+runs its schedule's apply on the chunk's rows, the one corruption method
+each schedule has; adversary.apply_step runs the same method on one row.
+The per-trial checker.store and retrieve stay the library API and the
+reference that the tests compare this engine's verification, decode and
+refresh against.
 
 Every draw is counter-based: the draw of trial i's op j at slot s is a
 SplitMix64-style hash of (master seed, i, j, s) (Steele, Lea & Flood, "Fast
@@ -188,14 +190,19 @@ def chunk_trials(m: int) -> int:
 
 def run_sessions(config, k: int, trials: range) -> Tally:
     """Run the sessions of config whose trial indices lie in trials, in chunks,
-    with k comparison copies per verification; verdict streams are kept when
-    config.record_trials is set. trials must have step 1; an empty range gives
+    with k >= 1 comparison copies per verification; verdict streams are kept
+    when config.record_trials is set. trials must have step 1 and lie in
+    [0, 2^64), since trial indices are uint64 counters; an empty range gives
     an empty tally.
 
     Each explicit message is parsed once, here.
     """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     if trials.step != 1:
         raise ValueError(f"trials must be a range of step 1, got {trials!r}")
+    if trials.start < 0 or trials.stop > 2**64:
+        raise ValueError(f"trials must lie in [0, 2^64), got {trials!r}")
     script = config.build_script()
     n_retrieves = sum(op.op == "retrieve" for op in script)
     tally = Tally([0] * n_retrieves, [0] * n_retrieves, verdicts=[] if config.record_trials else None)
@@ -296,7 +303,7 @@ def _run_chunk(config, k: int, script, messages: dict, indices: np.ndarray, buff
             elif index == "cycle":
                 index, cycle = cycle % n, cycle + 1
             mask = _below(drawn[:, MASK_SLOT], m)
-            verdict = memory[rows, mask] ^ memory[rows, mask ^ (1 << (n - 1 - index))]
+            verdict = code.decode(index, mask, lambda pos: memory[rows[:, None], pos])
             tally.correct += int(np.count_nonzero((verdict == message[rows, index]) & alive))
             tally.accepted[retrieve_pos] += int(np.count_nonzero(alive))
             retrieve_pos += 1

@@ -41,6 +41,9 @@ RESULTS_SCHEMA = "qmemcheck.results.v4"
 # only exhaust memory or time.
 MAX_K = 10**6
 MAX_STEPS = 10**4
+# A record_trials run keeps trials * len(script) verdicts, about 32 bytes of
+# memory each (1.8 million of them took 57 MB), until the document is written.
+MAX_RECORDED_VERDICTS = 10**7
 
 # Phi(-4): the tail mass a 4-sigma band leaves on one side of a normal rate
 TAIL_ALPHA = 0.5 * math.erfc(4.0 / math.sqrt(2.0))
@@ -177,7 +180,11 @@ class ExperimentConfig:
         except ConfigError as exc:
             raise exc.under("attack") from None
 
-        self._check_script(self.build_script())
+        script = self.build_script()
+        self._check_script(script)
+        if self.record_trials and self.trials * len(script) > MAX_RECORDED_VERDICTS:
+            raise ConfigError("trials", f"record_trials keeps at most {MAX_RECORDED_VERDICTS} verdicts, "
+                              f"got {self.trials} trials of {len(script)} ops")
 
     def _check_message(self, message, path: str) -> None:
         if message == "random":

@@ -9,7 +9,6 @@ from qmemcheck.bits import (
     bits_to_str,
     hamming_distance,
     int_to_bits,
-    random_bits,
 )
 
 
@@ -90,16 +89,3 @@ class TestHamming:
     def test_complement_is_full_length(self, bits):
         a = as_bits(bits)
         assert hamming_distance(a, 1 - a) == len(bits)
-
-
-def test_random_bits_shape_and_range(rng):
-    out = random_bits(17, rng)
-    assert out.shape == (17,)
-    assert out.dtype == np.uint8
-    assert set(np.unique(out)) <= {0, 1}
-
-
-def test_random_bits_deterministic():
-    a = random_bits(64, np.random.default_rng(3))
-    b = random_bits(64, np.random.default_rng(3))
-    assert np.array_equal(a, b)

@@ -260,6 +260,17 @@ class TestStoreRetrieve:
                 verdict = retrieve(state, mem, index, rng)
                 assert verdict == Verdict.answer(int(msg[index]))
 
+    def test_honest_retrieve_reads_q_bits(self, rng):
+        # one local decode per retrieve, each of its q reads metered once
+        code = HadamardCode(5)
+        state = new_checker(code, 0.01)
+        mem = PublicMemory()
+        store(state, mem, "10110", rng)
+        for index in range(5):
+            before = mem.read_log
+            assert retrieve(state, mem, index, rng) == Verdict.answer(int("10110"[index]))
+            assert mem.read_log - before == code.params.q
+
     def test_reject_skips_decode_and_refresh(self, rng):
         # keep the memory at half distance (re-flipping after any accepting
         # retrieve, since acceptance refreshes the fingerprints) until a

@@ -219,6 +219,17 @@ class TestSimulate:
         assert out == ""
         assert err.startswith(f"error: {field}: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("given, flag", [(10**8, []), (5, ["--trials", str(10**8)])])
+    def test_oversized_recording_rejected(self, given, flag, capsys, tmp_path):
+        # 10^8 trials of 3 ops would keep 3 * 10^8 verdicts in memory; the
+        # cap is checked on the config and again on a --trials override
+        path = tmp_path / "record.json"
+        path.write_text(json.dumps({"n": 3, "trials": given, "record_trials": True}))
+        code, out, err = run_cli(["simulate", "--config", str(path), *flag], capsys)
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert err.startswith("error: trials: ") and str(harness.MAX_RECORDED_VERDICTS) in err
+
     def test_delta_dec_rejected_as_unknown_key(self, capsys, tmp_path):
         path = tmp_path / "old.json"
         path.write_text(json.dumps({"n": 3, "delta_dec": 0.125, "trials": 5}))
@@ -378,14 +389,23 @@ def test_parser_built_once(config_path, capsys, monkeypatch):
 
 
 def test_simulate_leaves_no_reference_cycles(config_path, capsys, tmp_path):
-    # cyclic garbage waits for the collector; a csv writer left that way holds a 128 KiB buffer
-    main(["simulate", "--config", config_path, "--out", str(tmp_path)])  # builds the parser
+    # cyclic garbage waits for the collector; a csv writer left that way holds a
+    # 128 KiB buffer. Every subcommand, in both formats, must leave none.
+    commands = [
+        ["simulate", "--config", config_path],
+        ["bounds", "--deltas", "0.25,0.25"],
+        ["verify-lemma2", "--grid", "6", "--t-max", "3"],
+        ["oracle-check", "--sizes", "2,4", "--pairs", "5"],
+    ]
+    for argv in commands:
+        main(argv + ["--out", str(tmp_path)])  # warm: the parser is built once
     gc.collect()
     gc.disable()
     try:
-        for fmt in ("json", "csv"):
-            assert main(["simulate", "--config", config_path, "--format", fmt, "--out", str(tmp_path)]) == EXIT_OK
-        assert gc.collect() == 0
+        for argv in commands:
+            for fmt in ("json", "csv"):
+                assert main(argv + ["--format", fmt, "--out", str(tmp_path)]) == EXIT_OK
+                assert gc.collect() == 0, (argv, fmt)
     finally:
         gc.enable()
     capsys.readouterr()

@@ -110,48 +110,73 @@ class TestEncode:
         assert np.array_equal(lhs, rhs)
 
 
+def reader(word: np.ndarray, calls: list | None = None):
+    """A read over one codeword (or one row per decode row) that logs each position array."""
+
+    def read(pos):
+        if calls is not None:
+            calls.append(pos)
+        return word[pos] if word.ndim == 1 else word[np.arange(pos.shape[0])[:, None], pos]
+
+    return read
+
+
 class TestQueryPlan:
     def test_unit_mask_is_msb_first(self):
         code = HadamardCode(3)
         assert [code.unit_mask(i) for i in range(3)] == [4, 2, 1]
+        assert code.unit_mask(np.array([2, 0, 1])).tolist() == [1, 4, 2]
 
     def test_known_plan(self):
         # index 1 (second message bit), mask a=011 -> positions {011, 001}
-        code = HadamardCode(3)
-        assert code.plan_for_mask(1, 0b011) == [0b011, 0b001]
+        code, calls = HadamardCode(3), []
+        code.decode(1, [0b011], reader(np.zeros(8, dtype=np.uint8), calls))
+        assert [c.tolist() for c in calls] == [[[0b011, 0b001]]]
 
     def test_zero_mask_plan(self):
-        code = HadamardCode(4)
-        for i in range(4):
-            assert code.plan_for_mask(i, 0) == [0, code.unit_mask(i)]
+        code, calls = HadamardCode(4), []
+        code.decode(np.arange(4), np.zeros(4, dtype=np.int64), reader(np.zeros(16, dtype=np.uint8), calls))
+        assert calls[0].tolist() == [[0, code.unit_mask(i)] for i in range(4)]
 
     def test_plan_length_is_q(self, rng):
-        code = HadamardCode(3)
-        for _ in range(1000):
-            plan = code.decode_query_plan(int(rng.integers(3)), rng)
-            assert len(plan) <= code.params.q
-            assert all(0 <= pos < code.params.m for pos in plan)
+        # read gets one (rows, q) array of in-range positions per call
+        code, calls = HadamardCode(3), []
+        code.decode(rng.integers(3, size=1000), rng.integers(8, size=1000), reader(np.zeros(8, dtype=np.uint8), calls))
+        assert len(calls) == 1
+        assert calls[0].shape == (1000, code.params.q)
+        assert calls[0].min() >= 0 and calls[0].max() < code.params.m
 
-    def test_index_out_of_range(self, rng):
-        code = HadamardCode(3)
-        with pytest.raises(IndexError):
-            code.decode_query_plan(3, rng)
-        with pytest.raises(IndexError):
-            code.plan_for_mask(-1, 0)
+    def test_index_out_of_range(self):
+        # scalar or in an array, a bad index raises before any read
+        code, calls = HadamardCode(3), []
+        for index in (3, -1, np.array([0, 3]), np.array([-1, 2])):
+            with pytest.raises(IndexError):
+                code.decode(index, np.zeros(np.size(index), dtype=np.int64), reader(np.zeros(8, dtype=np.uint8), calls))
+        assert calls == []
+
+    def test_mask_out_of_range(self):
+        code, calls = HadamardCode(3), []
+        for masks in ([8], [-1], [0, 8]):
+            with pytest.raises(ValueError):
+                code.decode(0, masks, reader(np.zeros(8, dtype=np.uint8), calls))
+        assert calls == []
 
 
 class TestDecode:
-    def test_exact_at_zero_corruption(self, rng):
-        # every mask, every index, every message: XOR of the two reads is x_j
-        code = HadamardCode(3)
-        for x in range(8):
-            msg = int_to_bits(x, 3)
-            word = code.encode(msg)
-            for index in range(3):
-                for mask in range(8):
-                    plan = code.plan_for_mask(index, mask)
-                    answers = word[plan]
-                    assert code.decode_from_answers(index, plan, answers) == msg[index]
+    def test_exact_at_zero_corruption(self):
+        # every n <= 4, message, index and mask: the xor of the two reads is x_index
+        for n in range(1, 5):
+            code, m = HadamardCode(n), 2**n
+            masks = np.arange(m)
+            msgs = np.array([int_to_bits(x, n) for x in range(m)])
+            words = code.encode_batch(msgs)
+            for msg, word in zip(msgs, words):
+                for index in range(n):  # one index for every row
+                    assert (code.decode(index, masks, reader(word)) == msg[index]).all()
+            # one index per row, each row reading its own codeword
+            rows = np.array(list(itertools.product(range(m), range(n), range(m))))
+            decoded = code.decode(rows[:, 1], rows[:, 2], reader(words[rows[:, 0]]))
+            assert np.array_equal(decoded, msgs[rows[:, 0], rows[:, 1]])
 
     def test_single_flip_success_rate(self):
         # n=3, x=101, first message bit: one flipped bit kills at most
@@ -161,39 +186,20 @@ class TestDecode:
         for flip in range(8):
             corrupted = word.copy()
             corrupted[flip] ^= 1
-            good = 0
-            for mask in range(8):
-                plan = code.plan_for_mask(0, mask)
-                if code.decode_from_answers(0, plan, corrupted[plan]) == 1:
-                    good += 1
-            assert good / 8 >= 0.75
+            assert (code.decode(0, np.arange(8), reader(corrupted)) == 1).mean() >= 0.75
 
     def test_failure_iff_exactly_one_read_corrupted(self):
+        # every corruption pattern of an n=3 codeword, every index and mask
         code = HadamardCode(3)
-        word = code.encode("110")
-        index = 2
-        plan = code.plan_for_mask(index, 0b101)
-        one = word.copy()
-        one[plan[0]] ^= 1
-        assert code.decode_from_answers(index, plan, one[plan]) == 1  # true bit is 0: wrong answer
-        both = word.copy()
-        both[plan[0]] ^= 1
-        both[plan[1]] ^= 1
-        assert code.decode_from_answers(index, plan, both[plan]) == 0
-
-    def test_answers_length_checked(self):
-        code = HadamardCode(3)
-        plan = code.plan_for_mask(0, 3)
-        with pytest.raises(ValueError):
-            code.decode_from_answers(0, plan, as_bits("101"))
-
-    def test_plan_consistency_checked(self):
-        code = HadamardCode(3)
-        with pytest.raises(ValueError):
-            # positions do not differ by the target unit mask
-            code.decode_from_answers(0, [0b011, 0b010], as_bits("01"))
-        with pytest.raises(ValueError):
-            code.decode_from_answers(0, [0b011], as_bits("0"))
+        msg = as_bits("110")
+        word = code.encode(msg)
+        masks = np.arange(8)
+        for pattern in range(256):
+            corrupted = int_to_bits(pattern, 8)
+            for index in range(3):
+                wrong = code.decode(index, masks, reader(word ^ corrupted)) != msg[index]
+                one_hit = corrupted[masks] != corrupted[masks ^ code.unit_mask(index)]
+                assert np.array_equal(wrong, one_hit)
 
     @given(st.integers(1, 6), st.data())
     @settings(max_examples=40, deadline=None)
@@ -203,6 +209,4 @@ class TestDecode:
         mask = data.draw(st.integers(0, 2**n - 1))
         code = HadamardCode(n)
         msg = int_to_bits(x, n)
-        word = code.encode(msg)
-        plan = code.plan_for_mask(index, mask)
-        assert code.decode_from_answers(index, plan, word[plan]) == msg[index]
+        assert code.decode(index, [mask], reader(code.encode(msg))).tolist() == [msg[index]]

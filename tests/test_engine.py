@@ -21,7 +21,6 @@ import pytest
 from qmemcheck import engine, harness
 from qmemcheck.adversary import FlipCount, SubstituteCodeword, apply_step
 from qmemcheck.analysis import binomial_tail
-from qmemcheck.bits import random_bits
 from qmemcheck.checker import CheckerState, PublicMemory, retrieve, store
 from qmemcheck.harness import ExperimentConfig, run_experiment
 from test_golden import CONFIGS
@@ -44,7 +43,7 @@ def reference_tally(config: ExperimentConfig) -> engine.Tally:
                 continue
             if op.op == "store":
                 spec = op.message if op.message is not None else config.message
-                msg = random_bits(config.n, rng) if spec == "random" else np.array([int(b) for b in spec])
+                msg = rng.integers(0, 2, size=config.n, dtype=np.uint8) if spec == "random" else np.array([int(b) for b in spec])
                 verdict = store(state, memory, msg, rng)
             else:
                 index = op.index if op.index is not None else config.retrieve_index
@@ -134,6 +133,12 @@ def test_trials_must_be_a_step_one_range():
     config = ExperimentConfig.from_dict(CONFIGS["script-attack-n3"])
     with pytest.raises(ValueError, match="step 1"):
         engine.run_sessions(config, 3, range(0, 10, 2))
+    for outside in (range(-1, 5), range(2**64 - 1, 2**64 + 1)):  # trial indices key uint64 draws
+        with pytest.raises(ValueError, match=r"\[0, 2\^64\)"):
+            engine.run_sessions(config, 3, outside)
+    for k in (0, -3):  # no comparison copy would mean no verification at all
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            engine.run_sessions(config, k, range(10))
     for empty in (range(0), range(5, 5), range(7, 3)):
         tally = engine.run_sessions(config, 3, empty)
         assert (tally.buggy, tally.false_buggy, tally.correct) == (0, 0, 0)
