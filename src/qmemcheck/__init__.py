@@ -51,6 +51,7 @@ from .fingerprint import (
     SwapOutcome,
     amplitudes,
     cswap_statevector_prob,
+    cswap_statevector_probs,
     inner_product,
     make_fingerprint,
     sample_swap_test,
@@ -95,6 +96,7 @@ __all__ = [
     "bits_to_str",
     "complexity_report",
     "cswap_statevector_prob",
+    "cswap_statevector_probs",
     "hamming_distance",
     "inner_product",
     "int_to_bits",

@@ -19,6 +19,17 @@ Two facts about the protocol are verified here at desk scale:
   Direct subtraction is the ground truth; the report additionally evaluates a
   variant of the identity with the last sign flipped to "+" (a form this
   check exists to guard against) and flags its disagreement.
+
+Both checks are array computations. verify_lemma2 tabulates p_single on the
+grid once and builds the schedules level by level, a child being (parent sum
++ g, parent product * p_single(g/grid)); that is p_multi's left-to-right
+product, so every margin is the double p_multi would give. It runs depth
+first in blocks of at most _LEMMA2_BLOCK schedules, so its memory does not
+grow with the schedule count, and it takes about 0.2 s at the cap of
+MAX_LEMMA2_SCHEDULES. verify_swap_oracle runs the controlled-SWAP circuit
+on blocks of pairs (cswap_statevector_probs) and compares each with
+p_single(d/m) at the pair's Hamming distance; it is capped at
+MAX_ORACLE_PAIRS pairs.
 """
 
 from __future__ import annotations
@@ -30,13 +41,22 @@ from typing import Iterator, Sequence
 import numpy as np
 
 # p_single lives with the comparison test it describes; it is re-exported here
-from .fingerprint import Fingerprint, cswap_statevector_prob, p_single, swap_accept_prob
+from .fingerprint import check_oracle_size, cswap_statevector_probs, p_single
 
 #: Absolute slack for float roundoff when comparing analytically equal quantities.
 FLOAT_TOL = 1e-12
 
 #: Most schedules verify_lemma2 will enumerate; larger grids fail fast instead of running for days.
 MAX_LEMMA2_SCHEDULES = 10**7
+
+#: Most schedules verify_lemma2 holds in one array block (a parent's children are never split).
+_LEMMA2_BLOCK = 2**12
+
+#: Most pairs verify_swap_oracle will simulate, over all sizes; more fail fast instead of running for hours.
+MAX_ORACLE_PAIRS = 10**6
+
+#: Most statevector amplitudes (2*m*m per pair) in one block of oracle pairs.
+_ORACLE_BLOCK_AMPLITUDES = 2**13
 
 
 @dataclass
@@ -118,11 +138,6 @@ def lemma1_bound(delta: float, k: int) -> float:
     return p_single(delta) ** k
 
 
-def _direct_t2_gap(d1: float, total: float) -> float:
-    """Ground truth for the T=2 gap: p_single(total) - p_single(d1)*p_single(total-d1)."""
-    return p_single(total) - p_single(d1) * p_single(total - d1)
-
-
 def rederived_t2_identity(d1: float, total: float) -> float:
     """Re-derived closed form of the T=2 gap: 4*D1*D2*(D - D1*D2) with D2 = D - D1."""
     d2 = total - d1
@@ -136,14 +151,35 @@ def printed_t2_identity_variant(d1: float, total: float) -> float:
     return 4.0 * d1 * d2 * (total + d1 * d2)
 
 
-def _compositions(grid: int, t_max: int, prefix: tuple[int, ...] = ()) -> Iterator[tuple[int, ...]]:
-    """All tuples prefix + (g_1..g_j), j >= 1, of length <= t_max, with integers g_i >= 0 summing to <= grid."""
-    # module-level, as a self-calling closure would be a reference cycle left for the garbage collector
-    for g in range(grid + 1):
-        tup = prefix + (g,)
-        yield tup
-        if len(tup) < t_max:
-            yield from _compositions(grid - g, t_max, tup)
+def _schedule_margins(grid: int, t_max: int) -> Iterator[np.ndarray]:
+    """Blocks of p_multi(parts) - p_single(sum(parts)) over every schedule on the grid.
+
+    A schedule is (g_1..g_j), 1 <= j <= t_max, of integers g_i >= 0 with sum
+    <= grid, standing for the flip fractions g_i / grid. Schedules are built
+    level by level: each child of a parent with sum s and product x is
+    (s + g, x * table[g]) for g in [0, grid - s], which is p_multi's
+    left-to-right product, so each margin is the double p_multi gives. The
+    expansion runs depth first in blocks of at most max(_LEMMA2_BLOCK, grid + 1)
+    children, so memory is O(t_max * block) whatever the schedule count.
+    """
+    table = p_single(np.arange(grid + 1) / grid)
+    # (length of the children, parent sums, parent products); the root is the empty schedule
+    stack = [(1, np.zeros(1, dtype=np.int64), np.ones(1))]
+    while stack:
+        length, sums, prods = stack.pop()
+        children = grid + 1 - sums
+        ends = np.cumsum(children)
+        cut = max(1, int(np.count_nonzero(ends <= _LEMMA2_BLOCK)))
+        if cut < sums.size:
+            stack.append((length, sums[cut:], prods[cut:]))
+            sums, prods, children, ends = sums[:cut], prods[:cut], children[:cut], ends[:cut]
+        parent = np.repeat(np.arange(sums.size), children)
+        g = np.arange(ends[-1]) - (ends - children)[parent]
+        child_sums = sums[parent] + g
+        child_prods = prods[parent] * table[g]
+        yield child_prods - table[child_sums]
+        if length < t_max:
+            stack.append((length + 1, child_sums, child_prods))
 
 
 def verify_lemma2(grid: int = 20, t_max: int = 4, tolerance: float = FLOAT_TOL) -> BoundReport:
@@ -173,25 +209,18 @@ def verify_lemma2(grid: int = 20, t_max: int = 4, tolerance: float = FLOAT_TOL) 
     violations = 0
     worst_margin = -np.inf  # max of p_multi - p_single(sum); <= 0 means the bound holds
     checked = 0
-    for parts in _compositions(grid, t_max):
-        deltas = [g / grid for g in parts]
-        margin = p_multi(deltas) - p_single(sum(parts) / grid)
-        worst_margin = max(worst_margin, margin)
-        if margin > tolerance:
-            violations += 1
-        checked += 1
+    for margins in _schedule_margins(grid, t_max):
+        worst_margin = max(worst_margin, margins.max())
+        violations += int(np.count_nonzero(margins > tolerance))
+        checked += margins.size
 
-    # T=2 identity scan on a finer grid.
+    # T=2 identity scan on a finer grid: every (d1, total) with d1 <= total.
     fine = 100
-    rederived_dev = 0.0
-    variant_dev = 0.0
-    for total_i in range(fine + 1):
-        total = total_i / fine
-        for d1_i in range(total_i + 1):
-            d1 = d1_i / fine
-            direct = _direct_t2_gap(d1, total)
-            rederived_dev = max(rederived_dev, abs(direct - rederived_t2_identity(d1, total)))
-            variant_dev = max(variant_dev, abs(direct - printed_t2_identity_variant(d1, total)))
+    total_i, d1_i = np.tril_indices(fine + 1)
+    total, d1 = total_i / fine, d1_i / fine
+    direct = p_single(total) - p_single(d1) * p_single(total - d1)
+    rederived_dev = float(np.abs(direct - rederived_t2_identity(d1, total)).max())
+    variant_dev = float(np.abs(direct - printed_t2_identity_variant(d1, total)).max())
 
     identity_ok = rederived_dev <= tolerance
     return BoundReport(
@@ -222,34 +251,45 @@ def verify_swap_oracle(
 ) -> BoundReport:
     """Cross-validate the analytic accept probability against the dense circuit.
 
-    Draws random phase-pattern pairs at each size and compares
-    swap_accept_prob, which is p_single(d/m), with cswap_statevector_prob, so
-    the formula every bound uses is the one checked; reports the worst absolute
-    deviation observed. Empty sizes, fewer than one pair per size and a
-    tolerance that is not a finite number >= 0 are rejected: each would make
-    the check vacuous or false.
+    Draws random phase-pattern pairs at each size, one a-row and one b-row
+    per pair from one Generator, and compares p_single(d/m) at each pair's
+    Hamming distance d (swap_accept_prob's formula, the one every bound uses)
+    with cswap_statevector_probs, which runs blocks of pairs at once; reports
+    the worst absolute deviation observed. Before any draw it rejects empty
+    sizes, a size the oracle cannot run, fewer than one pair per size, more
+    than MAX_ORACLE_PAIRS pairs in all and a tolerance that is not a finite
+    number >= 0: each would make the check vacuous, false or fail late.
     """
     if not sizes:
         raise ValueError("sizes must name at least one codeword length")
+    for m in sizes:
+        check_oracle_size(m)
     if pairs_per_size < 1:
         raise ValueError(f"pairs_per_size must be >= 1, got {pairs_per_size}")
+    if len(sizes) * pairs_per_size > MAX_ORACLE_PAIRS:
+        raise ValueError(
+            f"{len(sizes)} sizes with {pairs_per_size} pairs each means more than the cap of "
+            f"{MAX_ORACLE_PAIRS} pairs to simulate"
+        )
     if not 0.0 <= tolerance < math.inf:
         raise ValueError(f"tolerance must be a finite number >= 0, got {tolerance}")
     rng = np.random.default_rng(seed)
     worst = 0.0
-    count = 0
     for m in sizes:
-        for _ in range(pairs_per_size):
-            a = Fingerprint(rng.integers(0, 2, size=m, dtype=np.uint8))
-            b = Fingerprint(rng.integers(0, 2, size=m, dtype=np.uint8))
-            dev = abs(cswap_statevector_prob(a, b) - swap_accept_prob(a, b))
-            worst = max(worst, dev)
-            count += 1
+        exact = p_single(np.arange(m + 1) / m)
+        block = max(1, _ORACLE_BLOCK_AMPLITUDES // (2 * m * m))
+        for first in range(0, pairs_per_size, block):
+            pairs = min(block, pairs_per_size - first)
+            # one draw per fingerprint, a then b for each pair: one batched draw gives other bits
+            rows = np.array([rng.integers(0, 2, size=m, dtype=np.uint8) for _ in range(2 * pairs)])
+            a, b = rows[0::2], rows[1::2]
+            dev = np.abs(cswap_statevector_probs(a, b) - exact[np.count_nonzero(a != b, axis=1)])
+            worst = max(worst, float(dev.max()))
     return BoundReport(
         name="swap_oracle_equivalence",
         analytic={"max_allowed_dev": tolerance},
         empirical=worst,
-        samples=count,
+        samples=len(sizes) * pairs_per_size,
         std_error=None,
         tolerance=tolerance,
         passed=worst <= tolerance,

@@ -220,8 +220,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     orc = sub.add_parser("oracle-check", help="cross-validate the comparison test against a statevector circuit")
     orc.add_argument("--sizes", type=_int_list, default=[2, 4, 8, 16, 32], metavar="M1,M2,...",
-                     help="codeword lengths to test (powers of two, default 2,4,8,16,32)")
-    orc.add_argument("--pairs", type=_positive_int, default=200, help="random pairs per size (default 200)")
+                     help="codeword lengths to test (powers of two in [1, 64], default 2,4,8,16,32)")
+    orc.add_argument("--pairs", type=_positive_int, default=200,
+                     help="random pairs per size (default 200; at most 10^6 over all sizes)")
     orc.add_argument("--seed", type=_seed_type, default=None, metavar="U64")
     orc.add_argument("--tolerance", type=float, default=1e-10, help="max allowed deviation (default 1e-10)")
     orc.add_argument("--out", default=None, metavar="DIR")

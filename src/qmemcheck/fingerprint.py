@@ -8,10 +8,11 @@ qubit measures 0) with probability (1 + ip^2)/2 = p_single(d/m). All protocol
 probabilities can therefore be computed exactly from integer Hamming
 distances, which keeps million-trial Monte Carlo cheap.
 
-cswap_statevector_prob is the guard against modeling error: it runs the actual
-H / controlled-SWAP / H circuit on a dense statevector and must agree with
-p_single, the formula every bound uses, to 1e-10 (the circuit uses
-2*log2(m) + 1 qubits, so floating-point error stays far below that).
+cswap_statevector_probs is the guard against modeling error: it runs the actual
+H / controlled-SWAP / H circuit on a dense statevector per pair of phase rows
+and must agree with p_single, the formula every bound uses, to 1e-10 (the
+circuit uses 2*log2(m) + 1 qubits, so floating-point error stays far below
+that). cswap_statevector_prob is its one-row call on two fingerprints.
 
 Measured copies are assumed to be discarded by the caller: each sampled test
 consumes one copy of each input state in the caller's resource accounting, and
@@ -95,7 +96,12 @@ def make_fingerprint(word: np.ndarray) -> Fingerprint:
 
 def amplitudes(fp: Fingerprint) -> np.ndarray:
     """Amplitude vector of the phase state: (-1)^(phases_j) / sqrt(m). Real by construction."""
-    return ((-1.0) ** fp.phases.astype(np.int64)) / math.sqrt(fp.m)
+    return _amplitude_rows(fp.phases)
+
+
+def _amplitude_rows(phases: np.ndarray) -> np.ndarray:
+    """(-1)^(phases) / sqrt(m) along the last axis, for one phase pattern or a stack of rows."""
+    return ((-1.0) ** phases.astype(np.int64)) / math.sqrt(phases.shape[-1])
 
 
 def _check_same_m(a: Fingerprint, b: Fingerprint) -> int:
@@ -115,14 +121,19 @@ def inner_product(a: Fingerprint, b: Fingerprint) -> float:
     return (m - 2 * d) / m
 
 
-def p_single(delta_frac: float) -> float:
+def p_single(delta_frac: float | np.ndarray) -> float | np.ndarray:
     """Accept probability of one comparison test against a fraction-delta_frac corruption.
 
     1 - 2*d + 2*d^2: equals (1 + ip^2)/2 at inner product ip = 1 - 2*d. Note
     d = 1 gives 1 again: a full complement is a global phase flip of the state
-    and is invisible to the test.
+    and is invisible to the test. On a float array it works elementwise, with
+    the same operations in the same order, so each entry is the double that
+    the scalar call gives.
     """
-    if not 0.0 <= delta_frac <= 1.0:
+    if isinstance(delta_frac, np.ndarray):
+        if not ((0.0 <= delta_frac) & (delta_frac <= 1.0)).all():
+            raise ValueError("flip fractions must be in [0, 1]")
+    elif not 0.0 <= delta_frac <= 1.0:
         raise ValueError(f"flip fraction must be in [0, 1], got {delta_frac}")
     return 1.0 - 2.0 * delta_frac + 2.0 * delta_frac * delta_frac
 
@@ -153,37 +164,52 @@ def sample_swap_test(
     return _OUTCOMES[int((rng.random(copies) >= p).any())]
 
 
-def cswap_statevector_prob(a: Fingerprint, b: Fingerprint) -> float:
-    """Accept probability from a dense simulation of the actual test circuit.
+def check_oracle_size(m: int) -> int:
+    """Return m if the dense oracle runs at codeword length m, a power of two in [1, MAX_ORACLE_M]."""
+    if not (1 <= m <= MAX_ORACLE_M and m & (m - 1) == 0):
+        raise ValueError(
+            f"statevector oracle requires m to be a power of two in [1, {MAX_ORACLE_M}], got {m}"
+        )
+    return m
 
-    Builds |0>|psi_a>|psi_b> on 2*log2(m) + 1 qubits, applies a Hadamard on
-    the control, a register swap controlled on it (log2(m) qubit-pair swaps),
-    a second Hadamard, and returns the probability of measuring the control
-    as 0. Serves as the independent oracle for p_single; requires m
-    to be a power of two and at most 64.
+
+def cswap_statevector_probs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Accept probability of each pair of rows from a dense simulation of the actual test circuit.
+
+    a and b are (P, m) uint8 0/1 phase rows; pair i compares a[i] with b[i].
+    Builds |0>|psi_a>|psi_b> on 2*log2(m) + 1 qubits for each pair, as one
+    (P, 2, m, m) statevector, applies a Hadamard on the control, a register
+    swap controlled on it (log2(m) qubit-pair swaps), a second Hadamard, and
+    returns the probability of measuring the control as 0: one contiguous
+    m*m-element sum per pair. Serves as the independent oracle for p_single;
+    m must pass check_oracle_size.
     """
-    m = _check_same_m(a, b)
-    if m & (m - 1) != 0:
-        raise ValueError(f"statevector oracle requires m to be a power of two, got {m}")
-    if m > MAX_ORACLE_M:
-        raise ValueError(f"statevector oracle limited to m <= {MAX_ORACLE_M}, got {m}")
-    n_reg = m.bit_length() - 1  # qubits per register
+    if a.ndim != 2 or a.shape != b.shape:
+        raise ValueError(f"phase rows must be two (P, m) arrays of one shape, got {a.shape} and {b.shape}")
+    pairs, m = a.shape
+    n_reg = check_oracle_size(m).bit_length() - 1  # qubits per register
 
-    state = np.zeros((2, m, m))
-    state[0] = np.outer(amplitudes(a), amplitudes(b))
+    state = np.zeros((pairs, 2, m, m))
+    state[:, 0] = _amplitude_rows(a)[:, :, None] * _amplitude_rows(b)[:, None, :]
 
     def hadamard_on_control(s: np.ndarray) -> np.ndarray:
         out = np.empty_like(s)
-        out[0] = (s[0] + s[1]) / math.sqrt(2)
-        out[1] = (s[0] - s[1]) / math.sqrt(2)
+        out[:, 0] = (s[:, 0] + s[:, 1]) / math.sqrt(2)
+        out[:, 1] = (s[:, 0] - s[:, 1]) / math.sqrt(2)
         return out
 
     state = hadamard_on_control(state)
     # Controlled register swap: exchange qubit i of each register on the |1> branch.
-    branch = state[1].reshape([2] * (2 * n_reg)) if n_reg else state[1]
+    branch = state[:, 1].reshape((pairs,) + (2,) * (2 * n_reg))
     for i in range(n_reg):
-        branch = np.swapaxes(branch, i, n_reg + i)
-    state[1] = branch.reshape(m, m)
+        branch = np.swapaxes(branch, 1 + i, 1 + n_reg + i)
+    state[:, 1] = branch.reshape(pairs, m, m)
     state = hadamard_on_control(state)
 
-    return float(np.sum(state[0] ** 2))
+    return (state[:, 0] ** 2).reshape(pairs, m * m).sum(axis=1)
+
+
+def cswap_statevector_prob(a: Fingerprint, b: Fingerprint) -> float:
+    """Accept probability of one pair from the dense circuit: a one-row cswap_statevector_probs."""
+    _check_same_m(a, b)
+    return float(cswap_statevector_probs(a.phases[None], b.phases[None])[0])

@@ -1,11 +1,16 @@
 import math
+import time
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qmemcheck import analysis
 from qmemcheck.analysis import (
     MAX_LEMMA2_SCHEDULES,
+    MAX_ORACLE_PAIRS,
     BoundReport,
     binomial_std_error,
     binomial_tail,
@@ -17,7 +22,36 @@ from qmemcheck.analysis import (
     verify_lemma2,
     verify_swap_oracle,
 )
-from qmemcheck.fingerprint import Fingerprint, cswap_statevector_prob
+from qmemcheck.fingerprint import MAX_ORACLE_M, Fingerprint, cswap_statevector_prob, swap_accept_prob
+
+
+def reference_compositions(grid, t_max, prefix=()):
+    """The schedule enumerator verify_lemma2 replaced: a depth-first walk over
+    all tuples prefix + (g_1..g_j), j >= 1, of length <= t_max, with integers
+    g_i >= 0 summing to <= grid."""
+    for g in range(grid + 1):
+        tup = prefix + (g,)
+        yield tup
+        if len(tup) < t_max:
+            yield from reference_compositions(grid - g, t_max, tup)
+
+
+def reference_margins(grid, t_max):
+    """p_multi(parts) - p_single(sum(parts)) per schedule, one scalar call each, as verify_lemma2 computed them."""
+    return [p_multi([g / grid for g in parts]) - p_single(sum(parts) / grid)
+            for parts in reference_compositions(grid, t_max)]
+
+
+def reference_oracle_dev(sizes, pairs_per_size, seed):
+    """Worst |circuit - formula| over per-pair Fingerprint draws and one-pair circuit calls."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for m in sizes:
+        for _ in range(pairs_per_size):
+            a = Fingerprint(rng.integers(0, 2, size=m, dtype=np.uint8))
+            b = Fingerprint(rng.integers(0, 2, size=m, dtype=np.uint8))
+            worst = max(worst, abs(cswap_statevector_prob(a, b) - swap_accept_prob(a, b)))
+    return worst
 
 
 class TestBinomialTail:
@@ -70,6 +104,15 @@ class TestPSingle:
     @given(st.floats(0, 1))
     def test_range(self, d):
         assert 0.5 <= p_single(d) <= 1.0
+
+    def test_array_entries_equal_scalar_calls(self):
+        d = np.concatenate([np.arange(101) / 100, np.random.default_rng(0).random(1000)])
+        assert p_single(d).tolist() == [p_single(float(x)) for x in d]
+
+    @pytest.mark.parametrize("bad", [-0.1, 1.1, math.nan])
+    def test_array_domain(self, bad):
+        with pytest.raises(ValueError):
+            p_single(np.array([0.5, bad]))
 
 
 class TestPMulti:
@@ -171,6 +214,41 @@ class TestVerifyLemma2:
             assert count < MAX_LEMMA2_SCHEDULES
         assert verify_lemma2().samples == 12649
 
+    @pytest.mark.parametrize("t_max", [2, 3, 4])
+    @pytest.mark.parametrize("grid", [1, 2, 5, 6, 20])
+    def test_matches_reference_enumeration(self, grid, t_max):
+        margins = reference_margins(grid, t_max)
+        # every one-step schedule has margin 0, so a negative tolerance makes the
+        # violation count nonzero; a tolerance equal to one of the margins moves the
+        # count if that margin is off by one ulp
+        for tolerance in (1e-12, -1e-3, sorted(margins)[len(margins) // 3]):
+            report = verify_lemma2(grid=grid, t_max=t_max, tolerance=tolerance)
+            assert report.samples == len(margins)
+            assert report.details["violations"] == sum(x > tolerance for x in margins)
+            assert report.analytic["max_margin"] == max(margins)
+
+    def test_violations_fail_the_report(self):
+        report = verify_lemma2(grid=6, t_max=3, tolerance=-1e-3)
+        assert report.details["violations"] > 0
+        assert not report.passed
+
+    def test_blocks_cover_every_schedule_once(self, monkeypatch):
+        # tiny blocks split parents across many blocks; the totals must not change
+        want = verify_lemma2(grid=7, t_max=4, tolerance=-1e-2).to_dict()
+        monkeypatch.setattr(analysis, "_LEMMA2_BLOCK", 5)
+        assert verify_lemma2(grid=7, t_max=4, tolerance=-1e-2).to_dict() == want
+
+    def test_memory_does_not_grow_with_schedule_count(self):
+        # 4,292,144 schedules: as whole arrays, their sums and products alone are 69 MB
+        tracemalloc.start()
+        try:
+            report = verify_lemma2(grid=20, t_max=8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.samples == 4292144 and report.passed
+        assert peak < 4 * 2**20
+
 
 class TestVerifySwapOracle:
     def test_small_run_passes(self):
@@ -189,6 +267,51 @@ class TestVerifySwapOracle:
         a = verify_swap_oracle(sizes=(4,), pairs_per_size=10, seed=9)
         b = verify_swap_oracle(sizes=(4,), pairs_per_size=10, seed=9)
         assert a.empirical == b.empirical
+
+    @pytest.mark.parametrize(
+        "sizes, pairs, seed",
+        [((2, 4, 8, 16, 32), 200, 0), ((2, 4, 8, 16, 32), 200, 1), ((1, 2, 64), 20, 5), ((32,), 9, 3)],
+    )
+    def test_matches_per_pair_reference(self, sizes, pairs, seed):
+        report = verify_swap_oracle(sizes=sizes, pairs_per_size=pairs, seed=seed)
+        assert report.empirical == reference_oracle_dev(sizes, pairs, seed)
+        assert report.samples == len(sizes) * pairs
+
+    @pytest.mark.parametrize("sizes", [(2, 3), (0,), (-4,), (4, 2 * MAX_ORACLE_M), (6,)])
+    def test_bad_size_rejected_before_any_work(self, sizes, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("ran before the sizes were checked")
+
+        monkeypatch.setattr(np.random, "default_rng", no_work)
+        monkeypatch.setattr(analysis, "cswap_statevector_probs", no_work)
+        with pytest.raises(ValueError, match=f"power of two in \\[1, {MAX_ORACLE_M}\\], got {sizes[-1]}$"):
+            verify_swap_oracle(sizes=sizes, pairs_per_size=10)
+
+    def test_oversized_pair_count_rejected_before_any_work(self, monkeypatch):
+        monkeypatch.setattr(np.random, "default_rng", lambda *a: pytest.fail("drew before the cap check"))
+        start = time.monotonic()
+        with pytest.raises(ValueError, match="cap"):
+            verify_swap_oracle(sizes=(2, 4), pairs_per_size=MAX_ORACLE_PAIRS // 2 + 1)
+        with pytest.raises(ValueError, match="cap"):
+            verify_swap_oracle(pairs_per_size=10**8)
+        assert time.monotonic() - start < 1.0
+
+    def test_pair_cap_is_inclusive(self):
+        # exactly MAX_ORACLE_PAIRS pairs is allowed; the check counts over all sizes
+        assert MAX_ORACLE_PAIRS == 10**6
+        with pytest.raises(ValueError, match="tolerance"):
+            verify_swap_oracle(sizes=(1, 2), pairs_per_size=MAX_ORACLE_PAIRS // 2, tolerance=-1.0)
+
+    def test_memory_does_not_grow_with_pair_count(self):
+        # 2,000 pairs of 8,192-amplitude statevectors are 131 MB as one array
+        tracemalloc.start()
+        try:
+            report = verify_swap_oracle(sizes=(64,), pairs_per_size=2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.samples == 2000 and report.passed
+        assert peak < 4 * 2**20
 
 
 class TestBoundReport:

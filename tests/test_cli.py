@@ -17,6 +17,20 @@ from qmemcheck.cli import (
 )
 
 
+LEMMA2_DEFAULT = (
+    '{"analytic": {"max_margin": 0.0},"details": {"grid": 20,"t2_identity_consistent": true,'
+    '"t2_identity_max_dev": 3.191891195797325e-16,"t2_variant_consistent": false,'
+    '"t2_variant_max_dev": 0.5,"t_max": 4,"violations": 0},"empirical": 0.0,'
+    '"name": "single_step_dominance","passed": true,"samples": 12649,"std_error": null,"tolerance": 1e-12}'
+)
+LEMMA2_GRID36 = LEMMA2_DEFAULT.replace('"grid": 20', '"grid": 36').replace("12649", "101269")
+ORACLE_DEFAULT = (
+    '{"analytic": {"max_allowed_dev": 1e-10},"details": {"pairs_per_size": 200,"seed": SEED,'
+    '"sizes": [2,4,8,16,32]},"empirical": 7.771561172376096e-16,"name": "swap_oracle_equivalence",'
+    '"passed": true,"samples": 1000,"std_error": null,"tolerance": 1e-10}'
+)
+
+
 @pytest.fixture(autouse=True)
 def clean_env(monkeypatch):
     monkeypatch.delenv(SEED_ENV_VAR, raising=False)
@@ -332,6 +346,20 @@ class TestVerifyLemma2:
         assert "cap" in err and out == ""
         assert time.monotonic() - start < 5.0
 
+    @pytest.mark.parametrize(
+        "argv, doc",
+        [
+            (["--grid", "36", "--t-max", "4"], LEMMA2_GRID36),
+            ([], LEMMA2_DEFAULT),
+        ],
+        ids=["grid36", "default"],
+    )
+    def test_document_pinned(self, argv, doc, capsys, tmp_path):
+        # the bytes the schedule-at-a-time enumeration wrote for these arguments
+        code, out, _ = run_cli(["verify-lemma2", *argv, "--out", str(tmp_path)], capsys)
+        assert code == EXIT_OK
+        assert (tmp_path / "lemma2.json").read_text() == doc + "\n"
+
 
 class TestOracleCheck:
     def test_small_sizes(self, capsys):
@@ -361,6 +389,31 @@ class TestOracleCheck:
         assert code == EXIT_VALIDATION
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("sizes, bad", [("0", 0), ("-4", -4), ("2,3", 3), ("4,128", 128)])
+    def test_bad_size_fails_fast(self, sizes, bad, capsys):
+        # 400,000 m=2 pairs would run for seconds if the sizes were checked as they came up
+        start = time.monotonic()
+        code, out, err = run_cli(["oracle-check", "--sizes", sizes, "--pairs", "400000"], capsys)
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert err == f"error: statevector oracle requires m to be a power of two in [1, 64], got {bad}\n"
+        assert time.monotonic() - start < 1.0
+
+    def test_oversized_pair_count_fails_fast(self, capsys):
+        start = time.monotonic()
+        code, out, err = run_cli(["oracle-check", "--pairs", "100000000"], capsys)
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert "cap of 1000000 pairs" in err
+        assert time.monotonic() - start < 1.0
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_document_pinned(self, seed, capsys, tmp_path):
+        # the bytes the pair-at-a-time oracle wrote at the default sizes
+        code, out, _ = run_cli(["oracle-check", "--seed", str(seed), "--out", str(tmp_path)], capsys)
+        assert code == EXIT_OK
+        assert (tmp_path / "oracle.json").read_text() == ORACLE_DEFAULT.replace("SEED", str(seed)) + "\n"
 
 
 def test_parser_built_once(config_path, capsys, monkeypatch):

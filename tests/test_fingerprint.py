@@ -11,7 +11,9 @@ from qmemcheck.fingerprint import (
     Fingerprint,
     SwapOutcome,
     amplitudes,
+    check_oracle_size,
     cswap_statevector_prob,
+    cswap_statevector_probs,
     inner_product,
     make_fingerprint,
     p_single,
@@ -228,3 +230,34 @@ class TestStatevectorOracle:
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
             cswap_statevector_prob(Fingerprint("01"), Fingerprint("0110"))
+
+    @pytest.mark.parametrize("m", [1, 2, 4, 8, 16, 32, 64])
+    def test_rows_equal_one_pair_calls(self, m, rng):
+        pairs = 12 if m == 64 else 40
+        a = rng.integers(0, 2, size=(pairs, m), dtype=np.uint8)
+        b = rng.integers(0, 2, size=(pairs, m), dtype=np.uint8)
+        b[0] = a[0]
+        b[1] = 1 - a[1]
+        probs = cswap_statevector_probs(a, b)
+        assert probs.shape == (pairs,)
+        for i in range(pairs):
+            # the same double, not merely close: one circuit, run on one row or many
+            assert probs[i] == cswap_statevector_prob(Fingerprint(a[i]), Fingerprint(b[i]))
+        assert probs[0] == pytest.approx(1.0, abs=1e-12)
+        assert probs[1] == pytest.approx(1.0, abs=1e-12)
+
+    def test_rows_reject_shape_mismatch(self):
+        a = np.zeros((3, 4), dtype=np.uint8)
+        for b in (np.zeros((2, 4), dtype=np.uint8), np.zeros((3, 8), dtype=np.uint8), np.zeros(4, dtype=np.uint8)):
+            with pytest.raises(ValueError, match="phase rows"):
+                cswap_statevector_probs(a, b)
+        with pytest.raises(ValueError, match="phase rows"):
+            cswap_statevector_probs(a[0], a[0])
+
+    @pytest.mark.parametrize("m", [0, -4, 3, 6, 2 * MAX_ORACLE_M])
+    def test_oracle_size_rejected(self, m):
+        with pytest.raises(ValueError, match=f"power of two in \\[1, {MAX_ORACLE_M}\\], got {m}$"):
+            check_oracle_size(m)
+
+    def test_oracle_sizes_accepted(self):
+        assert [check_oracle_size(2**i) for i in range(7)] == [1, 2, 4, 8, 16, 32, 64]
