@@ -26,10 +26,10 @@ grid once and builds the schedules level by level, a child being (parent sum
 product, so every margin is the double p_multi would give. It runs depth
 first in blocks of at most _LEMMA2_BLOCK schedules, so its memory does not
 grow with the schedule count, and it takes about 0.2 s at the cap of
-MAX_LEMMA2_SCHEDULES. verify_swap_oracle runs the controlled-SWAP circuit
-on blocks of pairs (cswap_statevector_probs) and compares each with
-p_single(d/m) at the pair's Hamming distance; it is capped at
-MAX_ORACLE_PAIRS pairs.
+MAX_LEMMA2_SCHEDULES. verify_swap_oracle draws each block of pairs with one
+Generator call and runs the controlled-SWAP circuit on the block
+(cswap_statevector_probs), comparing each pair with p_single(d/m) at its
+Hamming distance; it is capped at MAX_ORACLE_PAIRS pairs.
 """
 
 from __future__ import annotations
@@ -251,11 +251,12 @@ def verify_swap_oracle(
 ) -> BoundReport:
     """Cross-validate the analytic accept probability against the dense circuit.
 
-    Draws random phase-pattern pairs at each size, one a-row and one b-row
-    per pair from one Generator, and compares p_single(d/m) at each pair's
-    Hamming distance d (swap_accept_prob's formula, the one every bound uses)
-    with cswap_statevector_probs, which runs blocks of pairs at once; reports
-    the worst absolute deviation observed. Before any draw it rejects empty
+    Draws random phase-pattern pairs at each size, one (2 * pairs, m) array
+    of rows per block of pairs (a then b for each pair) from one Generator,
+    and compares p_single(d/m) at each pair's Hamming distance d
+    (swap_accept_prob's formula, the one every bound uses) with
+    cswap_statevector_probs, which runs the block at once; reports the worst
+    absolute deviation observed. Before any draw it rejects empty
     sizes, a size the oracle cannot run, fewer than one pair per size, more
     than MAX_ORACLE_PAIRS pairs in all and a tolerance that is not a finite
     number >= 0: each would make the check vacuous, false or fail late.
@@ -280,8 +281,7 @@ def verify_swap_oracle(
         block = max(1, _ORACLE_BLOCK_AMPLITUDES // (2 * m * m))
         for first in range(0, pairs_per_size, block):
             pairs = min(block, pairs_per_size - first)
-            # one draw per fingerprint, a then b for each pair: one batched draw gives other bits
-            rows = np.array([rng.integers(0, 2, size=m, dtype=np.uint8) for _ in range(2 * pairs)])
+            rows = rng.integers(0, 2, size=(2 * pairs, m), dtype=np.uint8)  # a then b for each pair
             a, b = rows[0::2], rows[1::2]
             dev = np.abs(cswap_statevector_probs(a, b) - exact[np.count_nonzero(a != b, axis=1)])
             worst = max(worst, float(dev.max()))

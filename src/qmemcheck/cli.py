@@ -6,10 +6,14 @@ Subcommands:
   verify-lemma2 exhaustive grid check of single-step dominance
   oracle-check  statevector cross-validation of the comparison test
 
-Exit codes: 0 success; 1 validation error (bad flags, bad config, bad env
-seed); 2 a self-check failed (a verify/oracle report or an attached bound
-check did not pass); 3 I/O error. The master seed resolves as: --seed flag,
-else the QMEMCHECK_SEED environment variable, else the config value/default.
+Each subcommand builds one document and hands it to _finish, which writes
+the --out files first, then prints the document in --format, then names the
+failed checks on one stderr line.
+
+Exit codes: 0 success; 1 validation error (bad flags or config); 2 a
+self-check failed (a verify/oracle report or an attached bound check did not
+pass); 3 I/O error, with nothing on stdout. The master seed is the --seed
+flag, else the config's seed (oracle-check: else 0).
 """
 
 from __future__ import annotations
@@ -18,21 +22,18 @@ import argparse
 import dataclasses
 import functools
 import json
-import os
 import sys
 from pathlib import Path
 from typing import Sequence
 
 from .analysis import p_multi, p_single, lemma1_bound, verify_lemma2, verify_swap_oracle
 from .checker import required_k
-from .harness import ConfigError, ExperimentConfig, canonical_json, flat_csv, run_experiment
+from .harness import ExperimentConfig, canonical_json, flat_csv, run_experiment
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_CHECK_FAILED = 2
 EXIT_IO = 3
-
-SEED_ENV_VAR = "QMEMCHECK_SEED"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -58,47 +59,49 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _int_list(text: str) -> list[int]:
+def _comma_list(kind: type, text: str) -> list:
     try:
-        return [int(part) for part in text.split(",") if part != ""]
+        return [kind(part) for part in text.split(",") if part != ""]
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"expected comma-separated {kind.__name__} values, got {text!r}") from None
 
 
-def _float_list(text: str) -> list[float]:
-    try:
-        return [float(part) for part in text.split(",") if part != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from None
+@dataclasses.dataclass(frozen=True)
+class _Report:
+    """A report document, rendered like an ExperimentResult and written as <stem>.json."""
+
+    stem: str
+    payload: dict
+
+    def results_json(self) -> str:
+        return canonical_json(self.payload)
+
+    def render_csv(self) -> str:
+        return flat_csv(self.payload)
+
+    def write_outputs(self, out_dir) -> None:
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
+        (Path(out_dir) / f"{self.stem}.json").write_text(self.results_json())
 
 
-def _resolve_seed(flag_value: int | None) -> int | None:
-    """Seed precedence: flag, then environment, then None (caller's default)."""
-    if flag_value is not None:
-        return flag_value
-    raw = os.environ.get(SEED_ENV_VAR)
-    if raw is None or raw == "":
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigError(SEED_ENV_VAR, f"expected an integer, got {raw!r}") from None
-    if not 0 <= value < 2**64:
-        raise ConfigError(SEED_ENV_VAR, f"expected a value in [0, 2^64), got {value}")
-    return value
-
-
-def _emit(payload: dict, fmt: str, out_dir: str | None, stem: str) -> int:
-    sys.stdout.write(canonical_json(payload) if fmt == "json" else flat_csv(payload))
-    if out_dir is not None:
+def _finish(args, document, failed: list[str]) -> int:
+    """Write --out, then print the document in --format, then name the failed checks."""
+    if args.out is not None:
         try:
-            target = Path(out_dir)
-            target.mkdir(parents=True, exist_ok=True)
-            (target / f"{stem}.json").write_text(canonical_json(payload))
+            document.write_outputs(args.out)
         except OSError as exc:
             print(f"error: cannot write output: {exc}", file=sys.stderr)
             return EXIT_IO
+    sys.stdout.write(document.results_json() if args.format == "json" else document.render_csv())
+    if failed:
+        print(f"check failed: {', '.join(failed)}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
     return EXIT_OK
+
+
+def _invalid(exc: object) -> int:
+    print(f"error: {exc}", file=sys.stderr)
+    return EXIT_VALIDATION
 
 
 def _cmd_simulate(args) -> int:
@@ -110,30 +113,16 @@ def _cmd_simulate(args) -> int:
     try:
         raw = json.loads(data)
     except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, an integer over the digit limit
-        print(f"error: config is not valid JSON: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-
+        return _invalid(f"config is not valid JSON: {exc}")
     try:
-        config = ExperimentConfig.from_dict(raw)
-        given = {"seed": _resolve_seed(args.seed), "trials": args.trials}
-        config = dataclasses.replace(config, **{key: value for key, value in given.items() if value is not None})
+        given = {"seed": args.seed, "trials": args.trials}
+        config = dataclasses.replace(
+            ExperimentConfig.from_dict(raw), **{key: value for key, value in given.items() if value is not None}
+        )
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-
+        return _invalid(exc)
     result = run_experiment(config)
-    if args.out is not None:
-        try:
-            result.write_outputs(args.out)
-        except OSError as exc:
-            print(f"error: cannot write output: {exc}", file=sys.stderr)
-            return EXIT_IO
-    sys.stdout.write(result.results_json() if args.format == "json" else result.render_csv())
-    failed = [b["name"] for b in result.aggregates["bounds"] if not b["passed"]]
-    if failed:
-        print(f"bound check failed: {', '.join(failed)}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
-    return EXIT_OK
+    return _finish(args, result, [b["name"] for b in result.aggregates["bounds"] if not b["passed"]])
 
 
 def _cmd_bounds(args) -> int:
@@ -152,39 +141,26 @@ def _cmd_bounds(args) -> int:
             "p_multi": None if args.deltas is None else p_multi(args.deltas),
         }
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    return _emit(payload, args.format, args.out, "bounds")
+        return _invalid(exc)
+    return _finish(args, _Report("bounds", payload), [])
 
 
 def _cmd_verify_lemma2(args) -> int:
     try:
         report = verify_lemma2(grid=args.grid, t_max=args.t_max)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    rc = _emit(report.to_dict(), args.format, args.out, "lemma2")
-    if rc != EXIT_OK:
-        return rc
-    return EXIT_OK if report.passed else EXIT_CHECK_FAILED
+        return _invalid(exc)
+    return _finish(args, _Report("lemma2", report.to_dict()), [] if report.passed else [report.name])
 
 
 def _cmd_oracle_check(args) -> int:
     try:
-        seed = _resolve_seed(args.seed)
         report = verify_swap_oracle(
-            sizes=tuple(args.sizes),
-            pairs_per_size=args.pairs,
-            seed=0 if seed is None else seed,
-            tolerance=args.tolerance,
+            sizes=tuple(args.sizes), pairs_per_size=args.pairs, seed=args.seed, tolerance=args.tolerance
         )
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    rc = _emit(report.to_dict(), args.format, args.out, "oracle")
-    if rc != EXIT_OK:
-        return rc
-    return EXIT_OK if report.passed else EXIT_CHECK_FAILED
+        return _invalid(exc)
+    return _finish(args, _Report("oracle", report.to_dict()), [] if report.passed else [report.name])
 
 
 @functools.cache
@@ -197,45 +173,39 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--config", required=True, metavar="PATH", help="JSON experiment config")
     sim.add_argument("--seed", type=_seed_type, default=None, metavar="U64", help="master seed override")
     sim.add_argument("--trials", type=_positive_int, default=None, metavar="N", help="trial count override")
-    sim.add_argument("--out", default=None, metavar="DIR", help="write results.json/results.csv/run_meta.json here")
-    sim.add_argument("--format", choices=("json", "csv"), default="json", help="stdout format")
     sim.set_defaults(handler=_cmd_simulate)
 
     bounds = sub.add_parser("bounds", help="print closed-form rates for given parameters")
     bounds.add_argument("--epsilon", type=float, default=0.01, help="target error rate (default 0.01)")
     bounds.add_argument("--delta", type=float, default=0.5, help="code distance (default 0.5)")
     bounds.add_argument("--k", type=_positive_int, default=None, help="fingerprint count (default: required_k)")
-    bounds.add_argument("--deltas", type=_float_list, default=None, metavar="D1,D2,...",
+    bounds.add_argument("--deltas", type=functools.partial(_comma_list, float), default=None, metavar="D1,D2,...",
                         help="per-step flip fractions for the multi-step accept probability")
-    bounds.add_argument("--out", default=None, metavar="DIR")
-    bounds.add_argument("--format", choices=("json", "csv"), default="json")
     bounds.set_defaults(handler=_cmd_bounds)
 
     lem = sub.add_parser("verify-lemma2", help="exhaustive grid check of single-step dominance")
     lem.add_argument("--grid", type=_positive_int, default=20, help="grid resolution (default 20)")
     lem.add_argument("--t-max", type=_positive_int, default=4, dest="t_max", help="max step count (default 4)")
-    lem.add_argument("--out", default=None, metavar="DIR")
-    lem.add_argument("--format", choices=("json", "csv"), default="json")
     lem.set_defaults(handler=_cmd_verify_lemma2)
 
     orc = sub.add_parser("oracle-check", help="cross-validate the comparison test against a statevector circuit")
-    orc.add_argument("--sizes", type=_int_list, default=[2, 4, 8, 16, 32], metavar="M1,M2,...",
-                     help="codeword lengths to test (powers of two in [1, 64], default 2,4,8,16,32)")
+    orc.add_argument("--sizes", type=functools.partial(_comma_list, int), default=[2, 4, 8, 16, 32],
+                     metavar="M1,M2,...", help="codeword lengths to test (powers of two in [1, 64], default 2,4,8,16,32)")
     orc.add_argument("--pairs", type=_positive_int, default=200,
                      help="random pairs per size (default 200; at most 10^6 over all sizes)")
-    orc.add_argument("--seed", type=_seed_type, default=None, metavar="U64")
+    orc.add_argument("--seed", type=_seed_type, default=0, metavar="U64", help="draw seed (default 0)")
     orc.add_argument("--tolerance", type=float, default=1e-10, help="max allowed deviation (default 1e-10)")
-    orc.add_argument("--out", default=None, metavar="DIR")
-    orc.add_argument("--format", choices=("json", "csv"), default="json")
     orc.set_defaults(handler=_cmd_oracle_check)
 
+    for command in sub.choices.values():
+        command.add_argument("--out", default=None, metavar="DIR", help="write this command's files here, before stdout")
+        command.add_argument("--format", choices=("json", "csv"), default="json", help="stdout format")
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits directly on usage errors and --help; surface the
         # code as a return value so callers can treat main() as a function

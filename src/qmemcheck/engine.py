@@ -289,10 +289,9 @@ def _run_chunk(config, k: int, script, messages: dict, indices: np.ndarray, buff
             spec = config.message if op.message is None else op.message
             if spec == "random":
                 message = _messages(drawn[:, MESSAGE_SLOT], n)
-                baseline = code.encode_batch(message, out=buffers.baseline[: indices.size])
             else:
                 message = np.broadcast_to(messages[spec], (indices.size, n))
-                baseline = np.broadcast_to(code.encode_batch(messages[spec][None, :]), memory.shape)
+            baseline = code.encode_batch(message, out=buffers.baseline[: indices.size])
             np.copyto(memory, baseline)
             stored = baseline
             verdict = 1

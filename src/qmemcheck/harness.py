@@ -41,6 +41,8 @@ RESULTS_SCHEMA = "qmemcheck.results.v4"
 # only exhaust memory or time.
 MAX_K = 10**6
 MAX_STEPS = 10**4
+# Trial indices are uint64 counters (engine.run_sessions), so 2^64 trials at most.
+MAX_TRIALS = 2**64
 # A record_trials run keeps trials * len(script) verdicts, about 32 bytes of
 # memory each (1.8 million of them took 57 MB), until the document is written.
 MAX_RECORDED_VERDICTS = 10**7
@@ -157,8 +159,8 @@ class ExperimentConfig:
             raise ConfigError("k", f"expected an integer in [1, {MAX_K}] or null, got {self.k!r}")
         if self.steps is not None and (not _is_int(self.steps) or not 0 <= self.steps <= MAX_STEPS):
             raise ConfigError("steps", f"expected an integer in [0, {MAX_STEPS}] or null, got {self.steps!r}")
-        if not _is_int(self.trials) or self.trials < 1:
-            raise ConfigError("trials", f"expected an integer >= 1, got {self.trials!r}")
+        if not _is_int(self.trials) or not 1 <= self.trials <= MAX_TRIALS:
+            raise ConfigError("trials", f"expected an integer in [1, 2^64], got {self.trials!r}")
         if not _is_int(self.seed) or not 0 <= self.seed < 2**64:
             raise ConfigError("seed", f"expected an integer in [0, 2^64), got {self.seed!r}")
         if not isinstance(self.record_trials, bool):

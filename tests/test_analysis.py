@@ -42,16 +42,21 @@ def reference_margins(grid, t_max):
             for parts in reference_compositions(grid, t_max)]
 
 
-def reference_oracle_dev(sizes, pairs_per_size, seed):
-    """Worst |circuit - formula| over per-pair Fingerprint draws and one-pair circuit calls."""
+def reference_oracle(sizes, pairs_per_size, seed):
+    """The oracle's pairs, drawn as one (2 * pairs, m) block of rows per block
+    of pairs (a then b for each pair), and the worst |circuit - formula| over
+    per-pair Fingerprints and one-pair circuit calls."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    pairs, worst = [], 0.0
     for m in sizes:
-        for _ in range(pairs_per_size):
-            a = Fingerprint(rng.integers(0, 2, size=m, dtype=np.uint8))
-            b = Fingerprint(rng.integers(0, 2, size=m, dtype=np.uint8))
-            worst = max(worst, abs(cswap_statevector_prob(a, b) - swap_accept_prob(a, b)))
-    return worst
+        block = max(1, analysis._ORACLE_BLOCK_AMPLITUDES // (2 * m * m))
+        for first in range(0, pairs_per_size, block):
+            rows = rng.integers(0, 2, size=(2 * min(block, pairs_per_size - first), m), dtype=np.uint8)
+            for a_row, b_row in zip(rows[0::2], rows[1::2]):
+                a, b = Fingerprint(a_row), Fingerprint(b_row)
+                pairs.append((a_row, b_row))
+                worst = max(worst, abs(cswap_statevector_prob(a, b) - swap_accept_prob(a, b)))
+    return pairs, worst
 
 
 class TestBinomialTail:
@@ -272,10 +277,22 @@ class TestVerifySwapOracle:
         "sizes, pairs, seed",
         [((2, 4, 8, 16, 32), 200, 0), ((2, 4, 8, 16, 32), 200, 1), ((1, 2, 64), 20, 5), ((32,), 9, 3)],
     )
-    def test_matches_per_pair_reference(self, sizes, pairs, seed):
+    def test_matches_per_pair_reference(self, sizes, pairs, seed, monkeypatch):
+        # the circuit must see the reference's pairs, not only reach its worst deviation
+        seen = []
+        real = analysis.cswap_statevector_probs
+
+        def recorded(a, b):
+            seen.extend(zip(a.copy(), b.copy()))
+            return real(a, b)
+
+        monkeypatch.setattr(analysis, "cswap_statevector_probs", recorded)
         report = verify_swap_oracle(sizes=sizes, pairs_per_size=pairs, seed=seed)
-        assert report.empirical == reference_oracle_dev(sizes, pairs, seed)
-        assert report.samples == len(sizes) * pairs
+        want, worst = reference_oracle(sizes, pairs, seed)
+        assert report.empirical == worst
+        assert report.samples == len(sizes) * pairs == len(seen) == len(want)
+        for (a, b), (ref_a, ref_b) in zip(seen, want):
+            assert np.array_equal(a, ref_a) and np.array_equal(b, ref_b)
 
     @pytest.mark.parametrize("sizes", [(2, 3), (0,), (-4,), (4, 2 * MAX_ORACLE_M), (6,)])
     def test_bad_size_rejected_before_any_work(self, sizes, monkeypatch):

@@ -12,7 +12,6 @@ from qmemcheck.cli import (
     EXIT_IO,
     EXIT_OK,
     EXIT_VALIDATION,
-    SEED_ENV_VAR,
     main,
 )
 
@@ -29,11 +28,6 @@ ORACLE_DEFAULT = (
     '"sizes": [2,4,8,16,32]},"empirical": 7.771561172376096e-16,"name": "swap_oracle_equivalence",'
     '"passed": true,"samples": 1000,"std_error": null,"tolerance": 1e-10}'
 )
-
-
-@pytest.fixture(autouse=True)
-def clean_env(monkeypatch):
-    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
 
 
 @pytest.fixture
@@ -223,7 +217,7 @@ class TestSimulate:
         assert code == EXIT_VALIDATION
         assert "script[0].message" in err
 
-    @pytest.mark.parametrize("field, cap", [("k", "MAX_K"), ("steps", "MAX_STEPS")])
+    @pytest.mark.parametrize("field, cap", [("k", "MAX_K"), ("steps", "MAX_STEPS"), ("trials", "MAX_TRIALS")])
     def test_oversized_field_rejected(self, field, cap, capsys, tmp_path):
         # one past the cap is refused while validating; nothing that large is run
         path = tmp_path / "huge.json"
@@ -232,6 +226,13 @@ class TestSimulate:
         assert code == EXIT_VALIDATION
         assert out == ""
         assert err.startswith(f"error: {field}: ") and err.count("\n") == 1
+
+    def test_oversized_trials_override_rejected(self, config_path, capsys):
+        # trial indices are uint64 counters: 2^64 + 1 trials cannot be numbered
+        code, out, err = run_cli(["simulate", "--config", config_path, "--trials", str(2**64 + 1)], capsys)
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert err.startswith("error: trials: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("given, flag", [(10**8, []), (5, ["--trials", str(10**8)])])
     def test_oversized_recording_rejected(self, given, flag, capsys, tmp_path):
@@ -280,25 +281,20 @@ class TestSimulate:
 
 
 class TestSeedPrecedence:
-    def test_env_seed_used(self, config_path, capsys, monkeypatch):
-        monkeypatch.setenv(SEED_ENV_VAR, "555")
-        _, out, _ = run_cli(["simulate", "--config", config_path], capsys)
-        assert json.loads(out)["config"]["seed"] == 555
-
-    def test_flag_beats_env(self, config_path, capsys, monkeypatch):
-        monkeypatch.setenv(SEED_ENV_VAR, "555")
-        _, out, _ = run_cli(["simulate", "--config", config_path, "--seed", "9"], capsys)
-        assert json.loads(out)["config"]["seed"] == 9
-
     def test_config_seed_when_no_override(self, config_path, capsys):
         _, out, _ = run_cli(["simulate", "--config", config_path], capsys)
         assert json.loads(out)["config"]["seed"] == 4
 
-    def test_invalid_env_seed(self, config_path, capsys, monkeypatch):
-        monkeypatch.setenv(SEED_ENV_VAR, "not-a-seed")
-        code, _, err = run_cli(["simulate", "--config", config_path], capsys)
-        assert code == EXIT_VALIDATION
-        assert SEED_ENV_VAR in err
+    @pytest.mark.parametrize("command", ["simulate", "oracle-check"])
+    def test_environment_changes_no_byte(self, command, config_path, capsys, monkeypatch):
+        # a run depends on its flags and config only; no variable stands in for the seed
+        argv = ["simulate", "--config", config_path] if command == "simulate" else [command, "--pairs", "5"]
+        monkeypatch.delenv("QMEMCHECK_SEED", raising=False)
+        _, plain, _ = run_cli(argv, capsys)
+        monkeypatch.setenv("QMEMCHECK_SEED", "555")
+        code, out, _ = run_cli(argv, capsys)
+        assert code == EXIT_OK
+        assert out == plain
 
 
 class TestBounds:
@@ -414,6 +410,26 @@ class TestOracleCheck:
         code, out, _ = run_cli(["oracle-check", "--seed", str(seed), "--out", str(tmp_path)], capsys)
         assert code == EXIT_OK
         assert (tmp_path / "oracle.json").read_text() == ORACLE_DEFAULT.replace("SEED", str(seed)) + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv", [["verify-lemma2", "--grid", "4", "--t-max", "2"], ["oracle-check", "--sizes", "2", "--pairs", "3"]]
+)
+def test_unwritable_out_prints_nothing(argv, capsys, tmp_path):
+    # --out is written before stdout, so a failed write leaves stdout empty
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code, out, err = run_cli([*argv, "--out", str(blocker)], capsys)
+    assert code == EXIT_IO
+    assert out == ""
+    assert err.startswith("error: cannot write output:") and err.count("\n") == 1
+
+
+def test_failed_check_named_on_stderr(capsys):
+    code, out, err = run_cli(["oracle-check", "--tolerance", "0"], capsys)
+    assert code == EXIT_CHECK_FAILED
+    assert json.loads(out)["passed"] is False
+    assert err.splitlines() == ["check failed: swap_oracle_equivalence"]
 
 
 def test_parser_built_once(config_path, capsys, monkeypatch):
