@@ -28,10 +28,10 @@ from typing import Any
 
 import numpy as np
 
-from .bits import as_bits
+from .bits import as_bits, flip_rows, pack_rows, unpack_rows
 from .checker import PublicMemory
 from .code import CodeParams, LocallyDecodableCode
-from .engine import OpDraws, flip_rows
+from .engine import CHUNK_BYTES, OpDraws
 
 POSITION_POLICIES = ("uniform", "prefix")
 
@@ -102,8 +102,9 @@ class AttackSchedule:
 
     def apply(self, step, memory, baseline, code, draws) -> None:
         """The schedule's one corruption method, run by the engine on its chunks and by
-        apply_step on one row: corrupt one in-range step of the (T, m) memory array in
-        place, given each row's stored codeword (baseline) and the step's draws (OpDraws)."""
+        apply_step on one row: corrupt one in-range step of the (T, W) memory array of
+        packed rows (see bits.py) in place, given each row's stored codeword (baseline,
+        packed alike) and the step's draws (OpDraws)."""
         raise NotImplementedError
 
 
@@ -197,10 +198,10 @@ class FlipCount(AttackSchedule):
         return {min(self.bits_per_step, params.m): 1.0}
 
     def apply(self, step, memory, baseline, code, draws) -> None:
-        m = memory.shape[1]
+        m = code.params.m
         d = min(self.bits_per_step, m)
         if self.policy == "prefix":
-            memory[:, :d] ^= 1
+            flip_rows(memory, np.broadcast_to(np.arange(d), (memory.shape[0], d)))
         else:
             flip_rows(memory, draws.distinct(m, d))
 
@@ -259,20 +260,29 @@ class IncrementalAttack(AttackSchedule):
         return {self.step_flip_counts(params.m)[step]: 1.0}
 
     def apply(self, step, memory, baseline, code, draws) -> None:
-        t, m = memory.shape
+        t, m = memory.shape[0], code.params.m
         d = self.step_flip_counts(m)[step]
-        fresh = np.flatnonzero(memory == baseline)  # flat positions, row by row, ascending
-        # every row has run the same flip counts since its last store, so all hold f fresh positions
-        counts = np.diff(np.searchsorted(fresh, np.arange(0, (t + 1) * m, m)))
+        # every row has run the same flip counts since its last store, so all hold f fresh
+        # positions; padding bits are zero in memory and baseline alike, so they never count
+        counts = m - np.bitwise_count(memory ^ baseline).sum(axis=1, dtype=np.int64)
         f = int(counts[0])
         if d > f or (counts != f).any():
             held = sorted(set(counts.tolist()))
             raise ScheduleError(f"step {step} needs {d} fresh positions in every row, rows hold {held}")
-        if self.policy == "prefix":
-            chosen = fresh.reshape(t, f)[:, :d]
-        else:  # the ranks of row r index its f entries of fresh
-            chosen = fresh[draws.distinct(f, d) + f * np.arange(t)[:, None]]
-        flip_rows(memory, chosen % m)
+        # fresh positions are the zero bits of memory ^ baseline inside m, unpacked one
+        # byte per position for a block of rows at a time: the block's unpacked bytes take
+        # at most CHUNK_BYTES / 2, and its 8-byte fresh positions at most 4 * CHUNK_BYTES
+        block = max(1, CHUNK_BYTES // (2 * m))
+        for first in range(0, t, block):
+            rows = slice(first, min(first + block, t))
+            fresh = np.invert(memory[rows] ^ baseline[rows])
+            at = np.flatnonzero(unpack_rows(fresh, m).view(bool))  # flat positions, row by row, ascending
+            size = rows.stop - first
+            if self.policy == "prefix":
+                ranks = np.broadcast_to(np.arange(d), (size, d))
+            else:  # the ranks of row r index its f entries of at
+                ranks = OpDraws(draws.keys[rows]).distinct(f, d)
+            flip_rows(memory[rows], at[ranks + f * np.arange(size)[:, None]] % m)
 
 
 SCHEDULES: dict[str, type[AttackSchedule]] = {
@@ -301,10 +311,11 @@ def apply_step(
     rng: np.random.Generator,
 ) -> None:
     """Apply step *step* (0-based) of the schedule to memory; baseline is the stored codeword.
-    The schedule's apply runs on a one-row copy of the memory, written back after."""
+    The schedule's apply runs on a packed one-row copy of the memory, unpacked and
+    written back after."""
     intrinsic = schedule.intrinsic_steps
     if step < 0 or (intrinsic is not None and step >= intrinsic):
         raise ScheduleError(f"step {step} out of range for schedule with {intrinsic} steps")
-    row = memory.bits[None, :].copy()
-    schedule.apply(step, row, baseline[None, :], code, _GeneratorDraws(rng))
-    memory.adversary_overwrite(row[0])
+    row = pack_rows(memory.bits[None, :])
+    schedule.apply(step, row, pack_rows(baseline[None, :]), code, _GeneratorDraws(rng))
+    memory.adversary_overwrite(unpack_rows(row, code.params.m)[0])

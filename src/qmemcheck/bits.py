@@ -3,6 +3,12 @@
 A bit vector is a 1-D numpy array of dtype uint8 holding only 0s and 1s.
 Messages, codewords, raw memory contents, and fingerprint phase patterns
 all use this representation.
+
+The batch engine keeps rows of bits packed instead: a (rows, m) bit array
+becomes (rows, word_count(m)) uint64 words, position a being bit a & 63 of
+word a >> 6, with the padding bits past m always zero. pack_rows and
+unpack_rows convert between the two; read_rows reads positions of packed
+rows, and flip_rows flips them in place.
 """
 
 from __future__ import annotations
@@ -35,6 +41,45 @@ def as_bits(value: BitsLike, *, name: str = "bits") -> np.ndarray:
     elif arr.dtype != np.bool_ and not ((arr == 0) | (arr == 1)).all():
         raise ValueError(f"{name}: entries must be 0 or 1")
     return arr.astype(np.uint8)
+
+
+def word_count(m: int) -> int:
+    """uint64 words in a packed row of m bits: ceil(m / 64)."""
+    return -(-m // 64)
+
+
+def pack_rows(bits: np.ndarray) -> np.ndarray:
+    """(rows, m) 0/1 bytes as (rows, word_count(m)) uint64 words, padding bits zero."""
+    rows, m = bits.shape
+    packed = np.zeros((rows, 8 * word_count(m)), dtype=np.uint8)
+    packed[:, : -(-m // 8)] = np.packbits(bits, axis=1, bitorder="little")
+    return packed.view("<u8").astype(np.uint64, copy=False)
+
+
+def unpack_rows(words: np.ndarray, m: int) -> np.ndarray:
+    """The first m bits of each packed row, as a (rows, m) uint8 array."""
+    return np.unpackbits(words.astype("<u8", copy=False).view(np.uint8), axis=1, count=m, bitorder="little")
+
+
+def read_rows(words: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """Bits at positions pos[r] (a (rows, q) array) of each packed row r, as uint8."""
+    picked = words[np.arange(len(words))[:, None], pos >> 6]
+    return ((picked >> (pos & 63).astype(np.uint64)) & np.uint64(1)).astype(np.uint8)
+
+
+def flip_rows(memory: np.ndarray, cols: np.ndarray) -> None:
+    """Flip, in place, positions cols[r] (distinct) of each packed row r of a
+    (T, W) word array. Positions that share a word add their bits into one
+    zeroed word per row; distinct bits sum to their OR, which is then xored in.
+    (A fancy-index xor would keep only one of the positions a word shares.)"""
+    t, w = memory.shape
+    acc = np.zeros_like(memory)
+    bits = (cols & 63).astype(np.uint64)
+    np.left_shift(np.uint64(1), bits, out=bits)
+    words = cols >> 6
+    words += np.arange(0, t * w, w, dtype=words.dtype)[:, None]
+    np.add.at(acc.reshape(-1), words.reshape(-1), bits.reshape(-1))
+    memory ^= acc
 
 
 def bits_to_str(bits: np.ndarray) -> str:

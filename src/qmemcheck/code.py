@@ -22,15 +22,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import as_bits
+from .bits import as_bits, unpack_rows, word_count
 
 # Hadamard codeword length is 2^n; keep n at desk scale.
 MAX_HADAMARD_N = 20
 
-# Masks of the codeword's first 2^8 positions: one parity pass over them
-# replaces eight doubling steps, whose per-call overhead dominates at that size.
-_BLOCK_BITS = 8
-_BLOCK_MASKS = np.arange(1 << _BLOCK_BITS, dtype=np.uint8)
+# A codeword's first word, positions [0, 64), for each value of the last six
+# message bits: bit a of entry x is the parity <x, a>.
+_WORD_BITS = 6
+_POSITIONS = np.arange(1 << _WORD_BITS, dtype=np.uint64)
+_FIRST_WORDS = ((np.bitwise_count(_POSITIONS[:, None] & _POSITIONS) & 1) << _POSITIONS).sum(axis=1, dtype=np.uint64)
 
 
 @dataclass(frozen=True)
@@ -88,7 +89,8 @@ class LocallyDecodableCode(ABC):
 
     @abstractmethod
     def encode_batch(self, msgs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Encode a (T, n) uint8 array of messages into a (T, m) array of codewords (into out, if given)."""
+        """Encode a (T, n) uint8 array of messages into (T, word_count(m)) uint64
+        rows of packed codewords, padding bits zero (into out, if given)."""
 
     @abstractmethod
     def decode(self, index, masks: np.ndarray, read) -> np.ndarray:
@@ -143,23 +145,26 @@ class HadamardCode(LocallyDecodableCode):
         n = self._params.n
         if bits.size != n:
             raise ValueError(f"message length {bits.size} != n={n}")
-        return self.encode_batch(bits[None, :])[0]
+        return unpack_rows(self.encode_batch(bits[None, :]), self._params.m)[0]
 
     def encode_batch(self, msgs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Codewords of a (T, n) uint8 batch of package-built messages, as a
-        (T, m) array (out, when given), one row per message; nothing is parsed."""
-        n = self._params.n
-        # The last `low` message bits weigh 1, 2, ..., so positions [0, 2^low)
-        # are their parities <x, a>. Then doubling: positions [w, 2w) are the
-        # masks [0, w) with the weight-w bit set, which belongs to message bit
-        # n-1-log2(w), so they are the first w positions xor that bit.
-        low = min(n, _BLOCK_BITS)
-        x_low = (msgs[:, n - low :] @ (1 << np.arange(low - 1, -1, -1))).astype(np.uint8)
-        words = np.empty((msgs.shape[0], self._params.m), dtype=np.uint8) if out is None else out
-        w = 1 << low
-        np.bitwise_and(np.bitwise_count(_BLOCK_MASKS[:w] & x_low[:, None]), 1, out=words[:, :w])
+        """Packed codewords of a (T, n) uint8 batch of package-built messages, as
+        a (T, word_count(m)) uint64 array (out, when given), one row per message;
+        nothing is parsed."""
+        n, m = self._params.n, self._params.m
+        # The last `low` message bits weigh 1, 2, ..., 32, so the first word
+        # holds their parities <x, a>, cut to m bits when m < 64. Then doubling
+        # on words: words [w, 2w) are the masks of words [0, w) with the
+        # weight-64w bit set, which belongs to message bit n-7-log2(w), so they
+        # are the first w words xor that bit (a word of ones where it is set).
+        low = min(n, _WORD_BITS)
+        x_low = msgs[:, n - low :] @ (1 << np.arange(low - 1, -1, -1))
+        words = np.empty((msgs.shape[0], word_count(m)), dtype=np.uint64) if out is None else out
+        words[:, 0] = _FIRST_WORDS[x_low] & np.uint64(2 ** min(m, 64) - 1)
+        ones = (-msgs[:, : n - low].astype(np.int64)).view(np.uint64)
+        w = 1
         for i in range(n - low - 1, -1, -1):
-            np.bitwise_xor(words[:, :w], msgs[:, i, None], out=words[:, w : 2 * w])
+            np.bitwise_xor(words[:, :w], ones[:, i, None], out=words[:, w : 2 * w])
             w *= 2
         return words
 

@@ -1,16 +1,20 @@
 """Batch session engine: a run's trials in chunks, one array row per session.
 
 run_sessions plays the protocol of checker.store/retrieve on a chunk of T
-sessions at once. Memory is a (T, m) uint8 array, and the stored fingerprint
-and the baseline (the codeword of the last accepted store) are (T, m)
-snapshots. A verification is one row-wise Hamming distance d and one uniform
-per session, compared with p_single(d/m)**k: that is the chance that all k
+sessions at once. Memory is a (T, W) uint64 array of packed rows, W =
+ceil(m / 64): codeword position a is bit a & 63 of word a >> 6, and the
+padding bits past m are zero in every array, so they never count. The stored
+fingerprint and the baseline (the codeword of the last accepted store) are
+(T, W) snapshots in the same layout. A verification is one row-wise Hamming
+distance d, the popcount of the xor of the words, and one uniform per
+session, compared with p_single(d/m)**k: that is the chance that all k
 copies of the comparison test accept, so the verdict has exactly the law of
 k copies without drawing k numbers. A decode is the code's decode on the
-chunk's rows, each row reading its own memory; checker.retrieve runs the
-same method on one row. A session that rejects stops counting. An attack op
-runs its schedule's apply on the chunk's rows, the one corruption method
-each schedule has; adversary.apply_step runs the same method on one row.
+chunk's rows, each row reading bit a & 63 of its own word a >> 6;
+checker.retrieve runs the same method on one row of bytes. A session that
+rejects stops counting. An attack op runs its schedule's apply on the
+chunk's rows, the one corruption method each schedule has;
+adversary.apply_step runs the same method on one packed row.
 The per-trial checker.store and retrieve stay the library API and the
 reference that the tests compare this engine's verification, decode and
 refresh against.
@@ -22,9 +26,9 @@ splittable pseudorandom number generators", OOPSLA 2014; Salmon et al.,
 passes between trials, so results do not depend on the chunk size, and
 run_sessions(config, k, range(i, i + 1)) replays trial i alone.
 
-A chunk holds T = max(1, CHUNK_ELEMENTS // m) sessions, so no (T, m) array
-exceeds CHUNK_ELEMENTS entries unless m alone does; a run allocates its
-(T, m) arrays once and every chunk reuses them.
+A chunk holds T = max(1, CHUNK_BYTES // (8 * W)) sessions, so no (T, W)
+array exceeds CHUNK_BYTES bytes unless one row does; a run allocates its
+(T, W) arrays once and every chunk reuses them.
 """
 
 from __future__ import annotations
@@ -34,10 +38,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import as_bits
+from .bits import as_bits, read_rows, word_count
 from .fingerprint import p_single
 
-CHUNK_ELEMENTS = 1 << 18
+CHUNK_BYTES = 1 << 18
 
 # SplitMix64's increment, 2^64 divided by the golden ratio, and its output mix
 _GAMMA = 0x9E3779B97F4A7C15
@@ -142,8 +146,8 @@ class OpDraws:
         """
         t = self.keys.size
         if 2 * count > bound:
-            keep = np.ones((t, bound), dtype=np.uint8)
-            flip_rows(keep, self.distinct(bound, bound - count))
+            keep = np.ones((t, bound), dtype=bool)
+            keep[np.arange(t)[:, None], self.distinct(bound, bound - count)] = False
             return np.nonzero(keep)[1].reshape(t, count)
         values = self.below(bound, np.arange(count)).astype(np.int32)  # m < 2^31; sorts twice as fast
         if count < 2:
@@ -158,15 +162,6 @@ class OpDraws:
                 return values
             rows, cols = np.divmod(where, count)
             flat[where] = self.below(bound, (round_ << 32) + cols, rows)
-
-
-def flip_rows(memory: np.ndarray, cols: np.ndarray) -> None:
-    """Flip, in place, positions cols[r] (distinct) of each row r of a (T, m) array."""
-    t, m = memory.shape
-    flat = memory.reshape(-1)
-    if not np.shares_memory(flat, memory):
-        raise ValueError("flip_rows needs a C-contiguous array")
-    flat[(cols + np.arange(0, t * m, m)[:, None]).reshape(-1)] ^= 1
 
 
 @dataclass
@@ -184,8 +179,8 @@ class Tally:
 
 
 def chunk_trials(m: int) -> int:
-    """Sessions per chunk at codeword length m."""
-    return max(1, CHUNK_ELEMENTS // m)
+    """Sessions per chunk at codeword length m: packed rows of CHUNK_BYTES in all."""
+    return max(1, CHUNK_BYTES // (8 * word_count(m)))
 
 
 def run_sessions(config, k: int, trials: range) -> Tally:
@@ -220,27 +215,22 @@ def run_sessions(config, k: int, trials: range) -> Tally:
 
 
 class _Buffers:
-    """The (T, m)-sized arrays every chunk of a run reuses. A fresh array that
+    """The (T, W) word arrays every chunk of a run reuses. A fresh array that
     large would come from the operating system page by page at every op."""
 
     def __init__(self, size: int, m: int) -> None:
-        self.memory = np.empty((size, m), dtype=np.uint8)
-        self.snapshot = np.empty((size, m), dtype=np.uint8)
-        self.baseline = np.empty((size, m), dtype=np.uint8)
-        self.diff = _words(np.empty((size, m), dtype=np.uint8))
-        self.counts = np.empty(self.diff.shape, dtype=np.uint8)
+        shape = (size, word_count(m))
+        self.memory = np.empty(shape, dtype=np.uint64)
+        self.snapshot = np.empty(shape, dtype=np.uint64)
+        self.baseline = np.empty(shape, dtype=np.uint64)
+        self.diff = np.empty(shape, dtype=np.uint64)
+        self.counts = np.empty(shape, dtype=np.uint8)
 
     def distance(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Row-wise Hamming distances of two (rows, m) 0/1 byte arrays."""
+        """Row-wise Hamming distances of two (rows, W) arrays of packed rows."""
         rows = a.shape[0]
-        diff = np.bitwise_xor(_words(a), _words(b), out=self.diff[:rows])
+        diff = np.bitwise_xor(a, b, out=self.diff[:rows])
         return np.bitwise_count(diff, out=self.counts[:rows]).sum(axis=1, dtype=np.int32)
-
-
-def _words(a: np.ndarray) -> np.ndarray:
-    """Rows of 0/1 bytes as uint64 words where they split into whole words:
-    xor and popcount then take eight positions at a time."""
-    return a.view(np.uint64) if a.shape[1] % 8 == 0 else a
 
 
 def _accept_prob(distance: np.ndarray, m: int, k: int):
@@ -302,7 +292,7 @@ def _run_chunk(config, k: int, script, messages: dict, indices: np.ndarray, buff
             elif index == "cycle":
                 index, cycle = cycle % n, cycle + 1
             mask = _below(drawn[:, MASK_SLOT], m)
-            verdict = code.decode(index, mask, lambda pos: memory[rows[:, None], pos])
+            verdict = code.decode(index, mask, lambda pos: read_rows(memory, pos))
             tally.correct += int(np.count_nonzero((verdict == message[rows, index]) & alive))
             tally.accepted[retrieve_pos] += int(np.count_nonzero(alive))
             retrieve_pos += 1

@@ -1,7 +1,8 @@
 """Every schedule's apply against the exact law of its step.
 
-Each shape runs its schedule step by step on ROWS stored codewords, one row
-per session, with the draws keyed from a seeded Generator. After each step:
+Each shape runs its schedule step by step on ROWS stored codewords, one
+packed row per session as the engine keeps them, with the draws keyed from a
+seeded Generator; the checks read the rows unpacked. After each step:
 
 - every row's distance from its pre-step memory lies in the support of
   step_distances, hits a one-point law exactly, and matches a two-point law's
@@ -26,7 +27,7 @@ import pytest
 from qmemcheck import harness
 from qmemcheck.adversary import FlipCount, IncrementalAttack, SubstituteCodeword
 from qmemcheck.analysis import binomial_tail
-from qmemcheck.bits import as_bits
+from qmemcheck.bits import as_bits, unpack_rows
 from qmemcheck.code import HadamardCode
 from qmemcheck.engine import OpDraws
 from qmemcheck.harness import ExperimentConfig
@@ -61,7 +62,8 @@ def flipping(kind, policy):
 
 def run_steps(shape, seed=0):
     """Yield (schedule, code, message, step, baseline, before, after) for each
-    step of a (schedule, n, message, steps) shape, on ROWS stored codewords."""
+    step of a (schedule, n, message, steps) shape, on ROWS stored codewords;
+    apply runs on packed rows, and the three arrays are yielded unpacked."""
     schedule, n, message, steps = shape
     rng = np.random.default_rng(seed)
     code = HadamardCode(n)
@@ -71,10 +73,11 @@ def run_steps(shape, seed=0):
         messages = np.tile(as_bits(message), (ROWS, 1))
     baseline = code.encode_batch(messages)
     memory = baseline.copy()
+    m = code.params.m
     for step in range(steps):
-        before = memory.copy()
+        before = unpack_rows(memory, m)
         schedule.apply(step, memory, baseline, code, OpDraws(rng.integers(2**64, size=ROWS, dtype=np.uint64)))
-        yield schedule, code, message, step, baseline, before, memory.copy()
+        yield schedule, code, message, step, unpack_rows(baseline, m), before, unpack_rows(memory, m)
 
 
 def within_law(count: int, samples: int, p: float) -> bool:
@@ -164,7 +167,7 @@ def test_random_target_is_uniform_over_other_codewords(message):
     # position 2^(n-1-i) of a Hadamard codeword holds message bit i
     unit = 1 << np.arange(n - 1, -1, -1)
     target, stored = after[:, unit], baseline[:, unit]
-    assert np.array_equal(code.encode_batch(target), after)  # each row holds a codeword
+    assert np.array_equal(unpack_rows(code.encode_batch(target), code.params.m), after)  # each row holds a codeword
     offsets = (target ^ stored) @ unit  # which other message: never 0, uniform over the rest
     counts = np.bincount(offsets, minlength=1 << n)
     assert counts[0] == 0

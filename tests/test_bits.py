@@ -1,15 +1,22 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmemcheck.bits import (
     as_bits,
     bits_to_int,
     bits_to_str,
+    flip_rows,
     hamming_distance,
     int_to_bits,
+    pack_rows,
+    read_rows,
+    unpack_rows,
+    word_count,
 )
+
+PACKED_LENGTHS = [1, 5, 8, 63, 64, 65, 130, 256]  # one partial word, whole words, a word and a bit
 
 
 class TestAsBits:
@@ -89,3 +96,32 @@ class TestHamming:
     def test_complement_is_full_length(self, bits):
         a = as_bits(bits)
         assert hamming_distance(a, 1 - a) == len(bits)
+
+
+@pytest.mark.parametrize("m", PACKED_LENGTHS)
+def test_packed_rows_layout(m):
+    # position a is bit a & 63 of word a >> 6, and every padding bit is zero
+    bits = np.random.default_rng(m).integers(0, 2, size=(3, m), dtype=np.uint8)
+    words = pack_rows(bits)
+    assert words.dtype == np.uint64 and words.shape == (3, word_count(m))
+    assert np.array_equal(unpack_rows(words, m), bits)
+    positions = np.tile(np.arange(m), (3, 1))
+    assert np.array_equal(read_rows(words, positions), bits)
+    expected = sum(int(b) << a for a, b in enumerate(bits[0]))
+    assert sum(int(w) << (64 * i) for i, w in enumerate(words[0])) == expected
+
+
+@given(st.sampled_from(PACKED_LENGTHS), st.integers(1, 4), st.data())
+@settings(max_examples=60, deadline=None)
+def test_packed_flips_equal_byte_flips(m, rows, data):
+    # sorted distinct positions per row, up to every position, so many share a word
+    count = data.draw(st.sampled_from([0, 1, min(2, m), m // 2, m]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    cols = np.sort([rng.permutation(m)[:count] for _ in range(rows)], axis=1).reshape(rows, count)
+    before = rng.integers(0, 2, size=(rows, m), dtype=np.uint8)
+    words = pack_rows(before)
+    flip_rows(words, cols)
+    expected = before.copy()
+    expected[np.arange(rows)[:, None], cols] ^= 1
+    assert np.array_equal(unpack_rows(words, m), expected)
+    assert np.array_equal(words, pack_rows(expected))  # padding bits stay zero

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmemcheck.bits import as_bits, bits_to_str, hamming_distance, int_to_bits
+from qmemcheck.bits import as_bits, bits_to_str, hamming_distance, int_to_bits, unpack_rows, word_count
 from qmemcheck.code import MAX_HADAMARD_N, CodeParams, HadamardCode
 
 
@@ -86,18 +86,36 @@ class TestEncode:
             expected = (np.bitwise_count(masks & np.uint64(x)) & 1).astype(np.uint8)
             assert np.array_equal(code.encode(msg), expected)
 
+    @staticmethod
+    def parity_rows(msgs: np.ndarray) -> np.ndarray:
+        """Codewords by definition, one byte per position: position a of row r is <msgs[r], a>."""
+        n = msgs.shape[1]
+        masks = np.arange(2**n, dtype=np.uint64)
+        weights = 1 << np.arange(n - 1, -1, -1, dtype=np.uint64)
+        return (np.bitwise_count(masks & (msgs @ weights)[:, None]) & 1).astype(np.uint8)
+
     @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 13])
     def test_batch_matches_parity_definition(self, n, rng):
-        # each row of a batch is the codeword of its message, with or without out
-        masks = np.arange(2**n, dtype=np.uint64)
+        # each row of a batch, unpacked, is the codeword of its message, with or without out
         msgs = rng.integers(0, 2, size=(5, n), dtype=np.uint8)
-        weights = 1 << np.arange(n - 1, -1, -1, dtype=np.uint64)
-        expected = (np.bitwise_count(masks & (msgs @ weights)[:, None]) & 1).astype(np.uint8)
+        expected = self.parity_rows(msgs)
         code = HadamardCode(n)
-        assert np.array_equal(code.encode_batch(msgs), expected)
-        out = np.full((5, 2**n), 7, dtype=np.uint8)
+        assert np.array_equal(unpack_rows(code.encode_batch(msgs), 2**n), expected)
+        out = np.full((5, word_count(2**n)), 7, dtype=np.uint64)
         assert code.encode_batch(msgs, out=out) is out
-        assert np.array_equal(out, expected)
+        assert np.array_equal(unpack_rows(out, 2**n), expected)
+
+    @pytest.mark.parametrize("n", range(1, 14))
+    def test_batch_is_packed_with_zero_padding(self, n, rng):
+        # position a is bit a & 63 of word a >> 6: numpy's little-endian bit packing,
+        # padded with zero bytes to whole words, so no bit past m is ever set
+        msgs = rng.integers(0, 2, size=(9, n), dtype=np.uint8)
+        packed = np.zeros((9, 8 * word_count(2**n)), dtype=np.uint8)
+        packed[:, : -(-(2**n) // 8)] = np.packbits(self.parity_rows(msgs), axis=1, bitorder="little")
+        words = HadamardCode(n).encode_batch(msgs)
+        assert words.dtype == np.uint64
+        assert np.array_equal(words, packed.view("<u8"))
+        assert not np.unpackbits(words.astype("<u8").view(np.uint8), axis=1, bitorder="little")[:, 2**n :].any()
 
     @given(st.integers(1, 6), st.data())
     @settings(max_examples=40, deadline=None)
@@ -169,7 +187,7 @@ class TestDecode:
             code, m = HadamardCode(n), 2**n
             masks = np.arange(m)
             msgs = np.array([int_to_bits(x, n) for x in range(m)])
-            words = code.encode_batch(msgs)
+            words = unpack_rows(code.encode_batch(msgs), m)
             for msg, word in zip(msgs, words):
                 for index in range(n):  # one index for every row
                     assert (code.decode(index, masks, reader(word)) == msg[index]).all()

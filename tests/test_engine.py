@@ -18,12 +18,32 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qmemcheck import engine, harness
+from qmemcheck import adversary, engine, harness
 from qmemcheck.adversary import FlipCount, SubstituteCodeword, apply_step
 from qmemcheck.analysis import binomial_tail
+from qmemcheck.bits import word_count
 from qmemcheck.checker import CheckerState, PublicMemory, retrieve, store
 from qmemcheck.harness import ExperimentConfig, run_experiment
 from test_golden import CONFIGS
+
+# attacked shapes at m = 8 (one word, mostly padding) and m = 128 (two whole words)
+PACKED_CONFIGS = {
+    "packed-flipcount-n3": {
+        "n": 3, "k": 2, "attack": {"kind": "flip_count", "bits_per_step": 3}, "steps": 3, "trials": 120, "seed": 11,
+    },
+    "packed-flipcount-n7": {
+        "n": 7, "k": 2, "attack": {"kind": "flip_count", "bits_per_step": 9}, "steps": 3, "trials": 120, "seed": 12,
+    },
+    "packed-substitute-n3": {"n": 3, "k": 1, "attack": {"kind": "substitute"}, "trials": 120, "seed": 13},
+    "packed-substitute-n7": {"n": 7, "k": 1, "attack": {"kind": "substitute"}, "trials": 120, "seed": 14},
+    "packed-incremental-n3": {
+        "n": 3, "k": 1, "attack": {"kind": "incremental", "deltas": [0.25, 0.25]}, "trials": 120, "seed": 15,
+    },
+    "packed-incremental-n7": {
+        "n": 7, "k": 1, "attack": {"kind": "incremental", "deltas": [0.1, 0.1, 0.1]}, "trials": 120, "seed": 16,
+    },
+}
+ENGINE_CONFIGS = {**CONFIGS, **PACKED_CONFIGS}
 
 
 def reference_tally(config: ExperimentConfig) -> engine.Tally:
@@ -104,22 +124,31 @@ def test_engine_matches_reference_protocol(name):
 
 def chunked_results(config, monkeypatch, sessions_per_chunk):
     if sessions_per_chunk is not None:
-        monkeypatch.setattr(engine, "CHUNK_ELEMENTS", sessions_per_chunk * config.code.params.m)
+        monkeypatch.setattr(engine, "CHUNK_BYTES", sessions_per_chunk * 8 * word_count(config.code.params.m))
     return run_experiment(config).results_json()
 
 
-@pytest.mark.parametrize("name", ["substitute-random-n4", "honest-mixed-n8", "script-store-reject-n3"])
+@pytest.mark.parametrize("name", ["substitute-random-n4", "honest-mixed-n8", "script-store-reject-n3", *PACKED_CONFIGS])
 def test_results_do_not_depend_on_chunk_size(name, monkeypatch):
-    config = ExperimentConfig.from_dict(CONFIGS[name])
+    config = ExperimentConfig.from_dict(ENGINE_CONFIGS[name])
     default = chunked_results(config, monkeypatch, None)
     assert engine.chunk_trials(config.code.params.m) >= config.trials  # the default runs one chunk
     for size in (1, 7):
         assert chunked_results(config, monkeypatch, size) == default
 
 
-@pytest.mark.parametrize("name", ["script-attack-n3", "honest-mixed-n8", "flipcount-uniform-n6"])
+@pytest.mark.parametrize("name", ["incremental-uniform-n3", "incremental-prefix-reach-n3", "packed-incremental-n7"])
+def test_incremental_row_blocks_do_not_change_results(name, monkeypatch):
+    # incremental steps unpack a block of rows at a time; one row per block gives the same runs
+    config = ExperimentConfig.from_dict(ENGINE_CONFIGS[name])
+    default = run_experiment(config).results_json()
+    monkeypatch.setattr(adversary, "CHUNK_BYTES", 1)
+    assert run_experiment(config).results_json() == default
+
+
+@pytest.mark.parametrize("name", ["script-attack-n3", "honest-mixed-n8", "flipcount-uniform-n6", *PACKED_CONFIGS])
 def test_one_trial_replays_alone(name):
-    config = dataclasses.replace(ExperimentConfig.from_dict(CONFIGS[name]), trials=40, record_trials=True)
+    config = dataclasses.replace(ExperimentConfig.from_dict(ENGINE_CONFIGS[name]), trials=40, record_trials=True)
     k = config.resolved_k()
     full = run_experiment(config)
     alone = [engine.run_sessions(config, k, range(i, i + 1)) for i in range(config.trials)]
@@ -155,19 +184,19 @@ def test_chunk_arrays_capped_at_n16(monkeypatch):
         return real(config, k, script, messages, indices, buffers, tally)
 
     monkeypatch.setattr(engine, "_run_chunk", recorded)
-    config = ExperimentConfig(n=16, k=7, attack=FlipCount(bits_per_step=1024), steps=3, trials=41)
+    config = ExperimentConfig(n=16, k=7, attack=FlipCount(bits_per_step=1024), steps=3, trials=300)
     tracemalloc.start()
     try:
         engine.run_sessions(config, 7, range(config.trials))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert chunks == [4] * 10 + [1]
-    # four (T, m) byte arrays of 2^18 entries, and nothing larger: 41 sessions in one chunk would need 11 MB
-    assert peak < 8 * engine.CHUNK_ELEMENTS
+    assert chunks == [32] * 9 + [12]
+    # four (T, W) word arrays of 2^18 bytes, and nothing larger: 300 sessions in one chunk would need 9.4 MB
+    assert peak < 8 * engine.CHUNK_BYTES
 
 
-def test_one_session_per_chunk_at_n20(monkeypatch):
+def test_two_sessions_per_chunk_at_n20(monkeypatch):
     chunks = []
     real = engine._run_chunk
 
@@ -178,7 +207,7 @@ def test_one_session_per_chunk_at_n20(monkeypatch):
     monkeypatch.setattr(engine, "_run_chunk", recorded)
     config = ExperimentConfig(n=20, k=7, attack=FlipCount(bits_per_step=64), steps=2, trials=3)
     agg = run_experiment(config).aggregates
-    assert chunks == [1, 1, 1]
+    assert chunks == [2, 1]  # a packed row is 128 KiB
     assert all(b["passed"] for b in agg["bounds"])
 
 
@@ -226,3 +255,4 @@ class TestDraws:
         for row in (0, 5, 11):
             keys = self.draws(12).keys[row : row + 1]
             assert np.array_equal(engine.OpDraws(keys).distinct(64, 20)[0], full[row])
+
