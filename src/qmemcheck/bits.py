@@ -8,11 +8,13 @@ The batch engine keeps rows of bits packed instead: a (rows, m) bit array
 becomes (rows, word_count(m)) uint64 words, position a being bit a & 63 of
 word a >> 6, with the padding bits past m always zero. pack_rows and
 unpack_rows convert between the two; read_rows reads positions of packed
-rows, and flip_rows flips them in place.
+rows, and flip_rows flips them in place. Positions and bit indices from
+outside the package pass check_positions before anything reads them.
 """
 
 from __future__ import annotations
 
+import numbers
 from typing import Iterable, Union
 
 import numpy as np
@@ -41,6 +43,25 @@ def as_bits(value: BitsLike, *, name: str = "bits") -> np.ndarray:
     elif arr.dtype != np.bool_ and not ((arr == 0) | (arr == 1)).all():
         raise ValueError(f"{name}: entries must be 0 or 1")
     return arr.astype(np.uint8)
+
+
+def check_positions(values, bound: int, *, name: str) -> np.ndarray:
+    """An int or integer array of positions in [0, bound), as int64.
+
+    Raises TypeError if any entry is a bool, float or str (or anything else
+    that is not an integer), and IndexError if any entry lies outside
+    [0, bound). An empty sequence passes and comes back as an empty array.
+    """
+    arr = np.asarray(values)
+    if arr.size and arr.dtype.kind not in "iu":
+        entries = np.asarray(values, dtype=object).flat
+        # Integers past 64 bits arrive as object or float64 arrays.
+        if all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in entries):
+            raise IndexError(f"{name} out of range [0, {bound})")
+        raise TypeError(f"{name}: expected integers, got {arr.dtype} values")
+    if arr.size and (arr.min() < 0 or arr.max() >= bound):
+        raise IndexError(f"{name} out of range [0, {bound})")
+    return arr.astype(np.int64, copy=False)
 
 
 def word_count(m: int) -> int:

@@ -10,7 +10,8 @@ samples the k copies from it. Otherwise the checker answers the requested
 bit via one local decode routed through counted memory reads, then replaces
 its private snapshot with one of k new summaries of the current memory
 (measured copies are never reused, so a retrieve fetches 2k summaries in
-total: k for testing, k for refresh).
+total: k for testing, k for refresh). Every position and index a request
+names passes bits.check_positions before anything is served or flipped.
 
 Store encodes the message first (encoding parses it and draws no
 randomness), runs the same verification against the current memory
@@ -31,11 +32,12 @@ distinct sessions are independent and may run in parallel workers.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import as_bits
+from .bits import as_bits, check_positions
 from .code import LocallyDecodableCode
 from .fingerprint import Fingerprint, make_fingerprint, p_single, sample_swap_test
 
@@ -139,9 +141,7 @@ class PublicMemory:
     def read_bits(self, positions) -> np.ndarray:
         """Serve individual codeword bits; each position served counts once."""
         self._require_initialized()
-        idx = np.asarray(positions, dtype=np.int64)
-        if idx.size and (idx.min() < 0 or idx.max() >= self._bits.size):
-            raise IndexError(f"read positions out of range [0, {self._bits.size})")
+        idx = check_positions(positions, self._bits.size, name="read positions")
         self.read_log += int(idx.size)
         return self._bits[idx]
 
@@ -159,14 +159,10 @@ class PublicMemory:
     # -- adversary-facing (uncounted) ---------------------------------------
 
     def adversary_flip(self, positions) -> None:
-        """Flip the given positions in place. Corruption, not checker traffic."""
+        """Flip the given distinct positions in place. Corruption, not checker traffic."""
         self._require_initialized()
-        idx = np.asarray(positions, dtype=np.int64)
-        if idx.size == 0:
-            return
+        idx = check_positions(positions, self._bits.size, name="flip positions")
         ordered = np.sort(idx, axis=None)
-        if ordered[0] < 0 or ordered[-1] >= self._bits.size:
-            raise IndexError(f"flip positions out of range [0, {self._bits.size})")
         if (ordered[1:] == ordered[:-1]).any():
             raise ValueError("flip positions must be distinct")
         self._bits[idx] ^= 1
@@ -267,17 +263,17 @@ def retrieve(
 ) -> Verdict:
     """Handle a retrieve request for message bit *index* (0-based).
 
-    Verification first: k summaries fetched and tested; any rejection yields
-    "buggy" immediately, with no decode and no refresh. Otherwise one local
-    decode runs through counted memory reads, the private snapshot is
-    replaced by k fresh summaries of the current memory, and the decoded bit
-    is returned.
+    The index is checked before anything is served: TypeError unless it is
+    one integer, IndexError outside [0, n). Then verification: k summaries
+    fetched and tested; any rejection yields "buggy" immediately, with no
+    decode and no refresh. Otherwise one local decode runs through counted
+    memory reads, the private snapshot is replaced by k fresh summaries of
+    the current memory, and the decoded bit is returned.
     """
     if not state.initialized:
         raise ProtocolError("retrieve before any store: checker holds no fingerprint")
     code = state.code
-    if not 0 <= index < code.params.n:
-        raise IndexError(f"bit index {index} out of range [0, {code.params.n})")
+    index = operator.index(check_positions(index, code.params.n, name="bit index"))  # one bit per request
 
     if not _verification_accepts(state, memory, rng):
         return Verdict.buggy()

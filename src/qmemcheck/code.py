@@ -12,7 +12,9 @@ yields the correct bit with probability at least 1 - 2*delta_dec.
 
 A decode reads each row's q positions through a caller-supplied read, once
 per call; amplification (repeating the decode) is deliberately left to
-callers so that per-request query counts stay honest.
+callers so that per-request query counts stay honest. Before any read, a bit
+index or mask outside [0, n) or [0, m) raises IndexError, and a non-integer
+one TypeError (bits.check_positions).
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import as_bits, unpack_rows, word_count
+from .bits import as_bits, check_positions, unpack_rows, word_count
 
 # Hadamard codeword length is 2^n; keep n at desk scale.
 MAX_HADAMARD_N = 20
@@ -99,21 +101,8 @@ class LocallyDecodableCode(ABC):
 
         read maps a (rows, q) array of codeword positions to their bits, so the
         caller routes the reads through whatever holds the codewords and can
-        count them. Out-of-range inputs raise before read is called.
+        count them. Invalid inputs raise before read is called.
         """
-
-    # -- shared validation -------------------------------------------------
-
-    def _check_index(self, index) -> None:
-        n = self.params.n
-        if not _in_range(index, n):
-            raise IndexError(f"bit index {index} out of range [0, {n})")
-
-
-def _in_range(values, bound: int) -> bool:
-    """Every entry of an int or integer array lies in [0, bound)."""
-    values = np.asarray(values)
-    return not values.size or (values.min() >= 0 and values.max() < bound)
 
 
 class HadamardCode(LocallyDecodableCode):
@@ -137,8 +126,8 @@ class HadamardCode(LocallyDecodableCode):
     def unit_mask(self, index):
         """Integer mask with a single 1 at message bit *index* (MSB-first
         weights); for an integer array of indices, one mask per entry."""
-        self._check_index(index)
-        return 1 << (self._params.n - 1 - index)
+        n = self._params.n
+        return 1 << (n - 1 - check_positions(index, n, name="bit index"))
 
     def encode(self, msg) -> np.ndarray:
         bits = as_bits(msg, name="message")
@@ -171,8 +160,6 @@ class HadamardCode(LocallyDecodableCode):
     def decode(self, index, masks: np.ndarray, read) -> np.ndarray:
         """Reads [a, a xor e_index] for each row's mask a, and xors the two bits."""
         units = self.unit_mask(index)
-        masks = np.asarray(masks)
-        if not _in_range(masks, self._params.m):
-            raise ValueError(f"decode masks out of range [0, {self._params.m})")
+        masks = check_positions(masks, self._params.m, name="decode masks")
         bits = read(np.array([masks, masks ^ units]).T)
         return bits[:, 0] ^ bits[:, 1]

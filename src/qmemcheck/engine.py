@@ -237,6 +237,7 @@ def _accept_prob(distance: np.ndarray, m: int, k: int):
     """p_single(d/m)**k per row: the chance that all k copies of the comparison
     test accept at distance d, computed once per distinct distance."""
     values = sorted(set(distance.tolist()))
+    # scalar powers: numpy's array ** differs from float ** in the last bit at large m
     return np.array([p_single(d / m) ** k for d in values])[np.searchsorted(values, distance)]
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import as_bits
+from .bits import as_bits, hamming_distance
 
 # Dense oracle limit: m = 64 means 13 qubits, 8192 amplitudes.
 MAX_ORACLE_M = 64
@@ -104,21 +104,14 @@ def _amplitude_rows(phases: np.ndarray) -> np.ndarray:
     return ((-1.0) ** phases.astype(np.int64)) / math.sqrt(phases.shape[-1])
 
 
-def _check_same_m(a: Fingerprint, b: Fingerprint) -> int:
-    if a.m != b.m:
-        raise ValueError(f"fingerprint length mismatch: {a.m} vs {b.m}")
-    return a.m
-
-
 def inner_product(a: Fingerprint, b: Fingerprint) -> float:
     """<a|b> = (m - 2d)/m with d the Hamming distance of the phase patterns.
 
     The states are real, so the inner product is real and lies in [-1, 1].
     Computed in integers up to the single final division.
     """
-    m = _check_same_m(a, b)
-    d = int(np.count_nonzero(a.phases != b.phases))
-    return (m - 2 * d) / m
+    d = hamming_distance(a.phases, b.phases)
+    return (a.m - 2 * d) / a.m
 
 
 def p_single(delta_frac: float | np.ndarray) -> float | np.ndarray:
@@ -140,8 +133,7 @@ def p_single(delta_frac: float | np.ndarray) -> float | np.ndarray:
 
 def swap_accept_prob(a: Fingerprint, b: Fingerprint) -> float:
     """Probability the comparison test accepts: p_single(d/m) at Hamming distance d, in [1/2, 1]."""
-    m = _check_same_m(a, b)
-    return p_single(int(np.count_nonzero(a.phases != b.phases)) / m)
+    return p_single(hamming_distance(a.phases, b.phases) / a.m)
 
 
 # Outcomes are immutable, so every test shares these two instances.
@@ -211,5 +203,4 @@ def cswap_statevector_probs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def cswap_statevector_prob(a: Fingerprint, b: Fingerprint) -> float:
     """Accept probability of one pair from the dense circuit: a one-row cswap_statevector_probs."""
-    _check_same_m(a, b)
     return float(cswap_statevector_probs(a.phases[None], b.phases[None])[0])

@@ -7,6 +7,7 @@ from qmemcheck.bits import (
     as_bits,
     bits_to_int,
     bits_to_str,
+    check_positions,
     flip_rows,
     hamming_distance,
     int_to_bits,
@@ -78,6 +79,36 @@ class TestIntConversions:
     def test_str_round_trip(self, bits):
         s = bits_to_str(as_bits(bits))
         assert as_bits(s).tolist() == bits
+
+
+class TestCheckPositions:
+    @pytest.mark.parametrize("values", [True, 2.0, "1", [1.5], [0.7], ["1"], [True], [np.True_], [None], [0, 1.0]])
+    def test_non_integers_rejected(self, values):
+        with pytest.raises(TypeError, match="^pos: expected integers"):
+            check_positions(values, 8, name="pos")
+
+    # entries past 64 bits reach numpy as object or float64 arrays, yet are integers out of range
+    @pytest.mark.parametrize("values", [8, -1, [0, 8], [2, -1], np.array([2**63], dtype=np.uint64), 2**64, [1, 2**70], [-1, 2**63]])
+    def test_out_of_range_rejected(self, values):
+        with pytest.raises(IndexError, match=r"^pos out of range \[0, 8\)$"):
+            check_positions(values, 8, name="pos")
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int64, np.uint8, np.uint64])
+    def test_numpy_integers_accepted(self, dtype):
+        out = check_positions(np.array([[7, 0], [3, 1]], dtype=dtype), 8, name="pos")
+        assert out.dtype == np.int64 and out.tolist() == [[7, 0], [3, 1]]
+        assert check_positions(dtype(5), 8, name="pos") == 5
+
+    def test_empty_and_scalar(self):
+        # np.asarray([]) is float64, but an empty list names no position at all
+        out = check_positions([], 8, name="pos")
+        assert out.dtype == np.int64 and out.shape == (0,)
+        out = check_positions(3, 8, name="pos")
+        assert out.dtype == np.int64 and out.shape == () and out == 3
+
+    def test_int64_arrays_are_not_copied(self):
+        positions = np.arange(8)
+        assert check_positions(positions, 8, name="pos") is positions
 
 
 class TestHamming:

@@ -97,6 +97,35 @@ class TestPublicMemory:
         with pytest.raises(IndexError):
             mem.read_bits([-1])
 
+    @pytest.mark.parametrize(
+        "positions, error",
+        [([1.5], TypeError), ([0.7], TypeError), (["1"], TypeError), ([True], TypeError), ([0, 4], IndexError)],
+    )
+    def test_bad_positions_raise_before_any_effect(self, positions, error):
+        mem = PublicMemory()
+        mem.write(as_bits("0110"))
+        for op in (mem.read_bits, mem.adversary_flip):
+            with pytest.raises(error):
+                op(positions)
+        assert mem.read_log == 0 and mem.summary_log == 0
+        assert mem.bits.tolist() == [0, 1, 1, 0]
+
+    def test_empty_positions_read_and_flip_nothing(self):
+        mem = PublicMemory()
+        mem.write(as_bits("0110"))
+        assert mem.read_bits([]).tolist() == []
+        mem.adversary_flip([])
+        assert mem.read_log == 0 and mem.bits.tolist() == [0, 1, 1, 0]
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint64])
+    def test_numpy_positions_accepted(self, dtype):
+        mem = PublicMemory()
+        mem.write(as_bits("0110"))
+        assert mem.read_bits(np.array([1, 3], dtype=dtype)).tolist() == [1, 0]
+        assert mem.read_bits(dtype(2)) == 1
+        mem.adversary_flip(np.array([0, 3], dtype=dtype))
+        assert mem.read_log == 3 and mem.bits.tolist() == [1, 1, 1, 1]
+
     def test_uninitialized_access_rejected(self):
         mem = PublicMemory()
         with pytest.raises(ProtocolError):
@@ -248,6 +277,28 @@ class TestStoreRetrieve:
         store(state, mem, "101", rng)
         with pytest.raises(IndexError):
             retrieve(state, mem, 3, rng)
+
+    @pytest.mark.parametrize(
+        "index, error",
+        [(True, TypeError), (2.0, TypeError), ("1", TypeError), ([1], TypeError), (-1, IndexError), (2**70, IndexError)],
+    )
+    def test_bad_index_raises_before_anything_is_served(self, index, error, rng):
+        state = new_checker(HadamardCode(3), 0.01)
+        mem = PublicMemory()
+        store(state, mem, "101", rng)
+        fingerprint, draws = state.fingerprint, rng.bit_generator.state
+        with pytest.raises(error):
+            retrieve(state, mem, index, rng)
+        assert mem.summary_log == 0 and mem.read_log == 0
+        assert state.fingerprint is fingerprint and rng.bit_generator.state == draws
+        assert mem.bits.tolist() == HadamardCode(3).encode("101").tolist()
+
+    @pytest.mark.parametrize("index", [np.int64(2), np.uint64(2)])
+    def test_numpy_index_accepted(self, index, rng):
+        state = new_checker(HadamardCode(3), 0.01)
+        mem = PublicMemory()
+        store(state, mem, "101", rng)
+        assert retrieve(state, mem, index, rng) == Verdict.answer(1)
 
     def test_honest_retrieve_every_index(self, rng):
         code = HadamardCode(4)

@@ -172,10 +172,17 @@ class TestQueryPlan:
                 code.decode(index, np.zeros(np.size(index), dtype=np.int64), reader(np.zeros(8, dtype=np.uint8), calls))
         assert calls == []
 
+    def test_non_integer_index_or_mask(self):
+        code, calls = HadamardCode(3), []
+        for index, masks in ((True, [0]), (1.0, [0]), ("1", [0]), (0, [1.5]), (0, [True]), (0, ["1"])):
+            with pytest.raises(TypeError):
+                code.decode(index, masks, reader(np.zeros(8, dtype=np.uint8), calls))
+        assert calls == []
+
     def test_mask_out_of_range(self):
         code, calls = HadamardCode(3), []
         for masks in ([8], [-1], [0, 8]):
-            with pytest.raises(ValueError):
+            with pytest.raises(IndexError):
                 code.decode(0, masks, reader(np.zeros(8, dtype=np.uint8), calls))
         assert calls == []
 

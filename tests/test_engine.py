@@ -23,6 +23,7 @@ from qmemcheck.adversary import FlipCount, SubstituteCodeword, apply_step
 from qmemcheck.analysis import binomial_tail
 from qmemcheck.bits import word_count
 from qmemcheck.checker import CheckerState, PublicMemory, retrieve, store
+from qmemcheck.fingerprint import p_single
 from qmemcheck.harness import ExperimentConfig, run_experiment
 from test_golden import CONFIGS
 
@@ -219,6 +220,15 @@ def test_max_k_draws_one_uniform_per_verification():
     assert time.perf_counter() - start < 1.0
     assert agg["sessions"]["buggy"] == 1000  # 2^-(10^6) accepts nothing
     assert all(b["passed"] for b in agg["bounds"])
+
+
+@pytest.mark.parametrize("m", [2, 16, 1024, 2**16])
+def test_accept_prob_is_the_scalar_law_at_every_distance(m):
+    # a vectorised p_single(d / m) ** k misses the scalar double at thousands of
+    # distances for m >= 1024, which no golden (m <= 256) would notice
+    distance = np.arange(m + 1, dtype=np.int32)
+    for k in (1, 2, 3, 7, 37, 368):
+        assert engine._accept_prob(distance, m, k).tolist() == [p_single(d / m) ** k for d in range(m + 1)]
 
 
 class TestDraws:

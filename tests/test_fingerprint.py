@@ -124,6 +124,10 @@ class TestAcceptProb:
         a, b = fp_with_distance(8, 2)
         assert swap_accept_prob(a, b) == 0.625
 
+    def test_length_mismatch(self):
+        with pytest.raises(ValueError):
+            swap_accept_prob(Fingerprint("01"), Fingerprint("011"))
+
     def test_range(self, rng):
         for _ in range(100):
             a = Fingerprint(rng.integers(0, 2, size=16, dtype=np.uint8))
@@ -161,6 +165,12 @@ class TestSampling:
         assert g1.bit_generator.state == g2.bit_generator.state
         if 0 < d_frac < 1:
             assert rejects > 0  # the comparison saw both outcomes
+
+    def test_length_mismatch(self, rng):
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError):
+            sample_swap_test(Fingerprint("01"), Fingerprint("011"), rng, copies=3)
+        assert rng.bit_generator.state == state  # nothing drawn
 
     def test_copies_validated(self, rng):
         a, b = fp_with_distance(4, 0)
