@@ -198,12 +198,18 @@ class FlipCount(AttackSchedule):
         return {min(self.bits_per_step, params.m): 1.0}
 
     def apply(self, step, memory, baseline, code, draws) -> None:
-        m = code.params.m
+        t, m = memory.shape[0], code.params.m
         d = min(self.bits_per_step, m)
-        if self.policy == "prefix":
-            flip_rows(memory, np.broadcast_to(np.arange(d), (memory.shape[0], d)))
-        else:
-            flip_rows(memory, draws.distinct(m, d))
+        # a block of rows at a time: the draws, flip_rows' inputs and, where distinct
+        # samples the complement, its (rows, m) mask and np.nonzero's output hold up to
+        # 8 bytes per flip (or per position), at most CHUNK_BYTES per array
+        block = max(1, CHUNK_BYTES // (8 * (m if 2 * d > m else max(d, 1))))
+        for first in range(0, t, block):
+            rows = slice(first, min(first + block, t))
+            if self.policy == "prefix":
+                flip_rows(memory[rows], np.broadcast_to(np.arange(d), (rows.stop - first, d)))
+            else:  # no block's positions outlive its flip, so they never add to the next block's draws
+                flip_rows(memory[rows], OpDraws(draws.keys[rows]).distinct(m, d))
 
 
 @dataclass(frozen=True)

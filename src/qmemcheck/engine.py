@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -168,14 +169,31 @@ class OpDraws:
 class Tally:
     """Run-wide session counters. A session stops at its first reject, so the
     retrieves it reached and accepted are prefixes of the script's retrieves.
-    verdicts holds one verdict stream per trial, or None when not recorded."""
+
+    codes holds the recorded verdicts as a (trials, ops) int8 array, or None
+    when not recorded: an answer's code is its bit, a reject's is 2, and -1
+    marks the ops after a session's reject. ops names each column's op kind.
+    """
 
     reached: list[int]
     accepted: list[int]
     buggy: int = 0
     false_buggy: int = 0
     correct: int = 0
-    verdicts: list[list[str]] | None = None
+    codes: np.ndarray | None = None
+    ops: tuple[str, ...] = ()
+
+    def labels(self) -> list[tuple[str, str, str]]:
+        """Per op, the labels of its verdict codes 0, 1 and 2."""
+        return [(f"{op}:0", f"{op}:1", f"{op}:buggy") for op in self.ops]
+
+    @cached_property
+    def verdicts(self) -> list[list[str]] | None:
+        """One verdict stream of labels per trial, built from codes on first access."""
+        if self.codes is None:
+            return None
+        labels = self.labels()
+        return [[labels[j][c] for j, c in enumerate(row) if c >= 0] for row in self.codes.tolist()]
 
 
 def chunk_trials(m: int) -> int:
@@ -185,7 +203,7 @@ def chunk_trials(m: int) -> int:
 
 def run_sessions(config, k: int, trials: range) -> Tally:
     """Run the sessions of config whose trial indices lie in trials, in chunks,
-    with k >= 1 comparison copies per verification; verdict streams are kept
+    with k >= 1 comparison copies per verification; verdict codes are kept
     when config.record_trials is set. trials must have step 1 and lie in
     [0, 2^64), since trial indices are uint64 counters; an empty range gives
     an empty tally.
@@ -200,7 +218,9 @@ def run_sessions(config, k: int, trials: range) -> Tally:
         raise ValueError(f"trials must lie in [0, 2^64), got {trials!r}")
     script = config.build_script()
     n_retrieves = sum(op.op == "retrieve" for op in script)
-    tally = Tally([0] * n_retrieves, [0] * n_retrieves, verdicts=[] if config.record_trials else None)
+    tally = Tally([0] * n_retrieves, [0] * n_retrieves, ops=tuple(op.op for op in script))
+    if config.record_trials:
+        tally.codes = np.full((len(trials), len(script)), -1, dtype=np.int8)
     if not trials:
         return tally
     specs = {config.message if op.message is None else op.message for op in script if op.op == "store"}
@@ -210,7 +230,9 @@ def run_sessions(config, k: int, trials: range) -> Tally:
     buffers = _Buffers(size, m)
     for first in range(trials.start, trials.stop, size):
         indices = np.arange(first, min(first + size, trials.stop), dtype=np.uint64)
-        _run_chunk(config, k, script, messages, indices, buffers, tally)
+        codes = _run_chunk(config, k, script, messages, indices, buffers, tally)
+        if codes is not None:
+            tally.codes[first - trials.start : first - trials.start + indices.size] = codes
     return tally
 
 
@@ -241,10 +263,11 @@ def _accept_prob(distance: np.ndarray, m: int, k: int):
     return np.array([p_single(d / m) ** k for d in values])[np.searchsorted(values, distance)]
 
 
-def _run_chunk(config, k: int, script, messages: dict, indices: np.ndarray, buffers: _Buffers, tally: Tally) -> None:
-    """Play the script on one chunk, one session per row. A rejected session's
-    row plays on, but its reject ends the session: alive marks the rows whose
-    verdicts still count, so rows never move within the run's buffers."""
+def _run_chunk(config, k: int, script, messages: dict, indices: np.ndarray, buffers: _Buffers, tally: Tally):
+    """Play the script on one chunk, one session per row, and return the chunk's
+    (rows, ops) verdict codes, or None when tally records none. A rejected
+    session's row plays on, but its reject ends the session: alive marks the
+    rows whose verdicts still count, so rows never move within the run's buffers."""
     code = config.code
     n, m = code.params.n, code.params.m
     rows = np.arange(indices.size)
@@ -253,7 +276,7 @@ def _run_chunk(config, k: int, script, messages: dict, indices: np.ndarray, buff
     alive = np.ones(indices.size, dtype=bool)
     memory = buffers.memory[: indices.size]
     stored = baseline = message = None
-    codes = None if tally.verdicts is None else np.full((indices.size, len(script)), -1, dtype=np.int8)
+    codes = None if tally.codes is None else np.full((indices.size, len(script)), -1, dtype=np.int8)
     attack_step = retrieve_pos = cycle = 0
     for j, op in enumerate(script):
         draws = OpDraws(op_keys[:, j])
@@ -270,7 +293,7 @@ def _run_chunk(config, k: int, script, messages: dict, indices: np.ndarray, buff
             if reject.any():
                 tally.buggy += int(np.count_nonzero(reject))
                 # "false buggy" means rejecting a memory that matches the stored codeword
-                tally.false_buggy += int(np.count_nonzero(buffers.distance(memory, baseline)[reject] == 0))
+                tally.false_buggy += int(np.count_nonzero(buffers.distance(memory[reject], baseline[reject]) == 0))
                 if codes is not None:
                     codes[reject, j] = _BUGGY
                 alive &= accept
@@ -301,6 +324,4 @@ def _run_chunk(config, k: int, script, messages: dict, indices: np.ndarray, buff
             np.copyto(stored, memory)
         if codes is not None:
             np.copyto(codes[:, j], verdict, where=alive)
-    if codes is not None:
-        labels = [(f"{op.op}:0", f"{op.op}:1", f"{op.op}:buggy") for op in script]
-        tally.verdicts.extend([labels[j][c] for j, c in enumerate(row) if c >= 0] for row in codes.tolist())
+    return codes

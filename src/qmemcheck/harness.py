@@ -32,7 +32,7 @@ from .adversary import SCHEDULES, AttackSchedule, ConfigError, NoOpAttack, _is_b
 from .analysis import BoundReport, binomial_std_error, binomial_tail, lemma1_bound, p_single
 from .checker import CheckerState, PublicMemory, complexity_report, required_k, retrieve, store
 from .code import MAX_HADAMARD_N, HadamardCode
-from .engine import run_sessions
+from .engine import Tally, run_sessions
 
 RESULTS_SCHEMA = "qmemcheck.results.v4"
 
@@ -43,8 +43,10 @@ MAX_K = 10**6
 MAX_STEPS = 10**4
 # Trial indices are uint64 counters (engine.run_sessions), so 2^64 trials at most.
 MAX_TRIALS = 2**64
-# A record_trials run keeps trials * len(script) verdicts, about 32 bytes of
-# memory each (1.8 million of them took 57 MB), until the document is written.
+# A record_trials run keeps trials * len(script) verdicts as one int8 code
+# each. Its results.json text, 10 to 14 bytes per verdict, built once and
+# copied once, sets the peak: at this cap an 8-op store/retrieve script
+# renders 118 MB of text, with a 280 MB peak RSS.
 MAX_RECORDED_VERDICTS = 10**7
 
 # Phi(-4): the tail mass a 4-sigma band leaves on one side of a normal rate
@@ -337,31 +339,41 @@ class ExperimentResult:
 
     aggregates (and the results JSON built from them) are a pure function of
     (config, seed); run_meta holds the wall-clock and platform facts and is
-    written to its own sidecar file. A result is read, not changed: its
-    documents are rendered once and the text kept.
+    written to its own sidecar file. tally is the engine's record of the run,
+    whose verdict codes give trial_verdicts. A result is read, not changed:
+    its documents are rendered once and the text kept.
     """
 
     config: ExperimentConfig
     aggregates: dict[str, Any]
-    trial_verdicts: list[list[str]] | None
+    tally: Tally
     run_meta: dict[str, Any]
 
+    @property
+    def trial_verdicts(self) -> list[list[str]] | None:
+        """One verdict stream of labels per trial, or None when not recorded."""
+        return self.tally.verdicts
+
     def result_document(self) -> dict[str, Any]:
-        doc: dict[str, Any] = {
+        """The results document without trial_verdicts, which results_json
+        renders from the verdict codes."""
+        return {
             "schema": RESULTS_SCHEMA,
             "config": self.config.to_dict(),
             "aggregates": self.aggregates,
         }
-        if self.trial_verdicts is not None:
-            doc["trial_verdicts"] = self.trial_verdicts
-        return doc
 
     def aggregates_json(self) -> str:
         return canonical_json(self.aggregates)
 
     @cached_property
     def _json_text(self) -> str:
-        return canonical_json(self.result_document())
+        text = canonical_json(self.result_document())
+        if self.tally.codes is None:
+            return text
+        # trial_verdicts sorts after every other top-level key: its array goes just before the
+        # closing brace, and one join copies the array's text once
+        return "".join([text[:-2], ',"trial_verdicts": [', _verdict_rows_json(self.tally), "]}\n"])
 
     @cached_property
     def _csv_text(self) -> str:
@@ -423,6 +435,22 @@ def canonical_json(payload) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ": "), allow_nan=False) + "\n"
 
 
+def _verdict_rows_json(tally: Tally) -> str:
+    """The canonical JSON of each trial's list of verdict labels, joined by ","
+    in trial order: the items of the trial_verdicts array. A list of strings
+    renders as its items' JSON joined by "," in brackets, once per distinct
+    row of codes."""
+    codes = tally.codes
+    # each row as one opaque value: np.unique(codes, axis=0) sorts rows over ten times slower
+    distinct, inverse = np.unique(codes.view(np.dtype((np.void, codes.shape[1]))).ravel(), return_inverse=True)
+    labels = [[json.dumps(label) for label in op] for op in tally.labels()]
+    rows = [
+        "[" + ",".join([labels[j][c] for j, c in enumerate(row) if c >= 0]) + "]"
+        for row in distinct.view(np.int8).reshape(-1, codes.shape[1]).tolist()
+    ]
+    return ",".join([rows[i] for i in inverse.tolist()])
+
+
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Execute config.trials independent sessions and aggregate their verdicts.
 
@@ -470,5 +498,5 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         "platform": platform.platform(),
         "numpy": np.__version__,
     }
-    return ExperimentResult(config=config, aggregates=aggregates, trial_verdicts=tally.verdicts, run_meta=run_meta)
+    return ExperimentResult(config=config, aggregates=aggregates, tally=tally, run_meta=run_meta)
 

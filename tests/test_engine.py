@@ -147,6 +147,37 @@ def test_incremental_row_blocks_do_not_change_results(name, monkeypatch):
     assert run_experiment(config).results_json() == default
 
 
+FLIP_CONFIGS = {
+    name: ENGINE_CONFIGS[name] for name in ("flipcount-uniform-n6", "flipcount-prefix-cycle-n5", "packed-flipcount-n7")
+}
+# m = 16 with 11 flips per step: distinct samples the complement of 5 positions
+FLIP_CONFIGS["complement-flipcount-n4"] = {
+    "n": 4, "k": 1, "attack": {"kind": "flip_count", "bits_per_step": 11}, "steps": 2, "trials": 120, "seed": 17,
+}
+
+
+@pytest.mark.parametrize("name", sorted(FLIP_CONFIGS))
+def test_flip_count_row_blocks_do_not_change_results(name, monkeypatch):
+    # flip_count steps draw and flip a block of rows at a time; one row per block gives the same runs
+    config = ExperimentConfig.from_dict(FLIP_CONFIGS[name])
+    default = run_experiment(config).results_json()
+    monkeypatch.setattr(adversary, "CHUNK_BYTES", 1)
+    assert run_experiment(config).results_json() == default
+
+
+@pytest.mark.parametrize("flips, trials", [(410, 2000), (3000, 600)])
+def test_dense_flip_count_arrays_capped(flips, trials):
+    # at m = 4096 a chunk holds 512 sessions; 410 flips draw directly, 3,000 through the complement
+    config = ExperimentConfig(n=12, k=1, attack=FlipCount(bits_per_step=flips), steps=3, trials=trials)
+    tracemalloc.start()
+    try:
+        engine.run_sessions(config, 1, range(config.trials))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * engine.CHUNK_BYTES
+
+
 @pytest.mark.parametrize("name", ["script-attack-n3", "honest-mixed-n8", "flipcount-uniform-n6", *PACKED_CONFIGS])
 def test_one_trial_replays_alone(name):
     config = dataclasses.replace(ExperimentConfig.from_dict(ENGINE_CONFIGS[name]), trials=40, record_trials=True)

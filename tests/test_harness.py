@@ -2,6 +2,8 @@ import dataclasses
 import importlib
 import json
 import pkgutil
+import random
+import tracemalloc
 
 import pytest
 
@@ -420,6 +422,39 @@ class TestRunExperiment:
 
     def test_trial_verdicts_absent_without_flag(self):
         assert run_experiment(make_config(trials=5)).trial_verdicts is None
+
+    def test_verdict_text_is_the_canonical_list_document(self):
+        # random explicit scripts whose stores and retrieves reject, so sessions
+        # stop early and leave ops without a verdict
+        chooser = random.Random(3)
+        seen = set()
+        for seed in range(30):
+            ops = chooser.choices(["store", "attack", "retrieve"], weights=[1, 1, 2], k=chooser.randint(1, 9))
+            script = [OpSpec(op="store")] + [OpSpec(op=op) for op in ops]
+            cfg = make_config(
+                k=1, attack=FlipCount(bits_per_step=chooser.randint(1, 6)), script=tuple(script),
+                record_trials=True, trials=chooser.randint(1, 60), seed=seed,
+            )
+            res = run_experiment(cfg)
+            listed = {**res.result_document(), "trial_verdicts": res.trial_verdicts}
+            assert res.results_json() == canonical_json(listed)
+            seen.update(v for stream in res.trial_verdicts for v in stream)
+            if any(len(stream) < sum(op.op != "attack" for op in script) for stream in res.trial_verdicts):
+                seen.add("stopped early")
+        assert {"store:buggy", "retrieve:buggy", "stopped early"} <= seen
+
+    def test_recorded_verdicts_kept_as_codes(self):
+        # 1.6 million verdicts kept as one byte each; kept as label lists, they peaked at 28.5 MB
+        script = (OpSpec(op="store"), OpSpec(op="retrieve")) * 4
+        cfg = make_config(n=8, script=script, record_trials=True, trials=200_000)
+        tracemalloc.start()
+        try:
+            res = run_experiment(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.tally.codes.shape == (200_000, 8)
+        assert peak < 8 * 10**6
 
     def test_deterministic_aggregates(self):
         cfg = make_config(attack=SubstituteCodeword(), trials=150, seed=77)
