@@ -275,20 +275,38 @@ class IncrementalAttack(AttackSchedule):
         if d > f or (counts != f).any():
             held = sorted(set(counts.tolist()))
             raise ScheduleError(f"step {step} needs {d} fresh positions in every row, rows hold {held}")
-        # fresh positions are the zero bits of memory ^ baseline inside m, unpacked one
-        # byte per position for a block of rows at a time: the block's unpacked bytes take
-        # at most CHUNK_BYTES / 2, and its 8-byte fresh positions at most 4 * CHUNK_BYTES
-        block = max(1, CHUNK_BYTES // (2 * m))
+        # the draws run on blocks of rows as FlipCount's do, holding up to 8 bytes per flip
+        # (or per fresh position, where distinct samples the complement) and at most
+        # CHUNK_BYTES per array; no block's draws outlive its flips
+        block = max(1, CHUNK_BYTES // (8 * (f if 2 * d > f else max(d, 1))))
         for first in range(0, t, block):
             rows = slice(first, min(first + block, t))
-            fresh = np.invert(memory[rows] ^ baseline[rows])
-            at = np.flatnonzero(unpack_rows(fresh, m).view(bool))  # flat positions, row by row, ascending
-            size = rows.stop - first
-            if self.policy == "prefix":
-                ranks = np.broadcast_to(np.arange(d), (size, d))
-            else:  # the ranks of row r index its f entries of at
-                ranks = OpDraws(draws.keys[rows]).distinct(f, d)
-            flip_rows(memory[rows], at[ranks + f * np.arange(size)[:, None]] % m)
+            _flip_fresh(memory[rows], baseline[rows], m, f, self._ranks(f, d, draws.keys[rows]))
+
+    def _ranks(self, f: int, d: int, keys: np.ndarray) -> np.ndarray:
+        """Per row (one per key), the ranks of the d fresh positions it flips among its f, ascending."""
+        if self.policy == "prefix":
+            return np.broadcast_to(np.arange(d), (len(keys), d))
+        return OpDraws(keys).distinct(f, d)
+
+
+def _flip_fresh(memory, baseline, m, f, ranks) -> None:
+    """Flip, in place, the fresh positions (zero bits of memory ^ baseline inside m,
+    f of them in every row) of ascending ranks ranks[r] of each packed row r. The
+    positions are found for a span of rows at a time, 8 bytes per position and at
+    most CHUNK_BYTES in all, and die before the flip allocates."""
+    span = max(1, CHUNK_BYTES // (8 * m))
+    for first in range(0, len(memory), span):
+        rows = slice(first, first + span)
+        flip_rows(memory[rows], _fresh_positions(memory[rows], baseline[rows], m, f, ranks[rows]))
+
+
+def _fresh_positions(memory, baseline, m, f, ranks) -> np.ndarray:
+    """Per packed row r, its fresh positions of ascending ranks ranks[r]."""
+    at = np.flatnonzero(unpack_rows(np.invert(memory ^ baseline), m).view(bool))  # flat, row by row, ascending
+    picked = at[ranks + f * np.arange(len(memory))[:, None]]
+    picked %= m
+    return picked
 
 
 SCHEDULES: dict[str, type[AttackSchedule]] = {

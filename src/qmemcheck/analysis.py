@@ -29,7 +29,13 @@ grow with the schedule count, and it takes about 0.2 s at the cap of
 MAX_LEMMA2_SCHEDULES. verify_swap_oracle draws each block of pairs with one
 Generator call and runs the controlled-SWAP circuit on the block
 (cswap_statevector_probs), comparing each pair with p_single(d/m) at its
-Hamming distance; it is capped at MAX_ORACLE_PAIRS pairs.
+Hamming distance; it is capped at MAX_ORACLE_PAIRS pairs. A block holds at
+most _ORACLE_BLOCK_AMPLITUDES amplitudes of the circuit's accept branch, m*m
+per pair, the only ones the circuit builds. numpy's uint8 draws give the
+same bytes however a size's rows are split into calls, as long as every
+call but the last draws a multiple of 4 bytes. Each full block draws
+2*m*pairs bytes, a multiple of 4, so the pairs and the report do not depend
+on the block size.
 """
 
 from __future__ import annotations
@@ -55,8 +61,11 @@ _LEMMA2_BLOCK = 2**12
 #: Most pairs verify_swap_oracle will simulate, over all sizes; more fail fast instead of running for hours.
 MAX_ORACLE_PAIRS = 10**6
 
-#: Most statevector amplitudes (2*m*m per pair) in one block of oracle pairs.
-_ORACLE_BLOCK_AMPLITUDES = 2**13
+#: Most amplitudes of the accept branch (m*m per pair) in one block of oracle pairs: a power
+#: of two of at least 2, so that each full block draws a multiple of 4 bytes (see above).
+#: 2^14 (128 KiB per float64 array) ran fastest from a fresh process; from 2^15 up, the
+#: allocator can hand a block's freed arrays back to the system and fault them in afresh.
+_ORACLE_BLOCK_AMPLITUDES = 2**14
 
 
 @dataclass
@@ -278,7 +287,7 @@ def verify_swap_oracle(
     worst = 0.0
     for m in sizes:
         exact = p_single(np.arange(m + 1) / m)
-        block = max(1, _ORACLE_BLOCK_AMPLITUDES // (2 * m * m))
+        block = max(1, _ORACLE_BLOCK_AMPLITUDES // (m * m))
         for first in range(0, pairs_per_size, block):
             pairs = min(block, pairs_per_size - first)
             rows = rng.integers(0, 2, size=(2 * pairs, m), dtype=np.uint8)  # a then b for each pair

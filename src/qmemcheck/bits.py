@@ -37,12 +37,17 @@ def as_bits(value: BitsLike, *, name: str = "bits") -> np.ndarray:
         raise ValueError(f"{name}: expected a 1-D bit vector, got shape {arr.shape}")
     if arr.size == 0:
         raise ValueError(f"{name}: empty bit vector")
-    if arr.dtype == np.uint8:
-        if int(arr.max()) > 1:
-            raise ValueError(f"{name}: entries must be 0 or 1")
-    elif arr.dtype != np.bool_ and not ((arr == 0) | (arr == 1)).all():
+    if not all_bits(arr):
         raise ValueError(f"{name}: entries must be 0 or 1")
     return arr.astype(np.uint8)
+
+
+def all_bits(arr: np.ndarray) -> bool:
+    """Whether every entry of the array is 0 or 1 (True when it is empty); a uint8
+    array, the usual case, takes one reduction."""
+    if arr.dtype == np.uint8:
+        return bool(arr.max(initial=0) <= 1)
+    return arr.dtype == np.bool_ or bool(((arr == 0) | (arr == 1)).all())
 
 
 def check_positions(values, bound: int, *, name: str) -> np.ndarray:

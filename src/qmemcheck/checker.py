@@ -27,6 +27,16 @@ decode reads), and complexity_report reads t from those meters alone.
 
 A CheckerState plus its PublicMemory form one sequential protocol session;
 distinct sessions are independent and may run in parallel workers.
+
+Threat model: the memory is passive between requests, and its reads are
+honest. The adversary corrupts the public memory only between two requests
+(adversary_flip, adversary_overwrite); while a request runs, every summary
+and every decode read comes from the memory's current contents. Soundness
+holds only under that model: a memory whose stored bits stay intact but
+which flips the first decode read of a retrieve passes every verification
+and answers the wrong bit (n=4, k=7: 2,000 wrong answers in 2,000 sessions,
+and the next honest retrieve answered correctly in all of them; ROADMAP
+item 10).
 """
 
 from __future__ import annotations

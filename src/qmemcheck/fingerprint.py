@@ -9,10 +9,11 @@ probabilities can therefore be computed exactly from integer Hamming
 distances, which keeps million-trial Monte Carlo cheap.
 
 cswap_statevector_probs is the guard against modeling error: it runs the actual
-H / controlled-SWAP / H circuit on a dense statevector per pair of phase rows
-and must agree with p_single, the formula every bound uses, to 1e-10 (the
-circuit uses 2*log2(m) + 1 qubits, so floating-point error stays far below
-that). cswap_statevector_prob is its one-row call on two fingerprints.
+H / controlled-SWAP / H circuit on dense amplitudes per pair of phase rows
+(the half of the statevector its accept probability reads) and must agree
+with p_single, the formula every bound uses, to 1e-10 (the circuit uses
+2*log2(m) + 1 qubits, so floating-point error stays far below that).
+cswap_statevector_prob is its one-row call on two fingerprints.
 
 Measured copies are assumed to be discarded by the caller: each sampled test
 consumes one copy of each input state in the caller's resource accounting, and
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import as_bits, hamming_distance
+from .bits import all_bits, as_bits, hamming_distance
 
 # Dense oracle limit: m = 64 means 13 qubits, 8192 amplitudes.
 MAX_ORACLE_M = 64
@@ -100,8 +101,9 @@ def amplitudes(fp: Fingerprint) -> np.ndarray:
 
 
 def _amplitude_rows(phases: np.ndarray) -> np.ndarray:
-    """(-1)^(phases) / sqrt(m) along the last axis, for one phase pattern or a stack of rows."""
-    return ((-1.0) ** phases.astype(np.int64)) / math.sqrt(phases.shape[-1])
+    """(-1)^(phases) / sqrt(m) along the last axis, for one 0/1 phase pattern or a stack of
+    rows. The sign is 1 - 2*phase, the same +-1.0 as the power at a fraction of its cost."""
+    return (1.0 - 2.0 * phases) / math.sqrt(phases.shape[-1])
 
 
 def inner_product(a: Fingerprint, b: Fingerprint) -> float:
@@ -169,36 +171,40 @@ def cswap_statevector_probs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Accept probability of each pair of rows from a dense simulation of the actual test circuit.
 
     a and b are (P, m) uint8 0/1 phase rows; pair i compares a[i] with b[i].
-    Builds |0>|psi_a>|psi_b> on 2*log2(m) + 1 qubits for each pair, as one
-    (P, 2, m, m) statevector, applies a Hadamard on the control, a register
-    swap controlled on it (log2(m) qubit-pair swaps), a second Hadamard, and
-    returns the probability of measuring the control as 0: one contiguous
-    m*m-element sum per pair. Serves as the independent oracle for p_single;
-    m must pass check_oracle_size.
+    Runs |0>|psi_a>|psi_b> on 2*log2(m) + 1 qubits for each pair through a
+    Hadamard on the control, a register swap controlled on it (log2(m)
+    qubit-pair swaps), a second Hadamard, and returns the probability of
+    measuring the control as 0: one contiguous m*m-element sum of squares per
+    pair. Serves as the independent oracle for p_single; m must pass
+    check_oracle_size, and an entry other than 0 or 1 raises ValueError.
+
+    Only the amplitudes that sum reads are built, as (P, m, m) arrays. The
+    control starts in |0>, so its |1> half is zero and the first Hadamard
+    leaves psi/sqrt(2) on both branches: (psi + 0.0)/sqrt(2) and
+    (psi - 0.0)/sqrt(2) are that same double, as no amplitude is zero. The
+    swaps act on the |1> branch, and the second Hadamard's |0> half is
+    (psi/sqrt(2) + swapped)/sqrt(2). Its |1> half, which no measurement of 0
+    reads, is never formed. Each amplitude takes the same operations as on
+    the full (P, 2, m, m) statevector, so each probability is the same double.
     """
     if a.ndim != 2 or a.shape != b.shape:
         raise ValueError(f"phase rows must be two (P, m) arrays of one shape, got {a.shape} and {b.shape}")
     pairs, m = a.shape
     n_reg = check_oracle_size(m).bit_length() - 1  # qubits per register
+    if not (all_bits(a) and all_bits(b)):
+        raise ValueError("phase rows must hold only 0s and 1s")
 
-    state = np.zeros((pairs, 2, m, m))
-    state[:, 0] = _amplitude_rows(a)[:, :, None] * _amplitude_rows(b)[:, None, :]
-
-    def hadamard_on_control(s: np.ndarray) -> np.ndarray:
-        out = np.empty_like(s)
-        out[:, 0] = (s[:, 0] + s[:, 1]) / math.sqrt(2)
-        out[:, 1] = (s[:, 0] - s[:, 1]) / math.sqrt(2)
-        return out
-
-    state = hadamard_on_control(state)
-    # Controlled register swap: exchange qubit i of each register on the |1> branch.
-    branch = state[:, 1].reshape((pairs,) + (2,) * (2 * n_reg))
+    branch = _amplitude_rows(a)[:, :, None] * _amplitude_rows(b)[:, None, :]
+    branch /= math.sqrt(2)  # first Hadamard: either branch of the control
+    # Controlled register swap: exchange qubit i of each register on the |1> branch. The
+    # swaps only permute axes, so swapped is a view of branch.
+    swapped = branch.reshape((pairs,) + (2,) * (2 * n_reg))
     for i in range(n_reg):
-        branch = np.swapaxes(branch, 1 + i, 1 + n_reg + i)
-    state[:, 1] = branch.reshape(pairs, m, m)
-    state = hadamard_on_control(state)
-
-    return (state[:, 0] ** 2).reshape(pairs, m * m).sum(axis=1)
+        swapped = np.swapaxes(swapped, 1 + i, 1 + n_reg + i)
+    accept = branch + swapped.reshape(pairs, m, m)  # second Hadamard, |0> half
+    accept /= math.sqrt(2)
+    accept *= accept
+    return accept.reshape(pairs, m * m).sum(axis=1)
 
 
 def cswap_statevector_prob(a: Fingerprint, b: Fingerprint) -> float:

@@ -43,19 +43,20 @@ def reference_margins(grid, t_max):
 
 
 def reference_oracle(sizes, pairs_per_size, seed):
-    """The oracle's pairs, drawn as one (2 * pairs, m) block of rows per block
-    of pairs (a then b for each pair), and the worst |circuit - formula| over
-    per-pair Fingerprints and one-pair circuit calls."""
+    """The oracle's pairs, drawn as one (2 * pairs, m) array of rows per size (a
+    then b for each pair), and the worst |circuit - formula| over per-pair
+    Fingerprints and one-pair circuit calls. numpy's uint8 draws give the same
+    bytes however a size's rows are split into calls, as long as every call but
+    the last draws a multiple of 4 bytes; each full oracle block does, so
+    these are the pairs the oracle draws block by block."""
     rng = np.random.default_rng(seed)
     pairs, worst = [], 0.0
     for m in sizes:
-        block = max(1, analysis._ORACLE_BLOCK_AMPLITUDES // (2 * m * m))
-        for first in range(0, pairs_per_size, block):
-            rows = rng.integers(0, 2, size=(2 * min(block, pairs_per_size - first), m), dtype=np.uint8)
-            for a_row, b_row in zip(rows[0::2], rows[1::2]):
-                a, b = Fingerprint(a_row), Fingerprint(b_row)
-                pairs.append((a_row, b_row))
-                worst = max(worst, abs(cswap_statevector_prob(a, b) - swap_accept_prob(a, b)))
+        rows = rng.integers(0, 2, size=(2 * pairs_per_size, m), dtype=np.uint8)
+        for a_row, b_row in zip(rows[0::2], rows[1::2]):
+            a, b = Fingerprint(a_row), Fingerprint(b_row)
+            pairs.append((a_row, b_row))
+            worst = max(worst, abs(cswap_statevector_prob(a, b) - swap_accept_prob(a, b)))
     return pairs, worst
 
 
@@ -294,6 +295,27 @@ class TestVerifySwapOracle:
         for (a, b), (ref_a, ref_b) in zip(seen, want):
             assert np.array_equal(a, ref_a) and np.array_equal(b, ref_b)
 
+    def test_blocks_cover_every_pair_once(self, monkeypatch):
+        # any power-of-two cap of 2 or more draws the same pairs and gives the same report;
+        # odd pair counts at m = 1 end a size on a draw of 2 (mod 4) bytes
+        sizes, pairs = (1, 64, 2, 1, 32), 37
+        real = analysis.cswap_statevector_probs
+        runs = []
+        for cap in (2, 2**4, 2**8, 2**12, analysis._ORACLE_BLOCK_AMPLITUDES, 2**16, 2**20):
+            seen = []
+
+            def recorded(a, b):
+                seen.append(np.concatenate([a, b], axis=1).tobytes())
+                return real(a, b)
+
+            monkeypatch.setattr(analysis, "_ORACLE_BLOCK_AMPLITUDES", cap)
+            monkeypatch.setattr(analysis, "cswap_statevector_probs", recorded)
+            report = verify_swap_oracle(sizes=sizes, pairs_per_size=pairs, seed=4).to_dict()
+            monkeypatch.undo()
+            runs.append((report, b"".join(seen)))
+        assert len({run[1] for run in runs}) == 1
+        assert all(run[0] == runs[0][0] for run in runs)
+
     @pytest.mark.parametrize("sizes", [(2, 3), (0,), (-4,), (4, 2 * MAX_ORACLE_M), (6,)])
     def test_bad_size_rejected_before_any_work(self, sizes, monkeypatch):
         def no_work(*args, **kwargs):
@@ -320,7 +342,7 @@ class TestVerifySwapOracle:
             verify_swap_oracle(sizes=(1, 2), pairs_per_size=MAX_ORACLE_PAIRS // 2, tolerance=-1.0)
 
     def test_memory_does_not_grow_with_pair_count(self):
-        # 2,000 pairs of 8,192-amplitude statevectors are 131 MB as one array
+        # 2,000 pairs of 4,096 accept-branch amplitudes are 66 MB as one array
         tracemalloc.start()
         try:
             report = verify_swap_oracle(sizes=(64,), pairs_per_size=2000)

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from qmemcheck import adversary, engine, harness
-from qmemcheck.adversary import FlipCount, SubstituteCodeword, apply_step
+from qmemcheck.adversary import FlipCount, IncrementalAttack, SubstituteCodeword, apply_step
 from qmemcheck.analysis import binomial_tail
 from qmemcheck.bits import word_count
 from qmemcheck.checker import CheckerState, PublicMemory, retrieve, store
@@ -138,10 +138,20 @@ def test_results_do_not_depend_on_chunk_size(name, monkeypatch):
         assert chunked_results(config, monkeypatch, size) == default
 
 
-@pytest.mark.parametrize("name", ["incremental-uniform-n3", "incremental-prefix-reach-n3", "packed-incremental-n7"])
+INCREMENTAL_CONFIGS = {
+    name: ENGINE_CONFIGS[name] for name in ("incremental-uniform-n3", "incremental-prefix-reach-n3", "packed-incremental-n7")
+}
+# m = 1024: 32 rows per span of fresh positions; the second step draws 358 of 614 through the complement
+INCREMENTAL_CONFIGS["complement-incremental-n10"] = {
+    "n": 10, "k": 1, "attack": {"kind": "incremental", "deltas": [0.4, 0.35]}, "trials": 120, "seed": 18,
+}
+
+
+@pytest.mark.parametrize("name", sorted(INCREMENTAL_CONFIGS))
 def test_incremental_row_blocks_do_not_change_results(name, monkeypatch):
-    # incremental steps unpack a block of rows at a time; one row per block gives the same runs
-    config = ExperimentConfig.from_dict(ENGINE_CONFIGS[name])
+    # incremental steps draw for a block of rows and unpack a span of them at a time; one row
+    # per block and per span gives the same runs
+    config = ExperimentConfig.from_dict(INCREMENTAL_CONFIGS[name])
     default = run_experiment(config).results_json()
     monkeypatch.setattr(adversary, "CHUNK_BYTES", 1)
     assert run_experiment(config).results_json() == default
@@ -169,6 +179,19 @@ def test_flip_count_row_blocks_do_not_change_results(name, monkeypatch):
 def test_dense_flip_count_arrays_capped(flips, trials):
     # at m = 4096 a chunk holds 512 sessions; 410 flips draw directly, 3,000 through the complement
     config = ExperimentConfig(n=12, k=1, attack=FlipCount(bits_per_step=flips), steps=3, trials=trials)
+    tracemalloc.start()
+    try:
+        engine.run_sessions(config, 1, range(config.trials))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * engine.CHUNK_BYTES
+
+
+@pytest.mark.parametrize("deltas, trials", [([0.1, 0.1, 0.1], 2000), ([0.1, 0.5], 600)])
+def test_dense_incremental_arrays_capped(deltas, trials):
+    # at m = 4096 a chunk holds 512 sessions; the 0.5 step draws 2,048 of 3,686 through the complement
+    config = ExperimentConfig(n=12, k=1, attack=IncrementalAttack(deltas=deltas), trials=trials)
     tracemalloc.start()
     try:
         engine.run_sessions(config, 1, range(config.trials))

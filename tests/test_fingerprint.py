@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qmemcheck.analysis import _ORACLE_BLOCK_AMPLITUDES
 from qmemcheck.code import HadamardCode
 from qmemcheck.fingerprint import (
     MAX_ORACLE_M,
@@ -20,6 +21,31 @@ from qmemcheck.fingerprint import (
     sample_swap_test,
     swap_accept_prob,
 )
+
+
+def reference_cswap_probs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The gate-level circuit cswap_statevector_probs replaced: the full (P, 2, m, m)
+    statevector through both Hadamards on the control and the controlled swap."""
+    pairs, m = a.shape
+    n_reg = m.bit_length() - 1
+    state = np.zeros((pairs, 2, m, m))
+    amp_a = ((-1.0) ** a.astype(np.int64)) / math.sqrt(m)
+    amp_b = ((-1.0) ** b.astype(np.int64)) / math.sqrt(m)
+    state[:, 0] = amp_a[:, :, None] * amp_b[:, None, :]
+
+    def hadamard_on_control(s):
+        out = np.empty_like(s)
+        out[:, 0] = (s[:, 0] + s[:, 1]) / math.sqrt(2)
+        out[:, 1] = (s[:, 0] - s[:, 1]) / math.sqrt(2)
+        return out
+
+    state = hadamard_on_control(state)
+    branch = state[:, 1].reshape((pairs,) + (2,) * (2 * n_reg))
+    for i in range(n_reg):
+        branch = np.swapaxes(branch, 1 + i, 1 + n_reg + i)
+    state[:, 1] = branch.reshape(pairs, m, m)
+    state = hadamard_on_control(state)
+    return (state[:, 0] ** 2).reshape(pairs, m * m).sum(axis=1)
 
 
 def fp_with_distance(m: int, d: int) -> tuple[Fingerprint, Fingerprint]:
@@ -256,6 +282,16 @@ class TestStatevectorOracle:
         assert probs[0] == pytest.approx(1.0, abs=1e-12)
         assert probs[1] == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("m", [1, 2, 4, 8, 16, 32, 64])
+    def test_rows_equal_full_statevector_circuit(self, m, rng):
+        # pair counts around the oracle's block: the same doubles as the (P, 2, m, m) circuit
+        block = _ORACLE_BLOCK_AMPLITUDES // (m * m)
+        for pairs in (1, block - 1, block, block + 1):
+            a = rng.integers(0, 2, size=(pairs, m), dtype=np.uint8)
+            b = rng.integers(0, 2, size=(pairs, m), dtype=np.uint8)
+            b[0] = a[0]
+            assert cswap_statevector_probs(a, b).tobytes() == reference_cswap_probs(a, b).tobytes()
+
     def test_rows_reject_shape_mismatch(self):
         a = np.zeros((3, 4), dtype=np.uint8)
         for b in (np.zeros((2, 4), dtype=np.uint8), np.zeros((3, 8), dtype=np.uint8), np.zeros(4, dtype=np.uint8)):
@@ -263,6 +299,14 @@ class TestStatevectorOracle:
                 cswap_statevector_probs(a, b)
         with pytest.raises(ValueError, match="phase rows"):
             cswap_statevector_probs(a[0], a[0])
+
+    @pytest.mark.parametrize("bad", [np.array([[2, 0]], np.uint8), np.array([[-1, 0]], np.int8), np.array([[0.5, 0.0]])])
+    def test_rows_reject_non_bits(self, bad):
+        # the amplitude sign is 1 - 2*phase, so any other entry would give a probability outside [0, 1]
+        good = np.zeros((1, 2), dtype=np.uint8)
+        for a, b in ((bad, good), (good, bad)):
+            with pytest.raises(ValueError, match="only 0s and 1s"):
+                cswap_statevector_probs(a, b)
 
     @pytest.mark.parametrize("m", [0, -4, 3, 6, 2 * MAX_ORACLE_M])
     def test_oracle_size_rejected(self, m):
