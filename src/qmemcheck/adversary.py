@@ -16,6 +16,13 @@ checks, serialisation, config checks against the code, the corruption
 itself, and the distance each step puts between memory and the checker's
 fingerprint) is a method of its schedule class. A new kind is added here
 alone: its step_distances is all harness._attach_bounds needs to check it.
+
+FlipCount and incremental steps share one ranked flip, _flip_ranked: per
+row, d ascending ranks in a pool (the codeword, or the row's fresh
+positions), flipped a block of rows at a time under engine.row_blocks, the
+package's one memory rule, at 8 bytes a row per rank, or per pool position
+where the draws sample the complement. Incremental steps find the fresh
+positions for spans of rows at 8*m bytes a row.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ import numpy as np
 from .bits import as_bits, flip_rows, pack_rows, unpack_rows
 from .checker import PublicMemory
 from .code import CodeParams, LocallyDecodableCode
-from .engine import CHUNK_BYTES, OpDraws
+from .engine import OpDraws, row_blocks
 
 POSITION_POLICIES = ("uniform", "prefix")
 
@@ -198,18 +205,10 @@ class FlipCount(AttackSchedule):
         return {min(self.bits_per_step, params.m): 1.0}
 
     def apply(self, step, memory, baseline, code, draws) -> None:
-        t, m = memory.shape[0], code.params.m
+        m = code.params.m
         d = min(self.bits_per_step, m)
-        # a block of rows at a time: the draws, flip_rows' inputs and, where distinct
-        # samples the complement, its (rows, m) mask and np.nonzero's output hold up to
-        # 8 bytes per flip (or per position), at most CHUNK_BYTES per array
-        block = max(1, CHUNK_BYTES // (8 * (m if 2 * d > m else max(d, 1))))
-        for first in range(0, t, block):
-            rows = slice(first, min(first + block, t))
-            if self.policy == "prefix":
-                flip_rows(memory[rows], np.broadcast_to(np.arange(d), (rows.stop - first, d)))
-            else:  # no block's positions outlive its flip, so they never add to the next block's draws
-                flip_rows(memory[rows], OpDraws(draws.keys[rows]).distinct(m, d))
+        # the pool is the codeword, so a row's ranks are its positions
+        _flip_ranked(memory, self.policy, m, d, draws, lambda rows, ranks: flip_rows(memory[rows], ranks))
 
 
 @dataclass(frozen=True)
@@ -266,7 +265,7 @@ class IncrementalAttack(AttackSchedule):
         return {self.step_flip_counts(params.m)[step]: 1.0}
 
     def apply(self, step, memory, baseline, code, draws) -> None:
-        t, m = memory.shape[0], code.params.m
+        m = code.params.m
         d = self.step_flip_counts(m)[step]
         # every row has run the same flip counts since its last store, so all hold f fresh
         # positions; padding bits are zero in memory and baseline alike, so they never count
@@ -275,30 +274,34 @@ class IncrementalAttack(AttackSchedule):
         if d > f or (counts != f).any():
             held = sorted(set(counts.tolist()))
             raise ScheduleError(f"step {step} needs {d} fresh positions in every row, rows hold {held}")
-        # the draws run on blocks of rows as FlipCount's do, holding up to 8 bytes per flip
-        # (or per fresh position, where distinct samples the complement) and at most
-        # CHUNK_BYTES per array; no block's draws outlive its flips
-        block = max(1, CHUNK_BYTES // (8 * (f if 2 * d > f else max(d, 1))))
-        for first in range(0, t, block):
-            rows = slice(first, min(first + block, t))
-            _flip_fresh(memory[rows], baseline[rows], m, f, self._ranks(f, d, draws.keys[rows]))
+        # the pool is a row's f fresh positions, so a row's ranks pick among them
+        _flip_ranked(
+            memory, self.policy, f, d, draws,
+            lambda rows, ranks: _flip_fresh(memory[rows], baseline[rows], m, f, ranks),
+        )
 
-    def _ranks(self, f: int, d: int, keys: np.ndarray) -> np.ndarray:
-        """Per row (one per key), the ranks of the d fresh positions it flips among its f, ascending."""
-        if self.policy == "prefix":
-            return np.broadcast_to(np.arange(d), (len(keys), d))
-        return OpDraws(keys).distinct(f, d)
+
+def _flip_ranked(memory, policy, pool, d, draws, flip) -> None:
+    """Flip d positions of each packed row of memory, picked by ascending rank in a
+    pool of that many: flip(rows, ranks) flips a block of rows given its (rows, d)
+    ranks, the lowest d under policy "prefix" (which reads no draw) and a uniform
+    d-subset of the pool under "uniform". A block's draws, ranks and flip inputs hold
+    8 bytes per row for each rank, or for each pool position where distinct samples
+    the complement."""
+    for rows in row_blocks(len(memory), 8 * (pool if 2 * d > pool else max(d, 1))):
+        if policy == "prefix":
+            flip(rows, np.broadcast_to(np.arange(d), (rows.stop - rows.start, d)))
+        else:  # no block's ranks outlive its flip, so they never add to the next block's draws
+            flip(rows, OpDraws(draws.keys[rows]).distinct(pool, d))
 
 
 def _flip_fresh(memory, baseline, m, f, ranks) -> None:
     """Flip, in place, the fresh positions (zero bits of memory ^ baseline inside m,
     f of them in every row) of ascending ranks ranks[r] of each packed row r. The
-    positions are found for a span of rows at a time, 8 bytes per position and at
-    most CHUNK_BYTES in all, and die before the flip allocates."""
-    span = max(1, CHUNK_BYTES // (8 * m))
-    for first in range(0, len(memory), span):
-        rows = slice(first, first + span)
-        flip_rows(memory[rows], _fresh_positions(memory[rows], baseline[rows], m, f, ranks[rows]))
+    positions are found for a span of rows at a time, 8 bytes per row for each of
+    its m positions, and die before the flip allocates."""
+    for span in row_blocks(len(memory), 8 * m):
+        flip_rows(memory[span], _fresh_positions(memory[span], baseline[span], m, f, ranks[span]))
 
 
 def _fresh_positions(memory, baseline, m, f, ranks) -> np.ndarray:

@@ -20,22 +20,25 @@ Two facts about the protocol are verified here at desk scale:
   variant of the identity with the last sign flipped to "+" (a form this
   check exists to guard against) and flags its disagreement.
 
-Both checks are array computations. verify_lemma2 tabulates p_single on the
+Both checks are array computations, on blocks of rows under the package's
+one memory rule, engine.row_blocks. verify_lemma2 tabulates p_single on the
 grid once and builds the schedules level by level, a child being (parent sum
 + g, parent product * p_single(g/grid)); that is p_multi's left-to-right
 product, so every margin is the double p_multi would give. It runs depth
-first in blocks of at most _LEMMA2_BLOCK schedules, so its memory does not
-grow with the schedule count, and it takes about 0.2 s at the cap of
-MAX_LEMMA2_SCHEDULES. verify_swap_oracle draws each block of pairs with one
-Generator call and runs the controlled-SWAP circuit on the block
-(cswap_statevector_probs), comparing each pair with p_single(d/m) at its
-Hamming distance; it is capped at MAX_ORACLE_PAIRS pairs. A block holds at
-most _ORACLE_BLOCK_AMPLITUDES amplitudes of the circuit's accept branch, m*m
-per pair, the only ones the circuit builds. numpy's uint8 draws give the
-same bytes however a size's rows are split into calls, as long as every
-call but the last draws a multiple of 4 bytes. Each full block draws
-2*m*pairs bytes, a multiple of 4, so the pairs and the report do not depend
-on the block size.
+first in blocks of children at 64 bytes each, 4,096 to a block unless one
+parent has more, so its memory does not grow with the schedule count, and
+it takes about 0.2 s at the cap of MAX_LEMMA2_SCHEDULES.
+
+verify_swap_oracle draws each block of pairs with one Generator call and
+runs the controlled-SWAP circuit on the block (cswap_statevector_probs),
+comparing each pair with p_single(d/m) at its Hamming distance; it is capped
+at MAX_ORACLE_PAIRS pairs. A pair takes 16*m*m bytes, the circuit's two live
+float64 (m, m) arrays of its accept branch, the only amplitudes it builds,
+so each array of a block holds at most 2^14 amplitudes. numpy's uint8 draws
+give the same bytes however a size's rows are split into calls, as long as
+every call but the last draws a multiple of 4 bytes. Each full block draws
+2*m*pairs bytes, a multiple of 4 while CHUNK_BYTES is a multiple of 32, so
+the pairs and the report do not depend on the block size.
 """
 
 from __future__ import annotations
@@ -46,6 +49,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from .engine import row_blocks
+
 # p_single lives with the comparison test it describes; it is re-exported here
 from .fingerprint import check_oracle_size, cswap_statevector_probs, p_single
 
@@ -55,17 +60,8 @@ FLOAT_TOL = 1e-12
 #: Most schedules verify_lemma2 will enumerate; larger grids fail fast instead of running for days.
 MAX_LEMMA2_SCHEDULES = 10**7
 
-#: Most schedules verify_lemma2 holds in one array block (a parent's children are never split).
-_LEMMA2_BLOCK = 2**12
-
 #: Most pairs verify_swap_oracle will simulate, over all sizes; more fail fast instead of running for hours.
 MAX_ORACLE_PAIRS = 10**6
-
-#: Most amplitudes of the accept branch (m*m per pair) in one block of oracle pairs: a power
-#: of two of at least 2, so that each full block draws a multiple of 4 bytes (see above).
-#: 2^14 (128 KiB per float64 array) ran fastest from a fresh process; from 2^15 up, the
-#: allocator can hand a block's freed arrays back to the system and fault them in afresh.
-_ORACLE_BLOCK_AMPLITUDES = 2**14
 
 
 @dataclass
@@ -168,17 +164,20 @@ def _schedule_margins(grid: int, t_max: int) -> Iterator[np.ndarray]:
     level by level: each child of a parent with sum s and product x is
     (s + g, x * table[g]) for g in [0, grid - s], which is p_multi's
     left-to-right product, so each margin is the double p_multi gives. The
-    expansion runs depth first in blocks of at most max(_LEMMA2_BLOCK, grid + 1)
-    children, so memory is O(t_max * block) whatever the schedule count.
+    expansion runs depth first in blocks of whole parents: as many as have all
+    their children in one row_blocks block of children, at 64 bytes each, and
+    at least one. So memory is O(t_max * block) whatever the schedule count.
     """
     table = p_single(np.arange(grid + 1) / grid)
+    # children per block, at 64 bytes each: room for eight int64 or float64 arrays over them
+    cap = next(row_blocks(MAX_LEMMA2_SCHEDULES, 64)).stop
     # (length of the children, parent sums, parent products); the root is the empty schedule
     stack = [(1, np.zeros(1, dtype=np.int64), np.ones(1))]
     while stack:
         length, sums, prods = stack.pop()
         children = grid + 1 - sums
         ends = np.cumsum(children)
-        cut = max(1, int(np.count_nonzero(ends <= _LEMMA2_BLOCK)))
+        cut = max(1, int(np.count_nonzero(ends <= cap)))
         if cut < sums.size:
             stack.append((length, sums[cut:], prods[cut:]))
             sums, prods, children, ends = sums[:cut], prods[:cut], children[:cut], ends[:cut]
@@ -287,9 +286,9 @@ def verify_swap_oracle(
     worst = 0.0
     for m in sizes:
         exact = p_single(np.arange(m + 1) / m)
-        block = max(1, _ORACLE_BLOCK_AMPLITUDES // (m * m))
-        for first in range(0, pairs_per_size, block):
-            pairs = min(block, pairs_per_size - first)
+        # per pair: the circuit's two live float64 (m, m) arrays
+        for block in row_blocks(pairs_per_size, 16 * m * m):
+            pairs = block.stop - block.start
             rows = rng.integers(0, 2, size=(2 * pairs, m), dtype=np.uint8)  # a then b for each pair
             a, b = rows[0::2], rows[1::2]
             dev = np.abs(cswap_statevector_probs(a, b) - exact[np.count_nonzero(a != b, axis=1)])

@@ -26,9 +26,15 @@ splittable pseudorandom number generators", OOPSLA 2014; Salmon et al.,
 passes between trials, so results do not depend on the chunk size, and
 run_sessions(config, k, range(i, i + 1)) replays trial i alone.
 
-A chunk holds T = max(1, CHUNK_BYTES // (8 * W)) sessions, so no (T, W)
-array exceeds CHUNK_BYTES bytes unless one row does; a run allocates its
-(T, W) arrays once and every chunk reuses them.
+The package has one memory rule, row_blocks: a loop over rows takes them in
+blocks of at most max(1, CHUNK_BYTES // row_bytes) rows, where row_bytes is
+the most any one array of the loop holds per row, so no such array exceeds
+CHUNK_BYTES unless one row does. Each loop states only its own row_bytes. A
+chunk here is a block of sessions at 8 * max(W, n, 3) bytes each: the packed
+row, the int64 bits of a drawn message and the protocol's 3 draws. That is
+8,192 sessions at n=4, 4,096 at n=8, 32 at n=16 and 2 at n=20. A run
+allocates its (T, W) arrays once and every chunk reuses them, and each op's
+draw keys are derived as the op runs, so no array grows with the script.
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterator
 
 import numpy as np
 
@@ -43,6 +50,16 @@ from .bits import as_bits, read_rows, word_count
 from .fingerprint import p_single
 
 CHUNK_BYTES = 1 << 18
+
+
+def row_blocks(rows: int, row_bytes: int) -> Iterator[slice]:
+    """Consecutive slices that cover [0, rows) once and in order, each of at most
+    max(1, CHUNK_BYTES // row_bytes) rows: the blocks of a loop whose arrays hold up
+    to row_bytes bytes per row. A row_bytes of 0 or above CHUNK_BYTES gives 1-row blocks."""
+    size = CHUNK_BYTES // row_bytes if 0 < row_bytes <= CHUNK_BYTES else 1
+    for first in range(0, rows, size):
+        yield slice(first, min(first + size, rows))
+
 
 # SplitMix64's increment, 2^64 divided by the golden ratio, and its output mix
 _GAMMA = 0x9E3779B97F4A7C15
@@ -196,11 +213,6 @@ class Tally:
         return [[labels[j][c] for j, c in enumerate(row) if c >= 0] for row in self.codes.tolist()]
 
 
-def chunk_trials(m: int) -> int:
-    """Sessions per chunk at codeword length m: packed rows of CHUNK_BYTES in all."""
-    return max(1, CHUNK_BYTES // (8 * word_count(m)))
-
-
 def run_sessions(config, k: int, trials: range) -> Tally:
     """Run the sessions of config whose trial indices lie in trials, in chunks,
     with k >= 1 comparison copies per verification; verdict codes are kept
@@ -226,13 +238,14 @@ def run_sessions(config, k: int, trials: range) -> Tally:
     specs = {config.message if op.message is None else op.message for op in script if op.op == "store"}
     messages = {spec: as_bits(spec, name="message") for spec in specs - {"random"}}
     m = config.code.params.m
-    size = min(chunk_trials(m), len(trials))
-    buffers = _Buffers(size, m)
-    for first in range(trials.start, trials.stop, size):
-        indices = np.arange(first, min(first + size, trials.stop), dtype=np.uint64)
+    # per session: its packed row, a drawn message's int64 bits and the protocol's draws
+    session_bytes = 8 * max(word_count(m), config.n, _PROTOCOL_SLOTS)
+    buffers = _Buffers(next(row_blocks(len(trials), session_bytes)).stop, m)
+    for rows in row_blocks(len(trials), session_bytes):
+        indices = np.arange(trials.start + rows.start, trials.start + rows.stop, dtype=np.uint64)
         codes = _run_chunk(config, k, script, messages, indices, buffers, tally)
         if codes is not None:
-            tally.codes[first - trials.start : first - trials.start + indices.size] = codes
+            tally.codes[rows] = codes
     return tally
 
 
@@ -271,15 +284,14 @@ def _run_chunk(config, k: int, script, messages: dict, indices: np.ndarray, buff
     code = config.code
     n, m = code.params.n, code.params.m
     rows = np.arange(indices.size)
-    # one key per session and op; hashing them together is one pass, not one per op
-    op_keys = _stream(trial_keys(config.seed, indices)[:, None], np.arange(len(script)))
+    keys = trial_keys(config.seed, indices)
     alive = np.ones(indices.size, dtype=bool)
     memory = buffers.memory[: indices.size]
     stored = baseline = message = None
     codes = None if tally.codes is None else np.full((indices.size, len(script)), -1, dtype=np.int8)
     attack_step = retrieve_pos = cycle = 0
     for j, op in enumerate(script):
-        draws = OpDraws(op_keys[:, j])
+        draws = OpDraws(_stream(keys, j))  # op j's key of every session, derived as the op runs
         if op.op == "attack":
             config.attack.apply(attack_step, memory, baseline, code, draws)
             attack_step += 1

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmemcheck import analysis
+from qmemcheck import analysis, engine
 from qmemcheck.analysis import (
     MAX_LEMMA2_SCHEDULES,
     MAX_ORACLE_PAIRS,
@@ -241,7 +241,7 @@ class TestVerifyLemma2:
     def test_blocks_cover_every_schedule_once(self, monkeypatch):
         # tiny blocks split parents across many blocks; the totals must not change
         want = verify_lemma2(grid=7, t_max=4, tolerance=-1e-2).to_dict()
-        monkeypatch.setattr(analysis, "_LEMMA2_BLOCK", 5)
+        monkeypatch.setattr(engine, "CHUNK_BYTES", 5 * 64)  # blocks of 5 children at 64 bytes each
         assert verify_lemma2(grid=7, t_max=4, tolerance=-1e-2).to_dict() == want
 
     def test_memory_does_not_grow_with_schedule_count(self):
@@ -296,19 +296,20 @@ class TestVerifySwapOracle:
             assert np.array_equal(a, ref_a) and np.array_equal(b, ref_b)
 
     def test_blocks_cover_every_pair_once(self, monkeypatch):
-        # any power-of-two cap of 2 or more draws the same pairs and gives the same report;
-        # odd pair counts at m = 1 end a size on a draw of 2 (mod 4) bytes
+        # any power-of-two cap of 2 or more amplitudes (16 bytes each: 32 or more chunk bytes)
+        # draws the same pairs and gives the same report; odd pair counts at m = 1 end a size
+        # on a draw of 2 (mod 4) bytes
         sizes, pairs = (1, 64, 2, 1, 32), 37
         real = analysis.cswap_statevector_probs
         runs = []
-        for cap in (2, 2**4, 2**8, 2**12, analysis._ORACLE_BLOCK_AMPLITUDES, 2**16, 2**20):
+        for cap in (2, 2**4, 2**8, 2**12, engine.CHUNK_BYTES // 16, 2**16, 2**20):
             seen = []
 
             def recorded(a, b):
                 seen.append(np.concatenate([a, b], axis=1).tobytes())
                 return real(a, b)
 
-            monkeypatch.setattr(analysis, "_ORACLE_BLOCK_AMPLITUDES", cap)
+            monkeypatch.setattr(engine, "CHUNK_BYTES", 16 * cap)
             monkeypatch.setattr(analysis, "cswap_statevector_probs", recorded)
             report = verify_swap_oracle(sizes=sizes, pairs_per_size=pairs, seed=4).to_dict()
             monkeypatch.undo()

@@ -123,19 +123,35 @@ def test_engine_matches_reference_protocol(name):
         assert ours.reached == ref.reached == ours.accepted
 
 
-def chunked_results(config, monkeypatch, sessions_per_chunk):
-    if sessions_per_chunk is not None:
-        monkeypatch.setattr(engine, "CHUNK_BYTES", sessions_per_chunk * 8 * word_count(config.code.params.m))
-    return run_experiment(config).results_json()
+def session_bytes(config) -> int:
+    """The engine's bytes per session: its packed row, a drawn message's int64 bits and 3 draws."""
+    return 8 * max(word_count(config.code.params.m), config.n, 3)
+
+
+def recorded_chunks(monkeypatch) -> list[int]:
+    """The session count of every chunk the engine runs from now on, in order."""
+    chunks = []
+    real = engine._run_chunk
+
+    def recorded(config, k, script, messages, indices, buffers, tally):
+        chunks.append(indices.size)
+        return real(config, k, script, messages, indices, buffers, tally)
+
+    monkeypatch.setattr(engine, "_run_chunk", recorded)
+    return chunks
 
 
 @pytest.mark.parametrize("name", ["substitute-random-n4", "honest-mixed-n8", "script-store-reject-n3", *PACKED_CONFIGS])
 def test_results_do_not_depend_on_chunk_size(name, monkeypatch):
     config = ExperimentConfig.from_dict(ENGINE_CONFIGS[name])
-    default = chunked_results(config, monkeypatch, None)
-    assert engine.chunk_trials(config.code.params.m) >= config.trials  # the default runs one chunk
+    chunks = recorded_chunks(monkeypatch)
+    default = run_experiment(config).results_json()
+    assert chunks == [config.trials]  # the default runs one chunk
     for size in (1, 7):
-        assert chunked_results(config, monkeypatch, size) == default
+        chunks.clear()
+        monkeypatch.setattr(engine, "CHUNK_BYTES", size * session_bytes(config))
+        assert run_experiment(config).results_json() == default
+        assert chunks == [size] * (config.trials // size) + [config.trials % size] * (config.trials % size > 0)
 
 
 INCREMENTAL_CONFIGS = {
@@ -147,14 +163,27 @@ INCREMENTAL_CONFIGS["complement-incremental-n10"] = {
 }
 
 
+def split_block_results(config, monkeypatch) -> list[str]:
+    """results.json of config, run twice with the schedule's row blocks split inside the
+    engine's chunks: with CHUNK_BYTES at four sessions' bytes, where blocks and spans of
+    larger rows hold fewer rows than a chunk, and with one-row blocks and spans in chunks
+    of the default size, which also splits blocks whose rows are smaller than a session's."""
+    runs = []
+    with monkeypatch.context() as patch:
+        patch.setattr(engine, "CHUNK_BYTES", 4 * session_bytes(config))
+        runs.append(run_experiment(config).results_json())
+    with monkeypatch.context() as patch:
+        patch.setattr(adversary, "row_blocks", lambda rows, row_bytes: (slice(r, r + 1) for r in range(rows)))
+        runs.append(run_experiment(config).results_json())
+    return runs
+
+
 @pytest.mark.parametrize("name", sorted(INCREMENTAL_CONFIGS))
 def test_incremental_row_blocks_do_not_change_results(name, monkeypatch):
-    # incremental steps draw for a block of rows and unpack a span of them at a time; one row
-    # per block and per span gives the same runs
+    # incremental steps draw for a block of rows and unpack a span of them at a time
     config = ExperimentConfig.from_dict(INCREMENTAL_CONFIGS[name])
     default = run_experiment(config).results_json()
-    monkeypatch.setattr(adversary, "CHUNK_BYTES", 1)
-    assert run_experiment(config).results_json() == default
+    assert split_block_results(config, monkeypatch) == [default, default]
 
 
 FLIP_CONFIGS = {
@@ -168,11 +197,10 @@ FLIP_CONFIGS["complement-flipcount-n4"] = {
 
 @pytest.mark.parametrize("name", sorted(FLIP_CONFIGS))
 def test_flip_count_row_blocks_do_not_change_results(name, monkeypatch):
-    # flip_count steps draw and flip a block of rows at a time; one row per block gives the same runs
+    # flip_count steps draw and flip a block of rows at a time
     config = ExperimentConfig.from_dict(FLIP_CONFIGS[name])
     default = run_experiment(config).results_json()
-    monkeypatch.setattr(adversary, "CHUNK_BYTES", 1)
-    assert run_experiment(config).results_json() == default
+    assert split_block_results(config, monkeypatch) == [default, default]
 
 
 @pytest.mark.parametrize("flips, trials", [(410, 2000), (3000, 600)])
@@ -199,6 +227,44 @@ def test_dense_incremental_arrays_capped(deltas, trials):
     finally:
         tracemalloc.stop()
     assert peak < 8 * engine.CHUNK_BYTES
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        # 1-bit flips at m = 16: a packed row is one word, so a session's other arrays set its bytes
+        ExperimentConfig(n=4, k=1, attack=FlipCount(bits_per_step=1), steps=3, trials=40_000),
+        # 201 ops: a (sessions, ops) table of draw keys would be 13 MB
+        ExperimentConfig(n=4, k=1, steps=100, trials=8192),
+    ],
+    ids=["small-m", "long-script"],
+)
+def test_small_m_session_arrays_capped(config):
+    tracemalloc.start()
+    try:
+        engine.run_sessions(config, 1, range(config.trials))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * engine.CHUNK_BYTES
+
+
+@pytest.mark.parametrize(
+    "row_bytes, cap",
+    [
+        (1, engine.CHUNK_BYTES),
+        (24, engine.CHUNK_BYTES // 24),
+        (1000, engine.CHUNK_BYTES // 1000),
+        (engine.CHUNK_BYTES, 1),
+        (engine.CHUNK_BYTES + 1, 1),  # a row over the cap still runs, one at a time
+        (0, 1),
+    ],
+)
+def test_row_blocks_cover_rows_once_in_order(row_bytes, cap):
+    for rows in (0, 1, cap - 1, cap, cap + 1):
+        blocks = list(engine.row_blocks(rows, row_bytes))
+        assert [b.start for b in blocks] + [rows] == [0] + [b.stop for b in blocks]
+        assert [b.stop - b.start for b in blocks] == [cap] * (rows // cap) + [rows % cap] * (rows % cap > 0)
 
 
 @pytest.mark.parametrize("name", ["script-attack-n3", "honest-mixed-n8", "flipcount-uniform-n6", *PACKED_CONFIGS])
@@ -231,14 +297,7 @@ def test_trials_must_be_a_step_one_range():
 
 
 def test_chunk_arrays_capped_at_n16(monkeypatch):
-    chunks = []
-    real = engine._run_chunk
-
-    def recorded(config, k, script, messages, indices, buffers, tally):
-        chunks.append(indices.size)
-        return real(config, k, script, messages, indices, buffers, tally)
-
-    monkeypatch.setattr(engine, "_run_chunk", recorded)
+    chunks = recorded_chunks(monkeypatch)
     config = ExperimentConfig(n=16, k=7, attack=FlipCount(bits_per_step=1024), steps=3, trials=300)
     tracemalloc.start()
     try:
@@ -252,14 +311,7 @@ def test_chunk_arrays_capped_at_n16(monkeypatch):
 
 
 def test_two_sessions_per_chunk_at_n20(monkeypatch):
-    chunks = []
-    real = engine._run_chunk
-
-    def recorded(config, k, script, messages, indices, buffers, tally):
-        chunks.append(indices.size)
-        return real(config, k, script, messages, indices, buffers, tally)
-
-    monkeypatch.setattr(engine, "_run_chunk", recorded)
+    chunks = recorded_chunks(monkeypatch)
     config = ExperimentConfig(n=20, k=7, attack=FlipCount(bits_per_step=64), steps=2, trials=3)
     agg = run_experiment(config).aggregates
     assert chunks == [2, 1]  # a packed row is 128 KiB

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmemcheck.analysis import _ORACLE_BLOCK_AMPLITUDES
+from qmemcheck import analysis
 from qmemcheck.code import HadamardCode
 from qmemcheck.fingerprint import (
     MAX_ORACLE_M,
@@ -46,6 +46,24 @@ def reference_cswap_probs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     state[:, 1] = branch.reshape(pairs, m, m)
     state = hadamard_on_control(state)
     return (state[:, 0] ** 2).reshape(pairs, m * m).sum(axis=1)
+
+
+class _FirstBlock(Exception):
+    pass
+
+
+def oracle_block(m: int) -> int:
+    """Pairs in a full block of verify_swap_oracle at size m: its first circuit call's
+    row count, with more pairs to check than any block holds."""
+
+    def first(a, b):
+        raise _FirstBlock(len(a))
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(analysis, "cswap_statevector_probs", first)
+        with pytest.raises(_FirstBlock) as block:
+            analysis.verify_swap_oracle(sizes=(m,), pairs_per_size=analysis.MAX_ORACLE_PAIRS)
+    return block.value.args[0]
 
 
 def fp_with_distance(m: int, d: int) -> tuple[Fingerprint, Fingerprint]:
@@ -285,7 +303,7 @@ class TestStatevectorOracle:
     @pytest.mark.parametrize("m", [1, 2, 4, 8, 16, 32, 64])
     def test_rows_equal_full_statevector_circuit(self, m, rng):
         # pair counts around the oracle's block: the same doubles as the (P, 2, m, m) circuit
-        block = _ORACLE_BLOCK_AMPLITUDES // (m * m)
+        block = oracle_block(m)
         for pairs in (1, block - 1, block, block + 1):
             a = rng.integers(0, 2, size=(pairs, m), dtype=np.uint8)
             b = rng.integers(0, 2, size=(pairs, m), dtype=np.uint8)

@@ -397,7 +397,7 @@ class TestRunExperiment:
             module = importlib.import_module(f"qmemcheck.{info.name}")
             if getattr(module, "as_bits", None) is real:
                 monkeypatch.setattr(module, "as_bits", counted)
-        monkeypatch.setattr(engine, "CHUNK_BYTES", 7 * 8)  # one 8-byte word per row: 7 sessions per chunk, 8 chunks
+        monkeypatch.setattr(engine, "CHUNK_BYTES", 7 * 8 * 5)  # 8 bytes per message bit: 7 sessions per chunk, 8 chunks
         flips = dict(attack=FlipCount(bits_per_step=3), steps=3)
         stores = tuple(OpSpec(op="store", message=msg) for msg in ("10101", "01100", "10101"))
         script = stores + (OpSpec(op="retrieve"),)
