@@ -28,7 +28,7 @@ from typing import Sequence
 
 from .analysis import p_multi, p_single, lemma1_bound, verify_lemma2, verify_swap_oracle
 from .checker import required_k
-from .harness import ExperimentConfig, canonical_json, flat_csv, run_experiment
+from .harness import ExperimentConfig, canonical_json, flat_csv, run_experiment, write_document
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -81,7 +81,7 @@ class _Report:
 
     def write_outputs(self, out_dir) -> None:
         Path(out_dir).mkdir(parents=True, exist_ok=True)
-        (Path(out_dir) / f"{self.stem}.json").write_text(self.results_json())
+        write_document(Path(out_dir) / f"{self.stem}.json", self.results_json())
 
 
 def _finish(args, document, failed: list[str]) -> int:

@@ -121,8 +121,14 @@ def _uniform(draws: np.ndarray) -> np.ndarray:
 def _below(draws: np.ndarray, bound: int) -> np.ndarray:
     """Integers in [0, bound): floor(uniform * bound). At a power-of-two bound
     up to 2^53 the product is exact, so this is the draw's top bits and
-    exactly uniform."""
-    return (_uniform(draws) * bound).astype(np.int64)
+    exactly uniform: such a bound takes one shift instead. Bound 1 gives
+    zeros, since a shift by all 64 bits is undefined."""
+    bits = bound.bit_length() - 1
+    if bound < 1 or bound & (bound - 1) or bits > 53:
+        return (_uniform(draws) * bound).astype(np.int64)
+    if bits == 0:
+        return np.zeros(np.shape(draws), np.int64)
+    return (draws >> np.uint64(64 - bits)).view(np.int64)
 
 
 def _messages(draws: np.ndarray, n: int) -> np.ndarray:

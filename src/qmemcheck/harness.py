@@ -19,7 +19,9 @@ import datetime
 import io
 import json
 import math
+import os
 import platform
+import stat
 import time
 from dataclasses import MISSING, dataclass, field, fields
 from functools import cached_property
@@ -44,9 +46,10 @@ MAX_STEPS = 10**4
 # Trial indices are uint64 counters (engine.run_sessions), so 2^64 trials at most.
 MAX_TRIALS = 2**64
 # A record_trials run keeps trials * len(script) verdicts as one int8 code
-# each. Its results.json text, 10 to 14 bytes per verdict, built once and
-# copied once, sets the peak: at this cap an 8-op store/retrieve script
-# renders 118 MB of text, with a 280 MB peak RSS.
+# each. Its results.json text, 10 to 14 bytes per verdict, built once,
+# copied once by a join and once more as the encoded bytes written, sets the
+# peak: at this cap an 8-op store/retrieve script at n=8 renders 121 MB of
+# text, and a `simulate --out` call peaks at 288 MiB RSS.
 MAX_RECORDED_VERDICTS = 10**7
 
 # Phi(-4): the tail mass a 4-sigma band leaves on one side of a normal rate
@@ -395,9 +398,9 @@ class ExperimentResult:
             "csv": out / "results.csv",
             "meta": out / "run_meta.json",
         }
-        paths["json"].write_text(self.results_json())
-        paths["csv"].write_text(self.render_csv())
-        paths["meta"].write_text(canonical_json(self.run_meta))
+        write_document(paths["json"], self.results_json())
+        write_document(paths["csv"], self.render_csv())
+        write_document(paths["meta"], canonical_json(self.run_meta))
         return paths
 
 
@@ -428,6 +431,28 @@ def _flat_rows(value, path: str):
         yield [path, ";".join("" if v is None else str(v) for v in value)]
     else:
         yield [path, "" if value is None else str(value)]
+
+
+def write_document(path, text: str) -> None:
+    """Write text to path as UTF-8, rewriting an existing file in place.
+
+    The file is opened without O_TRUNC, written from its start, then cut to
+    the length written: it keeps its inode, and a shorter text leaves no old
+    tail. Truncating an existing file to zero first costs far more on some
+    filesystems than overwriting it. No fsync, and not atomic: a write cut
+    off midway can leave the new bytes followed by old ones. The encoded
+    text is the one copy of it made, as with Path.write_text.
+    """
+    data = memoryview(text.encode())
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        written = 0
+        while written < len(data):
+            written += os.write(fd, data[written:])
+        if stat.S_ISREG(os.fstat(fd).st_mode):  # a device such as /dev/null has no length to cut
+            os.ftruncate(fd, written)
+    finally:
+        os.close(fd)
 
 
 def canonical_json(payload) -> str:

@@ -1,5 +1,6 @@
 import gc
 import json
+import os
 import subprocess
 import sys
 import time
@@ -423,6 +424,56 @@ def test_unwritable_out_prints_nothing(argv, capsys, tmp_path):
     assert code == EXIT_IO
     assert out == ""
     assert err.startswith("error: cannot write output:") and err.count("\n") == 1
+
+
+def test_read_only_results_json_exits_3(config_path, capsys, tmp_path):
+    doc = tmp_path / "results.json"
+    doc.write_text("old\n")
+    doc.chmod(0o444)
+    if os.access(doc, os.W_OK):
+        pytest.skip("this user may write read-only files")
+    code, out, err = run_cli(["simulate", "--config", config_path, "--out", str(tmp_path)], capsys)
+    assert code == EXIT_IO
+    assert out == ""
+    assert err.startswith("error: cannot write output:")
+    assert doc.read_text() == "old\n"
+
+
+def test_directory_at_results_json_exits_3(config_path, capsys, tmp_path):
+    # no user opens a directory for writing
+    (tmp_path / "results.json").mkdir()
+    code, out, err = run_cli(["simulate", "--config", config_path, "--out", str(tmp_path)], capsys)
+    assert code == EXIT_IO
+    assert out == ""
+    assert err.startswith("error: cannot write output:")
+
+
+def test_out_file_linked_to_a_device(config_path, capsys, tmp_path):
+    # a file linked to /dev/null discards its document and the others are written
+    (tmp_path / "results.json").symlink_to(os.devnull)
+    code, out, _ = run_cli(["simulate", "--config", config_path, "--out", str(tmp_path)], capsys)
+    assert code == EXIT_OK
+    assert (tmp_path / "results.csv").read_text().startswith("metric,value")
+    assert json.loads(out)["config"]["n"] == 3
+
+
+@pytest.mark.parametrize(
+    "argv, stem",
+    [
+        (["bounds"], "bounds"),
+        (["verify-lemma2", "--grid", "4", "--t-max", "2"], "lemma2"),
+        (["oracle-check", "--sizes", "2", "--pairs", "3"], "oracle"),
+    ],
+)
+def test_report_rewritten_in_place(argv, stem, capsys, tmp_path):
+    # the document keeps its inode, and the old, longer text leaves no tail
+    doc = tmp_path / f"{stem}.json"
+    doc.write_text("x" * 100_000)
+    inode = doc.stat().st_ino
+    code, out, _ = run_cli([*argv, "--out", str(tmp_path)], capsys)
+    assert code == EXIT_OK
+    assert doc.read_text() == out
+    assert doc.stat().st_ino == inode
 
 
 def test_failed_check_named_on_stderr(capsys):

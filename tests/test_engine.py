@@ -360,10 +360,16 @@ class TestDraws:
         assert chi2 < 45  # 14 degrees of freedom: P(chi2 > 45) < 1e-4
 
     def test_power_of_two_bounds_take_the_top_bits(self):
-        # floor(uniform * 2^b) is exact up to b = 53, so every value is equally likely
-        draws = self.draws(3).u64(np.arange(200)).reshape(-1)
-        for bits in (0, 1, 4, 20, 53):
-            assert engine._below(draws, 1 << bits).tolist() == [d >> (64 - bits) for d in draws.tolist()]
+        # floor(uniform * 2^b) is exact up to b = 53, so every value is equally likely; the
+        # shift that takes the top bits must agree with the product at the edges of the 53
+        # bits a uniform keeps, and at bound 1, where it would shift by all 64 bits
+        edges = np.array([0, 2**64 - 1, 2**63, 2**11 - 1, 2**11], dtype=np.uint64)
+        draws = np.concatenate([edges, self.draws(4).u64(np.arange(250)).reshape(-1)])
+        for bits in range(54):
+            out = engine._below(draws, 1 << bits)
+            assert out.dtype == np.int64
+            assert out.tolist() == [d >> (64 - bits) for d in draws.tolist()], bits
+            assert np.array_equal(out, (engine._uniform(draws) * (1 << bits)).astype(np.int64)), bits
 
     def test_rows_independent_of_chunk(self):
         # a row's subset depends on its own key only

@@ -50,6 +50,10 @@ CONFIGS = {
         "n": 5, "attack": {"kind": "flip_count", "bits_per_step": 3, "policy": "prefix"}, "steps": 2,
         "retrieve_index": "cycle", "trials": 200, "seed": 5,
     },
+    "flipcount-uniform-n1": {
+        "n": 1, "k": 1, "attack": {"kind": "flip_count", "bits_per_step": 1}, "steps": 2,
+        "record_trials": True, "trials": 200, "seed": 11,
+    },
     "incremental-uniform-n3": {
         "n": 3, "k": 1, "attack": {"kind": "incremental", "deltas": [0.25, 0.25]}, "trials": 400, "seed": 6,
     },

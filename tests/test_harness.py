@@ -1,6 +1,7 @@
 import dataclasses
 import importlib
 import json
+import os
 import pkgutil
 import random
 import tracemalloc
@@ -526,6 +527,19 @@ class TestRunExperiment:
         meta = json.loads((out / "run_meta.json").read_text())
         assert "elapsed_seconds" in meta
 
+    def test_write_outputs_rewrites_in_place(self, tmp_path):
+        # each file keeps its inode, and the shorter document leaves none of the old tail
+        res = run_experiment(make_config(trials=20))
+        old = {}
+        for name in ("results.json", "results.csv", "run_meta.json"):
+            (tmp_path / name).write_text("x" * 100_000)
+            old[name] = (tmp_path / name).stat().st_ino
+        paths = res.write_outputs(tmp_path)
+        texts = {"json": res.results_json(), "csv": res.render_csv(), "meta": canonical_json(res.run_meta)}
+        for key, path in paths.items():
+            assert path.read_bytes() == texts[key].encode()
+            assert path.stat().st_ino == old[path.name]
+
     def test_run_experiment_writes_nothing(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         res = run_experiment(make_config(attack=SubstituteCodeword(), trials=20, record_trials=True))
@@ -551,6 +565,43 @@ class TestRunExperiment:
         assert lines[0] == "metric,value"
         assert "bounds[0].name,honest_completeness" in lines
         assert "bounds[0].passed,True" in lines
+
+
+class TestWriteDocument:
+    @pytest.mark.parametrize("old", [None, "", "new", "a longer old document\n" * 1000])
+    @pytest.mark.parametrize("text", ["", "new text\n"])
+    def test_leaves_exactly_the_new_bytes(self, tmp_path, old, text):
+        # an existing file is rewritten in place: it keeps its inode and loses its old tail
+        path = tmp_path / "doc"
+        if old is not None:
+            path.write_text(old)
+        inode = path.stat().st_ino if old is not None else None
+        harness.write_document(path, text)
+        assert path.read_bytes() == text.encode()
+        assert inode in (None, path.stat().st_ino)
+
+    def test_never_opens_with_truncation(self, tmp_path, monkeypatch):
+        # truncating to zero before the write is the slow path the writer avoids
+        flags = []
+        real_open = os.open
+        monkeypatch.setattr(os, "open", lambda path, flag, mode: flags.append(flag) or real_open(path, flag, mode))
+        harness.write_document(tmp_path / "doc", "text")
+        assert len(flags) == 1 and not flags[0] & os.O_TRUNC
+
+    def test_text_is_utf8(self, tmp_path):
+        harness.write_document(tmp_path / "doc", "\u00e9\u2264\n")
+        assert (tmp_path / "doc").read_bytes() == "\u00e9\u2264\n".encode("utf-8")
+
+    def test_holds_one_copy_of_the_text(self, tmp_path):
+        # the encoded bytes, as Path.write_text holds: the text is the peak of a recorded run
+        text = "0123456789" * 1_000_000
+        tracemalloc.start()
+        try:
+            harness.write_document(tmp_path / "doc", text)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(text) <= peak < 1.01 * len(text)
 
 
 class TestRateCheck:
