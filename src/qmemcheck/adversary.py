@@ -16,6 +16,8 @@ checks, serialisation, config checks against the code, the corruption
 itself, and the distance each step puts between memory and the checker's
 fingerprint) is a method of its schedule class. A new kind is added here
 alone: its step_distances is all harness._attach_bounds needs to check it.
+Facts of the code, such as how far apart two codewords sit, come from the
+code each method is given (code.substitution_distances), not from here.
 
 FlipCount and incremental steps share one ranked flip, _flip_ranked: per
 row, d ascending ranks in a pool (the codeword, or the row's fresh
@@ -37,7 +39,7 @@ import numpy as np
 
 from .bits import as_bits, flip_rows, pack_rows, unpack_rows
 from .checker import PublicMemory
-from .code import CodeParams, LocallyDecodableCode
+from .code import LocallyDecodableCode
 from .engine import OpDraws, row_blocks
 
 POSITION_POLICIES = ("uniform", "prefix")
@@ -97,11 +99,11 @@ class AttackSchedule:
     def to_dict(self) -> dict[str, Any]:
         return {"kind": self.kind, **asdict(self)}
 
-    def check(self, params: CodeParams, message: str) -> None:
+    def check(self, code: LocallyDecodableCode, message: str) -> None:
         """Reject a schedule that cannot run against this code and the
         config-level message (a bitstring or "random")."""
 
-    def step_distances(self, params: CodeParams, message: str, step: int) -> dict[int, float]:
+    def step_distances(self, code: LocallyDecodableCode, message: str, step: int) -> dict[int, float]:
         """{distance: probability} of the Hamming distance from memory to the
         checker's fingerprint, refreshed at the last accepted op, right after
         step *step* of the default script storing the config-level message."""
@@ -121,7 +123,7 @@ class NoOpAttack(AttackSchedule):
 
     kind = "noop"
 
-    def step_distances(self, params, message, step) -> dict[int, float]:
+    def step_distances(self, code, message, step) -> dict[int, float]:
         return {0: 1.0}
 
     def apply(self, step, memory, baseline, code, draws) -> None:
@@ -145,21 +147,16 @@ class SubstituteCodeword(AttackSchedule):
         if self.target != "random" and not _is_bitstring(self.target):
             raise ConfigError("target", f"expected 'random' or a bit string, got {self.target!r}")
 
-    def check(self, params: CodeParams, message: str) -> None:
+    def check(self, code: LocallyDecodableCode, message: str) -> None:
         if self.target == "random":
             return
-        if len(self.target) != params.n:
-            raise ConfigError("target", f"expected 'random' or a {params.n}-bit string, got {self.target!r}")
+        if len(self.target) != code.params.n:
+            raise ConfigError("target", f"expected 'random' or a {code.params.n}-bit string, got {self.target!r}")
         if self.target == message:
             raise ConfigError("target", "equals the stored message, so the substitution changes nothing")
 
-    def step_distances(self, params, message, step) -> dict[int, float]:
-        # distinct Hadamard codewords sit exactly m/2 = delta*m apart, a fact of
-        # the code. A random message equals a fixed target in 1 of 2^n sessions.
-        half = params.m // 2
-        if self.target != "random" and message == "random":
-            return {half: 1.0 - 0.5**params.n, 0: 0.5**params.n}
-        return {half: 1.0}
+    def step_distances(self, code, message, step) -> dict[int, float]:
+        return code.substitution_distances(self.target, message)
 
     @cached_property
     def _target_bits(self) -> np.ndarray:
@@ -199,10 +196,10 @@ class FlipCount(AttackSchedule):
             raise ConfigError("bits_per_step", f"must be >= 0, got {self.bits_per_step}")
         _check_policy(self.policy)
 
-    def step_distances(self, params, message, step) -> dict[int, float]:
+    def step_distances(self, code, message, step) -> dict[int, float]:
         # every step flips that many positions of the refreshed memory (prefix
         # toggles the same ones again)
-        return {min(self.bits_per_step, params.m): 1.0}
+        return {min(self.bits_per_step, code.params.m): 1.0}
 
     def apply(self, step, memory, baseline, code, draws) -> None:
         m = code.params.m
@@ -243,16 +240,21 @@ class IncrementalAttack(AttackSchedule):
         _check_policy(self.policy)
         if not isinstance(self.require_reach, bool):
             raise ConfigError("require_reach", "expected a boolean")
+        object.__setattr__(self, "_flip_counts", {})  # step_flip_counts per codeword length m
 
     @property
     def intrinsic_steps(self) -> int | None:
         return len(self.deltas)
 
-    def step_flip_counts(self, m: int) -> list[int]:
-        """Whole-bit flip counts per step for codeword length m."""
-        return [round_half_up(d * m) for d in self.deltas]
+    def step_flip_counts(self, m: int) -> tuple[int, ...]:
+        """Whole-bit flip counts per step for codeword length m, computed once per m:
+        every step of every chunk reads them."""
+        if m not in self._flip_counts:
+            self._flip_counts[m] = tuple(round_half_up(d * m) for d in self.deltas)
+        return self._flip_counts[m]
 
-    def check(self, params: CodeParams, message: str) -> None:
+    def check(self, code: LocallyDecodableCode, message: str) -> None:
+        params = code.params
         total = sum(self.step_flip_counts(params.m))
         if total > params.m:
             raise ConfigError("deltas", f"rounded flips total {total}, more than the m={params.m} positions")
@@ -260,9 +262,9 @@ class IncrementalAttack(AttackSchedule):
         if self.require_reach and total < params.delta * params.m - 1e-9:
             raise ConfigError("deltas", f"rounded flip total {total} falls short of the code distance")
 
-    def step_distances(self, params, message, step) -> dict[int, float]:
+    def step_distances(self, code, message, step) -> dict[int, float]:
         # flips land on whole bits: the rounded count, not the requested fraction
-        return {self.step_flip_counts(params.m)[step]: 1.0}
+        return {self.step_flip_counts(code.params.m)[step]: 1.0}
 
     def apply(self, step, memory, baseline, code, draws) -> None:
         m = code.params.m

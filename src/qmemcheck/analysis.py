@@ -52,7 +52,7 @@ import numpy as np
 from .engine import row_blocks
 
 # p_single lives with the comparison test it describes; it is re-exported here
-from .fingerprint import check_oracle_size, cswap_statevector_probs, p_single
+from .fingerprint import check_oracle_size, cswap_statevector_probs, p_accept, p_single
 
 #: Absolute slack for float roundoff when comparing analytically equal quantities.
 FLOAT_TOL = 1e-12
@@ -117,12 +117,11 @@ def binomial_tail(count: int, samples: int, p: float, stop: float = math.inf) ->
 def p_multi(deltas: Sequence[float]) -> float:
     """All-accept probability across disjoint steps: product of p_single terms.
 
-    Empty input is the empty product, 1."""
+    Empty input is the empty product, 1. A fraction outside [0, 1] raises in
+    p_single."""
     total = 0.0
     out = 1.0
     for d in deltas:
-        if not 0.0 <= d <= 1.0:
-            raise ValueError(f"flip fractions must be in [0, 1], got {d}")
         total += d
         out *= p_single(d)
     if total > 1.0 + 1e-9:
@@ -133,14 +132,14 @@ def p_multi(deltas: Sequence[float]) -> float:
 def lemma1_bound(delta: float, k: int) -> float:
     """Maximum all-accept probability of k tests against distance >= delta memory.
 
-    (1 - 2*delta + 2*delta^2)^k, i.e. p_single(delta)^k: the per-test accept
+    (1 - 2*delta + 2*delta^2)^k, i.e. p_accept(delta, k): the per-test accept
     probability at the distance-saturating inner product, k times.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if not 0.0 < delta <= 1.0:
         raise ValueError(f"delta must be in (0, 1], got {delta}")
-    return p_single(delta) ** k
+    return p_accept(delta, k)
 
 
 def rederived_t2_identity(d1: float, total: float) -> float:

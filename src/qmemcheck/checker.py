@@ -206,10 +206,9 @@ class CheckerState:
 
 def new_checker(code: LocallyDecodableCode, epsilon: float, k: int | None = None) -> CheckerState:
     """Fresh checker state; k defaults to required_k(epsilon, code distance).
-    epsilon is validated whether or not k is given."""
-    if not 0.0 < epsilon < 0.5:
-        raise ValueError(f"epsilon must be in (0, 1/2), got {epsilon}")
-    return CheckerState(code=code, k=required_k(epsilon, code.params.delta) if k is None else k)
+    required_k runs, and so validates epsilon, whether or not k is given."""
+    base_k = required_k(epsilon, code.params.delta)
+    return CheckerState(code=code, k=base_k if k is None else k)
 
 
 def required_k(epsilon: float, delta: float) -> int:

@@ -28,6 +28,7 @@ from typing import Sequence
 
 from .analysis import p_multi, p_single, lemma1_bound, verify_lemma2, verify_swap_oracle
 from .checker import required_k
+from .code import HadamardCode
 from .harness import ExperimentConfig, canonical_json, flat_csv, run_experiment, write_document
 
 EXIT_OK = 0
@@ -177,7 +178,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     bounds = sub.add_parser("bounds", help="print closed-form rates for given parameters")
     bounds.add_argument("--epsilon", type=float, default=0.01, help="target error rate (default 0.01)")
-    bounds.add_argument("--delta", type=float, default=0.5, help="code distance (default 0.5)")
+    bounds.add_argument("--delta", type=float, default=HadamardCode(1).params.delta,
+                        help="code distance (default %(default)s, the Hadamard code's)")
     bounds.add_argument("--k", type=_positive_int, default=None, help="fingerprint count (default: required_k)")
     bounds.add_argument("--deltas", type=functools.partial(_comma_list, float), default=None, metavar="D1,D2,...",
                         help="per-step flip fractions for the multi-step accept probability")

@@ -19,6 +19,7 @@ one TypeError (bits.check_positions).
 
 from __future__ import annotations
 
+import numbers
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
@@ -104,6 +105,14 @@ class LocallyDecodableCode(ABC):
         count them. Invalid inputs raise before read is called.
         """
 
+    @abstractmethod
+    def substitution_distances(self, target: str, message: str) -> dict[int, float]:
+        """{distance: probability} of the Hamming distance between the codeword
+        of the stored message and the codeword that replaces it. Each argument
+        is a bitstring or "random": a random target is uniform over the messages
+        other than the stored one, a random message is uniform over all of them,
+        and a fixed target differs from a fixed message."""
+
 
 class HadamardCode(LocallyDecodableCode):
     """The Hadamard code: m = 2^n, q = 2, relative distance 1/2.
@@ -115,13 +124,23 @@ class HadamardCode(LocallyDecodableCode):
     """
 
     def __init__(self, n: int):
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+            raise TypeError(f"n must be an integer, got {n!r}")
         if not 1 <= n <= MAX_HADAMARD_N:
             raise ValueError(f"n must be in [1, {MAX_HADAMARD_N}], got {n}")
-        self._params = CodeParams(n=n, m=1 << n, q=2, delta=0.5, delta_dec=0.125, eps_dec=0.25)
+        self._params = CodeParams(n=int(n), m=1 << int(n), q=2, delta=0.5, delta_dec=0.125, eps_dec=0.25)
 
     @property
     def params(self) -> CodeParams:
         return self._params
+
+    def substitution_distances(self, target: str, message: str) -> dict[int, float]:
+        # distinct codewords sit exactly m/2 = delta*m apart. A random message
+        # equals a fixed target in 1 of 2^n sessions.
+        n, half = self._params.n, self._params.m // 2
+        if target != "random" and message == "random":
+            return {half: 1.0 - 0.5**n, 0: 0.5**n}
+        return {half: 1.0}
 
     def unit_mask(self, index):
         """Integer mask with a single 1 at message bit *index* (MSB-first

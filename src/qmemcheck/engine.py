@@ -7,10 +7,10 @@ padding bits past m are zero in every array, so they never count. The stored
 fingerprint and the baseline (the codeword of the last accepted store) are
 (T, W) snapshots in the same layout. A verification is one row-wise Hamming
 distance d, the popcount of the xor of the words, and one uniform per
-session, compared with p_single(d/m)**k: that is the chance that all k
-copies of the comparison test accept, so the verdict has exactly the law of
-k copies without drawing k numbers. A decode is the code's decode on the
-chunk's rows, each row reading bit a & 63 of its own word a >> 6;
+session, compared with fingerprint.p_accept(d/m, k): that is the chance
+that all k copies of the comparison test accept, so the verdict has exactly
+the law of k copies without drawing k numbers. A decode is the code's decode
+on the chunk's rows, each row reading bit a & 63 of its own word a >> 6;
 checker.retrieve runs the same method on one row of bytes. A session that
 rejects stops counting. An attack op runs its schedule's apply on the
 chunk's rows, the one corruption method each schedule has;
@@ -47,7 +47,7 @@ from typing import Iterator
 import numpy as np
 
 from .bits import as_bits, read_rows, word_count
-from .fingerprint import p_single
+from .fingerprint import p_accept
 
 CHUNK_BYTES = 1 << 18
 
@@ -275,11 +275,10 @@ class _Buffers:
 
 
 def _accept_prob(distance: np.ndarray, m: int, k: int):
-    """p_single(d/m)**k per row: the chance that all k copies of the comparison
+    """p_accept(d/m, k) per row: the chance that all k copies of the comparison
     test accept at distance d, computed once per distinct distance."""
     values = sorted(set(distance.tolist()))
-    # scalar powers: numpy's array ** differs from float ** in the last bit at large m
-    return np.array([p_single(d / m) ** k for d in values])[np.searchsorted(values, distance)]
+    return np.array([p_accept(d / m, k) for d in values])[np.searchsorted(values, distance)]
 
 
 def _run_chunk(config, k: int, script, messages: dict, indices: np.ndarray, buffers: _Buffers, tally: Tally):

@@ -133,6 +133,15 @@ def p_single(delta_frac: float | np.ndarray) -> float | np.ndarray:
     return 1.0 - 2.0 * delta_frac + 2.0 * delta_frac * delta_frac
 
 
+def p_accept(delta_frac: float, k: int) -> float:
+    """Accept probability of k copies of the comparison test against a
+    fraction-delta_frac corruption: p_single(delta_frac)**k, the chance that
+    all k accept (Buhrman, Cleve, Watrous & de Wolf, PRL 2001). The one place
+    the per-test law is raised to the k, as a float power: numpy's array **
+    differs from float ** in the last bit at large m."""
+    return p_single(delta_frac) ** k
+
+
 def swap_accept_prob(a: Fingerprint, b: Fingerprint) -> float:
     """Probability the comparison test accepts: p_single(d/m) at Hamming distance d, in [1/2, 1]."""
     return p_single(hamming_distance(a.phases, b.phases) / a.m)

@@ -31,16 +31,18 @@ from typing import Any, Callable
 import numpy as np
 
 from .adversary import SCHEDULES, AttackSchedule, ConfigError, NoOpAttack, _is_bitstring, _is_int, _is_number
-from .analysis import BoundReport, binomial_std_error, binomial_tail, lemma1_bound, p_single
+from .analysis import BoundReport, binomial_std_error, binomial_tail, lemma1_bound
 from .checker import CheckerState, PublicMemory, complexity_report, required_k, retrieve, store
 from .code import MAX_HADAMARD_N, HadamardCode
 from .engine import Tally, run_sessions
+from .fingerprint import p_accept
 
 RESULTS_SCHEMA = "qmemcheck.results.v4"
 
 # Fail-fast caps: a library verification (checker.store/retrieve) draws k
-# uniforms, and the default script holds 2*steps + 1 ops, so larger values
-# only exhaust memory or time.
+# uniforms, and the default script holds 2*steps + 1 ops, whether steps is
+# given or is the schedule's length, so larger values only exhaust memory or
+# time.
 MAX_K = 10**6
 MAX_STEPS = 10**4
 # Trial indices are uint64 counters (engine.run_sessions), so 2^64 trials at most.
@@ -182,8 +184,12 @@ class ExperimentConfig:
 
         if not isinstance(self.attack, AttackSchedule):
             raise ConfigError("attack", f"expected an attack schedule, got {self.attack!r}")
+        # without steps, a default script runs one step per delta of an incremental schedule
+        if self.script is None and self.steps is None and (self.attack.intrinsic_steps or 1) > MAX_STEPS:
+            raise ConfigError("attack.deltas", f"a default script runs at most {MAX_STEPS} steps, "
+                              f"got {self.attack.intrinsic_steps}")
         try:
-            self.attack.check(self.code.params, self.message)
+            self.attack.check(self.code, self.message)
         except ConfigError as exc:
             raise exc.under("attack") from None
 
@@ -224,7 +230,7 @@ class ExperimentConfig:
                 attack_ops += 1
                 if pending_store is not None:
                     try:
-                        self.attack.check(self.code.params, script[pending_store].message)
+                        self.attack.check(self.code, script[pending_store].message)
                     except ConfigError as exc:
                         raise ConfigError(f"script[{pending_store}].message", exc.message) from None
                     pending_store = None
@@ -292,16 +298,19 @@ def _rate_check(
 
 
 def _attach_bounds(config: ExperimentConfig, aggregates: dict[str, Any]) -> list[BoundReport]:
-    """Exact checks of the run's rates. Honest runs with answers get
-    honest_completeness. On the default script (explicit scripts are shaped by
-    the caller), each step's distance distribution {d: w} from the schedule
-    gives its exact accept rate sum(w * p_single(d/m)^k), checked on every
+    """Exact checks of the run's rates. Each attack op's distance distribution
+    {d: w} comes from the schedule. Runs with answers whose every attack op has
+    the law {0: 1} (no attack op at all, too) get honest_completeness. On the
+    default script (explicit scripts are shaped by the caller), each step's law
+    gives its exact accept rate sum(w * p_accept(d/m, k)), checked on every
     reached step; their product is checked against all_accept."""
     k = aggregates["k"]
     rates = aggregates["rates"]
     reports: list[BoundReport] = []
+    attack_ops = sum(op.op == "attack" for op in config.build_script())
+    laws = [config.attack.step_distances(config.code, config.message, step) for step in range(attack_ops)]
 
-    if isinstance(config.attack, NoOpAttack) and aggregates["counts"]["answers_total"]:
+    if all(law == {0: 1.0} for law in laws) and aggregates["counts"]["answers_total"]:
         ok = rates["correctness"] == 1.0 and rates["buggy"] == 0.0 and rates["false_buggy"] == 0.0
         reports.append(BoundReport(
             name="honest_completeness", analytic={"correctness": 1.0, "buggy": 0.0},
@@ -312,13 +321,11 @@ def _attach_bounds(config: ExperimentConfig, aggregates: dict[str, Any]) -> list
     if config.script is not None:
         return reports
 
-    params = config.code.params
-    m, delta = params.m, params.delta
+    m, delta = config.code.params.m, config.code.params.delta
     per_step = []
-    for entry in aggregates["per_step_accept"]:
+    for entry, dist in zip(aggregates["per_step_accept"], laws):
         step = entry["step"]
-        dist = config.attack.step_distances(params, config.message, step)
-        exact = sum(w * p_single(d / m) ** k for d, w in dist.items())
+        exact = sum(w * p_accept(d / m, k) for d, w in dist.items())
         per_step.append(exact)
         if not entry["reached"]:
             continue  # no session got here, so there is no evidence to check
@@ -329,7 +336,7 @@ def _attach_bounds(config: ExperimentConfig, aggregates: dict[str, Any]) -> list
         details = {"k": k, "distances": {str(d): w for d, w in sorted(dist.items())}}
         name = f"step_accept[{step}]"
         reports.append(_rate_check(name, analytic, exact, entry["accepted"], entry["reached"], details))
-    all_accept = math.prod(per_step)
+    all_accept = math.prod(per_step, start=1.0)
     details = {"k": k, "per_step_accept": per_step}
     sessions = aggregates["sessions"]["all_accept"]
     reports.append(_rate_check("all_accept", {"all_accept": all_accept}, all_accept, sessions, config.trials, details))

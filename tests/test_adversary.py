@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qmemcheck import adversary
 from qmemcheck.adversary import (
     SCHEDULES,
     ConfigError,
@@ -17,6 +18,7 @@ from qmemcheck.adversary import (
 from qmemcheck.bits import hamming_distance
 from qmemcheck.checker import PublicMemory, new_checker, store
 from qmemcheck.code import HadamardCode
+from qmemcheck.harness import ExperimentConfig, run_experiment
 
 
 def fresh_memory(code, msg):
@@ -91,8 +93,22 @@ class TestScheduleValidation:
 
     def test_step_flip_counts(self):
         sched = IncrementalAttack(deltas=(0.25, 0.25))
-        assert sched.step_flip_counts(8) == [2, 2]
-        assert sched.step_flip_counts(6) == [2, 2]  # 1.5 rounds up
+        assert sched.step_flip_counts(8) == (2, 2)
+        assert sched.step_flip_counts(6) == (2, 2)  # 1.5 rounds up
+
+    def test_step_flip_counts_are_computed_once_per_m(self, monkeypatch):
+        calls = []
+
+        def counting(x):
+            calls.append(x)
+            return round_half_up(x)
+
+        monkeypatch.setattr(adversary, "round_half_up", counting)
+        schedule = IncrementalAttack(deltas=(0.02,) * 50)
+        run_experiment(ExperimentConfig(n=4, k=1, attack=schedule, trials=3))
+        assert len(calls) <= 50  # check, every apply and every step law read the counts at m=16
+        schedule.step_distances(HadamardCode(3), "random", 49)
+        assert len(calls) <= 100  # a second m computes its own counts once
 
 
 class TestScheduleProtocol:
@@ -131,30 +147,30 @@ class TestScheduleProtocol:
             assert rng.bit_generator.state == before
 
     def test_step_distances(self):
-        params = HadamardCode(3).params
-        assert NoOpAttack().step_distances(params, "random", 0) == {0: 1.0}
-        assert FlipCount(3).step_distances(params, "random", 2) == {3: 1.0}
-        assert FlipCount(20, policy="prefix").step_distances(params, "101", 0) == {8: 1.0}
-        assert IncrementalAttack((0.25, 0.5)).step_distances(params, "random", 1) == {4: 1.0}
-        assert SubstituteCodeword().step_distances(params, "random", 0) == {4: 1.0}
-        assert SubstituteCodeword("011").step_distances(params, "101", 0) == {4: 1.0}
+        code = HadamardCode(3)
+        assert NoOpAttack().step_distances(code, "random", 0) == {0: 1.0}
+        assert FlipCount(3).step_distances(code, "random", 2) == {3: 1.0}
+        assert FlipCount(20, policy="prefix").step_distances(code, "101", 0) == {8: 1.0}
+        assert IncrementalAttack((0.25, 0.5)).step_distances(code, "random", 1) == {4: 1.0}
+        assert SubstituteCodeword().step_distances(code, "random", 0) == {4: 1.0}
+        assert SubstituteCodeword("011").step_distances(code, "101", 0) == {4: 1.0}
         # a random message equals the fixed target in 1 of 2^n sessions
-        assert SubstituteCodeword("011").step_distances(params, "random", 0) == {4: 7 / 8, 0: 1 / 8}
+        assert SubstituteCodeword("011").step_distances(code, "random", 0) == {4: 7 / 8, 0: 1 / 8}
 
     def test_check_overflowing_increments(self):
         # m=2: four quarter steps each round up to one flip, 4 > 2
         with pytest.raises(ConfigError) as exc:
-            IncrementalAttack(deltas=(0.25,) * 4).check(HadamardCode(1).params, "random")
+            IncrementalAttack(deltas=(0.25,) * 4).check(HadamardCode(1), "random")
         assert exc.value.path == "deltas"
-        IncrementalAttack(deltas=(0.25,) * 4).check(HadamardCode(3).params, "random")
+        IncrementalAttack(deltas=(0.25,) * 4).check(HadamardCode(3), "random")
 
     def test_check_substitute_target(self):
-        params = HadamardCode(3).params
-        SubstituteCodeword("011").check(params, "101")
+        code = HadamardCode(3)
+        SubstituteCodeword("011").check(code, "101")
         with pytest.raises(ConfigError):
-            SubstituteCodeword("0110").check(params, "random")
+            SubstituteCodeword("0110").check(code, "random")
         with pytest.raises(ConfigError):
-            SubstituteCodeword("101").check(params, "101")
+            SubstituteCodeword("101").check(code, "101")
 
 
 class TestNoOp(object):
@@ -310,14 +326,14 @@ class TestBaseline:
 
 class TestReachability:
     def test_exact_budget(self):
-        params = HadamardCode(3).params
-        IncrementalAttack(deltas=(0.25, 0.25), require_reach=True).check(params, "random")
+        code = HadamardCode(3)
+        IncrementalAttack(deltas=(0.25, 0.25), require_reach=True).check(code, "random")
 
     def test_under_budget(self):
-        params = HadamardCode(3).params
+        code = HadamardCode(3)
         with pytest.raises(ConfigError):
-            IncrementalAttack(deltas=(0.1, 0.1), require_reach=True).check(params, "random")
+            IncrementalAttack(deltas=(0.1, 0.1), require_reach=True).check(code, "random")
 
     def test_single_step(self):
-        params = HadamardCode(3).params
-        IncrementalAttack(deltas=(0.5,), require_reach=True).check(params, "random")
+        code = HadamardCode(3)
+        IncrementalAttack(deltas=(0.5,), require_reach=True).check(code, "random")

@@ -22,7 +22,7 @@ from qmemcheck.analysis import (
     verify_lemma2,
     verify_swap_oracle,
 )
-from qmemcheck.fingerprint import MAX_ORACLE_M, Fingerprint, cswap_statevector_prob, swap_accept_prob
+from qmemcheck.fingerprint import MAX_ORACLE_M, Fingerprint, cswap_statevector_prob, p_accept, swap_accept_prob
 
 
 def reference_compositions(grid, t_max, prefix=()):
@@ -137,6 +137,11 @@ class TestPMulti:
         with pytest.raises(ValueError):
             p_multi([0.7, 0.7])
 
+    @pytest.mark.parametrize("bad", [math.nan, -0.1, 1.1])
+    def test_fraction_out_of_range_raises_in_p_single(self, bad):
+        with pytest.raises(ValueError):
+            p_multi([0.25, bad])
+
     @given(st.lists(st.floats(0, 1), max_size=5))
     @settings(max_examples=200)
     def test_single_step_dominates(self, deltas):
@@ -155,6 +160,11 @@ class TestLemma1Bound:
 
     def test_k_one_is_p_single(self):
         assert lemma1_bound(0.3, 1) == p_single(0.3)
+
+    @pytest.mark.parametrize("delta", [0.1, 0.3125, 0.5])
+    @pytest.mark.parametrize("k", [1, 7, 37, 368])
+    def test_is_the_k_copy_law(self, delta, k):
+        assert lemma1_bound(delta, k) == p_accept(delta, k) == p_single(delta) ** k
 
     def test_domain(self):
         with pytest.raises(ValueError):

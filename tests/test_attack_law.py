@@ -117,7 +117,7 @@ def step_flips(schedule, m, step):
 @pytest.mark.parametrize("name", sorted(SHAPES))
 def test_distances_follow_step_law(name):
     for schedule, code, message, step, _, before, after in run_steps(SHAPES[name]):
-        law = schedule.step_distances(code.params, message, step)
+        law = schedule.step_distances(code, message, step)
         distances = np.count_nonzero(after != before, axis=1)
         values, counts = np.unique(distances, return_counts=True)
         assert set(values.tolist()) <= set(law), f"step {step}: {dict(zip(values, counts))} outside {law}"

@@ -447,6 +447,13 @@ class TestCheckerState:
         with pytest.raises(ValueError):
             new_checker(HadamardCode(3), 0.7, k=3)
 
+    @pytest.mark.parametrize("k", [None, 3])
+    @pytest.mark.parametrize("epsilon", [0.0, 0.5, math.nan])
+    def test_epsilon_checked_by_required_k(self, epsilon, k):
+        # required_k runs, and checks epsilon, whether or not k is given
+        with pytest.raises(ValueError, match="epsilon"):
+            new_checker(HadamardCode(3), epsilon, k=k)
+
     def test_k_validated(self):
         with pytest.raises(ValueError):
             new_checker(HadamardCode(3), 0.01, k=0)

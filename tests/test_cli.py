@@ -228,6 +228,26 @@ class TestSimulate:
         assert out == ""
         assert err.startswith(f"error: {field}: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("extra, expected", [(0, EXIT_OK), (1, EXIT_VALIDATION)])
+    def test_schedule_length_counts_as_steps(self, extra, expected, capsys, tmp_path):
+        # without steps, the default script runs one step per delta, under the same cap
+        path = tmp_path / "long.json"
+        deltas = [1e-5] * (harness.MAX_STEPS + extra)
+        path.write_text(json.dumps({"n": 4, "k": 1, "attack": {"kind": "incremental", "deltas": deltas}, "trials": 1}))
+        code, out, err = run_cli(["simulate", "--config", str(path)], capsys)
+        assert code == expected, err
+        if expected == EXIT_VALIDATION:
+            assert out == ""
+            assert err.startswith("error: attack.deltas: ") and err.count("\n") == 1
+
+    def test_zero_step_run_renders_all_accept_as_a_float(self, capsys, tmp_path):
+        # the empty product of step rates is 1.0, like every other run's
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps({"n": 3, "steps": 0, "trials": 10}))
+        code, out, _ = run_cli(["simulate", "--config", str(path)], capsys)
+        assert code == EXIT_OK
+        assert '"analytic": {"all_accept": 1.0}' in out
+
     def test_oversized_trials_override_rejected(self, config_path, capsys):
         # trial indices are uint64 counters: 2^64 + 1 trials cannot be numbered
         code, out, err = run_cli(["simulate", "--config", config_path, "--trials", str(2**64 + 1)], capsys)

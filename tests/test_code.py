@@ -1,4 +1,6 @@
 import itertools
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -45,6 +47,56 @@ class TestHadamardParams:
             HadamardCode(MAX_HADAMARD_N + 1)
         with pytest.raises(ValueError):
             HadamardCode(0)
+
+    @pytest.mark.parametrize("n", [True, 3.0, "3"])
+    def test_non_integer_n_rejected(self, n):
+        # a bool would build m = 2, a float fails late inside a shift
+        with pytest.raises(TypeError, match="n must be an integer"):
+            HadamardCode(n)
+
+    def test_numpy_integer_n(self):
+        p = HadamardCode(np.int64(3)).params
+        assert (p.n, p.m) == (3, 8)
+        assert type(p.n) is int and type(p.m) is int
+
+
+def brute_substitution_law(code, target, message):
+    """The law of the distance from the stored codeword to its substitute, by
+    enumerating every (stored, target) message pair the arguments allow, as
+    exact fractions."""
+    n = code.params.n
+    words = {x: code.encode(x) for x in map("".join, itertools.product("01", repeat=n))}
+    stored = list(words) if message == "random" else [message]
+    law = Counter()
+    for x in stored:
+        targets = [y for y in words if y != x] if target == "random" else [target]
+        for y in targets:
+            law[hamming_distance(words[x], words[y])] += Fraction(1, len(stored) * len(targets))
+    return dict(law)
+
+
+class TestSubstitutionDistances:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_random_target(self, n):
+        code = HadamardCode(n)
+        for message in ["random"] + ["".join(x) for x in itertools.product("01", repeat=n)]:
+            law = code.substitution_distances("random", message)
+            assert {d: Fraction(w) for d, w in law.items()} == brute_substitution_law(code, "random", message)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_fixed_target_random_message(self, n):
+        code = HadamardCode(n)
+        for target in map("".join, itertools.product("01", repeat=n)):
+            law = code.substitution_distances(target, "random")
+            assert {d: Fraction(w) for d, w in law.items()} == brute_substitution_law(code, target, "random")
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_fixed_target_fixed_message(self, n):
+        code = HadamardCode(n)
+        messages = list(map("".join, itertools.product("01", repeat=n)))
+        for target, message in itertools.permutations(messages, 2):
+            law = code.substitution_distances(target, message)
+            assert {d: Fraction(w) for d, w in law.items()} == brute_substitution_law(code, target, message)
 
 
 class TestEncode:

@@ -308,6 +308,21 @@ class TestRunExperiment:
         names = [b["name"] for b in agg["bounds"]]
         assert "honest_completeness" in names
 
+    @pytest.mark.parametrize("raw", [
+        {"n": 4, "k": 7, "attack": {"kind": "flip_count", "bits_per_step": 0}, "trials": 10},
+        {"n": 4, "k": 7, "attack": {"kind": "incremental", "deltas": [0.0, 0.0]}, "trials": 10},
+        {"n": 4, "attack": {"kind": "substitute"}, "trials": 10,
+         "script": [{"op": "store"}, {"op": "retrieve"}, {"op": "retrieve"}]},
+    ])
+    def test_completeness_follows_the_step_laws(self, raw):
+        # every attack op (or none at all) leaves the memory at distance 0
+        report = bound_named(run_experiment(ExperimentConfig.from_dict(raw)).aggregates, "honest_completeness")
+        assert report["passed"]
+
+    def test_no_completeness_once_a_step_moves_the_memory(self):
+        agg = run_experiment(make_config(attack=FlipCount(1), k=1, trials=10)).aggregates
+        assert "honest_completeness" not in [b["name"] for b in agg["bounds"]]
+
     def test_session_counts_partition(self):
         cfg = make_config(attack=SubstituteCodeword(), trials=300, k=2)
         agg = run_experiment(cfg).aggregates
