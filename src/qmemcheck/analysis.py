@@ -44,7 +44,7 @@ the pairs and the report do not depend on the block size.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -84,7 +84,9 @@ class BoundReport:
     details: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The fields as a dict, analytic and details copied one level deep: the
+        document dataclasses.asdict gives, without its recursive deep copy."""
+        return {**vars(self), "analytic": dict(self.analytic), "details": dict(self.details)}
 
 
 def binomial_std_error(p_hat: float, n: int) -> float:

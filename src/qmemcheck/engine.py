@@ -11,13 +11,20 @@ session, compared with fingerprint.p_accept(d/m, k): that is the chance
 that all k copies of the comparison test accept, so the verdict has exactly
 the law of k copies without drawing k numbers. A decode is the code's decode
 on the chunk's rows, each row reading bit a & 63 of its own word a >> 6;
-checker.retrieve runs the same method on one row of bytes. A session that
-rejects stops counting. An attack op runs its schedule's apply on the
-chunk's rows, the one corruption method each schedule has;
-adversary.apply_step runs the same method on one packed row.
+checker.retrieve runs the same method on one row of bytes. An attack op runs
+its schedule's apply on the chunk's rows, the one corruption method each
+schedule has; adversary.apply_step runs the same method on one packed row.
 The per-trial checker.store and retrieve stay the library API and the
 reference that the tests compare this engine's verification, decode and
 refresh against.
+
+Only live sessions hold rows. A session's first reject ends it, so after a
+verification with rejects the survivors' rows move to the front of the run's
+buffers, and every later op of the chunk works on them alone. Between
+refreshes (a store's codeword, a retrieve's snapshot) only attack ops change
+the memory, so a verification with no attack op since the last refresh sees
+distance 0 on every row: it compares its uniforms with the scalar
+p_accept(0.0, k), with no distance pass.
 
 Every draw is counter-based: the draw of trial i's op j at slot s is a
 SplitMix64-style hash of (master seed, i, j, s) (Steele, Lea & Flood, "Fast
@@ -267,6 +274,18 @@ class _Buffers:
         self.diff = np.empty(shape, dtype=np.uint64)
         self.counts = np.empty(shape, dtype=np.uint8)
 
+    def compact(self, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Move rows keep (ascending) of memory and baseline to the front, and
+        return the two packed views. Each is gathered into the snapshot or diff
+        array, which then trade places with it, so no array is allocated; the
+        snapshot and diff arrays hold no rows that count afterwards."""
+        rows = keep.size
+        np.take(self.memory, keep, axis=0, out=self.snapshot[:rows], mode="clip")
+        np.take(self.baseline, keep, axis=0, out=self.diff[:rows], mode="clip")
+        self.memory, self.snapshot = self.snapshot, self.memory
+        self.baseline, self.diff = self.diff, self.baseline
+        return self.memory[:rows], self.baseline[:rows]
+
     def distance(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Row-wise Hamming distances of two (rows, W) arrays of packed rows."""
         rows = a.shape[0]
@@ -283,46 +302,57 @@ def _accept_prob(distance: np.ndarray, m: int, k: int):
 
 def _run_chunk(config, k: int, script, messages: dict, indices: np.ndarray, buffers: _Buffers, tally: Tally):
     """Play the script on one chunk, one session per row, and return the chunk's
-    (rows, ops) verdict codes, or None when tally records none. A rejected
-    session's row plays on, but its reject ends the session: alive marks the
-    rows whose verdicts still count, so rows never move within the run's buffers."""
+    (rows, ops) verdict codes, or None when tally records none.
+
+    Row r of the buffers belongs to chunk session live[r], and keys and message
+    keep the same rows. After a verification with rejects, the survivors'
+    memory and baseline rows are packed to the front (_Buffers.compact), so the
+    op and every later one run on live sessions only. fresh marks that no attack
+    op has run and no row has moved since the last refresh: only attack ops
+    change the memory between refreshes, so every live row then sits at
+    distance 0 from stored, and a retrieve keeps stored as its snapshot."""
     code = config.code
     n, m = code.params.n, code.params.m
-    rows = np.arange(indices.size)
+    live = np.arange(indices.size)
     keys = trial_keys(config.seed, indices)
-    alive = np.ones(indices.size, dtype=bool)
     memory = buffers.memory[: indices.size]
     stored = baseline = message = None
+    fresh = False
     codes = None if tally.codes is None else np.full((indices.size, len(script)), -1, dtype=np.int8)
     attack_step = retrieve_pos = cycle = 0
     for j, op in enumerate(script):
-        draws = OpDraws(_stream(keys, j))  # op j's key of every session, derived as the op runs
+        draws = OpDraws(_stream(keys, j))  # op j's key of every live session, derived as the op runs
         if op.op == "attack":
             config.attack.apply(attack_step, memory, baseline, code, draws)
             attack_step += 1
+            fresh = False
             continue
         drawn = draws.u64(np.arange(_PROTOCOL_SLOTS))  # every draw of a store or retrieve, one column per slot
         if op.op == "retrieve":
-            tally.reached[retrieve_pos] += int(np.count_nonzero(alive))
+            tally.reached[retrieve_pos] += live.size
         if stored is not None:  # the first store has nothing to verify
-            accept = _uniform(drawn[:, VERIFY_SLOT]) < _accept_prob(buffers.distance(stored, memory), m, k)
-            reject = alive & ~accept
-            if reject.any():
+            accept_prob = p_accept(0.0, k) if fresh else _accept_prob(buffers.distance(stored, memory), m, k)
+            accept = _uniform(drawn[:, VERIFY_SLOT]) < accept_prob
+            if not accept.all():
+                reject = ~accept
                 tally.buggy += int(np.count_nonzero(reject))
                 # "false buggy" means rejecting a memory that matches the stored codeword
                 tally.false_buggy += int(np.count_nonzero(buffers.distance(memory[reject], baseline[reject]) == 0))
                 if codes is not None:
-                    codes[reject, j] = _BUGGY
-                alive &= accept
-                if not alive.any():
+                    codes[live[reject], j] = _BUGGY
+                keep = np.flatnonzero(accept)
+                if not keep.size:
                     break
+                live, keys, drawn, message = live[keep], keys[keep], drawn[keep], message[keep]
+                memory, baseline = buffers.compact(keep)
+                fresh = False  # stored no longer lines up with the rows
         if op.op == "store":
             spec = config.message if op.message is None else op.message
             if spec == "random":
                 message = _messages(drawn[:, MESSAGE_SLOT], n)
             else:
-                message = np.broadcast_to(messages[spec], (indices.size, n))
-            baseline = code.encode_batch(message, out=buffers.baseline[: indices.size])
+                message = np.broadcast_to(messages[spec], (live.size, n))
+            baseline = code.encode_batch(message, out=buffers.baseline[: live.size])
             np.copyto(memory, baseline)
             stored = baseline
             verdict = 1
@@ -334,11 +364,13 @@ def _run_chunk(config, k: int, script, messages: dict, indices: np.ndarray, buff
                 index, cycle = cycle % n, cycle + 1
             mask = _below(drawn[:, MASK_SLOT], m)
             verdict = code.decode(index, mask, lambda pos: read_rows(memory, pos))
-            tally.correct += int(np.count_nonzero((verdict == message[rows, index]) & alive))
-            tally.accepted[retrieve_pos] += int(np.count_nonzero(alive))
+            tally.correct += int(np.count_nonzero(verdict == message[np.arange(live.size), index]))
+            tally.accepted[retrieve_pos] += live.size
             retrieve_pos += 1
-            stored = buffers.snapshot[: indices.size]
-            np.copyto(stored, memory)
+            if not fresh:
+                stored = buffers.snapshot[: live.size]
+                np.copyto(stored, memory)
+        fresh = True
         if codes is not None:
-            np.copyto(codes[:, j], verdict, where=alive)
+            codes[live, j] = verdict
     return codes

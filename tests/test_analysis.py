@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 import tracemalloc
@@ -22,7 +23,9 @@ from qmemcheck.analysis import (
     verify_lemma2,
     verify_swap_oracle,
 )
+from qmemcheck.adversary import FlipCount
 from qmemcheck.fingerprint import MAX_ORACLE_M, Fingerprint, cswap_statevector_prob, p_accept, swap_accept_prob
+from qmemcheck.harness import ExperimentConfig, _attach_bounds, run_experiment
 
 
 def reference_compositions(grid, t_max, prefix=()):
@@ -384,3 +387,18 @@ def test_binomial_std_error():
     assert binomial_std_error(0.0, 50) == 0.0
     with pytest.raises(ValueError):
         binomial_std_error(0.5, 0)
+
+
+def test_report_dict_is_asdict_for_every_report_kind():
+    # to_dict copies two levels where asdict copies every level; the documents must not differ
+    flips = ExperimentConfig(n=4, k=2, attack=FlipCount(bits_per_step=3), steps=2, trials=50)
+    honest = ExperimentConfig(n=3, trials=20)
+    reports = [r for c in (flips, honest) for r in _attach_bounds(c, run_experiment(c).aggregates)]
+    reports += [verify_lemma2(grid=4, t_max=2), verify_swap_oracle(sizes=(2, 4), pairs_per_size=3)]
+    kinds = {"step_accept", "all_accept", "honest_completeness", "single_step_dominance", "swap_oracle_equivalence"}
+    assert {r.name.partition("[")[0] for r in reports} == kinds
+    for report in reports:
+        out = report.to_dict()
+        assert out == dataclasses.asdict(report)
+        assert list(out) == list(dataclasses.asdict(report))
+        assert out["analytic"] is not report.analytic and out["details"] is not report.details

@@ -11,6 +11,7 @@ values that are exact by construction must match exactly.
 """
 
 import dataclasses
+import json
 import math
 import time
 import tracemalloc
@@ -25,7 +26,7 @@ from qmemcheck.bits import word_count
 from qmemcheck.checker import CheckerState, PublicMemory, retrieve, store
 from qmemcheck.fingerprint import p_single
 from qmemcheck.harness import ExperimentConfig, run_experiment
-from test_golden import CONFIGS
+from test_golden import CONFIGS, GOLDEN_DIR
 
 # attacked shapes at m = 8 (one word, mostly padding) and m = 128 (two whole words)
 PACKED_CONFIGS = {
@@ -44,7 +45,14 @@ PACKED_CONFIGS = {
         "n": 7, "k": 1, "attack": {"kind": "incremental", "deltas": [0.1, 0.1, 0.1]}, "trials": 120, "seed": 16,
     },
 }
-ENGINE_CONFIGS = {**CONFIGS, **PACKED_CONFIGS}
+# k = 3 and 6 of 64 positions a step: about 43% of the live sessions reject at each retrieve
+REJECT_CONFIGS = {
+    "reject-heavy-flipcount-n6": {
+        "n": 6, "k": 3, "attack": {"kind": "flip_count", "bits_per_step": 6}, "steps": 4,
+        "record_trials": True, "trials": 120, "seed": 19,
+    },
+}
+ENGINE_CONFIGS = {**CONFIGS, **PACKED_CONFIGS, **REJECT_CONFIGS}
 
 
 def reference_tally(config: ExperimentConfig) -> engine.Tally:
@@ -141,7 +149,9 @@ def recorded_chunks(monkeypatch) -> list[int]:
     return chunks
 
 
-@pytest.mark.parametrize("name", ["substitute-random-n4", "honest-mixed-n8", "script-store-reject-n3", *PACKED_CONFIGS])
+@pytest.mark.parametrize(
+    "name", ["substitute-random-n4", "honest-mixed-n8", "script-store-reject-n3", *PACKED_CONFIGS, *REJECT_CONFIGS],
+)
 def test_results_do_not_depend_on_chunk_size(name, monkeypatch):
     config = ExperimentConfig.from_dict(ENGINE_CONFIGS[name])
     chunks = recorded_chunks(monkeypatch)
@@ -152,6 +162,55 @@ def test_results_do_not_depend_on_chunk_size(name, monkeypatch):
         monkeypatch.setattr(engine, "CHUNK_BYTES", size * session_bytes(config))
         assert run_experiment(config).results_json() == default
         assert chunks == [size] * (config.trials // size) + [config.trials % size] * (config.trials % size > 0)
+
+
+def test_attack_steps_run_on_live_sessions_only(monkeypatch):
+    # a session's first reject ends it, so attack step i sees the sessions that reach retrieve i
+    config = ExperimentConfig.from_dict(REJECT_CONFIGS["reject-heavy-flipcount-n6"])
+    rows = []
+    real = FlipCount.apply
+
+    def recorded(self, step, memory, baseline, code, draws):
+        rows.append((step, len(memory)))
+        return real(self, step, memory, baseline, code, draws)
+
+    monkeypatch.setattr(FlipCount, "apply", recorded)
+    per_step = run_experiment(config).aggregates["per_step_accept"]
+    assert per_step[-1]["reached"] < per_step[0]["reached"] == config.trials
+    assert rows == [(entry["step"], entry["reached"]) for entry in per_step]
+
+
+def test_honest_runs_take_no_distance_pass(monkeypatch):
+    # only attack ops change the memory between refreshes, and this script has none
+    calls = []
+    real = engine._Buffers.distance
+
+    def counted(self, a, b):
+        calls.append(a.shape[0])
+        return real(self, a, b)
+
+    monkeypatch.setattr(engine._Buffers, "distance", counted)
+    text = run_experiment(ExperimentConfig.from_dict(CONFIGS["honest-mixed-n8"])).results_json()
+    assert calls == []
+    assert text.encode() == (GOLDEN_DIR / "honest-mixed-n8.results.json").read_bytes()
+
+
+def test_distance_zero_shortcut_reads_the_law(monkeypatch):
+    # were an unattacked memory to fail a verification, survivors would move at
+    # the second retrieve, and the third must see the attack against their own
+    # snapshot; one-session chunks never move a row
+    real = engine.p_accept
+    monkeypatch.setattr(engine, "p_accept", lambda frac, k: 0.5 if frac == 0 else real(frac, k))
+    config = ExperimentConfig.from_dict({
+        "n": 5, "k": 1, "attack": {"kind": "flip_count", "bits_per_step": 8},
+        "script": [{"op": "store"}, {"op": "retrieve"}, {"op": "retrieve"}, {"op": "attack"}, {"op": "retrieve"}],
+        "record_trials": True, "trials": 200, "seed": 20,
+    })
+    default = run_experiment(config).results_json()
+    assert json.loads(default)["aggregates"]["sessions"]["buggy"] > config.trials / 2
+    for size in (1, 7):
+        monkeypatch.setattr(engine, "CHUNK_BYTES", size * session_bytes(config))
+        assert run_experiment(config).results_json() == default
 
 
 INCREMENTAL_CONFIGS = {

@@ -530,6 +530,25 @@ class TestRunExperiment:
         agg = run_experiment(ExperimentConfig(n=8, k=7, trials=2)).aggregates
         assert agg["complexity"] == {"s_qubits": 56, "t_qubits_per_retrieve": 114}
 
+    def test_complexity_probe_plays_a_live_session(self, monkeypatch):
+        # the probe's counts come from one real store and retrieve, whose
+        # verification samples the comparison test on all k copies
+        calls, sampled = [], []
+        for name in ("store", "retrieve"):
+            real_op = getattr(harness, name)
+            monkeypatch.setattr(harness, name, lambda *a, _op=real_op, _name=name: calls.append(_name) or _op(*a))
+        real_swap = checker.sample_swap_test
+
+        def swap(a, b, rng, copies=1):
+            sampled.append(copies)
+            return real_swap(a, b, rng, copies=copies)
+
+        monkeypatch.setattr(checker, "sample_swap_test", swap)
+        agg = run_experiment(ExperimentConfig(n=8, k=7, trials=50)).aggregates
+        assert calls == ["store", "retrieve"]
+        assert sampled and sum(sampled) >= 7
+        assert agg["complexity"] == {"s_qubits": 56, "t_qubits_per_retrieve": 114}
+
     def test_write_outputs(self, tmp_path):
         res = run_experiment(make_config(trials=20))
         out = tmp_path / "run"

@@ -19,7 +19,10 @@ BLOCKS = [
 
 
 def blocks(lang: str) -> list:
-    return [pytest.param(body, line, id=f"README.md:{line}") for tag, body, line in BLOCKS if tag == lang]
+    """The blocks of one language, each named by its ordinal among them (README.md:python[1]
+    is the first python block), so an edit above a block does not rename its test."""
+    bodies = [(body, line) for tag, body, line in BLOCKS if tag == lang]
+    return [pytest.param(body, line, id=f"README.md:{lang}[{i}]") for i, (body, line) in enumerate(bodies, 1)]
 
 
 def test_blocks_found():
