@@ -40,8 +40,16 @@ CHUNK_BYTES unless one row does. Each loop states only its own row_bytes. A
 chunk here is a block of sessions at 8 * max(W, n, 3) bytes each: the packed
 row, the int64 bits of a drawn message and the protocol's 3 draws. That is
 8,192 sessions at n=4, 4,096 at n=8, 32 at n=16 and 2 at n=20. A run
-allocates its (T, W) arrays once and every chunk reuses them, and each op's
-draw keys are derived as the op runs, so no array grows with the script.
+allocates its (T, W) arrays once and every chunk reuses them.
+
+Draws follow a static plan (_draw_plan): once per run, the script and k fix
+which protocol slots each op reads, and a slot no op reads is never hashed.
+Draws are addressed by counter, so a skipped slot changes no other draw. A
+chunk of T sessions takes the script in row_blocks blocks of ops and hashes
+each block in two passes, one for its ops' keys and one for all its planned
+slots; an op's key takes 8 * T bytes and so does each slot, so an op's
+row_bytes is 8 * T times the most slots any op plans, at least 1. No array
+grows with the script.
 """
 
 from __future__ import annotations
@@ -78,7 +86,6 @@ VERIFY_SLOT = 0  # the uniform of a store's or retrieve's verification
 MESSAGE_SLOT = 1  # a store's random message
 INDEX_SLOT = 1  # a retrieve's random index
 MASK_SLOT = 2  # a retrieve's decode mask
-_PROTOCOL_SLOTS = 3
 
 _BUGGY = 2  # verdict code of a reject; an answer's code is its bit
 
@@ -116,8 +123,7 @@ def counter_draw(master_seed: int, trial: int, op: int, slot: int) -> int:
     for name, value in (("master seed", master_seed), ("trial", trial), ("op", op), ("slot", slot)):
         if not isinstance(value, int) or not 0 <= value < 2**64:
             raise ValueError(f"{name} must be an integer in [0, 2^64), got {value!r}")
-    keys = _stream(trial_keys(master_seed, np.array([trial], dtype=np.uint64)), op)
-    return int(OpDraws(keys).u64(slot)[0])
+    return int(_stream(_stream(trial_keys(master_seed, np.array([trial], dtype=np.uint64)), op), slot)[0])
 
 
 def _uniform(draws: np.ndarray) -> np.ndarray:
@@ -139,8 +145,9 @@ def _below(draws: np.ndarray, bound: int) -> np.ndarray:
 
 
 def _messages(draws: np.ndarray, n: int) -> np.ndarray:
-    """Uniform n-bit messages, one (n,) uint8 row per draw, first bit most significant."""
-    return ((_below(draws, 1 << n)[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(np.uint8)
+    """Uniform n-bit messages, one (n,) uint8 row per draw, first bit most significant:
+    the draw's top n bits, which are _below(draws, 2^n) for n <= 53."""
+    return np.unpackbits(draws.astype(">u8").view(np.uint8).reshape(-1, 8), axis=1, count=n)
 
 
 class OpDraws:
@@ -226,6 +233,35 @@ class Tally:
         return [[labels[j][c] for j, c in enumerate(row) if c >= 0] for row in self.codes.tolist()]
 
 
+def _draw_plan(config, k: int, script) -> list[tuple]:
+    """Each op of script with the protocol slots it reads, in slot order: VERIFY at
+    every store or retrieve after the first store, unless no attack op has run since
+    the last refresh and distance 0 accepts surely (p_accept(0.0, k) == 1.0, read
+    from the law as the run starts); MESSAGE at a store of a random message; INDEX
+    at a retrieve of a random index; MASK at every retrieve. An attack op reads only
+    its op key. Freshness at a verification depends on the script alone, since a
+    compaction happens inside an op that then refreshes, so the plan is static."""
+    sure = p_accept(0.0, k) == 1.0
+    plan = []
+    stored = fresh = False
+    for op in script:
+        slots = ()
+        if op.op != "attack":
+            if stored and not (fresh and sure):
+                slots += (VERIFY_SLOT,)
+            if op.op == "store":
+                stored = True
+                if (config.message if op.message is None else op.message) == "random":
+                    slots += (MESSAGE_SLOT,)
+            else:
+                if (config.retrieve_index if op.index is None else op.index) == "random":
+                    slots += (INDEX_SLOT,)
+                slots += (MASK_SLOT,)
+        fresh = op.op != "attack"  # a store or retrieve refreshes
+        plan.append((op, slots))
+    return plan
+
+
 def run_sessions(config, k: int, trials: range) -> Tally:
     """Run the sessions of config whose trial indices lie in trials, in chunks,
     with k >= 1 comparison copies per verification; verdict codes are kept
@@ -251,12 +287,13 @@ def run_sessions(config, k: int, trials: range) -> Tally:
     specs = {config.message if op.message is None else op.message for op in script if op.op == "store"}
     messages = {spec: as_bits(spec, name="message") for spec in specs - {"random"}}
     m = config.code.params.m
-    # per session: its packed row, a drawn message's int64 bits and the protocol's draws
-    session_bytes = 8 * max(word_count(m), config.n, _PROTOCOL_SLOTS)
+    # per session: its packed row, a drawn message's int64 bits and the protocol's 3 draws
+    session_bytes = 8 * max(word_count(m), config.n, 3)
     buffers = _Buffers(next(row_blocks(len(trials), session_bytes)).stop, m)
+    plan = _draw_plan(config, k, script)
     for rows in row_blocks(len(trials), session_bytes):
         indices = np.arange(trials.start + rows.start, trials.start + rows.stop, dtype=np.uint64)
-        codes = _run_chunk(config, k, script, messages, indices, buffers, tally)
+        codes = _run_chunk(config, k, plan, messages, indices, buffers, tally)
         if codes is not None:
             tally.codes[rows] = codes
     return tally
@@ -300,16 +337,18 @@ def _accept_prob(distance: np.ndarray, m: int, k: int):
     return np.array([p_accept(d / m, k) for d in values])[np.searchsorted(values, distance)]
 
 
-def _run_chunk(config, k: int, script, messages: dict, indices: np.ndarray, buffers: _Buffers, tally: Tally):
-    """Play the script on one chunk, one session per row, and return the chunk's
-    (rows, ops) verdict codes, or None when tally records none.
+def _run_chunk(config, k: int, plan, messages: dict, indices: np.ndarray, buffers: _Buffers, tally: Tally):
+    """Play the planned script (_draw_plan) on one chunk, one session per row, and
+    return the chunk's (rows, ops) verdict codes, or None when tally records none.
 
-    Row r of the buffers belongs to chunk session live[r], and keys and message
-    keep the same rows. After a verification with rejects, the survivors'
-    memory and baseline rows are packed to the front (_Buffers.compact), so the
-    op and every later one run on live sessions only. fresh marks that no attack
-    op has run and no row has moved since the last refresh: only attack ops
-    change the memory between refreshes, so every live row then sits at
+    Row r of the buffers belongs to chunk session live[r], and keys, message and
+    the block's op keys and draws (one row per op or planned slot, one column per
+    session) keep the same sessions. After a verification with rejects, the
+    survivors' memory and baseline rows are packed to the front
+    (_Buffers.compact), so the op and every later one run on live sessions only;
+    a store overwrites both, so there only the views shrink. fresh marks that no
+    attack op has run and no row has moved since the last refresh: only attack
+    ops change the memory between refreshes, so every live row then sits at
     distance 0 from stored, and a retrieve keeps stored as its snapshot."""
     code = config.code
     n, m = code.params.n, code.params.m
@@ -318,59 +357,69 @@ def _run_chunk(config, k: int, script, messages: dict, indices: np.ndarray, buff
     memory = buffers.memory[: indices.size]
     stored = baseline = message = None
     fresh = False
-    codes = None if tally.codes is None else np.full((indices.size, len(script)), -1, dtype=np.int8)
+    codes = None if tally.codes is None else np.full((indices.size, len(plan)), -1, dtype=np.int8)
     attack_step = retrieve_pos = cycle = 0
-    for j, op in enumerate(script):
-        draws = OpDraws(_stream(keys, j))  # op j's key of every live session, derived as the op runs
-        if op.op == "attack":
-            config.attack.apply(attack_step, memory, baseline, code, draws)
-            attack_step += 1
-            fresh = False
-            continue
-        drawn = draws.u64(np.arange(_PROTOCOL_SLOTS))  # every draw of a store or retrieve, one column per slot
-        if op.op == "retrieve":
-            tally.reached[retrieve_pos] += live.size
-        if stored is not None:  # the first store has nothing to verify
-            accept_prob = p_accept(0.0, k) if fresh else _accept_prob(buffers.distance(stored, memory), m, k)
-            accept = _uniform(drawn[:, VERIFY_SLOT]) < accept_prob
-            if not accept.all():
-                reject = ~accept
-                tally.buggy += int(np.count_nonzero(reject))
-                # "false buggy" means rejecting a memory that matches the stored codeword
-                tally.false_buggy += int(np.count_nonzero(buffers.distance(memory[reject], baseline[reject]) == 0))
-                if codes is not None:
-                    codes[live[reject], j] = _BUGGY
-                keep = np.flatnonzero(accept)
-                if not keep.size:
-                    break
-                live, keys, drawn, message = live[keep], keys[keep], drawn[keep], message[keep]
-                memory, baseline = buffers.compact(keep)
-                fresh = False  # stored no longer lines up with the rows
-        if op.op == "store":
-            spec = config.message if op.message is None else op.message
-            if spec == "random":
-                message = _messages(drawn[:, MESSAGE_SLOT], n)
+    for block in row_blocks(len(plan), 8 * indices.size * max(1, *(len(slots) for _, slots in plan))):
+        op_keys = _stream(keys, np.arange(block.start, block.stop)[:, None])
+        planned = np.array([slot for _, slots in plan[block] for slot in slots], dtype=np.int64)
+        drawn = _stream(op_keys.repeat([len(slots) for _, slots in plan[block]], axis=0), planned[:, None])
+        row = 0
+        for j in range(block.start, block.stop):
+            op, slots = plan[j]
+            if op.op == "attack":
+                config.attack.apply(attack_step, memory, baseline, code, OpDraws(op_keys[j - block.start]))
+                attack_step += 1
+                fresh = False
+                continue
+            read = dict(zip(slots, range(row, row + len(slots))))  # slot -> row of drawn
+            row += len(slots)
+            if op.op == "retrieve":
+                tally.reached[retrieve_pos] += live.size
+            if VERIFY_SLOT in read:
+                accept_prob = p_accept(0.0, k) if fresh else _accept_prob(buffers.distance(stored, memory), m, k)
+                accept = _uniform(drawn[read[VERIFY_SLOT]]) < accept_prob
+                if not accept.all():
+                    reject = ~accept
+                    tally.buggy += int(np.count_nonzero(reject))
+                    # "false buggy" means rejecting a memory that matches the stored codeword
+                    tally.false_buggy += int(np.count_nonzero(buffers.distance(memory[reject], baseline[reject]) == 0))
+                    if codes is not None:
+                        codes[live[reject], j] = _BUGGY
+                    keep = np.flatnonzero(accept)
+                    if not keep.size:
+                        return codes
+                    live, keys, op_keys, drawn = live[keep], keys[keep], op_keys[:, keep], drawn[:, keep]
+                    if op.op == "store":  # which overwrites memory and baseline: no row to gather
+                        memory = buffers.memory[: keep.size]
+                    else:
+                        message = message[keep]
+                        memory, baseline = buffers.compact(keep)
+                        fresh = False  # stored no longer lines up with the rows
+            if op.op == "store":
+                spec = config.message if op.message is None else op.message
+                if spec == "random":
+                    message = _messages(drawn[read[MESSAGE_SLOT]], n)
+                else:
+                    message = np.broadcast_to(messages[spec], (live.size, n))
+                baseline = code.encode_batch(message, out=buffers.baseline[: live.size])
+                np.copyto(memory, baseline)
+                stored = baseline
+                verdict = 1
             else:
-                message = np.broadcast_to(messages[spec], (live.size, n))
-            baseline = code.encode_batch(message, out=buffers.baseline[: live.size])
-            np.copyto(memory, baseline)
-            stored = baseline
-            verdict = 1
-        else:
-            index = config.retrieve_index if op.index is None else op.index
-            if index == "random":
-                index = _below(drawn[:, INDEX_SLOT], n)
-            elif index == "cycle":
-                index, cycle = cycle % n, cycle + 1
-            mask = _below(drawn[:, MASK_SLOT], m)
-            verdict = code.decode(index, mask, lambda pos: read_rows(memory, pos))
-            tally.correct += int(np.count_nonzero(verdict == message[np.arange(live.size), index]))
-            tally.accepted[retrieve_pos] += live.size
-            retrieve_pos += 1
-            if not fresh:
-                stored = buffers.snapshot[: live.size]
-                np.copyto(stored, memory)
-        fresh = True
-        if codes is not None:
-            codes[live, j] = verdict
+                index = config.retrieve_index if op.index is None else op.index
+                if index == "random":
+                    index = _below(drawn[read[INDEX_SLOT]], n)
+                elif index == "cycle":
+                    index, cycle = cycle % n, cycle + 1
+                mask = _below(drawn[read[MASK_SLOT]], m)
+                verdict = code.decode(index, mask, lambda pos: read_rows(memory, pos))
+                tally.correct += int(np.count_nonzero(verdict == message[np.arange(live.size), index]))
+                tally.accepted[retrieve_pos] += live.size
+                retrieve_pos += 1
+                if not fresh:
+                    stored = buffers.snapshot[: live.size]
+                    np.copyto(stored, memory)
+            fresh = True
+            if codes is not None:
+                codes[live, j] = verdict
     return codes

@@ -387,6 +387,145 @@ def test_max_k_draws_one_uniform_per_verification():
     assert all(b["passed"] for b in agg["bounds"])
 
 
+V, MSG, IDX, MASK = engine.VERIFY_SLOT, engine.MESSAGE_SLOT, engine.INDEX_SLOT, engine.MASK_SLOT
+# the benchmark's shapes of the substitution and flip_count workloads
+SUBSTITUTE_N4 = {"n": 4, "k": 7, "attack": {"kind": "substitute", "target": "random"}, "trials": 1000}
+FLIPCOUNT_N16 = {"n": 16, "k": 7, "attack": {"kind": "flip_count", "bits_per_step": 1024}, "steps": 3, "trials": 200}
+
+
+def planned_slots(config) -> list[tuple[int, ...]]:
+    return [slots for _, slots in engine._draw_plan(config, config.resolved_k(), config.build_script())]
+
+
+@pytest.mark.parametrize(
+    "raw, plan",
+    [
+        # honest with k auto: distance 0 accepts surely, so no verification draws
+        (CONFIGS["honest-mixed-n8"], [(MSG,), (IDX, MASK), (IDX, MASK), (MSG,), (MASK,), (MSG,), (IDX, MASK), (IDX, MASK)]),
+        # the op after an attack op verifies; an explicit message and index draw nothing
+        (CONFIGS["script-attack-n3"], [(), (MASK,), (), (V, MASK), (MSG,), (), (V, IDX, MASK)]),
+        (CONFIGS["script-store-reject-n3"], [(MSG,), (), (V,), (MASK,), (), (V, IDX, MASK)]),
+        (SUBSTITUTE_N4, [(MSG,), (), (V, IDX, MASK)]),
+        (FLIPCOUNT_N16, [(MSG,)] + [(), (V, IDX, MASK)] * 3),
+    ],
+    ids=["honest-mixed-n8", "script-attack-n3", "script-store-reject-n3", "substitute-n4", "flipcount-n16"],
+)
+def test_draw_plan_reads_only_what_each_op_needs(raw, plan):
+    assert planned_slots(ExperimentConfig.from_dict(raw)) == plan
+
+
+def test_draw_plan_verifies_every_op_when_distance_zero_may_reject(monkeypatch):
+    real = engine.p_accept
+    monkeypatch.setattr(engine, "p_accept", lambda frac, k: 0.5 if frac == 0 else real(frac, k))
+    for name in ("honest-mixed-n8", "script-attack-n3"):
+        config = ExperimentConfig.from_dict(CONFIGS[name])
+        plan = planned_slots(config)
+        assert V not in plan[0]  # the first store has nothing to verify
+        assert all((V in slots) == (op.op != "attack") for op, slots in zip(config.build_script()[1:], plan[1:]))
+
+
+def test_hashes_only_the_planned_draws(monkeypatch):
+    # per session 8 op keys and 12 planned slots, where hashing all 3 slots of
+    # every op would take 8 + 24; besides them, 1 + trials hashes give the trial keys
+    config = dataclasses.replace(ExperimentConfig.from_dict(CONFIGS["honest-mixed-n8"]), trials=400)
+    hashed = []
+    real = engine._stream
+
+    def counted(key, count):
+        out = real(key, count)
+        hashed.append(out.size)
+        return out
+
+    monkeypatch.setattr(engine, "_stream", counted)
+    engine.run_sessions(config, config.resolved_k(), range(config.trials))
+    assert sum(hashed) == 1 + config.trials * (1 + 8 + 12)
+
+
+def capped_row_blocks(size: int):
+    """engine.row_blocks with every block cut to at most size rows: chunks of size
+    sessions, and blocks of size ops inside them."""
+    return lambda rows, row_bytes: (slice(r, min(r + size, rows)) for r in range(0, rows, size))
+
+
+@pytest.mark.parametrize("name", ["honest-mixed-n8", "script-store-reject-n3", "flipcount-prefix-cycle-n5"])
+def test_results_do_not_depend_on_op_blocks(name, monkeypatch):
+    config = ExperimentConfig.from_dict(ENGINE_CONFIGS[name])
+    ops = len(config.build_script())
+    real = engine.row_blocks
+    op_blocks = []
+
+    def recorded(row_blocks):
+        def blocks(rows, row_bytes):
+            out = list(row_blocks(rows, row_bytes))
+            if rows == ops:  # trials differ from ops in these configs
+                op_blocks.extend(b.stop - b.start for b in out)
+            return iter(out)
+        return blocks
+
+    runs = {}
+    for size, row_blocks in (("script", real), (1, capped_row_blocks(1)), (2, capped_row_blocks(2))):
+        op_blocks.clear()
+        monkeypatch.setattr(engine, "row_blocks", recorded(row_blocks))
+        runs[size] = run_experiment(config).results_json()
+        assert max(op_blocks) == (ops if size == "script" else size)
+    assert runs[1] == runs[2] == runs["script"] == (GOLDEN_DIR / f"{name}.results.json").read_text()
+
+
+def test_store_verification_gathers_no_rows(monkeypatch):
+    # a store overwrites memory and baseline, so rejects there only shrink the views
+    calls = []
+    real = engine._Buffers.compact
+
+    def counted(self, keep):
+        calls.append(keep.size)
+        return real(self, keep)
+
+    monkeypatch.setattr(engine._Buffers, "compact", counted)
+    config = ExperimentConfig.from_dict({
+        "n": 3, "k": 1, "attack": {"kind": "flip_count", "bits_per_step": 4},
+        "script": [{"op": "store"}, {"op": "attack"}, {"op": "store"}, {"op": "retrieve"}],
+        "trials": 50, "seed": 3,
+    })
+    # 20 of 50 sessions survive the second store's verification, the one reject pass
+    assert run_experiment(config).aggregates["sessions"] == {"all_accept": 20, "buggy": 30, "false_buggy": 0}
+    assert calls == []
+    text = run_experiment(ExperimentConfig.from_dict(CONFIGS["script-store-reject-n3"])).results_json()
+    assert len(calls) == 1  # at the last retrieve; the second store rejects too
+    assert text.encode() == (GOLDEN_DIR / "script-store-reject-n3.results.json").read_bytes()
+
+
+def test_decodes_read_the_counter_draws(monkeypatch):
+    # every mask and random index a decode reads is counter_draw(seed, trial, op, slot)
+    config = dataclasses.replace(ExperimentConfig.from_dict(CONFIGS["honest-mixed-n8"]), trials=3)
+    code, script = config.code, config.build_script()
+    calls = []
+    real = type(code).decode
+
+    def recorded(self, index, masks, read):
+        calls.append((index, masks.tolist()))
+        return real(self, index, masks, read)
+
+    monkeypatch.setattr(type(code), "decode", recorded)
+    engine.run_sessions(config, config.resolved_k(), range(config.trials))
+
+    def drawn(op, slot, bound):
+        return [
+            int(engine._below(np.array([engine.counter_draw(config.seed, i, op, slot)], dtype=np.uint64), bound)[0])
+            for i in range(config.trials)
+        ]
+
+    retrieves = [j for j, op in enumerate(script) if op.op == "retrieve"]
+    assert len(calls) == len(retrieves)
+    cycle = 0
+    for j, (index, masks) in zip(retrieves, calls):
+        assert masks == drawn(j, MASK, code.params.m)
+        if script[j].index == "cycle":
+            assert index == cycle
+            cycle += 1
+        else:
+            assert index.tolist() == drawn(j, IDX, code.params.n)
+
+
 @pytest.mark.parametrize("m", [2, 16, 1024, 2**16])
 def test_accept_prob_is_the_scalar_law_at_every_distance(m):
     # a vectorised p_single(d / m) ** k misses the scalar double at thousands of
@@ -429,6 +568,12 @@ class TestDraws:
             assert out.dtype == np.int64
             assert out.tolist() == [d >> (64 - bits) for d in draws.tolist()], bits
             assert np.array_equal(out, (engine._uniform(draws) * (1 << bits)).astype(np.int64)), bits
+
+    def test_messages_are_the_bits_of_a_power_of_two_draw(self):
+        draws = self.draws(4).u64(np.arange(50)).reshape(-1)
+        for n in range(1, 21):
+            value = engine._below(draws, 1 << n)
+            assert engine._messages(draws, n).tolist() == [[int(b) for b in f"{v:0{n}b}"] for v in value.tolist()], n
 
     def test_rows_independent_of_chunk(self):
         # a row's subset depends on its own key only
