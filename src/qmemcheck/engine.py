@@ -22,9 +22,8 @@ Only live sessions hold rows. A session's first reject ends it, so after a
 verification with rejects the survivors' rows move to the front of the run's
 buffers, and every later op of the chunk works on them alone. Between
 refreshes (a store's codeword, a retrieve's snapshot) only attack ops change
-the memory, so a verification with no attack op since the last refresh sees
-distance 0 on every row: it compares its uniforms with the scalar
-p_accept(0.0, k), with no distance pass.
+the memory, so with no attack op since the last refresh every row sits at
+distance 0: while p_accept(0.0, k) is 1 such an op has no verification at all.
 
 Every draw is counter-based: the draw of trial i's op j at slot s is a
 SplitMix64-style hash of (master seed, i, j, s) (Steele, Lea & Flood, "Fast
@@ -42,9 +41,11 @@ row, the int64 bits of a drawn message and the protocol's 3 draws. That is
 8,192 sessions at n=4, 4,096 at n=8, 32 at n=16 and 2 at n=20. A run
 allocates its (T, W) arrays once and every chunk reuses them.
 
-Draws follow a static plan (_draw_plan): once per run, the script and k fix
-which protocol slots each op reads, and a slot no op reads is never hashed.
-Draws are addressed by counter, so a skipped slot changes no other draw. A
+Every static fact of the script lives in one plan (_draw_plan), made once
+per run from the script and k: each op's kind, the protocol slots it reads,
+its attack step or retrieve position, and its fixed message or index. A slot
+no op reads is never hashed, and draws are addressed by counter, so a skipped
+slot changes no other draw. A chunk only plays the plan on its rows. A
 chunk of T sessions takes the script in row_blocks blocks of ops and hashes
 each block in two passes, one for its ops' keys and one for all its planned
 slots; an op's key takes 8 * T bytes and so does each slot, so an op's
@@ -55,8 +56,10 @@ grows with the script.
 from __future__ import annotations
 
 import itertools
+import numbers
+from collections import defaultdict
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterator
 
 import numpy as np
@@ -119,10 +122,13 @@ def trial_keys(master_seed: int, trials: np.ndarray) -> np.ndarray:
 
 def counter_draw(master_seed: int, trial: int, op: int, slot: int) -> int:
     """The 64-bit draw of one trial's op (its script position) at one slot,
-    exactly as the engine makes it. Each argument lies in [0, 2^64)."""
-    for name, value in (("master seed", master_seed), ("trial", trial), ("op", op), ("slot", slot)):
-        if not isinstance(value, int) or not 0 <= value < 2**64:
+    exactly as the engine makes it. Each argument is an integer in [0, 2^64),
+    a Python or numpy one, but not a bool."""
+    args = {"master seed": master_seed, "trial": trial, "op": op, "slot": slot}
+    for name, value in args.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or not 0 <= int(value) < 2**64:
             raise ValueError(f"{name} must be an integer in [0, 2^64), got {value!r}")
+    master_seed, trial, op, slot = map(int, args.values())
     return int(_stream(_stream(trial_keys(master_seed, np.array([trial], dtype=np.uint64)), op), slot)[0])
 
 
@@ -233,32 +239,45 @@ class Tally:
         return [[labels[j][c] for j, c in enumerate(row) if c >= 0] for row in self.codes.tolist()]
 
 
-def _draw_plan(config, k: int, script) -> list[tuple]:
-    """Each op of script with the protocol slots it reads, in slot order: VERIFY at
-    every store or retrieve after the first store, unless no attack op has run since
+def _draw_plan(config, k: int) -> list[tuple]:
+    """Every static fact of config's script: one (kind, slots, step, value) tuple per op.
+
+    slots are the protocol slots the op reads, in slot order: VERIFY at every
+    store or retrieve after the first store, unless no attack op has run since
     the last refresh and distance 0 accepts surely (p_accept(0.0, k) == 1.0, read
-    from the law as the run starts); MESSAGE at a store of a random message; INDEX
-    at a retrieve of a random index; MASK at every retrieve. An attack op reads only
-    its op key. Freshness at a verification depends on the script alone, since a
-    compaction happens inside an op that then refreshes, so the plan is static."""
+    from the law as the run starts); MESSAGE at a store of a random message;
+    INDEX at a retrieve of a random index; MASK at every retrieve. An attack op
+    reads only its op key. step is the op's position among the script's ops of
+    its kind: an attack op's step, a retrieve's position. value is a store's
+    explicit message, parsed once per distinct message, or a retrieve's fixed
+    index, a cycle index already reduced mod n; it is None where the op draws
+    it. Freshness depends on the script alone, since rows move only at a
+    verification, which a fresh op skips, so the plan is static."""
     sure = p_accept(0.0, k) == 1.0
+    parse = cache(lambda spec: as_bits(spec, name="message"))
+    steps, cycle = defaultdict(itertools.count), itertools.count()
     plan = []
     stored = fresh = False
-    for op in script:
-        slots = ()
-        if op.op != "attack":
-            if stored and not (fresh and sure):
-                slots += (VERIFY_SLOT,)
-            if op.op == "store":
-                stored = True
-                if (config.message if op.message is None else op.message) == "random":
-                    slots += (MESSAGE_SLOT,)
+    for op in config.build_script():
+        slots, value = (), None
+        if op.op != "attack" and stored and not (fresh and sure):
+            slots += (VERIFY_SLOT,)
+        if op.op == "store":
+            stored = True
+            spec = config.message if op.message is None else op.message
+            if spec == "random":
+                slots += (MESSAGE_SLOT,)
             else:
-                if (config.retrieve_index if op.index is None else op.index) == "random":
-                    slots += (INDEX_SLOT,)
-                slots += (MASK_SLOT,)
+                value = parse(spec)
+        elif op.op == "retrieve":
+            value = config.retrieve_index if op.index is None else op.index
+            if value == "random":
+                value, slots = None, slots + (INDEX_SLOT,)
+            elif value == "cycle":
+                value = next(cycle) % config.n
+            slots += (MASK_SLOT,)
         fresh = op.op != "attack"  # a store or retrieve refreshes
-        plan.append((op, slots))
+        plan.append((op.op, slots, next(steps[op.op]), value))
     return plan
 
 
@@ -268,8 +287,6 @@ def run_sessions(config, k: int, trials: range) -> Tally:
     when config.record_trials is set. trials must have step 1 and lie in
     [0, 2^64), since trial indices are uint64 counters; an empty range gives
     an empty tally.
-
-    Each explicit message is parsed once, here.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -277,30 +294,25 @@ def run_sessions(config, k: int, trials: range) -> Tally:
         raise ValueError(f"trials must be a range of step 1, got {trials!r}")
     if trials.start < 0 or trials.stop > 2**64:
         raise ValueError(f"trials must lie in [0, 2^64), got {trials!r}")
-    script = config.build_script()
-    n_retrieves = sum(op.op == "retrieve" for op in script)
-    tally = Tally([0] * n_retrieves, [0] * n_retrieves, ops=tuple(op.op for op in script))
+    plan = _draw_plan(config, k)
+    kinds = tuple(kind for kind, *_ in plan)
+    tally = Tally([0] * kinds.count("retrieve"), [0] * kinds.count("retrieve"), ops=kinds)
     if config.record_trials:
-        tally.codes = np.full((len(trials), len(script)), -1, dtype=np.int8)
+        tally.codes = np.full((len(trials), len(plan)), -1, dtype=np.int8)
     if not trials:
         return tally
-    specs = {config.message if op.message is None else op.message for op in script if op.op == "store"}
-    messages = {spec: as_bits(spec, name="message") for spec in specs - {"random"}}
     m = config.code.params.m
     # per session: its packed row, a drawn message's int64 bits and the protocol's 3 draws
     session_bytes = 8 * max(word_count(m), config.n, 3)
     buffers = _Buffers(next(row_blocks(len(trials), session_bytes)).stop, m)
-    plan = _draw_plan(config, k, script)
     for rows in row_blocks(len(trials), session_bytes):
         indices = np.arange(trials.start + rows.start, trials.start + rows.stop, dtype=np.uint64)
-        codes = _run_chunk(config, k, plan, messages, indices, buffers, tally)
-        if codes is not None:
-            tally.codes[rows] = codes
+        _run_chunk(config, k, plan, indices, buffers, tally, None if tally.codes is None else tally.codes[rows])
     return tally
 
 
 class _Buffers:
-    """The (T, W) word arrays every chunk of a run reuses. A fresh array that
+    """The (T, W) word arrays every chunk of a run reuses. A new array that
     large would come from the operating system page by page at every op."""
 
     def __init__(self, size: int, m: int) -> None:
@@ -337,47 +349,42 @@ def _accept_prob(distance: np.ndarray, m: int, k: int):
     return np.array([p_accept(d / m, k) for d in values])[np.searchsorted(values, distance)]
 
 
-def _run_chunk(config, k: int, plan, messages: dict, indices: np.ndarray, buffers: _Buffers, tally: Tally):
-    """Play the planned script (_draw_plan) on one chunk, one session per row, and
-    return the chunk's (rows, ops) verdict codes, or None when tally records none.
+def _run_chunk(config, k: int, plan, indices: np.ndarray, buffers: _Buffers, tally: Tally, codes):
+    """Play the plan (_draw_plan) on one chunk, one session per row, writing the
+    verdict codes into codes, the chunk's rows of tally.codes, unless it is None.
 
     Row r of the buffers belongs to chunk session live[r], and keys, message and
     the block's op keys and draws (one row per op or planned slot, one column per
     session) keep the same sessions. After a verification with rejects, the
     survivors' memory and baseline rows are packed to the front
     (_Buffers.compact), so the op and every later one run on live sessions only;
-    a store overwrites both, so there only the views shrink. fresh marks that no
-    attack op has run and no row has moved since the last refresh: only attack
-    ops change the memory between refreshes, so every live row then sits at
-    distance 0 from stored, and a retrieve keeps stored as its snapshot."""
+    a store overwrites both, so there only the views shrink. stored is what a
+    verification compares memory with: the last store's codeword, or the
+    snapshot a retrieve takes exactly when it verified. An op the plan does not
+    verify follows a refresh with no attack op and no moved row, so stored still
+    equals every live row's memory."""
     code = config.code
     n, m = code.params.n, code.params.m
     live = np.arange(indices.size)
     keys = trial_keys(config.seed, indices)
     memory = buffers.memory[: indices.size]
     stored = baseline = message = None
-    fresh = False
-    codes = None if tally.codes is None else np.full((indices.size, len(plan)), -1, dtype=np.int8)
-    attack_step = retrieve_pos = cycle = 0
-    for block in row_blocks(len(plan), 8 * indices.size * max(1, *(len(slots) for _, slots in plan))):
+    for block in row_blocks(len(plan), 8 * indices.size * max(1, *(len(slots) for _, slots, *_ in plan))):
         op_keys = _stream(keys, np.arange(block.start, block.stop)[:, None])
-        planned = np.array([slot for _, slots in plan[block] for slot in slots], dtype=np.int64)
-        drawn = _stream(op_keys.repeat([len(slots) for _, slots in plan[block]], axis=0), planned[:, None])
+        planned = np.array([slot for _, slots, *_ in plan[block] for slot in slots], dtype=np.int64)
+        drawn = _stream(op_keys.repeat([len(slots) for _, slots, *_ in plan[block]], axis=0), planned[:, None])
         row = 0
         for j in range(block.start, block.stop):
-            op, slots = plan[j]
-            if op.op == "attack":
-                config.attack.apply(attack_step, memory, baseline, code, OpDraws(op_keys[j - block.start]))
-                attack_step += 1
-                fresh = False
+            kind, slots, step, value = plan[j]
+            if kind == "attack":
+                config.attack.apply(step, memory, baseline, code, OpDraws(op_keys[j - block.start]))
                 continue
             read = dict(zip(slots, range(row, row + len(slots))))  # slot -> row of drawn
             row += len(slots)
-            if op.op == "retrieve":
-                tally.reached[retrieve_pos] += live.size
+            if kind == "retrieve":
+                tally.reached[step] += live.size
             if VERIFY_SLOT in read:
-                accept_prob = p_accept(0.0, k) if fresh else _accept_prob(buffers.distance(stored, memory), m, k)
-                accept = _uniform(drawn[read[VERIFY_SLOT]]) < accept_prob
+                accept = _uniform(drawn[read[VERIFY_SLOT]]) < _accept_prob(buffers.distance(stored, memory), m, k)
                 if not accept.all():
                     reject = ~accept
                     tally.buggy += int(np.count_nonzero(reject))
@@ -387,39 +394,28 @@ def _run_chunk(config, k: int, plan, messages: dict, indices: np.ndarray, buffer
                         codes[live[reject], j] = _BUGGY
                     keep = np.flatnonzero(accept)
                     if not keep.size:
-                        return codes
+                        return
                     live, keys, op_keys, drawn = live[keep], keys[keep], op_keys[:, keep], drawn[:, keep]
-                    if op.op == "store":  # which overwrites memory and baseline: no row to gather
+                    if kind == "store":  # which overwrites memory and baseline: no row to gather
                         memory = buffers.memory[: keep.size]
                     else:
                         message = message[keep]
                         memory, baseline = buffers.compact(keep)
-                        fresh = False  # stored no longer lines up with the rows
-            if op.op == "store":
-                spec = config.message if op.message is None else op.message
-                if spec == "random":
-                    message = _messages(drawn[read[MESSAGE_SLOT]], n)
-                else:
-                    message = np.broadcast_to(messages[spec], (live.size, n))
+            if kind == "store":
+                message = (
+                    _messages(drawn[read[MESSAGE_SLOT]], n) if value is None else np.broadcast_to(value, (live.size, n))
+                )
                 baseline = code.encode_batch(message, out=buffers.baseline[: live.size])
                 np.copyto(memory, baseline)
                 stored = baseline
                 verdict = 1
             else:
-                index = config.retrieve_index if op.index is None else op.index
-                if index == "random":
-                    index = _below(drawn[read[INDEX_SLOT]], n)
-                elif index == "cycle":
-                    index, cycle = cycle % n, cycle + 1
-                mask = _below(drawn[read[MASK_SLOT]], m)
-                verdict = code.decode(index, mask, lambda pos: read_rows(memory, pos))
+                index = _below(drawn[read[INDEX_SLOT]], n) if value is None else value
+                verdict = code.decode(index, _below(drawn[read[MASK_SLOT]], m), lambda pos: read_rows(memory, pos))
                 tally.correct += int(np.count_nonzero(verdict == message[np.arange(live.size), index]))
-                tally.accepted[retrieve_pos] += live.size
-                retrieve_pos += 1
-                if not fresh:
+                tally.accepted[step] += live.size
+                if VERIFY_SLOT in read:
                     stored = buffers.snapshot[: live.size]
                     np.copyto(stored, memory)
-            fresh = True
             if codes is not None:
                 codes[live, j] = verdict
-    return codes

@@ -166,6 +166,8 @@ class ExperimentConfig:
             raise ConfigError("k", f"expected an integer in [1, {MAX_K}] or null, got {self.k!r}")
         if self.steps is not None and (not _is_int(self.steps) or not 0 <= self.steps <= MAX_STEPS):
             raise ConfigError("steps", f"expected an integer in [0, {MAX_STEPS}] or null, got {self.steps!r}")
+        if self.steps is not None and self.script is not None:
+            raise ConfigError("steps", "steps shapes the default script only; an explicit script sets its own ops")
         if not _is_int(self.trials) or not 1 <= self.trials <= MAX_TRIALS:
             raise ConfigError("trials", f"expected an integer in [1, 2^64], got {self.trials!r}")
         if not _is_int(self.seed) or not 0 <= self.seed < 2**64:

@@ -218,6 +218,14 @@ class TestSimulate:
         assert code == EXIT_VALIDATION
         assert "script[0].message" in err
 
+    def test_steps_beside_a_script_rejected(self, capsys, tmp_path):
+        path = tmp_path / "both.json"
+        path.write_text(json.dumps({"n": 3, "steps": 5, "script": [{"op": "store"}, {"op": "retrieve"}], "trials": 3}))
+        code, out, err = run_cli(["simulate", "--config", str(path)], capsys)
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert err.startswith("error: steps: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("field, cap", [("k", "MAX_K"), ("steps", "MAX_STEPS"), ("trials", "MAX_TRIALS")])
     def test_oversized_field_rejected(self, field, cap, capsys, tmp_path):
         # one past the cap is refused while validating; nothing that large is run

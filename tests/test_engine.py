@@ -141,9 +141,9 @@ def recorded_chunks(monkeypatch) -> list[int]:
     chunks = []
     real = engine._run_chunk
 
-    def recorded(config, k, script, messages, indices, buffers, tally):
+    def recorded(config, k, plan, indices, buffers, tally, codes):
         chunks.append(indices.size)
-        return real(config, k, script, messages, indices, buffers, tally)
+        return real(config, k, plan, indices, buffers, tally, codes)
 
     monkeypatch.setattr(engine, "_run_chunk", recorded)
     return chunks
@@ -394,7 +394,7 @@ FLIPCOUNT_N16 = {"n": 16, "k": 7, "attack": {"kind": "flip_count", "bits_per_ste
 
 
 def planned_slots(config) -> list[tuple[int, ...]]:
-    return [slots for _, slots in engine._draw_plan(config, config.resolved_k(), config.build_script())]
+    return [slots for _, slots, _, _ in engine._draw_plan(config, config.resolved_k())]
 
 
 @pytest.mark.parametrize(
@@ -412,6 +412,48 @@ def planned_slots(config) -> list[tuple[int, ...]]:
 )
 def test_draw_plan_reads_only_what_each_op_needs(raw, plan):
     assert planned_slots(ExperimentConfig.from_dict(raw)) == plan
+
+
+def planned_values(config) -> list[tuple]:
+    """Each op's kind, step and fixed value in the plan, a parsed message as a list of bits."""
+    return [
+        (kind, step, value.tolist() if isinstance(value, np.ndarray) else value)
+        for kind, _, step, value in engine._draw_plan(config, config.resolved_k())
+    ]
+
+
+@pytest.mark.parametrize(
+    "raw, values",
+    [
+        # an explicit message and index are fixed, a cycle index counts the cycle retrieves only
+        (CONFIGS["script-attack-n3"], [
+            ("store", 0, [1, 0, 1]), ("retrieve", 0, 0), ("attack", 0, None), ("retrieve", 1, 0),
+            ("store", 1, None), ("attack", 1, None), ("retrieve", 2, None),
+        ]),
+        (CONFIGS["flipcount-prefix-cycle-n5"], [
+            ("store", 0, None), ("attack", 0, None), ("retrieve", 0, 0), ("attack", 1, None), ("retrieve", 1, 1),
+        ]),
+        (CONFIGS["honest-mixed-n8"], [
+            ("store", 0, None), ("retrieve", 0, None), ("retrieve", 1, None), ("store", 1, None),
+            ("retrieve", 2, 0), ("store", 2, None), ("retrieve", 3, None), ("retrieve", 4, None),
+        ]),
+        # the cycle wraps mod n
+        ({"n": 2, "retrieve_index": "cycle", "script": [{"op": "store"}] + [{"op": "retrieve"}] * 5}, [
+            ("store", 0, None), ("retrieve", 0, 0), ("retrieve", 1, 1), ("retrieve", 2, 0), ("retrieve", 3, 1),
+            ("retrieve", 4, 0),
+        ]),
+    ],
+    ids=["script-attack-n3", "flipcount-prefix-cycle-n5", "honest-mixed-n8", "cycle-wraps-n2"],
+)
+def test_draw_plan_fixes_steps_and_values(raw, values):
+    assert planned_values(ExperimentConfig.from_dict(raw)) == values
+
+
+def test_draw_plan_parses_each_message_once():
+    script = [{"op": "store", "message": msg} for msg in ("10101", "01100", "10101")] + [{"op": "retrieve"}]
+    plan = engine._draw_plan(ExperimentConfig.from_dict({"n": 5, "script": script}), 1)
+    assert plan[0][3] is plan[2][3]
+    assert plan[1][3].tolist() == [0, 1, 1, 0, 0]
 
 
 def test_draw_plan_verifies_every_op_when_distance_zero_may_reject(monkeypatch):

@@ -6,6 +6,7 @@ import pkgutil
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import qmemcheck
@@ -145,6 +146,15 @@ class TestConfigValidation:
     def test_steps_beyond_schedule(self):
         with pytest.raises(ConfigError):
             make_config(attack=IncrementalAttack(deltas=(0.5,)), steps=2)
+
+    def test_steps_beside_a_script_rejected(self):
+        # an explicit script fixes its own ops, so steps would be silently ignored
+        raw = {"n": 3, "steps": 5, "script": [{"op": "store"}, {"op": "retrieve"}], "trials": 3}
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig.from_dict(raw)
+        assert exc.value.path == "steps"
+        del raw["steps"]
+        ExperimentConfig.from_dict(raw)
 
 
 class TestBuildScript:
@@ -293,6 +303,20 @@ class TestCounterDraw:
 
     def test_domain(self):
         for args in ((-1, 0, 0, 0), (0, 2**64, 0, 0), (0, 0, -1, 0), (0, 0, 0, 2**64), (0.5, 0, 0, 0)):
+            with pytest.raises(ValueError):
+                engine.counter_draw(*args)
+
+    def test_numpy_integers_give_the_same_draw(self):
+        # np.arange indices are the natural input of a replay
+        drawn = [engine.counter_draw(3, i, 1, 2) for i in range(4)]
+        assert [engine.counter_draw(3, i, 1, 2) for i in np.arange(4)] == drawn
+        for kind in (np.uint64, np.int64, np.uint8):
+            assert engine.counter_draw(kind(1), kind(2), kind(3), kind(4)) == 4181974824002594042
+        top = np.uint64(2**64 - 1)
+        assert engine.counter_draw(top, top, top, top) == engine.counter_draw(*[2**64 - 1] * 4)
+
+    def test_bools_are_not_integers(self):
+        for args in ((True, 0, 0, 0), (0, False, 0, 0), (0, 0, np.True_, 0)):
             with pytest.raises(ValueError):
                 engine.counter_draw(*args)
 
