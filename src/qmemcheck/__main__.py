@@ -1,0 +1,5 @@
+"""python -m qmemcheck: the qmemcheck command line (cli.main)."""
+from .cli import main
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -6,10 +6,13 @@ each retrieve compares the memory against fingerprints of the previous memory
 state, so a step flipping a fraction delta of fresh positions is accepted per
 comparison with probability exactly 1 - 2*delta + 2*delta^2.
 
-Schedules are immutable config values, and no per-session state is kept
-beside the memory: a step reads the baseline, the codeword of the last
-accepted store (read-only, shared with the checker's stored fingerprint),
-and compares the memory against it where it needs to. Strategies are
+Schedules are immutable config values, and a step runs on a session's
+corruption pattern P, the memory xor the codeword of its last accepted store,
+given the stored message; no other per-session state is kept. A position
+flips in P exactly where it flips in memory, and a fresh position, one that
+still holds the stored codeword's bit, is a zero bit of P. The code is
+F2-linear, so replacing the memory by the codeword C(t) of a target t sets P
+to C(t) xor C(x) = C(t xor x) for stored message x. Strategies are
 information-theoretic scripts: they never observe checker verdicts or
 measurement outcomes. Everything that depends on the kind of attack (field
 checks, serialisation, config checks against the code, the corruption
@@ -21,10 +24,11 @@ code each method is given (code.substitution_distances), not from here.
 
 FlipCount and incremental steps share one ranked flip, _flip_ranked: per
 row, d ascending ranks in a pool (the codeword, or the row's fresh
-positions), flipped a block of rows at a time under engine.row_blocks, the
-package's one memory rule, at 8 bytes a row per rank, or per pool position
-where the draws sample the complement. Incremental steps find the fresh
-positions for spans of rows at 8*m bytes a row.
+positions, the zero bits of P), flipped a block of rows at a time under
+engine.row_blocks, the package's one memory rule, at 8 bytes a row per
+rank, or per pool position where the draws sample the complement.
+Incremental steps find the fresh positions for spans of rows at 8*m bytes a
+row.
 """
 
 from __future__ import annotations
@@ -109,11 +113,12 @@ class AttackSchedule:
         step *step* of the default script storing the config-level message."""
         raise NotImplementedError
 
-    def apply(self, step, memory, baseline, code, draws) -> None:
+    def apply(self, step, patterns, message, code, draws) -> None:
         """The schedule's one corruption method, run by the engine on its chunks and by
-        apply_step on one row: corrupt one in-range step of the (T, W) memory array of
-        packed rows (see bits.py) in place, given each row's stored codeword (baseline,
-        packed alike) and the step's draws (OpDraws)."""
+        apply_step on one row: corrupt one in-range step of the (T, W) array of packed
+        corruption patterns (see bits.py; a row is the memory xor the stored codeword) in
+        place, given each row's stored message (a (T, n) uint8 array) and the step's
+        draws (OpDraws)."""
         raise NotImplementedError
 
 
@@ -126,7 +131,7 @@ class NoOpAttack(AttackSchedule):
     def step_distances(self, code, message, step) -> dict[int, float]:
         return {0: 1.0}
 
-    def apply(self, step, memory, baseline, code, draws) -> None:
+    def apply(self, step, patterns, message, code, draws) -> None:
         pass
 
 
@@ -163,16 +168,18 @@ class SubstituteCodeword(AttackSchedule):
         # parsed once per schedule, however many chunks a run has
         return as_bits(self.target, name="target")
 
-    def apply(self, step, memory, baseline, code, draws) -> None:
+    def apply(self, step, patterns, message, code, draws) -> None:
         if self.target != "random":
-            memory[:] = code.encode_batch(self._target_bits[None, :])
-            return
-        rows = np.arange(len(memory))
-        for slot in itertools.count():  # redraw the rows that drew the stored message
-            memory[rows] = code.encode_batch(draws.messages(code.params.n, slot, rows))
-            rows = rows[(memory[rows] == baseline[rows]).all(axis=1)]
-            if not rows.size:
-                return
+            target = self._target_bits
+        else:
+            target, rows = np.empty(message.shape, np.uint8), np.arange(len(patterns))
+            for slot in itertools.count():  # redraw the rows that drew the stored message
+                target[rows] = draws.messages(code.params.n, slot, rows)
+                rows = rows[(target[rows] == message[rows]).all(axis=1)]
+                if not rows.size:
+                    break
+        # linearity: C(target) xor C(message) = C(target xor message)
+        code.encode_batch(target ^ message, out=patterns)
 
 
 @dataclass(frozen=True)
@@ -201,11 +208,11 @@ class FlipCount(AttackSchedule):
         # toggles the same ones again)
         return {min(self.bits_per_step, code.params.m): 1.0}
 
-    def apply(self, step, memory, baseline, code, draws) -> None:
+    def apply(self, step, patterns, message, code, draws) -> None:
         m = code.params.m
         d = min(self.bits_per_step, m)
         # the pool is the codeword, so a row's ranks are its positions
-        _flip_ranked(memory, self.policy, m, d, draws, lambda rows, ranks: flip_rows(memory[rows], ranks))
+        _flip_ranked(patterns, self.policy, m, d, draws, lambda rows, ranks: flip_rows(patterns[rows], ranks))
 
 
 @dataclass(frozen=True)
@@ -266,50 +273,50 @@ class IncrementalAttack(AttackSchedule):
         # flips land on whole bits: the rounded count, not the requested fraction
         return {self.step_flip_counts(code.params.m)[step]: 1.0}
 
-    def apply(self, step, memory, baseline, code, draws) -> None:
+    def apply(self, step, patterns, message, code, draws) -> None:
         m = code.params.m
         d = self.step_flip_counts(m)[step]
         # every row has run the same flip counts since its last store, so all hold f fresh
-        # positions; padding bits are zero in memory and baseline alike, so they never count
-        counts = m - np.bitwise_count(memory ^ baseline).sum(axis=1, dtype=np.int64)
+        # positions, the zero bits of its pattern; padding bits are zero, so they never count
+        counts = m - np.bitwise_count(patterns).sum(axis=1, dtype=np.int64)
         f = int(counts[0])
         if d > f or (counts != f).any():
             held = sorted(set(counts.tolist()))
             raise ScheduleError(f"step {step} needs {d} fresh positions in every row, rows hold {held}")
         # the pool is a row's f fresh positions, so a row's ranks pick among them
         _flip_ranked(
-            memory, self.policy, f, d, draws,
-            lambda rows, ranks: _flip_fresh(memory[rows], baseline[rows], m, f, ranks),
+            patterns, self.policy, f, d, draws,
+            lambda rows, ranks: _flip_fresh(patterns[rows], m, f, ranks),
         )
 
 
-def _flip_ranked(memory, policy, pool, d, draws, flip) -> None:
-    """Flip d positions of each packed row of memory, picked by ascending rank in a
+def _flip_ranked(patterns, policy, pool, d, draws, flip) -> None:
+    """Flip d positions of each packed row of patterns, picked by ascending rank in a
     pool of that many: flip(rows, ranks) flips a block of rows given its (rows, d)
     ranks, the lowest d under policy "prefix" (which reads no draw) and a uniform
     d-subset of the pool under "uniform". A block's draws, ranks and flip inputs hold
     8 bytes per row for each rank, or for each pool position where distinct samples
     the complement."""
-    for rows in row_blocks(len(memory), 8 * (pool if 2 * d > pool else max(d, 1))):
+    for rows in row_blocks(len(patterns), 8 * (pool if 2 * d > pool else max(d, 1))):
         if policy == "prefix":
             flip(rows, np.broadcast_to(np.arange(d), (rows.stop - rows.start, d)))
         else:  # no block's ranks outlive its flip, so they never add to the next block's draws
             flip(rows, OpDraws(draws.keys[rows]).distinct(pool, d))
 
 
-def _flip_fresh(memory, baseline, m, f, ranks) -> None:
-    """Flip, in place, the fresh positions (zero bits of memory ^ baseline inside m,
+def _flip_fresh(patterns, m, f, ranks) -> None:
+    """Flip, in place, the fresh positions (zero bits of the pattern inside m,
     f of them in every row) of ascending ranks ranks[r] of each packed row r. The
     positions are found for a span of rows at a time, 8 bytes per row for each of
     its m positions, and die before the flip allocates."""
-    for span in row_blocks(len(memory), 8 * m):
-        flip_rows(memory[span], _fresh_positions(memory[span], baseline[span], m, f, ranks[span]))
+    for span in row_blocks(len(patterns), 8 * m):
+        flip_rows(patterns[span], _fresh_positions(patterns[span], m, f, ranks[span]))
 
 
-def _fresh_positions(memory, baseline, m, f, ranks) -> np.ndarray:
+def _fresh_positions(patterns, m, f, ranks) -> np.ndarray:
     """Per packed row r, its fresh positions of ascending ranks ranks[r]."""
-    at = np.flatnonzero(unpack_rows(np.invert(memory ^ baseline), m).view(bool))  # flat, row by row, ascending
-    picked = at[ranks + f * np.arange(len(memory))[:, None]]
+    at = np.flatnonzero(unpack_rows(np.invert(patterns), m).view(bool))  # flat, row by row, ascending
+    picked = at[ranks + f * np.arange(len(patterns))[:, None]]
     picked %= m
     return picked
 
@@ -340,11 +347,13 @@ def apply_step(
     rng: np.random.Generator,
 ) -> None:
     """Apply step *step* (0-based) of the schedule to memory; baseline is the stored codeword.
-    The schedule's apply runs on a packed one-row copy of the memory, unpacked and
-    written back after."""
+    The schedule's apply runs on the memory's packed one-row pattern, given the stored
+    message that the clean baseline decodes to at mask 0, and the memory is written back after."""
     intrinsic = schedule.intrinsic_steps
     if step < 0 or (intrinsic is not None and step >= intrinsic):
         raise ScheduleError(f"step {step} out of range for schedule with {intrinsic} steps")
-    row = pack_rows(memory.bits[None, :])
-    schedule.apply(step, row, pack_rows(baseline[None, :]), code, _GeneratorDraws(rng))
-    memory.adversary_overwrite(unpack_rows(row, code.params.m)[0])
+    n, stored = code.params.n, pack_rows(baseline[None, :])
+    row = pack_rows(memory.bits[None, :]) ^ stored
+    message = code.decode(np.arange(n), np.zeros(n, dtype=np.int64), lambda pos: baseline[pos])
+    schedule.apply(step, row, message[None, :], code, _GeneratorDraws(rng))
+    memory.adversary_overwrite(unpack_rows(row ^ stored, code.params.m)[0])

@@ -158,7 +158,9 @@ class HadamardCode(LocallyDecodableCode):
     def encode_batch(self, msgs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Packed codewords of a (T, n) uint8 batch of package-built messages, as
         a (T, word_count(m)) uint64 array (out, when given), one row per message;
-        nothing is parsed."""
+        nothing is parsed. The code is F2-linear: encode_batch(a ^ b) equals
+        encode_batch(a) ^ encode_batch(b), padding included, so the memory C(t)
+        differs from a stored C(x) by the codeword C(t ^ x)."""
         n, m = self._params.n, self._params.m
         # The last `low` message bits weigh 1, 2, ..., 32, so the first word
         # holds their parities <x, a>, cut to m bits when m < 64. Then doubling
@@ -177,7 +179,9 @@ class HadamardCode(LocallyDecodableCode):
         return words
 
     def decode(self, index, masks: np.ndarray, read) -> np.ndarray:
-        """Reads [a, a xor e_index] for each row's mask a, and xors the two bits."""
+        """Reads [a, a xor e_index] for each row's mask a, and xors the two bits.
+        The decode is linear in the word read: on C(x) xor P it returns x_index
+        xor its value on P, for any pattern P and mask."""
         units = self.unit_mask(index)
         masks = check_positions(masks, self._params.m, name="decode masks")
         bits = read(np.array([masks, masks ^ units]).T)

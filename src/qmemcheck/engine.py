@@ -1,18 +1,23 @@
 """Batch session engine: a run's trials in chunks, one array row per session.
 
 run_sessions plays the protocol of checker.store/retrieve on a chunk of T
-sessions at once. Memory is a (T, W) uint64 array of packed rows, W =
-ceil(m / 64): codeword position a is bit a & 63 of word a >> 6, and the
-padding bits past m are zero in every array, so they never count. The stored
-fingerprint and the baseline (the codeword of the last accepted store) are
-(T, W) snapshots in the same layout. A verification is one row-wise Hamming
-distance d, the popcount of the xor of the words, and one uniform per
-session, compared with fingerprint.p_accept(d/m, k): that is the chance
-that all k copies of the comparison test accept, so the verdict has exactly
-the law of k copies without drawing k numbers. A decode is the code's decode
-on the chunk's rows, each row reading bit a & 63 of its own word a >> 6;
-checker.retrieve runs the same method on one row of bytes. An attack op runs
-its schedule's apply on the chunk's rows, the one corruption method each
+sessions at once. A session's row holds its corruption pattern P, the memory
+xor the codeword of its last store, as a (T, W) uint64 array of packed rows,
+W = ceil(m / 64): position a is bit a & 63 of word a >> 6, and the padding
+bits past m are zero in every array, so they never count. Everything the
+checker decides depends on P and the stored message, which the engine keeps
+instead of its codeword, so a store zeroes its rows' patterns and encodes
+nothing. A verification is one row-wise Hamming distance d from the memory to
+the stored fingerprint: the weight of P right after a store, else of P xor the
+snapshot of P that the last retrieve took. One uniform per session is compared
+with fingerprint.p_accept(d/m, k): that is the chance that all k copies of the
+comparison test accept, so the verdict has exactly the law of k copies without
+drawing k numbers. A decode is the code's decode on the rows of P, each row
+reading bit a & 63 of its own word a >> 6. The code is linear and its decode a
+xor of reads, so a retrieve answers the stored message bit xor the decode of
+P, and it is correct exactly where that decode is 0; checker.retrieve runs the
+same method on one row of memory bytes. An attack op runs its schedule's apply
+on the chunk's pattern rows and stored messages, the one corruption method each
 schedule has; adversary.apply_step runs the same method on one packed row.
 The per-trial checker.store and retrieve stay the library API and the
 reference that the tests compare this engine's verification, decode and
@@ -21,8 +26,8 @@ refresh against.
 Only live sessions hold rows. A session's first reject ends it, so after a
 verification with rejects the survivors' rows move to the front of the run's
 buffers, and every later op of the chunk works on them alone. Between
-refreshes (a store's codeword, a retrieve's snapshot) only attack ops change
-the memory, so with no attack op since the last refresh every row sits at
+refreshes (a store's zero pattern, a retrieve's snapshot) only attack ops
+change the pattern, so with no attack op since the last refresh every row sits at
 distance 0: while p_accept(0.0, k) is 1 such an op has no verification at all.
 
 Every draw is counter-based: the draw of trial i's op j at slot s is a
@@ -317,29 +322,26 @@ class _Buffers:
 
     def __init__(self, size: int, m: int) -> None:
         shape = (size, word_count(m))
-        self.memory = np.empty(shape, dtype=np.uint64)
+        self.pattern = np.empty(shape, dtype=np.uint64)
         self.snapshot = np.empty(shape, dtype=np.uint64)
-        self.baseline = np.empty(shape, dtype=np.uint64)
         self.diff = np.empty(shape, dtype=np.uint64)
         self.counts = np.empty(shape, dtype=np.uint8)
 
-    def compact(self, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Move rows keep (ascending) of memory and baseline to the front, and
-        return the two packed views. Each is gathered into the snapshot or diff
-        array, which then trade places with it, so no array is allocated; the
-        snapshot and diff arrays hold no rows that count afterwards."""
+    def compact(self, keep: np.ndarray) -> np.ndarray:
+        """Move rows keep (ascending) of pattern to the front, and return the
+        packed view. They are gathered into the snapshot array, which then
+        trades places with pattern, so no array is allocated; the snapshot
+        array holds no rows that count afterwards."""
         rows = keep.size
-        np.take(self.memory, keep, axis=0, out=self.snapshot[:rows], mode="clip")
-        np.take(self.baseline, keep, axis=0, out=self.diff[:rows], mode="clip")
-        self.memory, self.snapshot = self.snapshot, self.memory
-        self.baseline, self.diff = self.diff, self.baseline
-        return self.memory[:rows], self.baseline[:rows]
+        np.take(self.pattern, keep, axis=0, out=self.snapshot[:rows], mode="clip")
+        self.pattern, self.snapshot = self.snapshot, self.pattern
+        return self.pattern[:rows]
 
-    def distance(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Row-wise Hamming distances of two (rows, W) arrays of packed rows."""
+    def distance(self, a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+        """Row-wise Hamming weights of a (rows, W) array of packed rows, or of its xor with b."""
         rows = a.shape[0]
-        diff = np.bitwise_xor(a, b, out=self.diff[:rows])
-        return np.bitwise_count(diff, out=self.counts[:rows]).sum(axis=1, dtype=np.int32)
+        a = a if b is None else np.bitwise_xor(a, b, out=self.diff[:rows])
+        return np.bitwise_count(a, out=self.counts[:rows]).sum(axis=1, dtype=np.int32)
 
 
 def _accept_prob(distance: np.ndarray, m: int, k: int):
@@ -355,20 +357,21 @@ def _run_chunk(config, k: int, plan, indices: np.ndarray, buffers: _Buffers, tal
 
     Row r of the buffers belongs to chunk session live[r], and keys, message and
     the block's op keys and draws (one row per op or planned slot, one column per
-    session) keep the same sessions. After a verification with rejects, the
-    survivors' memory and baseline rows are packed to the front
-    (_Buffers.compact), so the op and every later one run on live sessions only;
-    a store overwrites both, so there only the views shrink. stored is what a
-    verification compares memory with: the last store's codeword, or the
-    snapshot a retrieve takes exactly when it verified. An op the plan does not
-    verify follows a refresh with no attack op and no moved row, so stored still
-    equals every live row's memory."""
+    session) keep the same sessions. pattern holds each row's P, the memory xor
+    the codeword of its last store. After a verification with rejects, the
+    survivors' pattern rows are packed to the front (_Buffers.compact), so the
+    op and every later one run on live sessions only; a store zeroes them, so
+    there only the views shrink. stored is what a verification compares P with:
+    the snapshot a retrieve takes exactly when it verified, or None after a
+    store, for the zero pattern of its codeword. An op the plan does not verify
+    follows a refresh with no attack op and no moved row, so stored still equals
+    every live row's P."""
     code = config.code
     n, m = code.params.n, code.params.m
     live = np.arange(indices.size)
     keys = trial_keys(config.seed, indices)
-    memory = buffers.memory[: indices.size]
-    stored = baseline = message = None
+    pattern = buffers.pattern[: indices.size]
+    stored = message = None
     for block in row_blocks(len(plan), 8 * indices.size * max(1, *(len(slots) for _, slots, *_ in plan))):
         op_keys = _stream(keys, np.arange(block.start, block.stop)[:, None])
         planned = np.array([slot for _, slots, *_ in plan[block] for slot in slots], dtype=np.int64)
@@ -377,45 +380,46 @@ def _run_chunk(config, k: int, plan, indices: np.ndarray, buffers: _Buffers, tal
         for j in range(block.start, block.stop):
             kind, slots, step, value = plan[j]
             if kind == "attack":
-                config.attack.apply(step, memory, baseline, code, OpDraws(op_keys[j - block.start]))
+                config.attack.apply(step, pattern, message, code, OpDraws(op_keys[j - block.start]))
                 continue
             read = dict(zip(slots, range(row, row + len(slots))))  # slot -> row of drawn
             row += len(slots)
             if kind == "retrieve":
                 tally.reached[step] += live.size
             if VERIFY_SLOT in read:
-                accept = _uniform(drawn[read[VERIFY_SLOT]]) < _accept_prob(buffers.distance(stored, memory), m, k)
+                accept = _uniform(drawn[read[VERIFY_SLOT]]) < _accept_prob(buffers.distance(pattern, stored), m, k)
                 if not accept.all():
                     reject = ~accept
                     tally.buggy += int(np.count_nonzero(reject))
-                    # "false buggy" means rejecting a memory that matches the stored codeword
-                    tally.false_buggy += int(np.count_nonzero(buffers.distance(memory[reject], baseline[reject]) == 0))
+                    # "false buggy" means rejecting a memory that matches the stored codeword: P = 0
+                    tally.false_buggy += int(np.count_nonzero(~pattern[reject].any(axis=1)))
                     if codes is not None:
                         codes[live[reject], j] = _BUGGY
                     keep = np.flatnonzero(accept)
                     if not keep.size:
                         return
                     live, keys, op_keys, drawn = live[keep], keys[keep], op_keys[:, keep], drawn[:, keep]
-                    if kind == "store":  # which overwrites memory and baseline: no row to gather
-                        memory = buffers.memory[: keep.size]
+                    if kind == "store":  # which zeroes the patterns: no row to gather
+                        pattern = buffers.pattern[: keep.size]
                     else:
                         message = message[keep]
-                        memory, baseline = buffers.compact(keep)
+                        pattern = buffers.compact(keep)
             if kind == "store":
                 message = (
                     _messages(drawn[read[MESSAGE_SLOT]], n) if value is None else np.broadcast_to(value, (live.size, n))
                 )
-                baseline = code.encode_batch(message, out=buffers.baseline[: live.size])
-                np.copyto(memory, baseline)
-                stored = baseline
+                pattern.fill(0)
+                stored = None
                 verdict = 1
             else:
                 index = _below(drawn[read[INDEX_SLOT]], n) if value is None else value
-                verdict = code.decode(index, _below(drawn[read[MASK_SLOT]], m), lambda pos: read_rows(memory, pos))
-                tally.correct += int(np.count_nonzero(verdict == message[np.arange(live.size), index]))
+                # the code is linear and decodes by a xor of reads: the answer is the stored bit xor P's decode
+                wrong = code.decode(index, _below(drawn[read[MASK_SLOT]], m), lambda pos: read_rows(pattern, pos))
+                verdict = message[np.arange(live.size), index] ^ wrong
+                tally.correct += live.size - int(np.count_nonzero(wrong))
                 tally.accepted[step] += live.size
                 if VERIFY_SLOT in read:
                     stored = buffers.snapshot[: live.size]
-                    np.copyto(stored, memory)
+                    np.copyto(stored, pattern)
             if codes is not None:
                 codes[live, j] = verdict

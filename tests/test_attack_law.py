@@ -1,8 +1,9 @@
 """Every schedule's apply against the exact law of its step.
 
-Each shape runs its schedule step by step on ROWS stored codewords, one
-packed row per session as the engine keeps them, with the draws keyed from a
-seeded Generator; the checks read the rows unpacked. After each step:
+Each shape runs its schedule step by step on ROWS stored messages, with one
+packed corruption pattern (memory xor stored codeword) per session as the
+engine keeps them, and with the draws keyed from a seeded Generator; the
+checks read the memories, pattern xor codeword, unpacked. After each step:
 
 - every row's distance from its pre-step memory lies in the support of
   step_distances, hits a one-point law exactly, and matches a two-point law's
@@ -62,8 +63,9 @@ def flipping(kind, policy):
 
 def run_steps(shape, seed=0):
     """Yield (schedule, code, message, step, baseline, before, after) for each
-    step of a (schedule, n, message, steps) shape, on ROWS stored codewords;
-    apply runs on packed rows, and the three arrays are yielded unpacked."""
+    step of a (schedule, n, message, steps) shape, on ROWS stored messages;
+    apply runs on packed patterns given those messages, and the stored
+    codewords and the memories before and after the step are yielded unpacked."""
     schedule, n, message, steps = shape
     rng = np.random.default_rng(seed)
     code = HadamardCode(n)
@@ -72,12 +74,12 @@ def run_steps(shape, seed=0):
     else:
         messages = np.tile(as_bits(message), (ROWS, 1))
     baseline = code.encode_batch(messages)
-    memory = baseline.copy()
+    patterns = np.zeros_like(baseline)
     m = code.params.m
     for step in range(steps):
-        before = unpack_rows(memory, m)
-        schedule.apply(step, memory, baseline, code, OpDraws(rng.integers(2**64, size=ROWS, dtype=np.uint64)))
-        yield schedule, code, message, step, unpack_rows(baseline, m), before, unpack_rows(memory, m)
+        before = unpack_rows(patterns ^ baseline, m)
+        schedule.apply(step, patterns, messages, code, OpDraws(rng.integers(2**64, size=ROWS, dtype=np.uint64)))
+        yield schedule, code, message, step, unpack_rows(baseline, m), before, unpack_rows(patterns ^ baseline, m)
 
 
 def within_law(count: int, samples: int, p: float) -> bool:

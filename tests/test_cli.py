@@ -571,9 +571,10 @@ def test_installed_entry_point(tmp_path):
     assert json.loads(proc.stdout)["aggregates"]["trials"] == 10
 
 
-def test_module_invocation():
+@pytest.mark.parametrize("module", ["qmemcheck.cli", "qmemcheck"])
+def test_module_invocation(module):
     proc = subprocess.run(
-        [sys.executable, "-m", "qmemcheck.cli", "bounds", "--delta", "0.5", "--k", "7"],
+        [sys.executable, "-m", module, "bounds", "--delta", "0.5", "--k", "7"],
         capture_output=True,
         text=True,
     )

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmemcheck.bits import as_bits, bits_to_str, hamming_distance, int_to_bits, unpack_rows, word_count
+from qmemcheck.bits import as_bits, bits_to_str, hamming_distance, int_to_bits, pack_rows, read_rows, unpack_rows, word_count
 from qmemcheck.code import MAX_HADAMARD_N, CodeParams, HadamardCode
 
 
@@ -179,6 +179,14 @@ class TestEncode:
         rhs = code.encode(int_to_bits(x ^ y, n))
         assert np.array_equal(lhs, rhs)
 
+    @pytest.mark.parametrize("n", [1, 5, 6, 7, 10])
+    def test_batch_is_linear(self, n, rng):
+        # C(a) ^ C(b) = C(a ^ b) on packed rows, padding included: a substitution's
+        # corruption pattern is written as the codeword of target ^ message
+        a, b = (rng.integers(0, 2, size=(50, n), dtype=np.uint8) for _ in range(2))
+        code = HadamardCode(n)
+        assert np.array_equal(code.encode_batch(a ^ b), code.encode_batch(a) ^ code.encode_batch(b))
+
 
 def reader(word: np.ndarray, calls: list | None = None):
     """A read over one codeword (or one row per decode row) that logs each position array."""
@@ -277,6 +285,24 @@ class TestDecode:
                 wrong = code.decode(index, masks, reader(word ^ corrupted)) != msg[index]
                 one_hit = corrupted[masks] != corrupted[masks ^ code.unit_mask(index)]
                 assert np.array_equal(wrong, one_hit)
+
+    @pytest.mark.parametrize("n", [1, 5, 6, 7, 10])
+    def test_decode_is_linear(self, n, rng):
+        # decoding C(x) ^ P gives x_i ^ the decode of P, for random patterns P of every
+        # density, read from packed rows as the engine reads them; at n = 7 and 10 the
+        # indices cover both sides of the 6-bit word boundary (unit masks above and below 64)
+        rows, m = 300, 2**n
+        code = HadamardCode(n)
+        msgs = rng.integers(0, 2, size=(rows, n), dtype=np.uint8)
+        patterns = pack_rows((rng.random((rows, m)) < rng.random((rows, 1))).astype(np.uint8))
+        memory = code.encode_batch(msgs) ^ patterns
+        index, masks = np.arange(rows) % n, rng.integers(m, size=rows)
+        if n > 6:
+            assert (code.unit_mask(index) >= 64).any() and (code.unit_mask(index) < 64).any()
+        answer = code.decode(index, masks, lambda pos: read_rows(memory, pos))
+        wrong = code.decode(index, masks, lambda pos: read_rows(patterns, pos))
+        assert wrong.any() and not wrong.all()
+        assert np.array_equal(answer, msgs[np.arange(rows), index] ^ wrong)
 
     @given(st.integers(1, 6), st.data())
     @settings(max_examples=40, deadline=None)

@@ -24,6 +24,7 @@ from qmemcheck.adversary import FlipCount, IncrementalAttack, SubstituteCodeword
 from qmemcheck.analysis import binomial_tail
 from qmemcheck.bits import word_count
 from qmemcheck.checker import CheckerState, PublicMemory, retrieve, store
+from qmemcheck.code import HadamardCode
 from qmemcheck.fingerprint import p_single
 from qmemcheck.harness import ExperimentConfig, run_experiment
 from test_golden import CONFIGS, GOLDEN_DIR
@@ -170,9 +171,9 @@ def test_attack_steps_run_on_live_sessions_only(monkeypatch):
     rows = []
     real = FlipCount.apply
 
-    def recorded(self, step, memory, baseline, code, draws):
-        rows.append((step, len(memory)))
-        return real(self, step, memory, baseline, code, draws)
+    def recorded(self, step, patterns, message, code, draws):
+        rows.append((step, len(patterns)))
+        return real(self, step, patterns, message, code, draws)
 
     monkeypatch.setattr(FlipCount, "apply", recorded)
     per_step = run_experiment(config).aggregates["per_step_accept"]
@@ -193,6 +194,31 @@ def test_honest_runs_take_no_distance_pass(monkeypatch):
     text = run_experiment(ExperimentConfig.from_dict(CONFIGS["honest-mixed-n8"])).results_json()
     assert calls == []
     assert text.encode() == (GOLDEN_DIR / "honest-mixed-n8.results.json").read_bytes()
+
+
+@pytest.mark.parametrize("name", ["honest-mixed-n8", "flipcount-uniform-n6"])
+def test_sessions_encode_nothing(name, monkeypatch):
+    # rows hold corruption patterns, so a store zeroes its rows and encodes no codeword;
+    # the complexity probe encodes through checker.store, outside run_sessions
+    encodes, inside = [], []
+    real_encode, real_run = HadamardCode.encode_batch, harness.run_sessions
+
+    def encode(self, msgs, out=None):
+        encodes.append(bool(inside))
+        return real_encode(self, msgs, out)
+
+    def run(*args):
+        inside.append(True)
+        try:
+            return real_run(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(HadamardCode, "encode_batch", encode)
+    monkeypatch.setattr(harness, "run_sessions", run)
+    text = run_experiment(ExperimentConfig.from_dict(CONFIGS[name])).results_json()
+    assert encodes and not any(encodes)  # the probe's encodes are seen, and none inside run_sessions
+    assert text.encode() == (GOLDEN_DIR / f"{name}.results.json").read_bytes()
 
 
 def test_distance_zero_shortcut_reads_the_law(monkeypatch):
@@ -514,7 +540,7 @@ def test_results_do_not_depend_on_op_blocks(name, monkeypatch):
 
 
 def test_store_verification_gathers_no_rows(monkeypatch):
-    # a store overwrites memory and baseline, so rejects there only shrink the views
+    # a store zeroes the patterns, so rejects there only shrink the views
     calls = []
     real = engine._Buffers.compact
 
@@ -534,6 +560,21 @@ def test_store_verification_gathers_no_rows(monkeypatch):
     text = run_experiment(ExperimentConfig.from_dict(CONFIGS["script-store-reject-n3"])).results_json()
     assert len(calls) == 1  # at the last retrieve; the second store rejects too
     assert text.encode() == (GOLDEN_DIR / "script-store-reject-n3.results.json").read_bytes()
+
+
+def test_false_buggy_reads_every_word_of_the_pattern():
+    # m = 128: 10 prefix flips set bits of word 0 and leave word 1 zero, so a reject at
+    # the first retrieve is never false buggy; the second step flips them back to the
+    # stored codeword, so every reject at the second retrieve is
+    config = ExperimentConfig.from_dict({
+        "n": 7, "k": 1, "attack": {"kind": "flip_count", "bits_per_step": 10, "policy": "prefix"},
+        "script": [{"op": "store"}, {"op": "attack"}, {"op": "retrieve"}, {"op": "attack"}, {"op": "retrieve"}],
+        "trials": 400, "seed": 5,
+    })
+    tally = engine.run_sessions(config, config.resolved_k(), range(config.trials))
+    first, second = (reached - accepted for reached, accepted in zip(tally.reached, tally.accepted))
+    assert first > 0 and second > 0 and tally.buggy == first + second
+    assert tally.false_buggy == second
 
 
 def test_decodes_read_the_counter_draws(monkeypatch):
