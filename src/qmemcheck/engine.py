@@ -46,30 +46,29 @@ row, the int64 bits of a drawn message and the protocol's 3 draws. That is
 8,192 sessions at n=4, 4,096 at n=8, 32 at n=16 and 2 at n=20. A run
 allocates its (T, W) arrays once and every chunk reuses them.
 
-Every static fact of the script lives in one plan (_draw_plan), made once
-per run from the script and k: each op's kind, the protocol slots it reads,
-its attack step or retrieve position, and its fixed message or index. A slot
-no op reads is never hashed, and draws are addressed by counter, so a skipped
-slot changes no other draw. A chunk only plays the plan on its rows. A
-chunk of T sessions takes the script in row_blocks blocks of ops and hashes
-each block in two passes, one for its ops' keys and one for all its planned
-slots; an op's key takes 8 * T bytes and so does each slot, so an op's
-row_bytes is 8 * T times the most slots any op plans, at least 1. No array
-grows with the script.
+The config resolves its script once (ExperimentConfig.ops): each op's kind,
+its attack step or retrieve position, and its fixed message or index. The
+run's plan (_draw_plan) adds only the protocol slots each op reads, fixed
+once per run by those ops and k. A slot no op reads is never hashed, and
+draws are addressed by counter, so a skipped slot changes no other draw. A
+chunk only plays the plan on its rows. A chunk of T sessions takes the
+script in row_blocks blocks of ops and hashes each block in two passes, one
+for its ops' keys and one for all its planned slots; an op's key takes
+8 * T bytes and so does each slot, so an op's row_bytes is 8 * T times the
+most slots any op plans, at least 1. No array grows with the script.
 """
 
 from __future__ import annotations
 
 import itertools
 import numbers
-from collections import defaultdict
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 from typing import Iterator
 
 import numpy as np
 
-from .bits import as_bits, read_rows, word_count
+from .bits import read_rows, word_count
 from .fingerprint import p_accept
 
 CHUNK_BYTES = 1 << 18
@@ -245,44 +244,28 @@ class Tally:
 
 
 def _draw_plan(config, k: int) -> list[tuple]:
-    """Every static fact of config's script: one (kind, slots, step, value) tuple per op.
+    """The slots each op of config's script reads: one (kind, slots, step, value)
+    tuple per op, with kind, step and value as config.ops resolves them.
 
     slots are the protocol slots the op reads, in slot order: VERIFY at every
-    store or retrieve after the first store, unless no attack op has run since
-    the last refresh and distance 0 accepts surely (p_accept(0.0, k) == 1.0, read
-    from the law as the run starts); MESSAGE at a store of a random message;
-    INDEX at a retrieve of a random index; MASK at every retrieve. An attack op
-    reads only its op key. step is the op's position among the script's ops of
-    its kind: an attack op's step, a retrieve's position. value is a store's
-    explicit message, parsed once per distinct message, or a retrieve's fixed
-    index, a cycle index already reduced mod n; it is None where the op draws
-    it. Freshness depends on the script alone, since rows move only at a
-    verification, which a fresh op skips, so the plan is static."""
+    store or retrieve but the first op (a store, as config.ops requires), unless
+    no attack op has run since the last refresh and distance 0 accepts surely
+    (p_accept(0.0, k) == 1.0, read from the law as the run starts); MESSAGE at a
+    store and INDEX at a retrieve whose value is None, which the op draws; MASK
+    at every retrieve. An attack op reads only its op key. Freshness depends on the script alone,
+    since rows move only at a verification, which a fresh op skips, so the plan
+    is static."""
     sure = p_accept(0.0, k) == 1.0
-    parse = cache(lambda spec: as_bits(spec, name="message"))
-    steps, cycle = defaultdict(itertools.count), itertools.count()
     plan = []
-    stored = fresh = False
-    for op in config.build_script():
-        slots, value = (), None
-        if op.op != "attack" and stored and not (fresh and sure):
-            slots += (VERIFY_SLOT,)
-        if op.op == "store":
-            stored = True
-            spec = config.message if op.message is None else op.message
-            if spec == "random":
-                slots += (MESSAGE_SLOT,)
-            else:
-                value = parse(spec)
-        elif op.op == "retrieve":
-            value = config.retrieve_index if op.index is None else op.index
-            if value == "random":
-                value, slots = None, slots + (INDEX_SLOT,)
-            elif value == "cycle":
-                value = next(cycle) % config.n
-            slots += (MASK_SLOT,)
-        fresh = op.op != "attack"  # a store or retrieve refreshes
-        plan.append((op.op, slots, next(steps[op.op]), value))
+    fresh = False
+    for j, (kind, step, value) in enumerate(config.ops):
+        slots = (VERIFY_SLOT,) if j and kind != "attack" and not (fresh and sure) else ()
+        if kind == "store" and value is None:
+            slots += (MESSAGE_SLOT,)
+        elif kind == "retrieve":
+            slots += (MASK_SLOT,) if value is not None else (INDEX_SLOT, MASK_SLOT)
+        fresh = kind != "attack"  # a store or retrieve refreshes
+        plan.append((kind, slots, step, value))
     return plan
 
 
@@ -306,9 +289,9 @@ def run_sessions(config, k: int, trials: range) -> Tally:
         tally.codes = np.full((len(trials), len(plan)), -1, dtype=np.int8)
     if not trials:
         return tally
-    m = config.code.params.m
+    n, m = config.code.params.n, config.code.params.m
     # per session: its packed row, a drawn message's int64 bits and the protocol's 3 draws
-    session_bytes = 8 * max(word_count(m), config.n, 3)
+    session_bytes = 8 * max(word_count(m), n, 3)
     buffers = _Buffers(next(row_blocks(len(trials), session_bytes)).stop, m)
     for rows in row_blocks(len(trials), session_bytes):
         indices = np.arange(trials.start + rows.start, trials.start + rows.stop, dtype=np.uint64)
@@ -354,6 +337,8 @@ def _accept_prob(distance: np.ndarray, m: int, k: int):
 def _run_chunk(config, k: int, plan, indices: np.ndarray, buffers: _Buffers, tally: Tally, codes):
     """Play the plan (_draw_plan) on one chunk, one session per row, writing the
     verdict codes into codes, the chunk's rows of tally.codes, unless it is None.
+    Each op's kind, step and value are the plan's, as config.ops resolved them;
+    a value of None is drawn at the op's planned slot.
 
     Row r of the buffers belongs to chunk session live[r], and keys, message and
     the block's op keys and draws (one row per op or planned slot, one column per

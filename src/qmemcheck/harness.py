@@ -24,7 +24,7 @@ import platform
 import stat
 import time
 from dataclasses import MISSING, dataclass, field, fields
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
 from typing import Any, Callable
 
@@ -32,6 +32,7 @@ import numpy as np
 
 from .adversary import SCHEDULES, AttackSchedule, ConfigError, NoOpAttack, _is_bitstring, _is_int, _is_number
 from .analysis import BoundReport, binomial_std_error, binomial_tail, lemma1_bound
+from .bits import as_bits
 from .checker import CheckerState, PublicMemory, complexity_report, required_k, retrieve, store
 from .code import MAX_HADAMARD_N, HadamardCode
 from .engine import Tally, run_sessions
@@ -195,11 +196,10 @@ class ExperimentConfig:
         except ConfigError as exc:
             raise exc.under("attack") from None
 
-        script = self.build_script()
-        self._check_script(script)
-        if self.record_trials and self.trials * len(script) > MAX_RECORDED_VERDICTS:
+        ops = len(self.ops)  # resolves the script, so a bad one fails here
+        if self.record_trials and self.trials * ops > MAX_RECORDED_VERDICTS:
             raise ConfigError("trials", f"record_trials keeps at most {MAX_RECORDED_VERDICTS} verdicts, "
-                              f"got {self.trials} trials of {len(script)} ops")
+                              f"got {self.trials} trials of {ops} ops")
 
     def _check_message(self, message, path: str) -> None:
         if message == "random":
@@ -211,38 +211,55 @@ class ExperimentConfig:
     def code(self) -> HadamardCode:
         return HadamardCode(self.n)
 
-    def _check_script(self, script: tuple[OpSpec, ...]) -> None:
+    @cached_property
+    def ops(self) -> tuple[tuple[str, int, Any], ...]:
+        """The script, validated and resolved in one walk: one (kind, step, value)
+        per op. step is the op's position among the script's ops of its kind.
+        value is a store's message as bits, parsed once per distinct string, or
+        a retrieve's index, with the config-level default applied and a cycle
+        index reduced mod n; it is None where the op draws it, and at every
+        attack op."""
+        script = self.build_script()
         if not script:
             raise ConfigError("script", "expected at least one op")
-        where = "script" if self.script is not None else "steps"
-        seen_store = False
-        attack_ops = 0
+        parse = cache(lambda spec: as_bits(spec, name="message"))
+        steps = dict.fromkeys(OP_KINDS, 0)
+        ops, cycle = [], 0
         # the last store with an explicit message, until an attack op checks it
-        pending_store: int | None = None
+        pending: int | None = None
         for i, op in enumerate(script):
+            value = None
             if op.op == "store":
-                seen_store = True
-                pending_store = None
+                pending = None
                 if op.message is not None:
                     self._check_message(op.message, f"script[{i}].message")
-                    pending_store = i
-            elif not seen_store:
+                    pending = i
+                spec = self.message if op.message is None else op.message
+                value = None if spec == "random" else parse(spec)
+            elif not steps["store"]:
                 raise ConfigError(f"script[{i}]", f"{op.op} before the first store")
             elif op.op == "attack":
-                attack_ops += 1
-                if pending_store is not None:
+                if pending is not None:
                     try:
-                        self.attack.check(self.code, script[pending_store].message)
+                        self.attack.check(self.code, script[pending].message)
                     except ConfigError as exc:
-                        raise ConfigError(f"script[{pending_store}].message", exc.message) from None
-                    pending_store = None
-            elif op.index is not None and _is_int(op.index) and not 0 <= op.index < self.n:
-                raise ConfigError(f"script[{i}].index", f"index {op.index} out of range [0, {self.n})")
+                        raise ConfigError(f"script[{pending}].message", exc.message) from None
+                    pending = None
+            else:
+                value = self.retrieve_index if op.index is None else op.index
+                if value == "random":
+                    value = None
+                elif value == "cycle":
+                    value, cycle = cycle % self.n, cycle + 1
+                elif not 0 <= value < self.n:
+                    raise ConfigError(f"script[{i}].index", f"index {value} out of range [0, {self.n})")
+            ops.append((op.op, steps[op.op], value))
+            steps[op.op] += 1
         intrinsic = self.attack.intrinsic_steps
-        if intrinsic is not None and attack_ops > intrinsic:
-            raise ConfigError(
-                where, f"schedule provides {intrinsic} attack step(s) but the script uses {attack_ops}"
-            )
+        if intrinsic is not None and steps["attack"] > intrinsic:
+            raise ConfigError("script" if self.script is not None else "steps",
+                              f"schedule provides {intrinsic} attack step(s) but the script uses {steps['attack']}")
+        return tuple(ops)
 
     def build_script(self) -> tuple[OpSpec, ...]:
         """The op sequence a session runs: explicit script, or the default shape."""
@@ -309,7 +326,7 @@ def _attach_bounds(config: ExperimentConfig, aggregates: dict[str, Any]) -> list
     k = aggregates["k"]
     rates = aggregates["rates"]
     reports: list[BoundReport] = []
-    attack_ops = sum(op.op == "attack" for op in config.build_script())
+    attack_ops = sum(kind == "attack" for kind, _, _ in config.ops)
     laws = [config.attack.step_distances(config.code, config.message, step) for step in range(attack_ops)]
 
     if all(law == {0: 1.0} for law in laws) and aggregates["counts"]["answers_total"]:

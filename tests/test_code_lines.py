@@ -41,3 +41,13 @@ def test_main_prints_each_module_and_the_total(tmp_path, capsys):
     (tmp_path / "notes.txt").write_text("not python\n")
     assert code_lines.main([str(tmp_path)]) == 0
     assert capsys.readouterr().out.splitlines() == ["     9  a.py", "     1  b.py", "    10  total"]
+
+
+def test_a_path_without_modules_exits_1(tmp_path, capsys):
+    # a mistyped path must not pass for a count of 0
+    (tmp_path / "notes.txt").write_text("not python\n")
+    for path in (tmp_path / "missing", tmp_path / "notes.txt", tmp_path):
+        assert code_lines.main([str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")

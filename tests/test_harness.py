@@ -24,6 +24,7 @@ from qmemcheck.harness import (
     canonical_json,
     run_experiment,
 )
+from test_golden import CONFIGS as GOLDEN_CONFIGS
 
 
 def bound_named(agg, name):
@@ -168,12 +169,67 @@ class TestBuildScript:
         assert ops == ["store", "attack", "retrieve", "attack", "retrieve"]
 
     def test_steps_zero_is_store_only(self):
-        script = make_config(steps=0).build_script()
-        assert [op.op for op in script] == ["store"]
+        config = make_config(steps=0)
+        assert [op.op for op in config.build_script()] == ["store"]
+        assert config.ops == (("store", 0, None),)
 
     def test_explicit_script_returned_verbatim(self):
         script = (OpSpec(op="store", message="101"), OpSpec(op="retrieve", index=2))
         assert make_config(script=script).build_script() == script
+
+
+def resolved(config):
+    """config.ops with each parsed message as a list of bits."""
+    return [
+        (kind, step, value.tolist() if isinstance(value, np.ndarray) else value) for kind, step, value in config.ops
+    ]
+
+
+class TestResolvedOps:
+    def test_a_config_resolves_its_script_once(self, monkeypatch):
+        # building the config, planning its draws and attaching its bounds all read one walk
+        real = ExperimentConfig.build_script
+        calls = 0
+
+        def counted(config):
+            nonlocal calls
+            calls += 1
+            return real(config)
+
+        monkeypatch.setattr(ExperimentConfig, "build_script", counted)
+        run_experiment(ExperimentConfig.from_dict(GOLDEN_CONFIGS["script-attack-n3"]))
+        assert calls == 1
+
+    def test_every_answer_is_the_stored_bit_at_the_resolved_index(self):
+        # config-level message and cycle index, an explicit message and index,
+        # and cycle retrieves that run on across the second store and wrap mod 5
+        retrieve, at = {"op": "retrieve"}, lambda index: {"op": "retrieve", "index": index}
+        script = [{"op": "store"}, retrieve, at(3), retrieve, {"op": "store", "message": "01011"}] + [retrieve] * 4
+        script += [at(4), retrieve]
+        config = ExperimentConfig.from_dict({
+            "n": 5, "message": "10110", "retrieve_index": "cycle", "script": script,
+            "record_trials": True, "trials": 20, "seed": 4,
+        })
+        first, second = [1, 0, 1, 1, 0], [0, 1, 0, 1, 1]
+        indices = [0, 3, 1, 2, 3, 4, 0, 4, 1]
+        assert resolved(config) == (
+            [("store", 0, first)] + [("retrieve", i, indices[i]) for i in range(3)]
+            + [("store", 1, second)] + [("retrieve", i, indices[i]) for i in range(3, 9)]
+        )
+        answers = [first[i] for i in indices[:3]] + [second[i] for i in indices[3:]]
+        labels = [f"retrieve:{bit}" for bit in answers]
+        assert run_experiment(config).trial_verdicts == [["store:1", *labels[:3], "store:1", *labels[3:]]] * 20
+
+    def test_default_script_steps_from_the_schedule(self):
+        config = make_config(message="101", retrieve_index=2, attack=IncrementalAttack(deltas=(0.25, 0.25)))
+        assert resolved(config) == [
+            ("store", 0, [1, 0, 1]), ("attack", 0, None), ("retrieve", 0, 2), ("attack", 1, None), ("retrieve", 1, 2),
+        ]
+
+    def test_replaced_seed_and_trials_resolve_the_same_ops(self):
+        # the CLI's --seed and --trials override a parsed config this way
+        config = ExperimentConfig.from_dict(GOLDEN_CONFIGS["script-attack-n3"])
+        assert resolved(dataclasses.replace(config, seed=123, trials=7)) == resolved(config)
 
 
 class TestSerialization:

@@ -3,6 +3,8 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 spec = importlib.util.spec_from_file_location("output_hashes", ROOT / "tools" / "output_hashes.py")
 output_hashes = importlib.util.module_from_spec(spec)
@@ -25,3 +27,14 @@ def test_two_runs_print_the_same_lines(capsys):
 def test_a_tree_without_the_package_exits_1(capsys, tmp_path):
     assert output_hashes.main(["--src", str(tmp_path), "--seeds", "1"]) == 1
     assert capsys.readouterr().err.startswith("error: no package at ")
+
+
+@pytest.mark.parametrize("seeds", ["x", "1,,2", ""])
+def test_a_malformed_seed_list_exits_1_before_any_call(seeds, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a subprocess was started")
+
+    monkeypatch.setattr(output_hashes.subprocess, "run", refuse)
+    assert output_hashes.main(["--src", str(ROOT), "--seeds", seeds]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("usage: --seeds ")

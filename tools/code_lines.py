@@ -8,6 +8,8 @@ multi-line string that is not a docstring. Usage:
     python tools/code_lines.py src/qmemcheck
 
 prints one "lines  module" row per *.py file, sorted by name, then the total.
+A DIRECTORY that is not a directory, or holds no *.py file, exits 1 with one
+line on stderr, so a mistyped path cannot pass for a count of 0.
 """
 
 from __future__ import annotations
@@ -47,8 +49,12 @@ def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print("usage: code_lines.py DIRECTORY", file=sys.stderr)
         return 1
+    modules = sorted(Path(argv[0]).glob("*.py")) if Path(argv[0]).is_dir() else []
+    if not modules:
+        print(f"error: {argv[0]} is not a directory with *.py files", file=sys.stderr)
+        return 1
     total = 0
-    for path in sorted(Path(argv[0]).glob("*.py")):
+    for path in modules:
         count = code_lines(path.read_text(encoding="utf-8"))
         total += count
         print(f"{count:6d}  {path.name}")

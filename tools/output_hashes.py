@@ -17,9 +17,9 @@ diff:
     python tools/output_hashes.py --src . --seeds 1,2,3 > after.txt
     diff before.txt after.txt
 
-A tree without src/qmemcheck, or a call that exits with anything but 0 or 2
-(a failed check, whose documents are still written), stops the tool with
-exit 1.
+A --seeds list that is not comma-separated integers, a tree without
+src/qmemcheck, or a call that exits with anything but 0 or 2 (a failed
+check, whose documents are still written), stops the tool with exit 1.
 """
 
 from __future__ import annotations
@@ -74,7 +74,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seeds", default="1,2,3", help="comma-separated seeds (default 1,2,3)")
     args = parser.parse_args(argv)
     try:
-        lines = hash_lines(args.src, [int(seed) for seed in args.seeds.split(",")])
+        seeds = [int(seed) for seed in args.seeds.split(",")]
+    except ValueError:
+        print(f"usage: --seeds takes comma-separated integers, got {args.seeds!r}", file=sys.stderr)
+        return 1
+    try:
+        lines = hash_lines(args.src, seeds)
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
