@@ -115,11 +115,10 @@ def _cmd_simulate(args) -> int:
         raw = json.loads(data)
     except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, an integer over the digit limit
         return _invalid(f"config is not valid JSON: {exc}")
+    given = {key: value for key, value in (("seed", args.seed), ("trials", args.trials)) if value is not None}
     try:
-        given = {"seed": args.seed, "trials": args.trials}
-        config = dataclasses.replace(
-            ExperimentConfig.from_dict(raw), **{key: value for key, value in given.items() if value is not None}
-        )
+        # a flag replaces the file's value before the config is built, so that value is never validated
+        config = ExperimentConfig.from_dict({**raw, **given} if isinstance(raw, dict) else raw)
     except ValueError as exc:
         return _invalid(exc)
     result = run_experiment(config)

@@ -16,7 +16,9 @@ drawing k numbers. A decode is the code's decode on the rows of P, each row
 reading bit a & 63 of its own word a >> 6. The code is linear and its decode a
 xor of reads, so a retrieve answers the stored message bit xor the decode of
 P, and it is correct exactly where that decode is 0; checker.retrieve runs the
-same method on one row of memory bytes. An attack op runs its schedule's apply
+same method on one row of memory bytes. The decode of a clean codeword is
+exact, so a retrieve with no attack op since its store, where P is 0, answers
+the stored bit and draws no decode mask. An attack op runs its schedule's apply
 on the chunk's pattern rows and stored messages, the one corruption method each
 schedule has; adversary.apply_step runs the same method on one packed row.
 The per-trial checker.store and retrieve stay the library API and the
@@ -29,6 +31,7 @@ buffers, and every later op of the chunk works on them alone. Between
 refreshes (a store's zero pattern, a retrieve's snapshot) only attack ops
 change the pattern, so with no attack op since the last refresh every row sits at
 distance 0: while p_accept(0.0, k) is 1 such an op has no verification at all.
+An attack op whose step law is {0: 1} (a noop) changes no pattern and counts as absent.
 
 Every draw is counter-based: the draw of trial i's op j at slot s is a
 SplitMix64-style hash of (master seed, i, j, s) (Steele, Lea & Flood, "Fast
@@ -252,19 +255,26 @@ def _draw_plan(config, k: int) -> list[tuple]:
     no attack op has run since the last refresh and distance 0 accepts surely
     (p_accept(0.0, k) == 1.0, read from the law as the run starts); MESSAGE at a
     store and INDEX at a retrieve whose value is None, which the op draws; MASK
-    at every retrieve. An attack op reads only its op key. Freshness depends on the script alone,
-    since rows move only at a verification, which a fresh op skips, so the plan
-    is static."""
+    at a retrieve only when an attack op has run since the last store, for with
+    none P is 0 and the decode of a clean codeword is exact, so the retrieve
+    answers the stored bit. An attack op reads only its op key. An attack op
+    whose step law is {0: 1}, which harness._attach_bounds reads as honest (a
+    noop, or no flips), changes no pattern and counts as absent. Freshness and
+    cleanness depend on the script alone, since rows move only at a
+    verification, which a fresh op skips, so the plan is static."""
     sure = p_accept(0.0, k) == 1.0
     plan = []
-    fresh = False
+    fresh = clean = False
     for j, (kind, step, value) in enumerate(config.ops):
         slots = (VERIFY_SLOT,) if j and kind != "attack" and not (fresh and sure) else ()
         if kind == "store" and value is None:
             slots += (MESSAGE_SLOT,)
         elif kind == "retrieve":
-            slots += (MASK_SLOT,) if value is not None else (INDEX_SLOT, MASK_SLOT)
-        fresh = kind != "attack"  # a store or retrieve refreshes
+            slots += ((INDEX_SLOT,) if value is None else ()) + (() if clean else (MASK_SLOT,))
+        if kind != "attack":  # a store or retrieve refreshes, and only a store zeroes P
+            fresh, clean = True, clean or kind == "store"
+        elif config.attack.step_distances(config.code, config.message, step) != {0: 1.0}:
+            fresh = clean = False
         plan.append((kind, slots, step, value))
     return plan
 
@@ -349,8 +359,8 @@ def _run_chunk(config, k: int, plan, indices: np.ndarray, buffers: _Buffers, tal
     there only the views shrink. stored is what a verification compares P with:
     the snapshot a retrieve takes exactly when it verified, or None after a
     store, for the zero pattern of its codeword. An op the plan does not verify
-    follows a refresh with no attack op and no moved row, so stored still equals
-    every live row's P."""
+    follows a refresh with no corrupting attack op and no moved row, so stored
+    still equals every live row's P; a retrieve the plan gives no MASK has P = 0."""
     code = config.code
     n, m = code.params.n, code.params.m
     live = np.arange(indices.size)
@@ -398,8 +408,10 @@ def _run_chunk(config, k: int, plan, indices: np.ndarray, buffers: _Buffers, tal
                 verdict = 1
             else:
                 index = _below(drawn[read[INDEX_SLOT]], n) if value is None else value
-                # the code is linear and decodes by a xor of reads: the answer is the stored bit xor P's decode
-                wrong = code.decode(index, _below(drawn[read[MASK_SLOT]], m), lambda pos: read_rows(pattern, pos))
+                wrong = 0  # with no attack op since the store, P is 0 and so is its decode
+                if MASK_SLOT in read:
+                    # the code is linear and decodes by a xor of reads: the answer is the stored bit xor P's decode
+                    wrong = code.decode(index, _below(drawn[read[MASK_SLOT]], m), lambda pos: read_rows(pattern, pos))
                 verdict = message[np.arange(live.size), index] ^ wrong
                 tally.correct += live.size - int(np.count_nonzero(wrong))
                 tally.accepted[step] += live.size

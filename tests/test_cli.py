@@ -274,6 +274,31 @@ class TestSimulate:
         assert out == ""
         assert err.startswith("error: trials: ") and str(harness.MAX_RECORDED_VERDICTS) in err
 
+    def test_flag_replaces_an_invalid_file_value(self, capsys, tmp_path):
+        # --seed and --trials replace the file's values before the config is built,
+        # so a file value a flag replaces is never validated
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps({"n": 3, "trials": 0, "seed": -1}))
+        code, out, err = run_cli(["simulate", "--config", str(path), "--trials", "5", "--seed", "2"], capsys)
+        assert code == EXIT_OK and err == ""
+        assert json.loads(out)["config"]["trials"] == 5
+        code, out, err = run_cli(["simulate", "--config", str(path), "--seed", "2"], capsys)
+        assert code == EXIT_VALIDATION and out == ""
+        assert err.startswith("error: trials: ") and err.count("\n") == 1
+
+    def test_config_built_once(self, config_path, capsys, monkeypatch):
+        built = []
+        real = harness.ExperimentConfig.__post_init__
+
+        def counted(self):
+            built.append(self.trials)
+            real(self)
+
+        monkeypatch.setattr(harness.ExperimentConfig, "__post_init__", counted)
+        code, _, _ = run_cli(["simulate", "--config", config_path, "--seed", "3", "--trials", "7"], capsys)
+        assert code == EXIT_OK
+        assert built == [7]
+
     def test_delta_dec_rejected_as_unknown_key(self, capsys, tmp_path):
         path = tmp_path / "old.json"
         path.write_text(json.dumps({"n": 3, "delta_dec": 0.125, "trials": 5}))

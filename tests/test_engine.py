@@ -426,15 +426,23 @@ def planned_slots(config) -> list[tuple[int, ...]]:
 @pytest.mark.parametrize(
     "raw, plan",
     [
-        # honest with k auto: distance 0 accepts surely, so no verification draws
-        (CONFIGS["honest-mixed-n8"], [(MSG,), (IDX, MASK), (IDX, MASK), (MSG,), (MASK,), (MSG,), (IDX, MASK), (IDX, MASK)]),
-        # the op after an attack op verifies; an explicit message and index draw nothing
-        (CONFIGS["script-attack-n3"], [(), (MASK,), (), (V, MASK), (MSG,), (), (V, IDX, MASK)]),
-        (CONFIGS["script-store-reject-n3"], [(MSG,), (), (V,), (MASK,), (), (V, IDX, MASK)]),
+        # honest with k auto: distance 0 accepts surely, so no verification draws,
+        # and P is 0 at every retrieve, so no decode mask
+        (CONFIGS["honest-mixed-n8"], [(MSG,), (IDX,), (IDX,), (MSG,), (), (MSG,), (IDX,), (IDX,)]),
+        # the op after an attack op verifies, and a retrieve decodes only after an attack op
+        # since its store; an explicit message and index draw nothing
+        (CONFIGS["script-attack-n3"], [(), (), (), (V, MASK), (MSG,), (), (V, IDX, MASK)]),
+        (CONFIGS["script-store-reject-n3"], [(MSG,), (), (V,), (), (), (V, IDX, MASK)]),
+        # an attack op whose step law is {0: 1} counts as absent
+        (CONFIGS["noop-n3"], [(MSG,), (), (IDX,)]),
+        ({"n": 3, "attack": {"kind": "flip_count", "bits_per_step": 0}, "steps": 2}, [(MSG,), (), (IDX,), (), (IDX,)]),
         (SUBSTITUTE_N4, [(MSG,), (), (V, IDX, MASK)]),
         (FLIPCOUNT_N16, [(MSG,)] + [(), (V, IDX, MASK)] * 3),
     ],
-    ids=["honest-mixed-n8", "script-attack-n3", "script-store-reject-n3", "substitute-n4", "flipcount-n16"],
+    ids=[
+        "honest-mixed-n8", "script-attack-n3", "script-store-reject-n3", "noop-n3", "zero-flips-n3", "substitute-n4",
+        "flipcount-n16",
+    ],
 )
 def test_draw_plan_reads_only_what_each_op_needs(raw, plan):
     assert planned_slots(ExperimentConfig.from_dict(raw)) == plan
@@ -493,7 +501,7 @@ def test_draw_plan_verifies_every_op_when_distance_zero_may_reject(monkeypatch):
 
 
 def test_hashes_only_the_planned_draws(monkeypatch):
-    # per session 8 op keys and 12 planned slots, where hashing all 3 slots of
+    # per session 8 op keys and 7 planned slots, where hashing all 3 slots of
     # every op would take 8 + 24; besides them, 1 + trials hashes give the trial keys
     config = dataclasses.replace(ExperimentConfig.from_dict(CONFIGS["honest-mixed-n8"]), trials=400)
     hashed = []
@@ -506,7 +514,7 @@ def test_hashes_only_the_planned_draws(monkeypatch):
 
     monkeypatch.setattr(engine, "_stream", counted)
     engine.run_sessions(config, config.resolved_k(), range(config.trials))
-    assert sum(hashed) == 1 + config.trials * (1 + 8 + 12)
+    assert sum(hashed) == 1 + config.trials * (1 + 8 + 7)
 
 
 def capped_row_blocks(size: int):
@@ -578,8 +586,18 @@ def test_false_buggy_reads_every_word_of_the_pattern():
 
 
 def test_decodes_read_the_counter_draws(monkeypatch):
-    # every mask and random index a decode reads is counter_draw(seed, trial, op, slot)
-    config = dataclasses.replace(ExperimentConfig.from_dict(CONFIGS["honest-mixed-n8"]), trials=3)
+    # every mask and random index a decode reads is counter_draw(seed, trial, op, slot);
+    # every retrieve follows an attack op, and a law that accepts at every distance rejects no session
+    monkeypatch.setattr(engine, "p_accept", lambda frac, k: 1.0)
+    config = ExperimentConfig.from_dict({
+        "n": 5, "k": 1, "attack": {"kind": "flip_count", "bits_per_step": 1}, "retrieve_index": "cycle",
+        "script": [
+            {"op": "store"}, {"op": "attack"}, {"op": "retrieve", "index": "random"}, {"op": "retrieve", "index": 3},
+            {"op": "attack"}, {"op": "retrieve"}, {"op": "store"}, {"op": "attack"}, {"op": "retrieve"},
+            {"op": "retrieve", "index": "random"},
+        ],
+        "trials": 3,
+    })
     code, script = config.code, config.build_script()
     calls = []
     real = type(code).decode
@@ -589,7 +607,8 @@ def test_decodes_read_the_counter_draws(monkeypatch):
         return real(self, index, masks, read)
 
     monkeypatch.setattr(type(code), "decode", recorded)
-    engine.run_sessions(config, config.resolved_k(), range(config.trials))
+    tally = engine.run_sessions(config, config.resolved_k(), range(config.trials))
+    assert tally.accepted == [config.trials] * 5  # no session rejects
 
     def drawn(op, slot, bound):
         return [
@@ -602,11 +621,43 @@ def test_decodes_read_the_counter_draws(monkeypatch):
     cycle = 0
     for j, (index, masks) in zip(retrieves, calls):
         assert masks == drawn(j, MASK, code.params.m)
-        if script[j].index == "cycle":
+        if script[j].index in (None, "cycle"):
             assert index == cycle
             cycle += 1
-        else:
+        elif script[j].index == "random":
             assert index.tolist() == drawn(j, IDX, code.params.n)
+        else:
+            assert index == script[j].index
+    assert cycle == 2
+
+
+def test_clean_retrieves_decode_nothing(monkeypatch):
+    # the decode of a clean codeword is exact, so a retrieve with no attack op since
+    # its store answers the stored bit without decoding
+    indices = []
+    real = HadamardCode.decode
+
+    def recorded(self, index, masks, read):
+        indices.append(index)
+        return real(self, index, masks, read)
+
+    monkeypatch.setattr(HadamardCode, "decode", recorded)
+    for name in ("honest-mixed-n8", "noop-n3"):
+        config = ExperimentConfig.from_dict(CONFIGS[name])
+        engine.run_sessions(config, config.resolved_k(), range(config.trials))
+        assert indices == []
+    # the two retrieves after the attack decode, and the ones before it and after the second store do not
+    config = ExperimentConfig.from_dict({
+        "n": 3, "k": 1, "attack": {"kind": "flip_count", "bits_per_step": 1},
+        "script": [
+            {"op": "store"}, {"op": "retrieve", "index": 0}, {"op": "attack"}, {"op": "retrieve", "index": 1},
+            {"op": "retrieve", "index": 2}, {"op": "store"}, {"op": "retrieve", "index": 0},
+        ],
+        "trials": 50, "seed": 4,
+    })
+    tally = engine.run_sessions(config, config.resolved_k(), range(config.trials))
+    assert tally.accepted[2] > 0  # some sessions reach the last retrieve
+    assert indices == [1, 2]
 
 
 @pytest.mark.parametrize("m", [2, 16, 1024, 2**16])
