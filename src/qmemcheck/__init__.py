@@ -43,6 +43,7 @@ from .checker import (
     new_checker,
     required_k,
     retrieve,
+    stated_complexity,
     store,
 )
 from .code import CodeParams, HadamardCode, LocallyDecodableCode
@@ -109,6 +110,7 @@ __all__ = [
     "retrieve",
     "run_experiment",
     "sample_swap_test",
+    "stated_complexity",
     "store",
     "swap_accept_prob",
     "verify_lemma2",

@@ -18,7 +18,9 @@ measurement outcomes. Everything that depends on the kind of attack (field
 checks, serialisation, config checks against the code, the corruption
 itself, and the distance each step puts between memory and the checker's
 fingerprint) is a method of its schedule class. A new kind is added here
-alone: its step_distances is all harness._attach_bounds needs to check it.
+alone: its step_distances, which ExperimentConfig.ops resolves once per
+attack op for the draw plan and harness._attach_bounds, is all a run needs
+to check it.
 Facts of the code, such as how far apart two codewords sit, come from the
 code each method is given (code.substitution_distances), not from here.
 

@@ -22,11 +22,17 @@ codeword, and each summary fetch copies the contents once, since the
 adversary flips memory in place. Nothing the package built is re-parsed.
 
 Complexity accounting: private memory holds k fingerprints of ceil(log2 m)
-qubits each. PublicMemory meters the traffic it serves (summaries and
-decode reads), and complexity_report reads t from those meters alone.
+qubits each. stated_complexity states the protocol's cost from the code and
+k alone, and is what a run reports. PublicMemory meters the traffic it
+serves (summaries and decode reads), and complexity_report reads t from
+those meters alone: the measurement the stated cost is checked against.
 
 A CheckerState plus its PublicMemory form one sequential protocol session;
-distinct sessions are independent and may run in parallel workers.
+distinct sessions are independent and may run in parallel workers. A run's
+sessions are engine rows (engine.run_sessions), and the tests compare that
+engine with store and retrieve here. The one library session a run plays is
+harness._probe_complexity's store and retrieve, which check the stated cost
+against complexity_report.
 
 Threat model: the memory is passive between requests, and its reads are
 honest. The adversary corrupts the public memory only between two requests
@@ -298,6 +304,14 @@ def qubits_per_summary(m: int) -> int:
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     return (m - 1).bit_length()
+
+
+def stated_complexity(code: LocallyDecodableCode, k: int) -> ComplexityReport:
+    """The protocol's cost: s = k * ceil(log2 m) private qubits, and per retrieve
+    t = 2k * ceil(log2 m) + q, for its k test summaries, its k refresh summaries
+    and the decode's q reads. complexity_report meters the same figures on a session."""
+    per_summary = qubits_per_summary(code.params.m)
+    return ComplexityReport(k * per_summary, 2 * k * per_summary + code.params.q)
 
 
 def complexity_report(state: CheckerState, memory: PublicMemory) -> ComplexityReport:

@@ -23,7 +23,9 @@ on the chunk's pattern rows and stored messages, the one corruption method each
 schedule has; adversary.apply_step runs the same method on one packed row.
 The per-trial checker.store and retrieve stay the library API and the
 reference that the tests compare this engine's verification, decode and
-refresh against.
+refresh against. The complexity a run reports is the stated cost,
+checker.stated_complexity, which the harness checks against the meters of
+one library store and retrieve; no engine session is metered.
 
 Only live sessions hold rows. A session's first reject ends it, so after a
 verification with rejects the survivors' rows move to the front of the run's
@@ -50,15 +52,16 @@ row, the int64 bits of a drawn message and the protocol's 3 draws. That is
 allocates its (T, W) arrays once and every chunk reuses them.
 
 The config resolves its script once (ExperimentConfig.ops): each op's kind,
-its attack step or retrieve position, and its fixed message or index. The
-run's plan (_draw_plan) adds only the protocol slots each op reads, fixed
-once per run by those ops and k. A slot no op reads is never hashed, and
-draws are addressed by counter, so a skipped slot changes no other draw. A
-chunk only plays the plan on its rows. A chunk of T sessions takes the
-script in row_blocks blocks of ops and hashes each block in two passes, one
-for its ops' keys and one for all its planned slots; an op's key takes
-8 * T bytes and so does each slot, so an op's row_bytes is 8 * T times the
-most slots any op plans, at least 1. No array grows with the script.
+its attack step or retrieve position, and its fixed message or index, or an
+attack op's step law. The run's plan (_draw_plan) adds only the protocol
+slots each op reads, fixed once per run by those ops and k. A slot no op
+reads is never hashed, and draws are addressed by counter, so a skipped slot
+changes no other draw. A chunk only plays the plan on its rows. A chunk of T
+sessions takes the script in row_blocks blocks of ops and hashes each block
+in two passes, one for its ops' keys and one for all its planned slots; an
+op's key takes 8 * T bytes and so does each slot, so an op's row_bytes is
+8 * T times the most slots any op plans, at least 1. No array grows with the
+script.
 """
 
 from __future__ import annotations
@@ -258,10 +261,10 @@ def _draw_plan(config, k: int) -> list[tuple]:
     at a retrieve only when an attack op has run since the last store, for with
     none P is 0 and the decode of a clean codeword is exact, so the retrieve
     answers the stored bit. An attack op reads only its op key. An attack op
-    whose step law is {0: 1}, which harness._attach_bounds reads as honest (a
-    noop, or no flips), changes no pattern and counts as absent. Freshness and
-    cleanness depend on the script alone, since rows move only at a
-    verification, which a fresh op skips, so the plan is static."""
+    whose step law (its value) is {0: 1}, which harness._attach_bounds reads as
+    honest (a noop, or no flips), changes no pattern and counts as absent.
+    Freshness and cleanness depend on the script alone, since rows move only at
+    a verification, which a fresh op skips, so the plan is static."""
     sure = p_accept(0.0, k) == 1.0
     plan = []
     fresh = clean = False
@@ -273,7 +276,7 @@ def _draw_plan(config, k: int) -> list[tuple]:
             slots += ((INDEX_SLOT,) if value is None else ()) + (() if clean else (MASK_SLOT,))
         if kind != "attack":  # a store or retrieve refreshes, and only a store zeroes P
             fresh, clean = True, clean or kind == "store"
-        elif config.attack.step_distances(config.code, config.message, step) != {0: 1.0}:
+        elif value != {0: 1.0}:
             fresh = clean = False
         plan.append((kind, slots, step, value))
     return plan
@@ -295,15 +298,16 @@ def run_sessions(config, k: int, trials: range) -> Tally:
     plan = _draw_plan(config, k)
     kinds = tuple(kind for kind, *_ in plan)
     tally = Tally([0] * kinds.count("retrieve"), [0] * kinds.count("retrieve"), ops=kinds)
+    size = max(0, trials.stop - trials.start)  # len() of a range of 2^63 or more raises OverflowError
     if config.record_trials:
-        tally.codes = np.full((len(trials), len(plan)), -1, dtype=np.int8)
-    if not trials:
+        tally.codes = np.full((size, len(plan)), -1, dtype=np.int8)
+    if not size:
         return tally
     n, m = config.code.params.n, config.code.params.m
     # per session: its packed row, a drawn message's int64 bits and the protocol's 3 draws
     session_bytes = 8 * max(word_count(m), n, 3)
-    buffers = _Buffers(next(row_blocks(len(trials), session_bytes)).stop, m)
-    for rows in row_blocks(len(trials), session_bytes):
+    buffers = _Buffers(next(row_blocks(size, session_bytes)).stop, m)
+    for rows in row_blocks(size, session_bytes):
         indices = np.arange(trials.start + rows.start, trials.start + rows.stop, dtype=np.uint64)
         _run_chunk(config, k, plan, indices, buffers, tally, None if tally.codes is None else tally.codes[rows])
     return tally

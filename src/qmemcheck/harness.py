@@ -23,7 +23,7 @@ import os
 import platform
 import stat
 import time
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from functools import cache, cached_property
 from pathlib import Path
 from typing import Any, Callable
@@ -33,17 +33,18 @@ import numpy as np
 from .adversary import SCHEDULES, AttackSchedule, ConfigError, NoOpAttack, _is_bitstring, _is_int, _is_number
 from .analysis import BoundReport, binomial_std_error, binomial_tail, lemma1_bound
 from .bits import as_bits
-from .checker import CheckerState, PublicMemory, complexity_report, required_k, retrieve, store
+from .checker import CheckerState, PublicMemory, complexity_report, required_k, retrieve, stated_complexity, store
 from .code import MAX_HADAMARD_N, HadamardCode
 from .engine import Tally, run_sessions
 from .fingerprint import p_accept
 
 RESULTS_SCHEMA = "qmemcheck.results.v4"
 
-# Fail-fast caps: a library verification (checker.store/retrieve) draws k
-# uniforms, and the default script holds 2*steps + 1 ops, whether steps is
-# given or is the schedule's length, so larger values only exhaust memory or
-# time.
+# Fail-fast caps. The engine draws one uniform per verification whatever k is,
+# but a library verification (checker.store/retrieve, as in the complexity
+# check every run makes) draws k. The default script holds 2*steps + 1 ops,
+# whether steps is given or is the schedule's length, so larger values only
+# exhaust memory or time.
 MAX_K = 10**6
 MAX_STEPS = 10**4
 # Trial indices are uint64 counters (engine.run_sessions), so 2^64 trials at most.
@@ -217,8 +218,9 @@ class ExperimentConfig:
         per op. step is the op's position among the script's ops of its kind.
         value is a store's message as bits, parsed once per distinct string, or
         a retrieve's index, with the config-level default applied and a cycle
-        index reduced mod n; it is None where the op draws it, and at every
-        attack op."""
+        index reduced mod n; it is None where the op draws it. At an attack op
+        it is the step's law {d: w}, the schedule's step_distances for the
+        config-level message, which the draw plan and the bounds both read."""
         script = self.build_script()
         if not script:
             raise ConfigError("script", "expected at least one op")
@@ -259,7 +261,9 @@ class ExperimentConfig:
         if intrinsic is not None and steps["attack"] > intrinsic:
             raise ConfigError("script" if self.script is not None else "steps",
                               f"schedule provides {intrinsic} attack step(s) but the script uses {steps['attack']}")
-        return tuple(ops)
+        # only now: a step past an incremental schedule's deltas has no law
+        law = lambda step: self.attack.step_distances(self.code, self.message, step)
+        return tuple((kind, step, law(step) if kind == "attack" else value) for kind, step, value in ops)
 
     def build_script(self) -> tuple[OpSpec, ...]:
         """The op sequence a session runs: explicit script, or the default shape."""
@@ -287,14 +291,17 @@ class ExperimentConfig:
 
 
 def _probe_complexity(config: ExperimentConfig, k: int) -> dict[str, int]:
-    """Resource counts measured on a live honest session, not recomputed formulas."""
+    """The protocol's stated cost (checker.stated_complexity), checked against the
+    traffic that a live honest session, one store and one retrieve, is metered with."""
     rng = np.random.default_rng(config.seed)  # an honest session's counts do not depend on it
     state = CheckerState(config.code, k)
     memory = PublicMemory()
     store(state, memory, "0" * config.n, rng)
     retrieve(state, memory, 0, rng)
-    report = complexity_report(state, memory)
-    return {"s_qubits": report.s_qubits, "t_qubits_per_retrieve": report.t_qubits_per_retrieve}
+    stated, metered = stated_complexity(config.code, k), complexity_report(state, memory)
+    if metered != stated:
+        raise RuntimeError(f"stated complexity {stated} differs from the metered {metered}")
+    return asdict(stated)
 
 
 def _rate_check(
@@ -318,7 +325,7 @@ def _rate_check(
 
 def _attach_bounds(config: ExperimentConfig, aggregates: dict[str, Any]) -> list[BoundReport]:
     """Exact checks of the run's rates. Each attack op's distance distribution
-    {d: w} comes from the schedule. Runs with answers whose every attack op has
+    {d: w} is its value in config.ops. Runs with answers whose every attack op has
     the law {0: 1} (no attack op at all, too) get honest_completeness. On the
     default script (explicit scripts are shaped by the caller), each step's law
     gives its exact accept rate sum(w * p_accept(d/m, k)), checked on every
@@ -326,8 +333,7 @@ def _attach_bounds(config: ExperimentConfig, aggregates: dict[str, Any]) -> list
     k = aggregates["k"]
     rates = aggregates["rates"]
     reports: list[BoundReport] = []
-    attack_ops = sum(kind == "attack" for kind, _, _ in config.ops)
-    laws = [config.attack.step_distances(config.code, config.message, step) for step in range(attack_ops)]
+    laws = [law for kind, _, law in config.ops if kind == "attack"]
 
     if all(law == {0: 1.0} for law in laws) and aggregates["counts"]["answers_total"]:
         ok = rates["correctness"] == 1.0 and rates["buggy"] == 0.0 and rates["false_buggy"] == 0.0

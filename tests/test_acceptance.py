@@ -21,9 +21,10 @@ from qmemcheck.checker import (
     new_checker,
     required_k,
     retrieve,
+    stated_complexity,
     store,
 )
-from qmemcheck.code import HadamardCode
+from qmemcheck.code import MAX_HADAMARD_N, HadamardCode
 from qmemcheck.harness import ExperimentConfig, OpSpec, run_experiment
 
 
@@ -240,29 +241,33 @@ def test_criterion_6_complexity_accounting():
     agg = run_experiment(ExperimentConfig(n=8, k=7, trials=1, seed=0)).aggregates
     ref_ok = agg["complexity"] == {"s_qubits": 56, "t_qubits_per_retrieve": 114}
 
-    # the counts must follow k*log2(m) and 2k*log2(m) + q exactly as n, k vary
-    scaling_ok = True
+    # the stated cost must be what the library's meters count on one store and one
+    # retrieve, and follow k*log2(m) and 2k*log2(m) + q exactly as n, k vary
+    sizes = [(n, k) for n in (1, 2, 3, 4, 6, 8, 10) for k in (1, 2, 7, 11)]
+    sizes += [(MAX_HADAMARD_N, k) for k in (1, 7)]
+    mismatches = []
     rng = np.random.default_rng(6)
-    for n in (1, 2, 3, 4, 6, 8, 10):
+    for n, k in sizes:
         code = HadamardCode(n)
-        for k in (1, 2, 7, 11):
-            state = new_checker(code, epsilon=0.01, k=k)
-            memory = PublicMemory()
-            msg = rng.integers(0, 2, size=n).astype(np.uint8)
-            store(state, memory, msg, rng)
-            verdict = retrieve(state, memory, 0, rng)
-            rep = complexity_report(state, memory)
-            if verdict.is_buggy or rep.s_qubits != k * n or rep.t_qubits_per_retrieve != 2 * k * n + 2:
-                scaling_ok = False
+        state = new_checker(code, epsilon=0.01, k=k)
+        memory = PublicMemory()
+        msg = rng.integers(0, 2, size=n).astype(np.uint8)
+        store(state, memory, msg, rng)
+        verdict = retrieve(state, memory, 0, rng)
+        stated = stated_complexity(code, k)
+        paper = (stated.s_qubits, stated.t_qubits_per_retrieve) == (k * n, 2 * k * n + 2)
+        if verdict.is_buggy or complexity_report(state, memory) != stated or not paper:
+            mismatches.append((n, k))
 
-    ok = ref_ok and scaling_ok
+    ok = ref_ok and not mismatches
     _report(
         6,
         "complexity accounting",
         ok,
-        f"n=8,k=7 probe gives s={agg['complexity']['s_qubits']} qubits, "
+        f"n=8,k=7 run reports s={agg['complexity']['s_qubits']} qubits, "
         f"t={agg['complexity']['t_qubits_per_retrieve']} qubits/retrieve; "
-        f"28 (n,k) pairs match s=k*log2(m), t=2k*log2(m)+2 exactly",
+        f"{len(sizes)} (n,k) pairs metered as stated, s=k*log2(m), t=2k*log2(m)+2 exactly"
+        + (f"; mismatched at {mismatches}" if mismatches else ""),
     )
 
 

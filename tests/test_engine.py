@@ -381,6 +381,21 @@ def test_trials_must_be_a_step_one_range():
         assert tally.verdicts == []  # the config records trials: a stream for each of none
 
 
+def test_trials_past_2_63_reach_the_first_chunk(monkeypatch):
+    # a config takes up to 2^64 trials (MAX_TRIALS), where len() of the range raises OverflowError
+    class Reached(Exception):
+        pass
+
+    def first_chunk(config, k, plan, indices, *rest):
+        raise Reached(indices)
+
+    monkeypatch.setattr(engine, "_run_chunk", first_chunk)
+    with pytest.raises(Reached) as reached:
+        engine.run_sessions(ExperimentConfig(n=2), 1, range(harness.MAX_TRIALS))
+    indices = reached.value.args[0]
+    assert indices.dtype == np.uint64 and indices.tolist() == list(range(indices.size))
+
+
 def test_chunk_arrays_capped_at_n16(monkeypatch):
     chunks = recorded_chunks(monkeypatch)
     config = ExperimentConfig(n=16, k=7, attack=FlipCount(bits_per_step=1024), steps=3, trials=300)
@@ -459,13 +474,15 @@ def planned_values(config) -> list[tuple]:
 @pytest.mark.parametrize(
     "raw, values",
     [
-        # an explicit message and index are fixed, a cycle index counts the cycle retrieves only
+        # an explicit message and index are fixed, a cycle index counts the cycle retrieves only,
+        # and an attack op's value is its step law
         (CONFIGS["script-attack-n3"], [
-            ("store", 0, [1, 0, 1]), ("retrieve", 0, 0), ("attack", 0, None), ("retrieve", 1, 0),
-            ("store", 1, None), ("attack", 1, None), ("retrieve", 2, None),
+            ("store", 0, [1, 0, 1]), ("retrieve", 0, 0), ("attack", 0, {1: 1.0}), ("retrieve", 1, 0),
+            ("store", 1, None), ("attack", 1, {1: 1.0}), ("retrieve", 2, None),
         ]),
         (CONFIGS["flipcount-prefix-cycle-n5"], [
-            ("store", 0, None), ("attack", 0, None), ("retrieve", 0, 0), ("attack", 1, None), ("retrieve", 1, 1),
+            ("store", 0, None), ("attack", 0, {3: 1.0}), ("retrieve", 0, 0), ("attack", 1, {3: 1.0}),
+            ("retrieve", 1, 1),
         ]),
         (CONFIGS["honest-mixed-n8"], [
             ("store", 0, None), ("retrieve", 0, None), ("retrieve", 1, None), ("store", 1, None),

@@ -12,6 +12,7 @@ import pytest
 import qmemcheck
 from qmemcheck import bits, checker, engine, harness
 from qmemcheck.adversary import (
+    SCHEDULES,
     FlipCount,
     IncrementalAttack,
     NoOpAttack,
@@ -223,8 +224,22 @@ class TestResolvedOps:
     def test_default_script_steps_from_the_schedule(self):
         config = make_config(message="101", retrieve_index=2, attack=IncrementalAttack(deltas=(0.25, 0.25)))
         assert resolved(config) == [
-            ("store", 0, [1, 0, 1]), ("attack", 0, None), ("retrieve", 0, 2), ("attack", 1, None), ("retrieve", 1, 2),
+            ("store", 0, [1, 0, 1]), ("attack", 0, {2: 1.0}), ("retrieve", 0, 2), ("attack", 1, {2: 1.0}),
+            ("retrieve", 1, 2),
         ]
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
+    def test_each_attack_law_is_computed_once(self, name, monkeypatch):
+        # the draw plan and the bounds both read an attack op's law from config.ops
+        steps = []
+        for cls in SCHEDULES.values():
+            real = cls.step_distances
+            monkeypatch.setattr(
+                cls, "step_distances", lambda self, *args, _real=real: steps.append(args[-1]) or _real(self, *args)
+            )
+        config = ExperimentConfig.from_dict(GOLDEN_CONFIGS[name])
+        run_experiment(config)
+        assert steps == [step for kind, step, _ in config.ops if kind == "attack"]
 
     def test_replaced_seed_and_trials_resolve_the_same_ops(self):
         # the CLI's --seed and --trials override a parsed config this way
@@ -628,6 +643,19 @@ class TestRunExperiment:
         assert calls == ["store", "retrieve"]
         assert sampled and sum(sampled) >= 7
         assert agg["complexity"] == {"s_qubits": 56, "t_qubits_per_retrieve": 114}
+
+    def test_a_run_reports_the_stated_cost_its_session_meters(self, monkeypatch):
+        # the complexity block is checker.stated_complexity, and a run stops if
+        # the live session's meters disagree with it
+        stated = []
+        real = harness.stated_complexity
+        monkeypatch.setattr(harness, "stated_complexity", lambda *a: stated.append(a) or real(*a))
+        config = ExperimentConfig(n=8, k=7, trials=5)
+        assert run_experiment(config).aggregates["complexity"] == {"s_qubits": 56, "t_qubits_per_retrieve": 114}
+        assert stated == [(config.code, 7)]
+        monkeypatch.setattr(harness, "stated_complexity", lambda code, k: real(code, k + 1))
+        with pytest.raises(RuntimeError, match="differs from the metered"):
+            run_experiment(config)
 
     def test_write_outputs(self, tmp_path):
         res = run_experiment(make_config(trials=20))
