@@ -249,22 +249,18 @@ class IncrementalAttack(AttackSchedule):
         _check_policy(self.policy)
         if not isinstance(self.require_reach, bool):
             raise ConfigError("require_reach", "expected a boolean")
-        object.__setattr__(self, "_flip_counts", {})  # step_flip_counts per codeword length m
 
     @property
     def intrinsic_steps(self) -> int | None:
         return len(self.deltas)
 
-    def step_flip_counts(self, m: int) -> tuple[int, ...]:
-        """Whole-bit flip counts per step for codeword length m, computed once per m:
-        every step of every chunk reads them."""
-        if m not in self._flip_counts:
-            self._flip_counts[m] = tuple(round_half_up(d * m) for d in self.deltas)
-        return self._flip_counts[m]
+    def step_flips(self, step: int, m: int) -> int:
+        """The whole-bit flip count of one step for codeword length m."""
+        return round_half_up(self.deltas[step] * m)
 
     def check(self, code: LocallyDecodableCode, message: str) -> None:
         params = code.params
-        total = sum(self.step_flip_counts(params.m))
+        total = sum(round_half_up(d * params.m) for d in self.deltas)
         if total > params.m:
             raise ConfigError("deltas", f"rounded flips total {total}, more than the m={params.m} positions")
         # reaching the code distance means the drift can have turned one codeword into another
@@ -273,11 +269,11 @@ class IncrementalAttack(AttackSchedule):
 
     def step_distances(self, code, message, step) -> dict[int, float]:
         # flips land on whole bits: the rounded count, not the requested fraction
-        return {self.step_flip_counts(code.params.m)[step]: 1.0}
+        return {self.step_flips(step, code.params.m): 1.0}
 
     def apply(self, step, patterns, message, code, draws) -> None:
         m = code.params.m
-        d = self.step_flip_counts(m)[step]
+        d = self.step_flips(step, m)
         # every row has run the same flip counts since its last store, so all hold f fresh
         # positions, the zero bits of its pattern; padding bits are zero, so they never count
         counts = m - np.bitwise_count(patterns).sum(axis=1, dtype=np.int64)

@@ -105,6 +105,15 @@ def _invalid(exc: object) -> int:
     return EXIT_VALIDATION
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict[str, object]:
+    """An object of a config file as a dict. A key given twice raises ValueError
+    naming it, where json.loads would keep its last value silently."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):  # obj holds each key at its first place, so the first pair out of step repeats one
+        raise ValueError(f"key {next(k for (k, _), first in zip(pairs, [*obj, None]) if k != first)!r} is repeated")
+    return obj
+
+
 def _cmd_simulate(args) -> int:
     try:
         data = Path(args.config).read_bytes()  # JSON is UTF-8, whatever the locale
@@ -112,7 +121,7 @@ def _cmd_simulate(args) -> int:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return EXIT_IO
     try:
-        raw = json.loads(data)
+        raw = json.loads(data, object_pairs_hook=_unique_keys)
     except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, an integer over the digit limit
         return _invalid(f"config is not valid JSON: {exc}")
     given = {key: value for key, value in (("seed", args.seed), ("trials", args.trials)) if value is not None}

@@ -40,7 +40,7 @@ SplitMix64-style hash of (master seed, i, j, s) (Steele, Lea & Flood, "Fast
 splittable pseudorandom number generators", OOPSLA 2014; Salmon et al.,
 "Parallel random numbers: as easy as 1, 2, 3", SC 2011). No generator state
 passes between trials, so results do not depend on the chunk size, and
-run_sessions(config, k, range(i, i + 1)) replays trial i alone.
+run_sessions(config, range(i, i + 1)) replays trial i alone.
 
 The package has one memory rule, row_blocks: a loop over rows takes them in
 blocks of at most max(1, CHUNK_BYTES // row_bytes) rows, where row_bytes is
@@ -249,23 +249,24 @@ class Tally:
         return [[labels[j][c] for j, c in enumerate(row) if c >= 0] for row in self.codes.tolist()]
 
 
-def _draw_plan(config, k: int) -> list[tuple]:
+def _draw_plan(config) -> list[tuple]:
     """The slots each op of config's script reads: one (kind, slots, step, value)
     tuple per op, with kind, step and value as config.ops resolves them.
 
     slots are the protocol slots the op reads, in slot order: VERIFY at every
     store or retrieve but the first op (a store, as config.ops requires), unless
     no attack op has run since the last refresh and distance 0 accepts surely
-    (p_accept(0.0, k) == 1.0, read from the law as the run starts); MESSAGE at a
-    store and INDEX at a retrieve whose value is None, which the op draws; MASK
-    at a retrieve only when an attack op has run since the last store, for with
-    none P is 0 and the decode of a clean codeword is exact, so the retrieve
-    answers the stored bit. An attack op reads only its op key. An attack op
-    whose step law (its value) is {0: 1}, which harness._attach_bounds reads as
-    honest (a noop, or no flips), changes no pattern and counts as absent.
+    (p_accept(0.0, k) == 1.0 at k = config.resolved_k(), read from the law as
+    the run starts); MESSAGE at a store and INDEX at a retrieve whose value is
+    None, which the op draws; MASK at a retrieve only when an attack op has run
+    since the last store, for with none P is 0 and the decode of a clean
+    codeword is exact, so the retrieve answers the stored bit. An attack op
+    reads only its op key. An attack op whose step law (its value) is {0: 1},
+    which harness._attach_bounds reads as honest (a noop, or no flips),
+    changes no pattern and counts as absent.
     Freshness and cleanness depend on the script alone, since rows move only at
     a verification, which a fresh op skips, so the plan is static."""
-    sure = p_accept(0.0, k) == 1.0
+    sure = p_accept(0.0, config.resolved_k()) == 1.0
     plan = []
     fresh = clean = False
     for j, (kind, step, value) in enumerate(config.ops):
@@ -282,20 +283,18 @@ def _draw_plan(config, k: int) -> list[tuple]:
     return plan
 
 
-def run_sessions(config, k: int, trials: range) -> Tally:
+def run_sessions(config, trials: range) -> Tally:
     """Run the sessions of config whose trial indices lie in trials, in chunks,
-    with k >= 1 comparison copies per verification; verdict codes are kept
-    when config.record_trials is set. trials must have step 1 and lie in
-    [0, 2^64), since trial indices are uint64 counters; an empty range gives
-    an empty tally.
+    with k = config.resolved_k() comparison copies per verification; verdict
+    codes are kept when config.record_trials is set. trials must have step 1
+    and lie in [0, 2^64), since trial indices are uint64 counters; an empty
+    range gives an empty tally.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
     if trials.step != 1:
         raise ValueError(f"trials must be a range of step 1, got {trials!r}")
     if trials.start < 0 or trials.stop > 2**64:
         raise ValueError(f"trials must lie in [0, 2^64), got {trials!r}")
-    plan = _draw_plan(config, k)
+    plan = _draw_plan(config)
     kinds = tuple(kind for kind, *_ in plan)
     tally = Tally([0] * kinds.count("retrieve"), [0] * kinds.count("retrieve"), ops=kinds)
     size = max(0, trials.stop - trials.start)  # len() of a range of 2^63 or more raises OverflowError
@@ -309,7 +308,7 @@ def run_sessions(config, k: int, trials: range) -> Tally:
     buffers = _Buffers(next(row_blocks(size, session_bytes)).stop, m)
     for rows in row_blocks(size, session_bytes):
         indices = np.arange(trials.start + rows.start, trials.start + rows.stop, dtype=np.uint64)
-        _run_chunk(config, k, plan, indices, buffers, tally, None if tally.codes is None else tally.codes[rows])
+        _run_chunk(config, plan, indices, buffers, tally, None if tally.codes is None else tally.codes[rows])
     return tally
 
 
@@ -348,7 +347,7 @@ def _accept_prob(distance: np.ndarray, m: int, k: int):
     return np.array([p_accept(d / m, k) for d in values])[np.searchsorted(values, distance)]
 
 
-def _run_chunk(config, k: int, plan, indices: np.ndarray, buffers: _Buffers, tally: Tally, codes):
+def _run_chunk(config, plan, indices: np.ndarray, buffers: _Buffers, tally: Tally, codes):
     """Play the plan (_draw_plan) on one chunk, one session per row, writing the
     verdict codes into codes, the chunk's rows of tally.codes, unless it is None.
     Each op's kind, step and value are the plan's, as config.ops resolved them;
@@ -365,7 +364,7 @@ def _run_chunk(config, k: int, plan, indices: np.ndarray, buffers: _Buffers, tal
     store, for the zero pattern of its codeword. An op the plan does not verify
     follows a refresh with no corrupting attack op and no moved row, so stored
     still equals every live row's P; a retrieve the plan gives no MASK has P = 0."""
-    code = config.code
+    code, k = config.code, config.resolved_k()
     n, m = code.params.n, code.params.m
     live = np.arange(indices.size)
     keys = trial_keys(config.seed, indices)

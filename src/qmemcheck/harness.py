@@ -290,15 +290,15 @@ class ExperimentConfig:
         )
 
 
-def _probe_complexity(config: ExperimentConfig, k: int) -> dict[str, int]:
+def _probe_complexity(config: ExperimentConfig) -> dict[str, int]:
     """The protocol's stated cost (checker.stated_complexity), checked against the
     traffic that a live honest session, one store and one retrieve, is metered with."""
     rng = np.random.default_rng(config.seed)  # an honest session's counts do not depend on it
-    state = CheckerState(config.code, k)
+    state = CheckerState(config.code, config.resolved_k())
     memory = PublicMemory()
     store(state, memory, "0" * config.n, rng)
     retrieve(state, memory, 0, rng)
-    stated, metered = stated_complexity(config.code, k), complexity_report(state, memory)
+    stated, metered = stated_complexity(config.code, state.k), complexity_report(state, memory)
     if metered != stated:
         raise RuntimeError(f"stated complexity {stated} differs from the metered {metered}")
     return asdict(stated)
@@ -520,8 +520,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     started = datetime.datetime.now(datetime.timezone.utc)
     t0 = time.monotonic()
 
-    k = config.resolved_k()
-    tally = run_sessions(config, k, range(config.trials))
+    tally = run_sessions(config, range(config.trials))
 
     n_trials = config.trials
     buggy = tally.buggy
@@ -533,7 +532,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     ]
     aggregates: dict[str, Any] = {
         "trials": n_trials,
-        "k": k,
+        "k": config.resolved_k(),
         "sessions": {"buggy": buggy, "false_buggy": tally.false_buggy, "all_accept": n_trials - buggy},
         "counts": {"answers_total": answers_total, "answers_correct": tally.correct},
         "rates": {
@@ -544,7 +543,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         },
         "std_errors": {"buggy": binomial_std_error(buggy / n_trials, n_trials)},
         "per_step_accept": per_step,
-        "complexity": _probe_complexity(config, k),
+        "complexity": _probe_complexity(config),
     }
     aggregates["bounds"] = [r.to_dict() for r in _attach_bounds(config, aggregates)]
 

@@ -91,12 +91,13 @@ class TestScheduleValidation:
         with pytest.raises(ConfigError):
             SubstituteCodeword(target="10x")
 
-    def test_step_flip_counts(self):
-        sched = IncrementalAttack(deltas=(0.25, 0.25))
-        assert sched.step_flip_counts(8) == (2, 2)
-        assert sched.step_flip_counts(6) == (2, 2)  # 1.5 rounds up
+    def test_step_flips(self):
+        sched = IncrementalAttack(deltas=(0.25, 0.5))
+        assert [sched.step_flips(step, 8) for step in (0, 1)] == [2, 4]
+        assert [sched.step_flips(step, 6) for step in (0, 1)] == [2, 3]  # 1.5 rounds up
 
-    def test_step_flip_counts_are_computed_once_per_m(self, monkeypatch):
+    def test_rounding_is_linear_in_the_steps(self, monkeypatch):
+        # check sums every step's count once, and each step law and apply rounds its own step
         calls = []
 
         def counting(x):
@@ -104,11 +105,9 @@ class TestScheduleValidation:
             return round_half_up(x)
 
         monkeypatch.setattr(adversary, "round_half_up", counting)
-        schedule = IncrementalAttack(deltas=(0.02,) * 50)
-        run_experiment(ExperimentConfig(n=4, k=1, attack=schedule, trials=3))
-        assert len(calls) <= 50  # check, every apply and every step law read the counts at m=16
-        schedule.step_distances(HadamardCode(3), "random", 49)
-        assert len(calls) <= 100  # a second m computes its own counts once
+        steps = 10_000
+        run_experiment(ExperimentConfig(n=4, k=1, attack=IncrementalAttack(deltas=(1e-5,) * steps), trials=2))
+        assert steps <= len(calls) <= 4 * steps
 
 
 class TestScheduleProtocol:

@@ -112,7 +112,7 @@ def candidates(schedule, before, baseline):
 
 def step_flips(schedule, m, step):
     if isinstance(schedule, IncrementalAttack):
-        return schedule.step_flip_counts(m)[step]
+        return schedule.step_flips(step, m)
     return min(schedule.bits_per_step, m)
 
 
@@ -134,7 +134,7 @@ def test_incremental_flips_fresh_positions_only(name):
     for schedule, code, _, step, baseline, before, after in run_steps(SHAPES[name]):
         flipped = after != before
         assert not (flipped & (before != baseline)).any()
-        total += schedule.step_flip_counts(code.params.m)[step]
+        total += schedule.step_flips(step, code.params.m)
         assert (np.count_nonzero(after != baseline, axis=1) == total).all()
 
 

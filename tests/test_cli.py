@@ -125,6 +125,23 @@ class TestSimulate:
         assert "unknown keys ['out_dir']" in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ('{"n": 3, "n": 4, "trials": 5}', "n"),
+            ('{"n": 3, "trials": 5, "attack": {"kind": "noop", "kind": "substitute"}}', "kind"),
+        ],
+        ids=["top-level", "attack"],
+    )
+    def test_repeated_key_rejected(self, text, key, capsys, tmp_path):
+        # json.loads alone keeps a repeated key's last value, which would run a different config
+        path = tmp_path / "repeated.json"
+        path.write_text(text)
+        code, out, err = run_cli(["simulate", "--config", str(path)], capsys)
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert f"key {key!r} is repeated" in err and err.count("\n") == 1
+
     def test_unwritable_out_exits_3(self, config_path, capsys, tmp_path):
         blocker = tmp_path / "file"
         blocker.write_text("")

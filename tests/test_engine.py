@@ -114,7 +114,7 @@ def same_rate(count_a: int, samples_a: int, count_b: int, samples_b: int) -> boo
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_engine_matches_reference_protocol(name):
     config = dataclasses.replace(ExperimentConfig.from_dict(CONFIGS[name]), trials=1000, record_trials=False)
-    ours = engine.run_sessions(config, config.resolved_k(), range(config.trials))
+    ours = engine.run_sessions(config, range(config.trials))
     ref = reference_tally(config)
     trials = config.trials
     pairs = {
@@ -142,9 +142,9 @@ def recorded_chunks(monkeypatch) -> list[int]:
     chunks = []
     real = engine._run_chunk
 
-    def recorded(config, k, plan, indices, buffers, tally, codes):
+    def recorded(config, plan, indices, buffers, tally, codes):
         chunks.append(indices.size)
-        return real(config, k, plan, indices, buffers, tally, codes)
+        return real(config, plan, indices, buffers, tally, codes)
 
     monkeypatch.setattr(engine, "_run_chunk", recorded)
     return chunks
@@ -294,7 +294,7 @@ def test_dense_flip_count_arrays_capped(flips, trials):
     config = ExperimentConfig(n=12, k=1, attack=FlipCount(bits_per_step=flips), steps=3, trials=trials)
     tracemalloc.start()
     try:
-        engine.run_sessions(config, 1, range(config.trials))
+        engine.run_sessions(config, range(config.trials))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -307,7 +307,7 @@ def test_dense_incremental_arrays_capped(deltas, trials):
     config = ExperimentConfig(n=12, k=1, attack=IncrementalAttack(deltas=deltas), trials=trials)
     tracemalloc.start()
     try:
-        engine.run_sessions(config, 1, range(config.trials))
+        engine.run_sessions(config, range(config.trials))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -327,7 +327,7 @@ def test_dense_incremental_arrays_capped(deltas, trials):
 def test_small_m_session_arrays_capped(config):
     tracemalloc.start()
     try:
-        engine.run_sessions(config, 1, range(config.trials))
+        engine.run_sessions(config, range(config.trials))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -355,27 +355,23 @@ def test_row_blocks_cover_rows_once_in_order(row_bytes, cap):
 @pytest.mark.parametrize("name", ["script-attack-n3", "honest-mixed-n8", "flipcount-uniform-n6", *PACKED_CONFIGS])
 def test_one_trial_replays_alone(name):
     config = dataclasses.replace(ExperimentConfig.from_dict(ENGINE_CONFIGS[name]), trials=40, record_trials=True)
-    k = config.resolved_k()
     full = run_experiment(config)
-    alone = [engine.run_sessions(config, k, range(i, i + 1)) for i in range(config.trials)]
+    alone = [engine.run_sessions(config, range(i, i + 1)) for i in range(config.trials)]
     assert [t.verdicts[0] for t in alone] == full.trial_verdicts
-    whole = engine.run_sessions(config, k, range(config.trials))
+    whole = engine.run_sessions(config, range(config.trials))
     assert sum(t.buggy for t in alone) == whole.buggy
     assert [sum(t.reached[p] for t in alone) for p in range(len(whole.reached))] == whole.reached
 
 
 def test_trials_must_be_a_step_one_range():
-    config = ExperimentConfig.from_dict(CONFIGS["script-attack-n3"])
+    config = ExperimentConfig.from_dict({**CONFIGS["script-attack-n3"], "k": 3})
     with pytest.raises(ValueError, match="step 1"):
-        engine.run_sessions(config, 3, range(0, 10, 2))
+        engine.run_sessions(config, range(0, 10, 2))
     for outside in (range(-1, 5), range(2**64 - 1, 2**64 + 1)):  # trial indices key uint64 draws
         with pytest.raises(ValueError, match=r"\[0, 2\^64\)"):
-            engine.run_sessions(config, 3, outside)
-    for k in (0, -3):  # no comparison copy would mean no verification at all
-        with pytest.raises(ValueError, match="k must be >= 1"):
-            engine.run_sessions(config, k, range(10))
+            engine.run_sessions(config, outside)
     for empty in (range(0), range(5, 5), range(7, 3)):
-        tally = engine.run_sessions(config, 3, empty)
+        tally = engine.run_sessions(config, empty)
         assert (tally.buggy, tally.false_buggy, tally.correct) == (0, 0, 0)
         assert tally.reached == tally.accepted == [0] * len(tally.reached)
         assert tally.verdicts == []  # the config records trials: a stream for each of none
@@ -386,12 +382,12 @@ def test_trials_past_2_63_reach_the_first_chunk(monkeypatch):
     class Reached(Exception):
         pass
 
-    def first_chunk(config, k, plan, indices, *rest):
+    def first_chunk(config, plan, indices, *rest):
         raise Reached(indices)
 
     monkeypatch.setattr(engine, "_run_chunk", first_chunk)
     with pytest.raises(Reached) as reached:
-        engine.run_sessions(ExperimentConfig(n=2), 1, range(harness.MAX_TRIALS))
+        engine.run_sessions(ExperimentConfig(n=2, k=1), range(harness.MAX_TRIALS))
     indices = reached.value.args[0]
     assert indices.dtype == np.uint64 and indices.tolist() == list(range(indices.size))
 
@@ -401,7 +397,7 @@ def test_chunk_arrays_capped_at_n16(monkeypatch):
     config = ExperimentConfig(n=16, k=7, attack=FlipCount(bits_per_step=1024), steps=3, trials=300)
     tracemalloc.start()
     try:
-        engine.run_sessions(config, 7, range(config.trials))
+        engine.run_sessions(config, range(config.trials))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -435,7 +431,7 @@ FLIPCOUNT_N16 = {"n": 16, "k": 7, "attack": {"kind": "flip_count", "bits_per_ste
 
 
 def planned_slots(config) -> list[tuple[int, ...]]:
-    return [slots for _, slots, _, _ in engine._draw_plan(config, config.resolved_k())]
+    return [slots for _, slots, _, _ in engine._draw_plan(config)]
 
 
 @pytest.mark.parametrize(
@@ -467,7 +463,7 @@ def planned_values(config) -> list[tuple]:
     """Each op's kind, step and fixed value in the plan, a parsed message as a list of bits."""
     return [
         (kind, step, value.tolist() if isinstance(value, np.ndarray) else value)
-        for kind, _, step, value in engine._draw_plan(config, config.resolved_k())
+        for kind, _, step, value in engine._draw_plan(config)
     ]
 
 
@@ -502,7 +498,7 @@ def test_draw_plan_fixes_steps_and_values(raw, values):
 
 def test_draw_plan_parses_each_message_once():
     script = [{"op": "store", "message": msg} for msg in ("10101", "01100", "10101")] + [{"op": "retrieve"}]
-    plan = engine._draw_plan(ExperimentConfig.from_dict({"n": 5, "script": script}), 1)
+    plan = engine._draw_plan(ExperimentConfig.from_dict({"n": 5, "k": 1, "script": script}))
     assert plan[0][3] is plan[2][3]
     assert plan[1][3].tolist() == [0, 1, 1, 0, 0]
 
@@ -530,7 +526,7 @@ def test_hashes_only_the_planned_draws(monkeypatch):
         return out
 
     monkeypatch.setattr(engine, "_stream", counted)
-    engine.run_sessions(config, config.resolved_k(), range(config.trials))
+    engine.run_sessions(config, range(config.trials))
     assert sum(hashed) == 1 + config.trials * (1 + 8 + 7)
 
 
@@ -596,7 +592,7 @@ def test_false_buggy_reads_every_word_of_the_pattern():
         "script": [{"op": "store"}, {"op": "attack"}, {"op": "retrieve"}, {"op": "attack"}, {"op": "retrieve"}],
         "trials": 400, "seed": 5,
     })
-    tally = engine.run_sessions(config, config.resolved_k(), range(config.trials))
+    tally = engine.run_sessions(config, range(config.trials))
     first, second = (reached - accepted for reached, accepted in zip(tally.reached, tally.accepted))
     assert first > 0 and second > 0 and tally.buggy == first + second
     assert tally.false_buggy == second
@@ -624,7 +620,7 @@ def test_decodes_read_the_counter_draws(monkeypatch):
         return real(self, index, masks, read)
 
     monkeypatch.setattr(type(code), "decode", recorded)
-    tally = engine.run_sessions(config, config.resolved_k(), range(config.trials))
+    tally = engine.run_sessions(config, range(config.trials))
     assert tally.accepted == [config.trials] * 5  # no session rejects
 
     def drawn(op, slot, bound):
@@ -661,7 +657,7 @@ def test_clean_retrieves_decode_nothing(monkeypatch):
     monkeypatch.setattr(HadamardCode, "decode", recorded)
     for name in ("honest-mixed-n8", "noop-n3"):
         config = ExperimentConfig.from_dict(CONFIGS[name])
-        engine.run_sessions(config, config.resolved_k(), range(config.trials))
+        engine.run_sessions(config, range(config.trials))
         assert indices == []
     # the two retrieves after the attack decode, and the ones before it and after the second store do not
     config = ExperimentConfig.from_dict({
@@ -672,7 +668,7 @@ def test_clean_retrieves_decode_nothing(monkeypatch):
         ],
         "trials": 50, "seed": 4,
     })
-    tally = engine.run_sessions(config, config.resolved_k(), range(config.trials))
+    tally = engine.run_sessions(config, range(config.trials))
     assert tally.accepted[2] > 0  # some sessions reach the last retrieve
     assert indices == [1, 2]
 
@@ -684,6 +680,22 @@ def test_accept_prob_is_the_scalar_law_at_every_distance(m):
     distance = np.arange(m + 1, dtype=np.int32)
     for k in (1, 2, 3, 7, 37, 368):
         assert engine._accept_prob(distance, m, k).tolist() == [p_single(d / m) ** k for d in range(m + 1)]
+
+
+@pytest.mark.parametrize("k, expected", [(3, 3), ("auto", 7)])
+def test_sessions_verify_at_the_config_k(k, expected, monkeypatch):
+    # a run takes its k from the config alone: "auto" resolves from epsilon = 0.01 and the code distance
+    seen = []
+    real = engine._accept_prob
+
+    def recorded(distance, m, k):
+        seen.append(k)
+        return real(distance, m, k)
+
+    monkeypatch.setattr(engine, "_accept_prob", recorded)
+    config = ExperimentConfig.from_dict({**SUBSTITUTE_N4, "k": k, "epsilon": 0.01, "trials": 50})
+    engine.run_sessions(config, range(config.trials))
+    assert seen and set(seen) == {expected}
 
 
 class TestDraws:
