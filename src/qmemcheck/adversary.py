@@ -174,12 +174,13 @@ class SubstituteCodeword(AttackSchedule):
         if self.target != "random":
             target = self._target_bits
         else:
-            target, rows = np.empty(message.shape, np.uint8), np.arange(len(patterns))
-            for slot in itertools.count():  # redraw the rows that drew the stored message
-                target[rows] = draws.messages(code.params.n, slot, rows)
-                rows = rows[(target[rows] == message[rows]).all(axis=1)]
+            target = draws.messages(code.params.n, 0)
+            rows = np.flatnonzero((target == message).all(axis=1))
+            for slot in itertools.count(1):  # redraw the rows that drew the stored message
                 if not rows.size:
                     break
+                target[rows] = draws.messages(code.params.n, slot, rows)
+                rows = rows[(target[rows] == message[rows]).all(axis=1)]
         # linearity: C(target) xor C(message) = C(target xor message)
         code.encode_batch(target ^ message, out=patterns)
 

@@ -81,8 +81,10 @@ class _Report:
         return flat_csv(self.payload)
 
     def write_outputs(self, out_dir) -> None:
-        Path(out_dir).mkdir(parents=True, exist_ok=True)
-        write_document(Path(out_dir) / f"{self.stem}.json", self.results_json())
+        out = Path(out_dir)
+        if not out.is_dir():  # as ExperimentResult.write_outputs: no mkdir on an existing directory
+            out.mkdir(parents=True, exist_ok=True)
+        write_document(out / f"{self.stem}.json", self.results_json())
 
 
 def _finish(args, document, failed: list[str]) -> int:

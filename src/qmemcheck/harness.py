@@ -23,7 +23,7 @@ import os
 import platform
 import stat
 import time
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from functools import cache, cached_property
 from pathlib import Path
 from typing import Any, Callable
@@ -53,7 +53,7 @@ MAX_TRIALS = 2**64
 # each. Its results.json text, 10 to 14 bytes per verdict, built once,
 # copied once by a join and once more as the encoded bytes written, sets the
 # peak: at this cap an 8-op store/retrieve script at n=8 renders 121 MB of
-# text, and a `simulate --out` call peaks at 288 MiB RSS.
+# text, and a `simulate --out` call peaks at 289 MiB RSS.
 MAX_RECORDED_VERDICTS = 10**7
 
 # Phi(-4): the tail mass a 4-sigma band leaves on one side of a normal rate
@@ -61,6 +61,16 @@ TAIL_ALPHA = 0.5 * math.erfc(4.0 / math.sqrt(2.0))
 
 OP_KINDS = ("store", "attack", "retrieve")
 INDEX_POLICIES = ("random", "cycle")
+
+
+@cache
+def _field_table(cls) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """Dataclass cls's field names in order, and the names of its fields with no
+    default: built once per class, where dataclasses.fields walks it per call."""
+    return (
+        tuple(f.name for f in fields(cls)),
+        tuple(f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING),
+    )
 
 
 def _from_dict(cls, raw, path: str, **convert: Callable[[Any, str], Any]):
@@ -76,12 +86,13 @@ def _from_dict(cls, raw, path: str, **convert: Callable[[Any, str], Any]):
 
     if not isinstance(raw, dict):
         raise ConfigError(path or "config", f"expected an object, got {type(raw).__name__}")
-    unknown = set(raw) - {f.name for f in fields(cls)}
+    names, required = _field_table(cls)
+    unknown = raw.keys() - names
     if unknown:
         raise ConfigError(path or "config", f"unknown keys {sorted(unknown)}")
-    for f in fields(cls):
-        if f.name not in raw and f.default is MISSING and f.default_factory is MISSING:
-            raise ConfigError(at(f.name), "missing required key")
+    for name in required:
+        if name not in raw:
+            raise ConfigError(at(name), "missing required key")
     kwargs = {key: convert[key](value, at(key)) if key in convert else value for key, value in raw.items()}
     try:
         return cls(**kwargs)
@@ -133,7 +144,7 @@ class OpSpec:
             raise ConfigError("index", f"index only applies to retrieve ops, not {self.op!r}")
 
     def to_dict(self) -> dict[str, Any]:
-        return {f.name: getattr(self, f.name) for f in fields(self) if getattr(self, f.name) is not None}
+        return {name: value for name in _field_table(OpSpec)[0] if (value := getattr(self, name)) is not None}
 
 
 @dataclass(frozen=True)
@@ -276,7 +287,7 @@ class ExperimentConfig:
         return self.k if self.k is not None else required_k(self.epsilon, self.code.params.delta)
 
     def to_dict(self) -> dict[str, Any]:
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out = {name: getattr(self, name) for name in _field_table(ExperimentConfig)[0]}
         out["k"] = "auto" if self.k is None else self.k
         out["attack"] = self.attack.to_dict()
         out["script"] = None if self.script is None else [op.to_dict() for op in self.script]
@@ -301,7 +312,7 @@ def _probe_complexity(config: ExperimentConfig) -> dict[str, int]:
     stated, metered = stated_complexity(config.code, state.k), complexity_report(state, memory)
     if metered != stated:
         raise RuntimeError(f"stated complexity {stated} differs from the metered {metered}")
-    return asdict(stated)
+    return {"s_qubits": stated.s_qubits, "t_qubits_per_retrieve": stated.t_qubits_per_retrieve}
 
 
 def _rate_check(
@@ -424,7 +435,8 @@ class ExperimentResult:
         """Write results.json, results.csv, and the run_meta.json sidecar; the
         library writes files nowhere else."""
         out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
+        if not out.is_dir():  # mkdir on an existing directory raises and catches FileExistsError
+            out.mkdir(parents=True, exist_ok=True)
         paths = {
             "json": out / "results.json",
             "csv": out / "results.csv",
@@ -442,46 +454,49 @@ def flat_csv(payload: dict[str, Any]) -> str:
     Keys are sorted; a list of scalars is one row joined with ";", a list of
     objects is indexed as name[i]; None renders empty.
     """
+    rows = [["metric", "value"]]
+    _flat_rows(payload, "", rows)
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["metric", "value"])
-    writer.writerows(_flat_rows(payload, ""))
+    csv.writer(buf, lineterminator="\n").writerows(rows)
     return buf.getvalue()
 
 
-def _flat_rows(value, path: str):
-    # a module-level generator: a closure that called itself would be a
-    # reference cycle, keeping each csv writer and its 128 KiB buffer alive
-    # until the cyclic garbage collector runs
+def _flat_rows(value, path: str, rows: list[list[str]]) -> None:
+    """Append value's rows under path to rows. A module-level function: a closure
+    that called itself would be a reference cycle, keeping each call's rows
+    alive until the cyclic garbage collector runs."""
     if isinstance(value, dict):
         for key in sorted(value):
-            yield from _flat_rows(value[key], f"{path}.{key}" if path else key)
+            _flat_rows(value[key], f"{path}.{key}" if path else key, rows)
     elif isinstance(value, (list, tuple)) and any(isinstance(v, (dict, list, tuple)) for v in value):
         for i, item in enumerate(value):
-            yield from _flat_rows(item, f"{path}[{i}]")
+            _flat_rows(item, f"{path}[{i}]", rows)
     elif isinstance(value, (list, tuple)):
-        yield [path, ";".join("" if v is None else str(v) for v in value)]
+        rows.append([path, ";".join("" if v is None else str(v) for v in value)])
     else:
-        yield [path, "" if value is None else str(value)]
+        rows.append([path, "" if value is None else str(value)])
 
 
 def write_document(path, text: str) -> None:
     """Write text to path as UTF-8, rewriting an existing file in place.
 
-    The file is opened without O_TRUNC, written from its start, then cut to
-    the length written: it keeps its inode, and a shorter text leaves no old
-    tail. Truncating an existing file to zero first costs far more on some
-    filesystems than overwriting it. No fsync, and not atomic: a write cut
-    off midway can leave the new bytes followed by old ones. The encoded
-    text is the one copy of it made, as with Path.write_text.
+    The file is opened without O_TRUNC and written from its start; an old
+    file longer than the text is then cut to the length written. It keeps its
+    inode, and a shorter text leaves no old tail. Truncating an existing file
+    to zero first costs far more on some filesystems than overwriting it. No
+    fsync, and not atomic: a write cut off midway can leave the new bytes
+    followed by old ones. The encoded text is the one copy of it made, as
+    with Path.write_text.
     """
     data = memoryview(text.encode())
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     try:
+        old = os.fstat(fd)
         written = 0
         while written < len(data):
             written += os.write(fd, data[written:])
-        if stat.S_ISREG(os.fstat(fd).st_mode):  # a device such as /dev/null has no length to cut
+        # a device such as /dev/null has no length to cut
+        if stat.S_ISREG(old.st_mode) and old.st_size > written:
             os.ftruncate(fd, written)
     finally:
         os.close(fd)
@@ -496,16 +511,28 @@ def _verdict_rows_json(tally: Tally) -> str:
     """The canonical JSON of each trial's list of verdict labels, joined by ","
     in trial order: the items of the trial_verdicts array. A list of strings
     renders as its items' JSON joined by "," in brackets, once per distinct
-    row of codes."""
+    row of codes. The labels are fixed ASCII that JSON does not escape, so
+    each renders as itself in quotes."""
     codes = tally.codes
-    # each row as one opaque value: np.unique(codes, axis=0) sorts rows over ten times slower
-    distinct, inverse = np.unique(codes.view(np.dtype((np.void, codes.shape[1]))).ravel(), return_inverse=True)
-    labels = [[json.dumps(label) for label in op] for op in tally.labels()]
-    rows = [
-        "[" + ",".join([labels[j][c] for j, c in enumerate(row) if c >= 0]) + "]"
-        for row in distinct.view(np.int8).reshape(-1, codes.shape[1]).tolist()
-    ]
-    return ",".join([rows[i] for i in inverse.tolist()])
+    trials, ops = codes.shape
+    if ops % 8:  # pad with -1, the code of an op not run, so each row is whole uint64 words
+        padded = np.full((trials, ops + -ops % 8), -1, dtype=np.int8)
+        padded[:, :ops] = codes
+        codes = padded
+    words = codes.view(np.uint64)
+    # distinct rows by sorting them as integer keys: np.unique over a void view compares bytes, far slower
+    order = np.lexsort(words.T)
+    ranked = words[order]
+    first = np.ones(trials, dtype=bool)  # where a new distinct row starts in ranked
+    np.any(ranked[1:] != ranked[:-1], axis=1, out=first[1:])
+    labels = [[f'"{label}"' for label in op] for op in tally.labels()]
+    texts = np.array([
+        "[" + ",".join([label[c] for label, c in zip(labels, row) if c >= 0]) + "]"
+        for row in ranked[first].view(np.int8).tolist()
+    ], dtype=object)
+    rendered = np.empty(trials, dtype=object)
+    rendered[order] = texts[np.cumsum(first) - 1]
+    return ",".join(rendered.tolist())
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:

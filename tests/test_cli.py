@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -494,6 +495,19 @@ def test_unwritable_out_prints_nothing(argv, capsys, tmp_path):
     assert code == EXIT_IO
     assert out == ""
     assert err.startswith("error: cannot write output:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, stem", [("simulate", "results"), ("bounds", "bounds")])
+def test_missing_nested_out_created(command, stem, config_path, capsys, tmp_path, monkeypatch):
+    # each writer makes a missing --out directory with its parents, and calls no mkdir on one that exists
+    argv = [command, *(["--config", config_path] if command == "simulate" else []), "--out", str(tmp_path / "a" / "b")]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == EXIT_OK
+    assert (tmp_path / "a" / "b" / f"{stem}.json").read_text() == out
+    made = []
+    monkeypatch.setattr(Path, "mkdir", lambda self, *args, **kwargs: made.append(self))
+    assert run_cli(argv, capsys)[:2] == (EXIT_OK, out)
+    assert made == []
 
 
 def test_read_only_results_json_exits_3(config_path, capsys, tmp_path):

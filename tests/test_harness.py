@@ -1,6 +1,7 @@
 import dataclasses
 import importlib
 import json
+import math
 import os
 import pkgutil
 import random
@@ -341,6 +342,24 @@ class TestSerialization:
         with pytest.raises(ConfigError) as exc:
             ExperimentConfig.from_dict({"n": 3, "trails": 1})
         assert exc.value.path == "config"
+
+    @pytest.mark.parametrize(
+        "raw, path, message",
+        [
+            ({"n": 3, "trails": 1}, "config", "unknown keys ['trails']"),
+            ({"trials": 3}, "n", "missing required key"),
+            ({"n": 3, "attack": {"kind": "noop", "strength": 3}}, "attack", "unknown keys ['strength']"),
+            ({"n": 3, "attack": {"kind": "flip_count"}}, "attack.bits_per_step", "missing required key"),
+            ({"n": 3, "script": [{"op": "store"}, {"op": "retrieve", "z": 1, "b": 2}]}, "script[1]",
+             "unknown keys ['b', 'z']"),
+            ({"n": 3, "script": [{"op": "store"}, {"index": 0}]}, "script[1].op", "missing required key"),
+        ],
+    )
+    def test_key_errors_name_their_path(self, raw, path, message):
+        # unknown keys are reported at the object holding them, a missing key at its own path
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig.from_dict(raw)
+        assert (exc.value.path, exc.value.message, str(exc.value)) == (path, message, f"{path}: {message}")
 
     def test_with_overrides(self):
         # the CLI applies --seed/--trials by replacing fields of the loaded config
@@ -746,9 +765,72 @@ class TestWriteDocument:
         assert len(text) <= peak < 1.01 * len(text)
 
 
+    def test_cuts_only_a_longer_old_file(self, tmp_path, monkeypatch):
+        cuts = []
+        real_ftruncate = os.ftruncate
+        monkeypatch.setattr(os, "ftruncate", lambda fd, length: cuts.append(length) or real_ftruncate(fd, length))
+        path = tmp_path / "doc"
+        # a new file, then rewrites of equal length, longer and shorter
+        for text, cut in [("12345", []), ("abcde", []), ("a longer text", []), ("short", [5])]:
+            cuts.clear()
+            harness.write_document(path, text)
+            assert path.read_bytes() == text.encode()
+            assert cuts == cut, text
+
+    def test_writes_to_a_device(self, monkeypatch):
+        cuts = []
+        monkeypatch.setattr(os, "ftruncate", lambda fd, length: cuts.append(length))
+        harness.write_document(os.devnull, "discarded\n")
+        assert cuts == []
+
+
+class TestVerdictRows:
+    """_verdict_rows_json against the plain render of each trial's label list."""
+
+    @staticmethod
+    def render(codes, ops):
+        tally = engine.Tally([], [], codes=np.array(codes, dtype=np.int8).reshape(-1, len(ops)), ops=tuple(ops))
+        expected = ",".join(json.dumps(row, separators=(",", ":")) for row in tally.verdicts)
+        assert harness._verdict_rows_json(tally) == expected
+        return expected
+
+    @pytest.mark.parametrize("width", [1, 7, 8, 9, 16, 17])
+    def test_matches_the_plain_render(self, width):
+        # on both sides of each 8-op word boundary: 300 trials drawn from 40 rows, so rows repeat
+        rng = np.random.default_rng(width)
+        ops = ["store", *rng.choice(harness.OP_KINDS, max(width - 2, 0)).tolist(), "retrieve"][:width]
+        codes = rng.choice([0, 1, 1, 1, 2], size=(40, width))
+        codes[:, [op == "attack" for op in ops]] = -1
+        # a session ends at its first reject: -1 after it
+        codes[np.cumsum(codes == 2, axis=1) - (codes == 2) > 0] = -1
+        # two rows that differ only in their last op
+        codes[:2] = np.where([op == "attack" for op in ops], -1, 1)
+        codes[1, -1] = 0
+        self.render(codes[np.r_[0, 1, rng.integers(0, 40, size=300)]], ops)
+
+    @pytest.mark.parametrize("trials", [1, 50])
+    def test_equal_rows(self, trials):
+        # a single trial, and every trial alike: a reject, then ops not run
+        ops = ("store", "attack", "retrieve") * 3
+        text = self.render([[1, -1, 0, 1, -1, 2, -1, -1, -1]] * trials, ops)
+        assert text == ",".join(['["store:1","retrieve:0","store:1","retrieve:buggy"]'] * trials)
+
+
 class TestRateCheck:
     def check(self, count, samples, p):
         return harness._rate_check("r", {}, p, count, samples, {}).passed
+
+    @pytest.mark.parametrize("inside, outside", [(911, 910), (1089, 1090)])
+    def test_band_edge(self, inside, outside):
+        # 2,000 samples at p = 1/2: 4 sigma is 89.4 counts, and just outside it the exact
+        # one-sided tail, 3.10e-5, falls just below Phi(-4) = 3.17e-5, on either side of the mean
+        samples = 2000
+        band = 4 * math.sqrt(0.25 / samples) * samples
+        assert abs(inside - 1000) <= band < abs(outside - 1000)
+        tail = range(outside + 1) if outside < 1000 else range(outside, samples + 1)
+        assert sum(math.comb(samples, c) for c in tail) / 2**samples < harness.TAIL_ALPHA
+        assert self.check(inside, samples, 0.5)
+        assert not self.check(outside, samples, 0.5)
 
     def test_exact_tail_passes_near_one(self):
         # 4 sigma is 0.004 here, but P(X <= 199) = 1 - p^200 = 0.041
