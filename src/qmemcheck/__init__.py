@@ -26,13 +26,7 @@ from .analysis import (
     verify_lemma2,
     verify_swap_oracle,
 )
-from .bits import (
-    as_bits,
-    bits_to_int,
-    bits_to_str,
-    hamming_distance,
-    int_to_bits,
-)
+from .bits import as_bits, hamming_distance
 from .checker import (
     CheckerState,
     ComplexityReport,
@@ -50,10 +44,7 @@ from .code import CodeParams, HadamardCode, LocallyDecodableCode
 from .fingerprint import (
     Fingerprint,
     SwapOutcome,
-    amplitudes,
-    cswap_statevector_prob,
     cswap_statevector_probs,
-    inner_product,
     make_fingerprint,
     sample_swap_test,
     swap_accept_prob,
@@ -90,17 +81,11 @@ __all__ = [
     "SubstituteCodeword",
     "SwapOutcome",
     "Verdict",
-    "amplitudes",
     "apply_step",
     "as_bits",
-    "bits_to_int",
-    "bits_to_str",
     "complexity_report",
-    "cswap_statevector_prob",
     "cswap_statevector_probs",
     "hamming_distance",
-    "inner_product",
-    "int_to_bits",
     "lemma1_bound",
     "make_fingerprint",
     "new_checker",

@@ -37,8 +37,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import asdict, dataclass
-from functools import cached_property
+from dataclasses import MISSING, dataclass, fields
+from functools import cache, cached_property
 from typing import Any
 
 import numpy as np
@@ -79,6 +79,16 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+@cache
+def _field_table(cls) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """Dataclass cls's field names in order, and the names of its fields with no
+    default: built once per class, where dataclasses.fields walks it per call."""
+    return (
+        tuple(f.name for f in fields(cls)),
+        tuple(f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING),
+    )
+
+
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
@@ -103,7 +113,7 @@ class AttackSchedule:
     intrinsic_steps: int | None = None
 
     def to_dict(self) -> dict[str, Any]:
-        return {"kind": self.kind, **asdict(self)}
+        return {"kind": self.kind, **{name: getattr(self, name) for name in _field_table(type(self))[0]}}
 
     def check(self, code: LocallyDecodableCode, message: str) -> None:
         """Reject a schedule that cannot run against this code and the

@@ -33,10 +33,10 @@ verify_swap_oracle draws each block of pairs with one Generator call and
 runs the controlled-SWAP circuit on the block (cswap_statevector_probs),
 comparing each pair with p_single(d/m) at its Hamming distance; it is capped
 at MAX_ORACLE_PAIRS pairs. A pair takes 16*m*m bytes, the circuit's two live
-float64 (m, m) arrays of its accept branch, the only amplitudes it builds,
-so each array of a block holds at most 2^14 amplitudes. numpy's uint8 draws
-give the same bytes however a size's rows are split into calls, as long as
-every call but the last draws a multiple of 4 bytes. Each full block draws
+float64 (m, m) arrays of its accept branch, the only part of the statevector
+it builds, so each array of a block holds at most 2^14 entries. numpy's
+uint8 draws give the same bytes however a size's rows are split into calls,
+as long as every call but the last draws a multiple of 4 bytes. Each full block draws
 2*m*pairs bytes, a multiple of 4 while CHUNK_BYTES is a multiple of 32, so
 the pairs and the report do not depend on the block size.
 """
@@ -85,7 +85,7 @@ class BoundReport:
 
     def to_dict(self) -> dict:
         """The fields as a dict, analytic and details copied one level deep: the
-        document dataclasses.asdict gives, without its recursive deep copy."""
+        document a recursive deep copy gives, at a fraction of its cost."""
         return {**vars(self), "analytic": dict(self.analytic), "details": dict(self.details)}
 
 

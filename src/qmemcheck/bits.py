@@ -2,7 +2,8 @@
 
 A bit vector is a 1-D numpy array of dtype uint8 holding only 0s and 1s.
 Messages, codewords, raw memory contents, and fingerprint phase patterns
-all use this representation.
+all use this representation. An integer x is the n-bit message
+as_bits(f"{x:0{n}b}"), most significant bit first.
 
 The batch engine keeps rows of bits packed instead: a (rows, m) bit array
 becomes (rows, word_count(m)) uint64 words, position a being bit a & 63 of
@@ -106,26 +107,6 @@ def flip_rows(memory: np.ndarray, cols: np.ndarray) -> None:
     words += np.arange(0, t * w, w, dtype=words.dtype)[:, None]
     np.add.at(acc.reshape(-1), words.reshape(-1), bits.reshape(-1))
     memory ^= acc
-
-
-def bits_to_str(bits: np.ndarray) -> str:
-    """Render a bit vector as a compact "0101..." string."""
-    return "".join("1" if b else "0" for b in bits)
-
-
-def bits_to_int(bits: np.ndarray) -> int:
-    """Read a bit vector as a binary number, first entry most significant."""
-    value = 0
-    for b in bits:
-        value = (value << 1) | int(b)
-    return value
-
-
-def int_to_bits(value: int, width: int) -> np.ndarray:
-    """Inverse of bits_to_int: binary expansion of *value*, MSB first."""
-    if value < 0 or value >= (1 << width):
-        raise ValueError(f"value {value} does not fit in {width} bits")
-    return np.array([(value >> (width - 1 - i)) & 1 for i in range(width)], dtype=np.uint8)
 
 
 def hamming_distance(a: np.ndarray, b: np.ndarray) -> int:

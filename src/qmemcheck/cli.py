@@ -29,7 +29,7 @@ from typing import Sequence
 from .analysis import p_multi, p_single, lemma1_bound, verify_lemma2, verify_swap_oracle
 from .checker import required_k
 from .code import HadamardCode
-from .harness import ExperimentConfig, canonical_json, flat_csv, run_experiment, write_document
+from .harness import ExperimentConfig, canonical_json, flat_csv, output_dir, run_experiment, write_document
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -81,10 +81,7 @@ class _Report:
         return flat_csv(self.payload)
 
     def write_outputs(self, out_dir) -> None:
-        out = Path(out_dir)
-        if not out.is_dir():  # as ExperimentResult.write_outputs: no mkdir on an existing directory
-            out.mkdir(parents=True, exist_ok=True)
-        write_document(out / f"{self.stem}.json", self.results_json())
+        write_document(output_dir(out_dir) / f"{self.stem}.json", self.results_json())
 
 
 def _finish(args, document, failed: list[str]) -> int:
@@ -156,22 +153,23 @@ def _cmd_bounds(args) -> int:
     return _finish(args, _Report("bounds", payload), [])
 
 
-def _cmd_verify_lemma2(args) -> int:
+def _check(args, stem: str, run) -> int:
+    """Run one exhaustive check, run(), and finish with its report written as <stem>.json."""
     try:
-        report = verify_lemma2(grid=args.grid, t_max=args.t_max)
+        report = run()
     except ValueError as exc:
         return _invalid(exc)
-    return _finish(args, _Report("lemma2", report.to_dict()), [] if report.passed else [report.name])
+    return _finish(args, _Report(stem, report.to_dict()), [] if report.passed else [report.name])
+
+
+def _cmd_verify_lemma2(args) -> int:
+    return _check(args, "lemma2", lambda: verify_lemma2(grid=args.grid, t_max=args.t_max))
 
 
 def _cmd_oracle_check(args) -> int:
-    try:
-        report = verify_swap_oracle(
-            sizes=tuple(args.sizes), pairs_per_size=args.pairs, seed=args.seed, tolerance=args.tolerance
-        )
-    except ValueError as exc:
-        return _invalid(exc)
-    return _finish(args, _Report("oracle", report.to_dict()), [] if report.passed else [report.name])
+    return _check(args, "oracle", lambda: verify_swap_oracle(
+        sizes=tuple(args.sizes), pairs_per_size=args.pairs, seed=args.seed, tolerance=args.tolerance
+    ))
 
 
 @functools.cache

@@ -9,11 +9,11 @@ probabilities can therefore be computed exactly from integer Hamming
 distances, which keeps million-trial Monte Carlo cheap.
 
 cswap_statevector_probs is the guard against modeling error: it runs the actual
-H / controlled-SWAP / H circuit on dense amplitudes per pair of phase rows
-(the half of the statevector its accept probability reads) and must agree
-with p_single, the formula every bound uses, to 1e-10 (the circuit uses
-2*log2(m) + 1 qubits, so floating-point error stays far below that).
-cswap_statevector_prob is its one-row call on two fingerprints.
+H / controlled-SWAP / H circuit on a dense statevector per pair of phase rows
+(the half of it that its accept probability reads) and must agree with
+p_single, the formula every bound uses, to 1e-10 (the circuit uses
+2*log2(m) + 1 qubits, so floating-point error stays far below that). Two
+fingerprints a and b are its one row: a.phases[None] against b.phases[None].
 
 Measured copies are assumed to be discarded by the caller: each sampled test
 consumes one copy of each input state in the caller's resource accounting, and
@@ -30,7 +30,7 @@ import numpy as np
 
 from .bits import all_bits, as_bits, hamming_distance
 
-# Dense oracle limit: m = 64 means 13 qubits, 8192 amplitudes.
+# Dense oracle limit: m = 64 means 13 qubits, a statevector of 8192 entries.
 MAX_ORACLE_M = 64
 
 
@@ -95,25 +95,10 @@ def make_fingerprint(word: np.ndarray) -> Fingerprint:
     return fp
 
 
-def amplitudes(fp: Fingerprint) -> np.ndarray:
-    """Amplitude vector of the phase state: (-1)^(phases_j) / sqrt(m). Real by construction."""
-    return _amplitude_rows(fp.phases)
-
-
 def _amplitude_rows(phases: np.ndarray) -> np.ndarray:
     """(-1)^(phases) / sqrt(m) along the last axis, for one 0/1 phase pattern or a stack of
     rows. The sign is 1 - 2*phase, the same +-1.0 as the power at a fraction of its cost."""
     return (1.0 - 2.0 * phases) / math.sqrt(phases.shape[-1])
-
-
-def inner_product(a: Fingerprint, b: Fingerprint) -> float:
-    """<a|b> = (m - 2d)/m with d the Hamming distance of the phase patterns.
-
-    The states are real, so the inner product is real and lies in [-1, 1].
-    Computed in integers up to the single final division.
-    """
-    d = hamming_distance(a.phases, b.phases)
-    return (a.m - 2 * d) / a.m
 
 
 def p_single(delta_frac: float | np.ndarray) -> float | np.ndarray:
@@ -187,7 +172,7 @@ def cswap_statevector_probs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     pair. Serves as the independent oracle for p_single; m must pass
     check_oracle_size, and an entry other than 0 or 1 raises ValueError.
 
-    Only the amplitudes that sum reads are built, as (P, m, m) arrays. The
+    Only the amplitude entries that sum reads are built, as (P, m, m) arrays. The
     control starts in |0>, so its |1> half is zero and the first Hadamard
     leaves psi/sqrt(2) on both branches: (psi + 0.0)/sqrt(2) and
     (psi - 0.0)/sqrt(2) are that same double, as no amplitude is zero. The
@@ -215,7 +200,3 @@ def cswap_statevector_probs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     accept *= accept
     return accept.reshape(pairs, m * m).sum(axis=1)
 
-
-def cswap_statevector_prob(a: Fingerprint, b: Fingerprint) -> float:
-    """Accept probability of one pair from the dense circuit: a one-row cswap_statevector_probs."""
-    return float(cswap_statevector_probs(a.phases[None], b.phases[None])[0])

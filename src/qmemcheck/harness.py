@@ -23,14 +23,16 @@ import os
 import platform
 import stat
 import time
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import cache, cached_property
 from pathlib import Path
 from typing import Any, Callable
 
 import numpy as np
 
-from .adversary import SCHEDULES, AttackSchedule, ConfigError, NoOpAttack, _is_bitstring, _is_int, _is_number
+from .adversary import (
+    SCHEDULES, AttackSchedule, ConfigError, NoOpAttack, _field_table, _is_bitstring, _is_int, _is_number,
+)
 from .analysis import BoundReport, binomial_std_error, binomial_tail, lemma1_bound
 from .bits import as_bits
 from .checker import CheckerState, PublicMemory, complexity_report, required_k, retrieve, stated_complexity, store
@@ -61,16 +63,6 @@ TAIL_ALPHA = 0.5 * math.erfc(4.0 / math.sqrt(2.0))
 
 OP_KINDS = ("store", "attack", "retrieve")
 INDEX_POLICIES = ("random", "cycle")
-
-
-@cache
-def _field_table(cls) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """Dataclass cls's field names in order, and the names of its fields with no
-    default: built once per class, where dataclasses.fields walks it per call."""
-    return (
-        tuple(f.name for f in fields(cls)),
-        tuple(f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING),
-    )
 
 
 def _from_dict(cls, raw, path: str, **convert: Callable[[Any, str], Any]):
@@ -409,9 +401,6 @@ class ExperimentResult:
             "aggregates": self.aggregates,
         }
 
-    def aggregates_json(self) -> str:
-        return canonical_json(self.aggregates)
-
     @cached_property
     def _json_text(self) -> str:
         text = canonical_json(self.result_document())
@@ -434,9 +423,7 @@ class ExperimentResult:
     def write_outputs(self, out_dir) -> dict[str, Path]:
         """Write results.json, results.csv, and the run_meta.json sidecar; the
         library writes files nowhere else."""
-        out = Path(out_dir)
-        if not out.is_dir():  # mkdir on an existing directory raises and catches FileExistsError
-            out.mkdir(parents=True, exist_ok=True)
+        out = output_dir(out_dir)
         paths = {
             "json": out / "results.json",
             "csv": out / "results.csv",
@@ -475,6 +462,15 @@ def _flat_rows(value, path: str, rows: list[list[str]]) -> None:
         rows.append([path, ";".join("" if v is None else str(v) for v in value)])
     else:
         rows.append([path, "" if value is None else str(value)])
+
+
+def output_dir(path) -> Path:
+    """path as a Path, made a directory with its parents if it is not one. An
+    existing directory gets no mkdir, which would raise and catch FileExistsError."""
+    out = Path(path)
+    if not out.is_dir():
+        out.mkdir(parents=True, exist_ok=True)
+    return out
 
 
 def write_document(path, text: str) -> None:

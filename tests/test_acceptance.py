@@ -25,7 +25,7 @@ from qmemcheck.checker import (
     store,
 )
 from qmemcheck.code import MAX_HADAMARD_N, HadamardCode
-from qmemcheck.harness import ExperimentConfig, OpSpec, run_experiment
+from qmemcheck.harness import ExperimentConfig, OpSpec, canonical_json, run_experiment
 
 
 def _report(num: int, name: str, ok: bool, detail: str) -> None:
@@ -282,8 +282,8 @@ def test_criterion_7_determinism(tmp_path):
     first = run_experiment(cfg)
     second = run_experiment(cfg)
 
-    bytes_a = first.aggregates_json().encode()
-    bytes_b = second.aggregates_json().encode()
+    bytes_a = canonical_json(first.aggregates).encode()
+    bytes_b = canonical_json(second.aggregates).encode()
     first.write_outputs(tmp_path / "a")
     second.write_outputs(tmp_path / "b")
     file_a = (tmp_path / "a" / "results.json").read_bytes()

@@ -24,7 +24,7 @@ from qmemcheck.analysis import (
     verify_swap_oracle,
 )
 from qmemcheck.adversary import FlipCount
-from qmemcheck.fingerprint import MAX_ORACLE_M, Fingerprint, cswap_statevector_prob, p_accept, swap_accept_prob
+from qmemcheck.fingerprint import MAX_ORACLE_M, Fingerprint, cswap_statevector_probs, p_accept, swap_accept_prob
 from qmemcheck.harness import ExperimentConfig, _attach_bounds, run_experiment
 
 
@@ -59,7 +59,7 @@ def reference_oracle(sizes, pairs_per_size, seed):
         for a_row, b_row in zip(rows[0::2], rows[1::2]):
             a, b = Fingerprint(a_row), Fingerprint(b_row)
             pairs.append((a_row, b_row))
-            worst = max(worst, abs(cswap_statevector_prob(a, b) - swap_accept_prob(a, b)))
+            worst = max(worst, abs(cswap_statevector_probs(a_row[None], b_row[None])[0] - swap_accept_prob(a, b)))
     return pairs, worst
 
 
@@ -98,9 +98,8 @@ class TestPSingle:
     def test_full_complement(self):
         # flipping everything is a global phase: invisible
         assert p_single(1.0) == 1.0
-        a = Fingerprint([0] * 8)
-        b = Fingerprint([1] * 8)
-        assert cswap_statevector_prob(a, b) == pytest.approx(1.0, abs=1e-12)
+        a = np.zeros((1, 8), dtype=np.uint8)
+        assert cswap_statevector_probs(a, 1 - a)[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_quarter(self):
         assert p_single(0.25) == 0.625
@@ -309,7 +308,7 @@ class TestVerifySwapOracle:
             assert np.array_equal(a, ref_a) and np.array_equal(b, ref_b)
 
     def test_blocks_cover_every_pair_once(self, monkeypatch):
-        # any power-of-two cap of 2 or more amplitudes (16 bytes each: 32 or more chunk bytes)
+        # any power-of-two cap of 2 or more amplitude entries (16 bytes each: 32 or more chunk bytes)
         # draws the same pairs and gives the same report; odd pair counts at m = 1 end a size
         # on a draw of 2 (mod 4) bytes
         sizes, pairs = (1, 64, 2, 1, 32), 37
@@ -356,7 +355,7 @@ class TestVerifySwapOracle:
             verify_swap_oracle(sizes=(1, 2), pairs_per_size=MAX_ORACLE_PAIRS // 2, tolerance=-1.0)
 
     def test_memory_does_not_grow_with_pair_count(self):
-        # 2,000 pairs of 4,096 accept-branch amplitudes are 66 MB as one array
+        # 2,000 pairs of 4,096 accept-branch entries are 66 MB as one array
         tracemalloc.start()
         try:
             report = verify_swap_oracle(sizes=(64,), pairs_per_size=2000)

@@ -5,17 +5,15 @@ from hypothesis import strategies as st
 
 from qmemcheck.bits import (
     as_bits,
-    bits_to_int,
-    bits_to_str,
     check_positions,
     flip_rows,
     hamming_distance,
-    int_to_bits,
     pack_rows,
     read_rows,
     unpack_rows,
     word_count,
 )
+from qmemcheck.code import HadamardCode
 
 PACKED_LENGTHS = [1, 5, 8, 63, 64, 65, 130, 256]  # one partial word, whole words, a word and a bit
 
@@ -60,24 +58,29 @@ class TestAsBits:
 
 
 class TestIntConversions:
+    # an integer x is the n-bit message as_bits(f"{x:0{n}b}"), and a bit vector reads back
+    # as "".join of its entries
+
     def test_msb_first(self):
         # first entry is the most significant bit
-        assert bits_to_int(as_bits("101")) == 5
-        assert int_to_bits(5, 3).tolist() == [1, 0, 1]
+        assert int("".join(map(str, as_bits("101"))), 2) == 5
+        assert as_bits(f"{5:03b}").tolist() == [1, 0, 1]
 
     def test_width_bounds(self):
-        with pytest.raises(ValueError):
-            int_to_bits(8, 3)
-        with pytest.raises(ValueError):
-            int_to_bits(-1, 3)
+        # a value past the width formats one bit too long, and a negative one with a sign
+        code = HadamardCode(3)
+        with pytest.raises(ValueError, match="message length 4 != n=3"):
+            code.encode(f"{8:03b}")
+        with pytest.raises(ValueError, match="0s and 1s"):
+            code.encode(f"{-1:03b}")
 
     @given(st.integers(min_value=0, max_value=2**12 - 1))
     def test_round_trip(self, value):
-        assert bits_to_int(int_to_bits(value, 12)) == value
+        assert int("".join(map(str, as_bits(f"{value:012b}"))), 2) == value
 
     @given(st.lists(st.integers(0, 1), min_size=1, max_size=16))
     def test_str_round_trip(self, bits):
-        s = bits_to_str(as_bits(bits))
+        s = "".join(map(str, as_bits(bits)))
         assert as_bits(s).tolist() == bits
 
 

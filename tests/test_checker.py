@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmemcheck import fingerprint
-from qmemcheck.bits import as_bits, int_to_bits
+from qmemcheck.bits import as_bits
 from qmemcheck.checker import (
     ComplexityReport,
     ProtocolError,
@@ -35,6 +35,11 @@ class TestVerdict:
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
             Verdict(**kwargs)
+
+    @pytest.mark.parametrize("bit", [2, -1])
+    def test_answer_rejects_non_bit(self, bit):
+        with pytest.raises(ValueError, match=f"answer bit must be 0 or 1, got {bit}"):
+            Verdict.answer(bit)
 
 
 class TestRequiredK:
@@ -140,6 +145,24 @@ class TestPublicMemory:
         assert len(out) == 3
         assert mem.summary_log == 3
         assert out[0].phases.tolist() == [0, 1, 1, 0]
+
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_summary_count_validated(self, count):
+        mem = PublicMemory()
+        mem.write(as_bits("0110"))
+        with pytest.raises(ValueError, match=f"summary count must be >= 1, got {count}"):
+            mem.fetch_summaries(count)
+        assert mem.summary_log == 0 and mem.read_log == 0
+        assert mem.bits.tolist() == [0, 1, 1, 0]
+
+    @pytest.mark.parametrize("word", ["011", "01101"])
+    def test_adversary_overwrite_length_checked(self, word):
+        mem = PublicMemory()
+        mem.write(as_bits("0110"))
+        with pytest.raises(ValueError, match=f"replacement length {len(word)} != m=4"):
+            mem.adversary_overwrite(word)
+        assert mem.summary_log == 0 and mem.read_log == 0
+        assert mem.bits.tolist() == [0, 1, 1, 0]
 
     def test_summary_keeps_phases_after_flip(self):
         # a fetch copies the contents, so later in-place corruption leaves it alone
@@ -264,7 +287,7 @@ class TestStoreRetrieve:
         mem = PublicMemory()
         store(state, mem, "101", rng)
         for x in range(8):
-            assert not store(state, mem, int_to_bits(x, 3), rng).is_buggy
+            assert not store(state, mem, f"{x:03b}", rng).is_buggy
 
     def test_retrieve_before_store(self, rng):
         state = new_checker(HadamardCode(3), 0.01)
@@ -391,6 +414,11 @@ class TestComplexity:
         assert qubits_per_summary(2) == 1
         assert qubits_per_summary(8) == 3
         assert qubits_per_summary(256) == 8
+
+    @pytest.mark.parametrize("m", [0, -4])
+    def test_qubits_per_summary_rejects_empty_word(self, m):
+        with pytest.raises(ValueError, match=f"m must be >= 1, got {m}"):
+            qubits_per_summary(m)
 
     def test_reference_point(self, rng):
         # n=8, k=7: 56 private qubits, 2*7*8 + 2 = 114 qubits per retrieve

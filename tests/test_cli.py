@@ -292,6 +292,14 @@ class TestSimulate:
         assert out == ""
         assert err.startswith("error: trials: ") and str(harness.MAX_RECORDED_VERDICTS) in err
 
+    def test_non_boolean_record_trials_rejected(self, capsys, tmp_path):
+        path = tmp_path / "record.json"
+        path.write_text(json.dumps({"n": 3, "trials": 5, "record_trials": 1}))
+        code, out, err = run_cli(["simulate", "--config", str(path)], capsys)
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert err == "error: record_trials: expected a boolean, got 1\n"
+
     def test_flag_replaces_an_invalid_file_value(self, capsys, tmp_path):
         # --seed and --trials replace the file's values before the config is built,
         # so a file value a flag replaces is never validated
@@ -356,6 +364,15 @@ class TestSeedPrecedence:
     def test_config_seed_when_no_override(self, config_path, capsys):
         _, out, _ = run_cli(["simulate", "--config", config_path], capsys)
         assert json.loads(out)["config"]["seed"] == 4
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    @pytest.mark.parametrize("command", ["simulate", "oracle-check"])
+    def test_seed_flag_out_of_range(self, command, seed, config_path, capsys):
+        argv = ["simulate", "--config", config_path] if command == "simulate" else [command, "--pairs", "5"]
+        code, out, err = run_cli([*argv, f"--seed={seed}"], capsys)
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert "argument --seed: seed must be in [0, 2^64)" in err
 
     @pytest.mark.parametrize("command", ["simulate", "oracle-check"])
     def test_environment_changes_no_byte(self, command, config_path, capsys, monkeypatch):

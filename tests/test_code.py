@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmemcheck.bits import as_bits, bits_to_str, hamming_distance, int_to_bits, pack_rows, read_rows, unpack_rows, word_count
+from qmemcheck.bits import as_bits, hamming_distance, pack_rows, read_rows, unpack_rows, word_count
 from qmemcheck.code import MAX_HADAMARD_N, CodeParams, HadamardCode
 
 
@@ -103,7 +103,7 @@ class TestEncode:
     def test_known_codeword(self):
         # n=3, x=101: parities <x,a> over a = 000,001,...,111
         code = HadamardCode(3)
-        assert bits_to_str(code.encode("101")) == "01011010"
+        assert "".join(map(str, code.encode("101"))) == "01011010"
 
     def test_zero_message(self):
         for n in (1, 3, 5):
@@ -119,7 +119,7 @@ class TestEncode:
         # distinct codewords sit at exactly m/2, the code's whole point
         for n in (1, 2, 3, 4):
             code = HadamardCode(n)
-            words = [code.encode(int_to_bits(x, n)) for x in range(2**n)]
+            words = [code.encode(f"{x:0{n}b}") for x in range(2**n)]
             for x, y in itertools.combinations(range(2**n), 2):
                 assert hamming_distance(words[x], words[y]) == 2 ** (n - 1)
 
@@ -175,8 +175,8 @@ class TestEncode:
         x = data.draw(st.integers(0, 2**n - 1))
         y = data.draw(st.integers(0, 2**n - 1))
         code = HadamardCode(n)
-        lhs = code.encode(int_to_bits(x, n)) ^ code.encode(int_to_bits(y, n))
-        rhs = code.encode(int_to_bits(x ^ y, n))
+        lhs = code.encode(f"{x:0{n}b}") ^ code.encode(f"{y:0{n}b}")
+        rhs = code.encode(f"{x ^ y:0{n}b}")
         assert np.array_equal(lhs, rhs)
 
     @pytest.mark.parametrize("n", [1, 5, 6, 7, 10])
@@ -253,7 +253,7 @@ class TestDecode:
         for n in range(1, 5):
             code, m = HadamardCode(n), 2**n
             masks = np.arange(m)
-            msgs = np.array([int_to_bits(x, n) for x in range(m)])
+            msgs = np.array([as_bits(f"{x:0{n}b}") for x in range(m)])
             words = unpack_rows(code.encode_batch(msgs), m)
             for msg, word in zip(msgs, words):
                 for index in range(n):  # one index for every row
@@ -280,7 +280,7 @@ class TestDecode:
         word = code.encode(msg)
         masks = np.arange(8)
         for pattern in range(256):
-            corrupted = int_to_bits(pattern, 8)
+            corrupted = as_bits(f"{pattern:08b}")
             for index in range(3):
                 wrong = code.decode(index, masks, reader(word ^ corrupted)) != msg[index]
                 one_hit = corrupted[masks] != corrupted[masks ^ code.unit_mask(index)]
@@ -311,5 +311,5 @@ class TestDecode:
         index = data.draw(st.integers(0, n - 1))
         mask = data.draw(st.integers(0, 2**n - 1))
         code = HadamardCode(n)
-        msg = int_to_bits(x, n)
+        msg = as_bits(f"{x:0{n}b}")
         assert code.decode(index, [mask], reader(code.encode(msg))).tolist() == [msg[index]]

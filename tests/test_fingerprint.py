@@ -6,16 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmemcheck import analysis
+from qmemcheck.bits import hamming_distance
 from qmemcheck.code import HadamardCode
 from qmemcheck.fingerprint import (
     MAX_ORACLE_M,
     Fingerprint,
     SwapOutcome,
-    amplitudes,
+    _amplitude_rows,
     check_oracle_size,
-    cswap_statevector_prob,
     cswap_statevector_probs,
-    inner_product,
     make_fingerprint,
     p_single,
     sample_swap_test,
@@ -73,14 +72,26 @@ def fp_with_distance(m: int, d: int) -> tuple[Fingerprint, Fingerprint]:
     return Fingerprint(a), Fingerprint(b)
 
 
+def one_pair_prob(a: Fingerprint, b: Fingerprint) -> float:
+    """The circuit's accept probability for two fingerprints: one row of the oracle."""
+    return float(cswap_statevector_probs(a.phases[None], b.phases[None])[0])
+
+
+def assert_inner_product(a: Fingerprint, b: Fingerprint, expected: float) -> None:
+    """<a|b> summed from the two amplitude vectors is expected, and so is (m - 2d)/m,
+    the integer form at Hamming distance d."""
+    assert float(_amplitude_rows(a.phases) @ _amplitude_rows(b.phases)) == pytest.approx(expected, abs=1e-12)
+    assert (a.m - 2 * hamming_distance(a.phases, b.phases)) / a.m == pytest.approx(expected, abs=1e-12)
+
+
 class TestFingerprint:
     def test_zero_word_amplitudes(self):
         fp = Fingerprint("0000")
-        assert np.allclose(amplitudes(fp), 0.5)
+        assert np.allclose(_amplitude_rows(fp.phases), 0.5)
 
     def test_amplitudes_signs_and_norm(self):
         fp = Fingerprint("0110")
-        amp = amplitudes(fp)
+        amp = _amplitude_rows(fp.phases)
         assert np.allclose(amp, [0.5, -0.5, -0.5, 0.5])
         assert math.isclose(float(amp @ amp), 1.0)
 
@@ -114,6 +125,14 @@ class TestFingerprint:
         assert hash(Fingerprint("0101")) == hash(Fingerprint("0101"))
         assert Fingerprint("01") != "01"
 
+    def test_repr_shows_up_to_16_phases(self):
+        assert repr(Fingerprint("0110")) == "Fingerprint(0110, m=4)"
+        assert repr(Fingerprint("01" * 8)) == f"Fingerprint({'01' * 8}, m=16)"
+
+    def test_repr_elides_past_16_phases(self):
+        assert repr(Fingerprint("01" * 8 + "1")) == f"Fingerprint({'01' * 8}..., m=17)"
+        assert repr(make_fingerprint(np.ones(64, dtype=np.uint8))) == f"Fingerprint({'1' * 16}..., m=64)"
+
 
 class TestSwapOutcome:
     def test_valid_bits(self):
@@ -128,31 +147,33 @@ class TestSwapOutcome:
 class TestInnerProduct:
     def test_identical(self):
         a, b = fp_with_distance(8, 0)
-        assert inner_product(a, b) == 1.0
+        assert_inner_product(a, b, 1.0)
 
     def test_orthogonal_at_half_distance(self):
         a, b = fp_with_distance(8, 4)
-        assert inner_product(a, b) == 0.0
+        assert_inner_product(a, b, 0.0)
 
     def test_quarter_distance(self):
         a, b = fp_with_distance(8, 2)
-        assert inner_product(a, b) == 0.5
+        assert_inner_product(a, b, 0.5)
 
     def test_full_complement_is_global_phase(self):
         a, b = fp_with_distance(8, 8)
-        assert inner_product(a, b) == -1.0
+        assert_inner_product(a, b, -1.0)
         assert swap_accept_prob(a, b) == 1.0
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            inner_product(Fingerprint("01"), Fingerprint("011"))
+            hamming_distance(Fingerprint("01").phases, Fingerprint("011").phases)
+        with pytest.raises(ValueError):
+            _amplitude_rows(Fingerprint("01").phases) @ _amplitude_rows(Fingerprint("011").phases)
 
     @given(st.integers(1, 64), st.data())
     @settings(max_examples=50, deadline=None)
     def test_matches_hamming_formula(self, m, data):
         d = data.draw(st.integers(0, m))
         a, b = fp_with_distance(m, d)
-        assert inner_product(a, b) == pytest.approx((m - 2 * d) / m)
+        assert_inner_product(a, b, (m - 2 * d) / m)
 
 
 class TestAcceptProb:
@@ -237,30 +258,30 @@ class TestSampling:
 class TestStatevectorOracle:
     def test_identical_m4(self):
         a, b = fp_with_distance(4, 0)
-        assert cswap_statevector_prob(a, b) == pytest.approx(1.0, abs=1e-12)
+        assert one_pair_prob(a, b) == pytest.approx(1.0, abs=1e-12)
 
     def test_m8_d2(self):
         a, b = fp_with_distance(8, 2)
-        assert cswap_statevector_prob(a, b) == pytest.approx(0.625, abs=1e-12)
+        assert one_pair_prob(a, b) == pytest.approx(0.625, abs=1e-12)
 
     def test_m8_d4(self):
         a, b = fp_with_distance(8, 4)
-        assert cswap_statevector_prob(a, b) == pytest.approx(0.5, abs=1e-12)
+        assert one_pair_prob(a, b) == pytest.approx(0.5, abs=1e-12)
 
     def test_m8_full_complement(self):
         a, b = fp_with_distance(8, 8)
-        assert cswap_statevector_prob(a, b) == pytest.approx(1.0, abs=1e-12)
+        assert one_pair_prob(a, b) == pytest.approx(1.0, abs=1e-12)
 
     def test_m2_minimal(self):
         a, b = fp_with_distance(2, 1)
-        assert cswap_statevector_prob(a, b) == pytest.approx(0.5, abs=1e-12)
+        assert one_pair_prob(a, b) == pytest.approx(0.5, abs=1e-12)
 
     def test_matches_analytic_on_random_pairs(self, rng):
         for m in (2, 4, 8, 16):
             for _ in range(25):
                 a = Fingerprint(rng.integers(0, 2, size=m, dtype=np.uint8))
                 b = Fingerprint(rng.integers(0, 2, size=m, dtype=np.uint8))
-                assert cswap_statevector_prob(a, b) == pytest.approx(
+                assert one_pair_prob(a, b) == pytest.approx(
                     swap_accept_prob(a, b), abs=1e-10
                 )
 
@@ -268,22 +289,22 @@ class TestStatevectorOracle:
         # p_single is the formula every bound, required_k and lemma1_bound use
         for d in range(17):
             a, b = fp_with_distance(16, d)
-            assert abs(cswap_statevector_prob(a, b) - p_single(d / 16)) <= 1e-10
+            assert abs(one_pair_prob(a, b) - p_single(d / 16)) <= 1e-10
             assert swap_accept_prob(a, b) == p_single(d / 16)
 
     def test_rejects_non_power_of_two(self):
         a, b = fp_with_distance(6, 2)
         with pytest.raises(ValueError):
-            cswap_statevector_prob(a, b)
+            one_pair_prob(a, b)
 
     def test_rejects_oversize(self):
         a, b = fp_with_distance(2 * MAX_ORACLE_M, 0)
         with pytest.raises(ValueError):
-            cswap_statevector_prob(a, b)
+            one_pair_prob(a, b)
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
-            cswap_statevector_prob(Fingerprint("01"), Fingerprint("0110"))
+            one_pair_prob(Fingerprint("01"), Fingerprint("0110"))
 
     @pytest.mark.parametrize("m", [1, 2, 4, 8, 16, 32, 64])
     def test_rows_equal_one_pair_calls(self, m, rng):
@@ -296,7 +317,7 @@ class TestStatevectorOracle:
         assert probs.shape == (pairs,)
         for i in range(pairs):
             # the same double, not merely close: one circuit, run on one row or many
-            assert probs[i] == cswap_statevector_prob(Fingerprint(a[i]), Fingerprint(b[i]))
+            assert probs[i] == one_pair_prob(Fingerprint(a[i]), Fingerprint(b[i]))
         assert probs[0] == pytest.approx(1.0, abs=1e-12)
         assert probs[1] == pytest.approx(1.0, abs=1e-12)
 

@@ -94,6 +94,13 @@ class TestConfigValidation:
         with pytest.raises((ConfigError, ValueError)):
             ExperimentConfig(**kwargs)
 
+    @pytest.mark.parametrize("value", [1, 0, "yes", None])
+    def test_record_trials_must_be_a_boolean(self, value):
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig(n=3, record_trials=value)
+        assert exc.value.path == "record_trials"
+        assert str(exc.value) == f"record_trials: expected a boolean, got {value!r}"
+
     def test_error_carries_field_path(self):
         with pytest.raises(ConfigError) as exc:
             ExperimentConfig(n=3, epsilon=1.2)
@@ -588,8 +595,8 @@ class TestRunExperiment:
 
     def test_deterministic_aggregates(self):
         cfg = make_config(attack=SubstituteCodeword(), trials=150, seed=77)
-        a = run_experiment(cfg).aggregates_json()
-        b = run_experiment(cfg).aggregates_json()
+        a = canonical_json(run_experiment(cfg).aggregates)
+        b = canonical_json(run_experiment(cfg).aggregates)
         assert a == b
 
     def test_seed_changes_samples(self):
@@ -718,7 +725,7 @@ class TestRunExperiment:
         res = run_experiment(make_config(trials=5))
         doc = json.loads(res.results_json())
         assert "run_meta" not in doc
-        assert "started_utc" not in res.aggregates_json()
+        assert "started_utc" not in canonical_json(res.aggregates)
 
     def test_csv_has_bound_rows(self):
         res = run_experiment(make_config(trials=20))
