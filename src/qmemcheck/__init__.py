@@ -16,7 +16,6 @@ from .adversary import (
     NoOpAttack,
     ScheduleError,
     SubstituteCodeword,
-    apply_step,
 )
 from .analysis import (
     BoundReport,
@@ -81,7 +80,6 @@ __all__ = [
     "SubstituteCodeword",
     "SwapOutcome",
     "Verdict",
-    "apply_step",
     "as_bits",
     "complexity_report",
     "cswap_statevector_probs",

@@ -43,8 +43,7 @@ from typing import Any
 
 import numpy as np
 
-from .bits import as_bits, flip_rows, pack_rows, unpack_rows
-from .checker import PublicMemory
+from .bits import as_bits, flip_rows, unpack_rows
 from .code import LocallyDecodableCode
 from .engine import OpDraws, row_blocks
 
@@ -126,11 +125,10 @@ class AttackSchedule:
         raise NotImplementedError
 
     def apply(self, step, patterns, message, code, draws) -> None:
-        """The schedule's one corruption method, run by the engine on its chunks and by
-        apply_step on one row: corrupt one in-range step of the (T, W) array of packed
-        corruption patterns (see bits.py; a row is the memory xor the stored codeword) in
-        place, given each row's stored message (a (T, n) uint8 array) and the step's
-        draws (OpDraws)."""
+        """The schedule's one corruption method, run by the engine on its chunks: corrupt
+        one in-range step of the (T, W) array of packed corruption patterns (see bits.py;
+        a row is the memory xor the stored codeword) in place, given each row's stored
+        message (a (T, n) uint8 array, which it only reads) and the step's draws (OpDraws)."""
         raise NotImplementedError
 
 
@@ -334,35 +332,3 @@ SCHEDULES: dict[str, type[AttackSchedule]] = {
     cls.kind: cls for cls in (NoOpAttack, SubstituteCodeword, FlipCount, IncrementalAttack)
 }
 
-
-class _GeneratorDraws(OpDraws):
-    """One session's draws, keyed by a 64-bit integer that a numpy Generator
-    gives on first use: a step that draws nothing consumes nothing of it."""
-
-    def __init__(self, rng: np.random.Generator) -> None:
-        self._rng = rng
-
-    @cached_property
-    def keys(self) -> np.ndarray:
-        return self._rng.integers(2**64, size=1, dtype=np.uint64)
-
-
-def apply_step(
-    schedule: AttackSchedule,
-    step: int,
-    memory: PublicMemory,
-    code: LocallyDecodableCode,
-    baseline: np.ndarray,
-    rng: np.random.Generator,
-) -> None:
-    """Apply step *step* (0-based) of the schedule to memory; baseline is the stored codeword.
-    The schedule's apply runs on the memory's packed one-row pattern, given the stored
-    message that the clean baseline decodes to at mask 0, and the memory is written back after."""
-    intrinsic = schedule.intrinsic_steps
-    if step < 0 or (intrinsic is not None and step >= intrinsic):
-        raise ScheduleError(f"step {step} out of range for schedule with {intrinsic} steps")
-    n, stored = code.params.n, pack_rows(baseline[None, :])
-    row = pack_rows(memory.bits[None, :]) ^ stored
-    message = code.decode(np.arange(n), np.zeros(n, dtype=np.int64), lambda pos: baseline[pos])
-    schedule.apply(step, row, message[None, :], code, _GeneratorDraws(rng))
-    memory.adversary_overwrite(unpack_rows(row ^ stored, code.params.m)[0])

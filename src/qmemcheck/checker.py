@@ -36,13 +36,12 @@ against complexity_report.
 
 Threat model: the memory is passive between requests, and its reads are
 honest. The adversary corrupts the public memory only between two requests
-(adversary_flip, adversary_overwrite); while a request runs, every summary
-and every decode read comes from the memory's current contents. Soundness
-holds only under that model: a memory whose stored bits stay intact but
-which flips the first decode read of a retrieve passes every verification
-and answers the wrong bit (n=4, k=7: 2,000 wrong answers in 2,000 sessions,
-and the next honest retrieve answered correctly in all of them; ROADMAP
-item 10).
+(adversary_flip); while a request runs, every summary and every decode read
+comes from the memory's current contents. Soundness holds only under that
+model: a memory whose stored bits stay intact but which flips the first
+decode read of a retrieve passes every verification and answers the wrong
+bit (n=4, k=7: 2,000 wrong answers in 2,000 sessions, and the next honest
+retrieve answered correctly in all of them; ROADMAP item 10).
 """
 
 from __future__ import annotations
@@ -115,23 +114,14 @@ class PublicMemory:
 
     read_log counts individual bit positions served for local decoding;
     summary_log counts summary fingerprints served. Adversary mutations go
-    through adversary_flip / adversary_overwrite and are never logged: the
-    logs meter checker queries only.
+    through adversary_flip and are never logged: the logs meter checker
+    queries only.
     """
 
     def __init__(self) -> None:
         self._bits: np.ndarray | None = None
         self.read_log = 0
         self.summary_log = 0
-
-    @property
-    def initialized(self) -> bool:
-        return self._bits is not None
-
-    @property
-    def m(self) -> int:
-        self._require_initialized()
-        return self._bits.size
 
     @property
     def bits(self) -> np.ndarray:
@@ -182,14 +172,6 @@ class PublicMemory:
         if (ordered[1:] == ordered[:-1]).any():
             raise ValueError("flip positions must be distinct")
         self._bits[idx] ^= 1
-
-    def adversary_overwrite(self, word) -> None:
-        """Replace the whole contents. Corruption, not checker traffic."""
-        self._require_initialized()
-        arr = as_bits(word, name="replacement")
-        if arr.size != self._bits.size:
-            raise ValueError(f"replacement length {arr.size} != m={self._bits.size}")
-        self._bits = arr
 
 
 @dataclass

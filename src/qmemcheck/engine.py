@@ -20,7 +20,7 @@ same method on one row of memory bytes. The decode of a clean codeword is
 exact, so a retrieve with no attack op since its store, where P is 0, answers
 the stored bit and draws no decode mask. An attack op runs its schedule's apply
 on the chunk's pattern rows and stored messages, the one corruption method each
-schedule has; adversary.apply_step runs the same method on one packed row.
+schedule has.
 The per-trial checker.store and retrieve stay the library API and the
 reference that the tests compare this engine's verification, decode and
 refresh against. The complexity a run reports is the stated cost,
@@ -149,14 +149,12 @@ def _uniform(draws: np.ndarray) -> np.ndarray:
 
 def _below(draws: np.ndarray, bound: int) -> np.ndarray:
     """Integers in [0, bound): floor(uniform * bound). At a power-of-two bound
-    up to 2^53 the product is exact, so this is the draw's top bits and
-    exactly uniform: such a bound takes one shift instead. Bound 1 gives
-    zeros, since a shift by all 64 bits is undefined."""
+    from 2 to 2^53 the product is exact, so this is the draw's top bits and
+    exactly uniform: such a bound takes one shift instead. Bound 1 takes the
+    product, which is 0, since a shift by all 64 bits is undefined."""
     bits = bound.bit_length() - 1
-    if bound < 1 or bound & (bound - 1) or bits > 53:
+    if not 0 < bits <= 53 or bound & (bound - 1):
         return (_uniform(draws) * bound).astype(np.int64)
-    if bits == 0:
-        return np.zeros(np.shape(draws), np.int64)
     return (draws >> np.uint64(64 - bits)).view(np.int64)
 
 

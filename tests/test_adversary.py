@@ -1,9 +1,12 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmemcheck import adversary
+from qmemcheck import adversary, engine
 from qmemcheck.adversary import (
     SCHEDULES,
     ConfigError,
@@ -12,21 +15,38 @@ from qmemcheck.adversary import (
     NoOpAttack,
     ScheduleError,
     SubstituteCodeword,
-    apply_step,
     round_half_up,
 )
-from qmemcheck.bits import hamming_distance
-from qmemcheck.checker import PublicMemory, new_checker, store
+from qmemcheck.bits import as_bits, flip_rows, unpack_rows, word_count
 from qmemcheck.code import HadamardCode
+from qmemcheck.engine import OpDraws
 from qmemcheck.harness import ExperimentConfig, run_experiment
 
 
-def fresh_memory(code, msg):
-    """Memory after one store of msg, and the stored codeword as the baseline,
-    exactly as a session holds them (a first store draws no randomness)."""
-    state, mem = new_checker(code, 0.01), PublicMemory()
-    store(state, mem, msg, np.random.default_rng(0))
-    return mem, state.fingerprint.phases
+def stored(code, msg, rows=1):
+    """rows sessions right after a store of msg, as the engine holds them: zero
+    corruption patterns P (memory xor stored codeword), packed, and the stored messages."""
+    return np.zeros((rows, word_count(code.params.m)), dtype=np.uint64), np.tile(as_bits(msg), (rows, 1))
+
+
+def run(schedule, step, patterns, message, code, rng):
+    """One step of the schedule on the rows, each row's draws keyed from rng."""
+    schedule.apply(step, patterns, message, code, OpDraws(rng.integers(2**64, size=len(patterns), dtype=np.uint64)))
+
+
+def unpacked(patterns, code):
+    return unpack_rows(patterns, code.params.m)
+
+
+class UnreadableDraws(OpDraws):
+    """Draws that fail when read: a step that makes a fixed choice reads none."""
+
+    def __init__(self) -> None:
+        pass
+
+    @property
+    def keys(self):
+        raise AssertionError("the step read a draw")
 
 
 class TestRounding:
@@ -130,20 +150,25 @@ class TestScheduleProtocol:
     def test_apply_draws_distinct_target(self, rng):
         # a random target is drawn as the step applies: another codeword, at half distance
         code = HadamardCode(3)
+        baseline = code.encode("101")
         codewords = {tuple(code.encode(f"{x:03b}")) for x in range(8)}
-        for _ in range(20):
-            mem, baseline = fresh_memory(code, "101")
-            apply_step(SubstituteCodeword(), 0, mem, code, baseline, rng)
-            assert tuple(mem.bits) in codewords
-            assert hamming_distance(baseline, mem.bits) == 4
+        patterns, message = stored(code, "101", rows=20)
+        run(SubstituteCodeword(), 0, patterns, message, code, rng)
+        for pattern in unpacked(patterns, code):
+            assert tuple(pattern ^ baseline) in codewords
+            assert int(pattern.sum()) == 4
 
-    def test_apply_fixed_choices_draw_nothing(self, rng):
+    @pytest.mark.parametrize(
+        "sched",
+        [NoOpAttack(), SubstituteCodeword("011"), FlipCount(1, policy="prefix")],
+        ids=["noop", "substitute-target", "flip_count-prefix"],
+    )
+    def test_apply_fixed_choice_reads_no_draw(self, sched):
         code = HadamardCode(3)
-        for sched in (NoOpAttack(), SubstituteCodeword("011"), FlipCount(1, policy="prefix")):
-            mem, baseline = fresh_memory(code, "101")
-            before = rng.bit_generator.state
-            apply_step(sched, 0, mem, code, baseline, rng)
-            assert rng.bit_generator.state == before
+        patterns, message = stored(code, "101")
+        sched.apply(0, patterns, message, code, UnreadableDraws())
+        [distance] = sched.step_distances(code, "101", 0)
+        assert int(unpacked(patterns, code).sum()) == distance
 
     def test_step_distances(self):
         code = HadamardCode(3)
@@ -175,79 +200,63 @@ class TestScheduleProtocol:
 class TestNoOp(object):
     def test_memory_untouched(self, rng):
         code = HadamardCode(3)
-        mem, baseline = fresh_memory(code, "101")
-        before = mem.bits.copy()
-        apply_step(NoOpAttack(), 0, mem, code, baseline, rng)
-        assert np.array_equal(mem.bits, before)
-        assert hamming_distance(baseline, mem.bits) == 0
+        patterns, message = stored(code, "101")
+        run(NoOpAttack(), 0, patterns, message, code, rng)
+        assert not patterns.any()
 
 
 class TestSubstitute(object):
     def test_distance_becomes_half(self, rng):
+        # the memory becomes C(001), so P is C(001) xor C(100)
         code = HadamardCode(3)
-        mem, baseline = fresh_memory(code, "100")
-        apply_step(SubstituteCodeword(target="001"), 0, mem, code, baseline, rng)
-        assert np.array_equal(mem.bits, code.encode("001"))
-        assert hamming_distance(baseline, mem.bits) == 4
-
-    def test_second_step_rejected(self, rng):
-        code = HadamardCode(3)
-        mem, baseline = fresh_memory(code, "100")
-        sched = SubstituteCodeword(target="001")
-        apply_step(sched, 0, mem, code, baseline, rng)
-        with pytest.raises(ScheduleError):
-            apply_step(sched, 1, mem, code, baseline, rng)
+        patterns, message = stored(code, "100")
+        run(SubstituteCodeword(target="001"), 0, patterns, message, code, rng)
+        [pattern] = unpacked(patterns, code)
+        assert np.array_equal(pattern ^ code.encode("100"), code.encode("001"))
+        assert int(pattern.sum()) == 4
 
 
 class TestFlipCount(object):
     def test_prefix_policy(self, rng):
         code = HadamardCode(3)
-        mem, baseline = fresh_memory(code, "000")
-        apply_step(FlipCount(bits_per_step=3, policy="prefix"), 0, mem, code, baseline, rng)
-        assert mem.bits.tolist() == [1, 1, 1, 0, 0, 0, 0, 0]
+        patterns, message = stored(code, "101")
+        run(FlipCount(bits_per_step=3, policy="prefix"), 0, patterns, message, code, rng)
+        assert unpacked(patterns, code).tolist() == [[1, 1, 1, 0, 0, 0, 0, 0]]
 
     def test_uniform_flips_exact_count(self, rng):
         code = HadamardCode(4)
-        mem, baseline = fresh_memory(code, "0000")
-        apply_step(FlipCount(bits_per_step=5), 0, mem, code, baseline, rng)
-        assert int(mem.bits.sum()) == 5
+        patterns, message = stored(code, "0110", rows=10)
+        run(FlipCount(bits_per_step=5), 0, patterns, message, code, rng)
+        assert unpacked(patterns, code).sum(axis=1).tolist() == [5] * 10
 
     def test_repeat_steps_may_undo(self, rng):
         # prefix policy flips the same positions twice: back to the codeword
         code = HadamardCode(3)
-        mem, baseline = fresh_memory(code, "000")
+        patterns, message = stored(code, "000")
         sched = FlipCount(bits_per_step=2, policy="prefix")
-        apply_step(sched, 0, mem, code, baseline, rng)
-        apply_step(sched, 1, mem, code, baseline, rng)
-        assert not (mem.bits != baseline).any()
+        run(sched, 0, patterns, message, code, rng)
+        run(sched, 1, patterns, message, code, rng)
+        assert not patterns.any()
 
 
 class TestIncremental(object):
     def test_two_quarter_steps(self, rng):
         # m=8: two bits per step, disjoint, half distance after both
         code = HadamardCode(3)
-        mem, baseline = fresh_memory(code, "101")
+        patterns, message = stored(code, "101")
         sched = IncrementalAttack(deltas=(0.25, 0.25))
-        apply_step(sched, 0, mem, code, baseline, rng)
-        assert hamming_distance(baseline, mem.bits) == 2
-        apply_step(sched, 1, mem, code, baseline, rng)
-        assert np.count_nonzero(mem.bits != baseline) == 4
+        run(sched, 0, patterns, message, code, rng)
+        assert int(unpacked(patterns, code).sum()) == 2
+        run(sched, 1, patterns, message, code, rng)
+        assert int(unpacked(patterns, code).sum()) == 4
 
     def test_prefix_positions(self, rng):
         code = HadamardCode(3)
-        mem, baseline = fresh_memory(code, "000")
+        patterns, message = stored(code, "101")
         sched = IncrementalAttack(deltas=(0.25, 0.25), policy="prefix")
-        apply_step(sched, 0, mem, code, baseline, rng)
-        apply_step(sched, 1, mem, code, baseline, rng)
-        assert mem.bits.tolist() == [1, 1, 1, 1, 0, 0, 0, 0]
-
-    def test_step_out_of_range(self, rng):
-        code = HadamardCode(3)
-        mem, baseline = fresh_memory(code, "101")
-        sched = IncrementalAttack(deltas=(0.25,))
-        apply_step(sched, 0, mem, code, baseline, rng)
-        with pytest.raises(ScheduleError):
-            apply_step(sched, 1, mem, code, baseline, rng)
+        run(sched, 0, patterns, message, code, rng)
+        run(sched, 1, patterns, message, code, rng)
+        assert unpacked(patterns, code).tolist() == [[1, 1, 1, 1, 0, 0, 0, 0]]
 
     @pytest.mark.parametrize("policy", ["uniform", "prefix"])
     def test_never_draws_a_marked_position(self, policy):
@@ -255,36 +264,37 @@ class TestIncremental(object):
         code = HadamardCode(4)
         for seed in range(20):
             rng = np.random.default_rng(seed)
-            mem, baseline = fresh_memory(code, "0000")
+            patterns, message = stored(code, "0110")
             marked = rng.choice(16, size=12, replace=False)
-            mem.adversary_flip(marked)
-            before = mem.bits.copy()
-            apply_step(IncrementalAttack(deltas=(0.25,), policy=policy), 0, mem, code, baseline, rng)
-            drawn = np.flatnonzero(mem.bits != before)
+            flip_rows(patterns, marked[None, :])
+            before = unpacked(patterns, code)
+            run(IncrementalAttack(deltas=(0.25,), policy=policy), 0, patterns, message, code, rng)
+            after = unpacked(patterns, code)
+            drawn = np.flatnonzero(after[0] != before[0])
             assert sorted(drawn.tolist()) == sorted(set(range(16)) - set(marked.tolist()))
-            assert (mem.bits != baseline).all()
+            assert after.all()
 
     def test_exhausted_fresh_positions(self, rng):
         # rounding half-fractions up makes the flip total overflow m here:
         # m=4 gives counts 2, 2, 1, but only 4 positions exist
         code = HadamardCode(2)
-        mem, baseline = fresh_memory(code, "00")
+        patterns, message = stored(code, "00")
         sched = IncrementalAttack(deltas=(0.375, 0.375, 0.25))
-        apply_step(sched, 0, mem, code, baseline, rng)
-        apply_step(sched, 1, mem, code, baseline, rng)
+        run(sched, 0, patterns, message, code, rng)
+        run(sched, 1, patterns, message, code, rng)
         with pytest.raises(ScheduleError):
-            apply_step(sched, 2, mem, code, baseline, rng)
+            run(sched, 2, patterns, message, code, rng)
 
     @pytest.mark.parametrize("policy", ["uniform", "prefix"])
     @pytest.mark.parametrize("n, deltas", [(2, (1.0, 0.0)), (3, (0.5, 0.5, 0.0))])
     def test_trailing_zero_step_with_no_fresh_position(self, n, deltas, policy, rng):
         # the earlier steps flip all m positions, so the last one picks 0 of f = 0
         code = HadamardCode(n)
-        mem, baseline = fresh_memory(code, "1" * n)
+        patterns, message = stored(code, "1" * n)
         sched = IncrementalAttack(deltas=deltas, policy=policy)
         for step in range(len(deltas)):
-            apply_step(sched, step, mem, code, baseline, rng)
-        assert (mem.bits != baseline).all()
+            run(sched, step, patterns, message, code, rng)
+        assert unpacked(patterns, code).all()
 
     @given(st.integers(2, 5), st.data())
     @settings(max_examples=30, deadline=None)
@@ -302,25 +312,32 @@ class TestIncremental(object):
             return
         code = HadamardCode(n)
         rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
-        mem, baseline = fresh_memory(code, "0" * n)
+        patterns, message = stored(code, "0" * n, rows=4)
         sched = IncrementalAttack(deltas=deltas)
         total = 0
         for step, c in enumerate(counts):
-            apply_step(sched, step, mem, code, baseline, rng)
+            before = unpacked(patterns, code)
+            run(sched, step, patterns, message, code, rng)
+            after = unpacked(patterns, code)
             total += c
-            assert np.count_nonzero(mem.bits != baseline) == total
+            assert (after >= before).all()  # fresh positions only: nothing flips back
+            assert after.sum(axis=1).tolist() == [total] * 4
 
 
-class TestBaseline:
-    def test_read_only_and_unchanged_by_flips(self, rng):
-        # the baseline is the stored codeword, shared with the checker: steps only read it
+class TestStoredMessages:
+    @pytest.mark.parametrize(
+        "sched",
+        [NoOpAttack(), SubstituteCodeword(), FlipCount(bits_per_step=2), IncrementalAttack(deltas=(0.25, 0.25))],
+        ids=lambda sched: sched.kind,
+    )
+    def test_read_only_rows_unchanged(self, sched, rng):
+        # the engine passes a fixed message as a read-only broadcast view: a step only reads it
         code = HadamardCode(3)
-        mem, baseline = fresh_memory(code, "101")
-        with pytest.raises(ValueError):
-            baseline[0] = 1
-        apply_step(FlipCount(bits_per_step=2, policy="prefix"), 0, mem, code, baseline, rng)
-        assert baseline.tolist() == code.encode("101").tolist()
-        assert hamming_distance(baseline, mem.bits) == 2
+        patterns, _ = stored(code, "101", rows=16)
+        message = np.broadcast_to(as_bits("101"), (16, 3))
+        assert not message.flags.writeable
+        run(sched, 0, patterns, message, code, rng)
+        assert message.tolist() == [[1, 0, 1]] * 16
 
 
 class TestReachability:
@@ -336,3 +353,16 @@ class TestReachability:
     def test_single_step(self):
         code = HadamardCode(3)
         IncrementalAttack(deltas=(0.5,), require_reach=True).check(code, "random")
+
+
+@pytest.mark.parametrize("module", [adversary, engine], ids=lambda module: module.__name__)
+def test_schedule_layer_imports_nothing_from_the_checker(module):
+    # the schedules and the engine run without the per-trial library
+    imported = set()
+    for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported.update(f"{node.module or ''}.{alias.name}" for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert not [name for name in imported if "checker" in name.split(".")]

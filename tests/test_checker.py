@@ -76,9 +76,10 @@ class TestRequiredK:
 class TestPublicMemory:
     def test_write_then_read(self):
         mem = PublicMemory()
-        assert not mem.initialized
+        with pytest.raises(ProtocolError):
+            mem.bits
         mem.write(as_bits("0110"))
-        assert mem.initialized and mem.m == 4
+        assert mem.bits.size == 4
         assert mem.read_bits([1, 3]).tolist() == [1, 0]
         assert mem.read_log == 2
 
@@ -155,15 +156,6 @@ class TestPublicMemory:
         assert mem.summary_log == 0 and mem.read_log == 0
         assert mem.bits.tolist() == [0, 1, 1, 0]
 
-    @pytest.mark.parametrize("word", ["011", "01101"])
-    def test_adversary_overwrite_length_checked(self, word):
-        mem = PublicMemory()
-        mem.write(as_bits("0110"))
-        with pytest.raises(ValueError, match=f"replacement length {len(word)} != m=4"):
-            mem.adversary_overwrite(word)
-        assert mem.summary_log == 0 and mem.read_log == 0
-        assert mem.bits.tolist() == [0, 1, 1, 0]
-
     def test_summary_keeps_phases_after_flip(self):
         # a fetch copies the contents, so later in-place corruption leaves it alone
         mem = PublicMemory()
@@ -177,9 +169,8 @@ class TestPublicMemory:
         mem = PublicMemory()
         mem.write(as_bits("0000"))
         mem.adversary_flip([0, 2])
-        mem.adversary_overwrite(as_bits("1111"))
         assert mem.read_log == 0 and mem.summary_log == 0
-        assert mem.bits.tolist() == [1, 1, 1, 1]
+        assert mem.bits.tolist() == [1, 0, 1, 0]
 
     def test_adversary_flip_rejects_duplicates(self):
         mem = PublicMemory()
@@ -388,7 +379,7 @@ class TestStoreRetrieve:
             state = new_checker(code, 0.01)  # k = 7
             mem = PublicMemory()
             store(state, mem, "101", rng)
-            mem.adversary_overwrite(code.encode("011"))
+            mem.adversary_flip(np.flatnonzero(mem.bits != code.encode("011")))
             caught += retrieve(state, mem, 0, rng).is_buggy
         floor = 1 - 0.5**7
         sigma = math.sqrt(floor * (1 - floor) / n_trials)

@@ -1,13 +1,15 @@
 """The batch session engine against the per-trial protocol, plus its determinism and caps.
 
 reference_tally plays each session through the library API (checker.store
-and retrieve, adversary.apply_step) with one numpy Generator per trial, one
-op at a time. apply_step runs the same schedule code as the engine, on one
-row, so the comparison checks the engine's verification, decode and refresh
-law; test_attack_law checks the schedules against their exact step law. Every
-golden config shape runs under both, and each rate must agree within 4 sigma
-of the pooled rate (or, near 0 and 1, on the exact binomial tail), while the
-values that are exact by construction must match exactly.
+and retrieve) with one numpy Generator per trial, one op at a time. An attack
+op runs the schedule's apply, the engine's own corruption method, on the
+session's one pattern row and flips the positions it changed with
+PublicMemory.adversary_flip, so the comparison checks the engine's
+verification, decode and refresh law; test_attack_law checks the schedules
+against their exact step law. Every golden config shape runs under both, and
+each rate must agree within 4 sigma of the pooled rate (or, near 0 and 1, on
+the exact binomial tail), while the values that are exact by construction
+must match exactly.
 """
 
 import dataclasses
@@ -20,9 +22,9 @@ import numpy as np
 import pytest
 
 from qmemcheck import adversary, engine, harness
-from qmemcheck.adversary import FlipCount, IncrementalAttack, SubstituteCodeword, apply_step
+from qmemcheck.adversary import FlipCount, IncrementalAttack, SubstituteCodeword
 from qmemcheck.analysis import binomial_tail
-from qmemcheck.bits import word_count
+from qmemcheck.bits import as_bits, pack_rows, unpack_rows, word_count
 from qmemcheck.checker import CheckerState, PublicMemory, retrieve, store
 from qmemcheck.code import HadamardCode
 from qmemcheck.fingerprint import p_single
@@ -68,12 +70,17 @@ def reference_tally(config: ExperimentConfig) -> engine.Tally:
         attack_step = retrieve_pos = cycle = 0
         for op in script:
             if op.op == "attack":
-                apply_step(config.attack, attack_step, memory, code, baseline, rng)
+                # one pattern row, P = memory xor stored codeword, and one key drawn for it
+                row = pack_rows((memory.bits ^ baseline)[None, :])
+                before = row.copy()
+                keys = rng.integers(2**64, size=1, dtype=np.uint64)
+                config.attack.apply(attack_step, row, message[None, :], code, engine.OpDraws(keys))
+                memory.adversary_flip(np.flatnonzero(unpack_rows(row ^ before, code.params.m)[0]))
                 attack_step += 1
                 continue
             if op.op == "store":
                 spec = op.message if op.message is not None else config.message
-                msg = rng.integers(0, 2, size=config.n, dtype=np.uint8) if spec == "random" else np.array([int(b) for b in spec])
+                msg = rng.integers(0, 2, size=config.n, dtype=np.uint8) if spec == "random" else as_bits(spec)
                 verdict = store(state, memory, msg, rng)
             else:
                 index = op.index if op.index is not None else config.retrieve_index
