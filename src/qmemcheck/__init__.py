@@ -19,35 +19,33 @@ from .adversary import (
 )
 from .analysis import (
     BoundReport,
+    ComplexityReport,
     lemma1_bound,
     p_multi,
     p_single,
+    required_k,
+    stated_complexity,
     verify_lemma2,
     verify_swap_oracle,
 )
 from .bits import as_bits, hamming_distance
 from .checker import (
     CheckerState,
-    ComplexityReport,
+    Fingerprint,
     ProtocolError,
     PublicMemory,
+    SwapOutcome,
     Verdict,
     complexity_report,
-    new_checker,
-    required_k,
-    retrieve,
-    stated_complexity,
-    store,
-)
-from .code import CodeParams, HadamardCode, LocallyDecodableCode
-from .fingerprint import (
-    Fingerprint,
-    SwapOutcome,
-    cswap_statevector_probs,
     make_fingerprint,
+    new_checker,
+    retrieve,
     sample_swap_test,
+    store,
     swap_accept_prob,
 )
+from .code import CodeParams, HadamardCode, LocallyDecodableCode
+from .fingerprint import cswap_statevector_probs
 from .harness import (
     ConfigError,
     ExperimentConfig,

@@ -118,6 +118,12 @@ class AttackSchedule:
         """Reject a schedule that cannot run against this code and the
         config-level message (a bitstring or "random")."""
 
+    def _check_step(self, step: int) -> int:
+        """step, if the schedule provides it: ScheduleError below 0 or at or past intrinsic_steps."""
+        if step < 0 or (self.intrinsic_steps is not None and step >= self.intrinsic_steps):
+            raise ScheduleError(f"step {step} is outside the schedule's {self.intrinsic_steps} step(s)")
+        return step
+
     def step_distances(self, code: LocallyDecodableCode, message: str, step: int) -> dict[int, float]:
         """{distance: probability} of the Hamming distance from memory to the
         checker's fingerprint, refreshed at the last accepted op, right after
@@ -171,6 +177,7 @@ class SubstituteCodeword(AttackSchedule):
             raise ConfigError("target", "equals the stored message, so the substitution changes nothing")
 
     def step_distances(self, code, message, step) -> dict[int, float]:
+        self._check_step(step)
         return code.substitution_distances(self.target, message)
 
     @cached_property
@@ -179,6 +186,7 @@ class SubstituteCodeword(AttackSchedule):
         return as_bits(self.target, name="target")
 
     def apply(self, step, patterns, message, code, draws) -> None:
+        self._check_step(step)
         if self.target != "random":
             target = self._target_bits
         else:
@@ -265,7 +273,7 @@ class IncrementalAttack(AttackSchedule):
 
     def step_flips(self, step: int, m: int) -> int:
         """The whole-bit flip count of one step for codeword length m."""
-        return round_half_up(self.deltas[step] * m)
+        return round_half_up(self.deltas[self._check_step(step)] * m)
 
     def check(self, code: LocallyDecodableCode, message: str) -> None:
         params = code.params

@@ -1,5 +1,9 @@
 """Closed-form detection bounds and their brute-force verification.
 
+The closed forms a run reads live here too: required_k, the k of a config's
+k "auto", and stated_complexity, the cost s = k*ceil(log2 m) and
+t = 2k*ceil(log2 m) + q that every run reports (ComplexityReport).
+
 Two facts about the protocol are verified here at desk scale:
 
 * detection bound (lemma1_bound): against memory at relative distance
@@ -44,14 +48,15 @@ the pairs and the report do not depend on the block size.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
 
+from .code import LocallyDecodableCode
 from .engine import row_blocks
 
-# p_single lives with the comparison test it describes; it is re-exported here
+# p_single lives with the comparison test's law and its oracle; it is re-exported here
 from .fingerprint import check_oracle_size, cswap_statevector_probs, p_accept, p_single
 
 #: Absolute slack for float roundoff when comparing analytically equal quantities.
@@ -71,17 +76,18 @@ class BoundReport:
     For Monte Carlo comparisons, empirical / samples / std_error describe the
     estimate (std_error = sqrt(p*(1-p)/N)) and tolerance is the acceptance
     band. Exhaustive checks set empirical to the worst observed margin and
-    leave std_error None.
+    std_error to None. Every field is required, so no check passes by
+    leaving out its verdict.
     """
 
     name: str
     analytic: dict[str, float]
-    empirical: float | None = None
-    samples: int = 0
-    std_error: float | None = None
-    tolerance: float = 0.0
-    passed: bool = True
-    details: dict = field(default_factory=dict)
+    empirical: float | None
+    samples: int
+    std_error: float | None
+    tolerance: float
+    passed: bool
+    details: dict
 
     def to_dict(self) -> dict:
         """The fields as a dict, analytic and details copied one level deep: the
@@ -142,6 +148,55 @@ def lemma1_bound(delta: float, k: int) -> float:
     if not 0.0 < delta <= 1.0:
         raise ValueError(f"delta must be in (0, 1], got {delta}")
     return p_accept(delta, k)
+
+
+def required_k(epsilon: float, delta: float) -> int:
+    """Copies needed to push the all-accept probability below epsilon.
+
+    A single comparison against memory at relative distance >= delta accepts
+    with probability at most lemma1_bound(delta, 1) = p_single(delta) =
+    1 - 2*delta + 2*delta^2, so k = ceil(log(epsilon) / log(p_single(delta)))
+    suffices. lemma1_bound also checks delta.
+    """
+    if not 0.0 < epsilon < 0.5:
+        raise ValueError(f"epsilon must be in (0, 1/2), got {epsilon}")
+    base = lemma1_bound(delta, 1)
+    if base >= 1.0:
+        # delta == 1: a full complement is a global phase flip, invisible to the
+        # comparison test; no finite k reaches the target error rate.
+        raise ValueError(f"no finite k for delta={delta}: per-test accept probability is 1")
+    ratio = math.log(epsilon) / math.log(base)
+    # Nudge guards against float noise at exact-integer ratios; the true k is
+    # any integer >= ratio, so rounding a hair down is always safe.
+    return max(1, math.ceil(ratio - 1e-12))
+
+
+@dataclass(frozen=True)
+class ComplexityReport:
+    """Resource usage, stated or metered: private qubits held and qubits served per retrieve."""
+
+    s_qubits: int
+    t_qubits_per_retrieve: int
+
+    def __post_init__(self) -> None:
+        if self.s_qubits < 0 or self.t_qubits_per_retrieve < 0:
+            raise ValueError("complexity figures must be nonnegative")
+
+
+def qubits_per_summary(m: int) -> int:
+    """Qubits in one fingerprint of an m-bit word: ceil(log2 m)."""
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
+    return (m - 1).bit_length()
+
+
+def stated_complexity(code: LocallyDecodableCode, k: int) -> ComplexityReport:
+    """The protocol's cost: s = k * ceil(log2 m) private qubits, and per retrieve
+    t = 2k * ceil(log2 m) + q, for its k test summaries, its k refresh summaries
+    and the decode's q reads. checker.complexity_report meters the same figures
+    on a session."""
+    per_summary = qubits_per_summary(code.params.m)
+    return ComplexityReport(k * per_summary, 2 * k * per_summary + code.params.q)
 
 
 def rederived_t2_identity(d1: float, total: float) -> float:
@@ -263,7 +318,7 @@ def verify_swap_oracle(
     Draws random phase-pattern pairs at each size, one (2 * pairs, m) array
     of rows per block of pairs (a then b for each pair) from one Generator,
     and compares p_single(d/m) at each pair's Hamming distance d
-    (swap_accept_prob's formula, the one every bound uses) with
+    (checker.swap_accept_prob's formula, the one every bound uses) with
     cswap_statevector_probs, which runs the block at once; reports the worst
     absolute deviation observed. Before any draw it rejects empty
     sizes, a size the oracle cannot run, fewer than one pair per size, more

@@ -1,5 +1,12 @@
 """The online memory checker: store/retrieve protocols over adversarial public memory.
 
+This module is the whole per-trial library: the fingerprint states
+(Fingerprint, make_fingerprint), the sampled comparison test
+(swap_accept_prob, sample_swap_test), the metered memory and the two
+protocols. Its exact laws come from fingerprint.py and its closed forms
+(required_k, the stated cost) from analysis.py. The run path reads those;
+of this module it plays only harness._probe_complexity's one session.
+
 The checker's private memory is k copies of one fingerprint of the codeword
 it last wrote; CheckerState keeps that snapshot once, with k. On every
 retrieve it fetches k fresh summary fingerprints of the public memory, runs
@@ -21,10 +28,15 @@ write into its own array; the stored fingerprint takes over the fresh
 codeword, and each summary fetch copies the contents once, since the
 adversary flips memory in place. Nothing the package built is re-parsed.
 
+Measured copies are discarded: each sampled test consumes one copy of each
+input state in the resource accounting, and no post-measurement state is
+tracked. Because k copies of one pair all see the same distance,
+sample_swap_test runs them together: one distance, k uniforms.
+
 Complexity accounting: private memory holds k fingerprints of ceil(log2 m)
-qubits each. stated_complexity states the protocol's cost from the code and
-k alone, and is what a run reports. PublicMemory meters the traffic it
-serves (summaries and decode reads), and complexity_report reads t from
+qubits each. analysis.stated_complexity states the protocol's cost from the
+code and k alone, and is what a run reports. PublicMemory meters the traffic
+it serves (summaries and decode reads), and complexity_report reads t from
 those meters alone: the measurement the stated cost is checked against.
 
 A CheckerState plus its PublicMemory form one sequential protocol session;
@@ -46,15 +58,15 @@ retrieve answered correctly in all of them; ROADMAP item 10).
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import as_bits, check_positions
+from .analysis import ComplexityReport, qubits_per_summary, required_k
+from .bits import as_bits, check_positions, hamming_distance
 from .code import LocallyDecodableCode
-from .fingerprint import Fingerprint, make_fingerprint, p_single, sample_swap_test
+from .fingerprint import p_single
 
 
 class ProtocolError(RuntimeError):
@@ -97,16 +109,90 @@ _ANSWERS = (Verdict("answer", 0), Verdict("answer", 1))
 _BUGGY = Verdict("buggy")
 
 
-@dataclass(frozen=True)
-class ComplexityReport:
-    """Measured resource usage: private qubits held and qubits served per retrieve."""
+class Fingerprint:
+    """Immutable classical description of a phase state: the m-bit phase pattern.
 
-    s_qubits: int
-    t_qubits_per_retrieve: int
+    Two fingerprints are equal iff their phase patterns are equal; global phase
+    never enters because the amplitude on j is pinned to (-1)^(phases_j)/sqrt(m).
+    """
+
+    __slots__ = ("phases",)
+
+    def __init__(self, phases) -> None:
+        arr = as_bits(phases, name="phases")
+        arr.setflags(write=False)
+        object.__setattr__(self, "phases", arr)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Fingerprint is immutable")
+
+    @property
+    def m(self) -> int:
+        return self.phases.size
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Fingerprint):
+            return NotImplemented
+        return self.phases.shape == other.phases.shape and bool(
+            np.array_equal(self.phases, other.phases)
+        )
+
+    def __hash__(self) -> int:
+        return hash(self.phases.tobytes())
+
+    def __repr__(self) -> str:
+        body = "".join(str(int(b)) for b in self.phases[:16])
+        tail = "..." if self.m > 16 else ""
+        return f"Fingerprint({body}{tail}, m={self.m})"
+
+
+@dataclass(frozen=True)
+class SwapOutcome:
+    """Measurement of the comparison test's control qubit: 0 accepts, 1 rejects."""
+
+    bit: int
 
     def __post_init__(self) -> None:
-        if self.s_qubits < 0 or self.t_qubits_per_retrieve < 0:
-            raise ValueError("complexity figures must be nonnegative")
+        if self.bit not in (0, 1):
+            raise ValueError(f"outcome bit must be 0 or 1, got {self.bit}")
+
+
+def make_fingerprint(word: np.ndarray) -> Fingerprint:
+    """Fingerprint of a bit vector the package built: phases = word bits, verbatim.
+
+    Takes *word* over with no parse and no copy, and makes it read-only; the
+    caller hands over a uint8 0/1 array it no longer writes. Values from
+    outside the package go through Fingerprint(...), which parses them.
+    """
+    word.setflags(write=False)
+    fp = object.__new__(Fingerprint)
+    object.__setattr__(fp, "phases", word)
+    return fp
+
+
+def swap_accept_prob(a: Fingerprint, b: Fingerprint) -> float:
+    """Probability the comparison test accepts: p_single(d/m) at Hamming distance d, in [1/2, 1]."""
+    return p_single(hamming_distance(a.phases, b.phases) / a.m)
+
+
+# Outcomes are immutable, so every test shares these two instances.
+_OUTCOMES = (SwapOutcome(0), SwapOutcome(1))
+
+
+def sample_swap_test(
+    a: Fingerprint, b: Fingerprint, rng: np.random.Generator, copies: int = 1
+) -> SwapOutcome:
+    """Sample the comparison test on *copies* copies of the pair: 1 if any copy rejects.
+
+    Each copy accepts with probability swap_accept_prob(a, b), computed once.
+    rng.random(copies) yields the same doubles as *copies* scalar draws, so
+    this consumes the stream exactly as *copies* single tests would. The
+    sampled copies are consumed and must not be reused.
+    """
+    if copies < 1:
+        raise ValueError(f"copies must be >= 1, got {copies}")
+    p = swap_accept_prob(a, b)
+    return _OUTCOMES[int((rng.random(copies) >= p).any())]
 
 
 class PublicMemory:
@@ -199,28 +285,6 @@ def new_checker(code: LocallyDecodableCode, epsilon: float, k: int | None = None
     return CheckerState(code=code, k=base_k if k is None else k)
 
 
-def required_k(epsilon: float, delta: float) -> int:
-    """Copies needed to push the all-accept probability below epsilon.
-
-    A single comparison against memory at relative distance >= delta accepts
-    with probability at most p_single(delta) = 1 - 2*delta + 2*delta^2, so
-    k = ceil(log(epsilon) / log(p_single(delta))) suffices.
-    """
-    if not 0.0 < epsilon < 0.5:
-        raise ValueError(f"epsilon must be in (0, 1/2), got {epsilon}")
-    if not 0.0 < delta <= 1.0:
-        raise ValueError(f"delta must be in (0, 1], got {delta}")
-    base = p_single(delta)
-    if base >= 1.0:
-        # delta == 1: a full complement is a global phase flip, invisible to the
-        # comparison test; no finite k reaches the target error rate.
-        raise ValueError(f"no finite k for delta={delta}: per-test accept probability is 1")
-    ratio = math.log(epsilon) / math.log(base)
-    # Nudge guards against float noise at exact-integer ratios; the true k is
-    # any integer >= ratio, so rounding a hair down is always safe.
-    return max(1, math.ceil(ratio - 1e-12))
-
-
 def _verification_accepts(
     state: CheckerState, memory: PublicMemory, rng: np.random.Generator
 ) -> bool:
@@ -279,21 +343,6 @@ def retrieve(
 
     state.fingerprint = memory.fetch_summaries(state.k)[0]
     return Verdict.answer(decoded)
-
-
-def qubits_per_summary(m: int) -> int:
-    """Qubits in one fingerprint of an m-bit word: ceil(log2 m)."""
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    return (m - 1).bit_length()
-
-
-def stated_complexity(code: LocallyDecodableCode, k: int) -> ComplexityReport:
-    """The protocol's cost: s = k * ceil(log2 m) private qubits, and per retrieve
-    t = 2k * ceil(log2 m) + q, for its k test summaries, its k refresh summaries
-    and the decode's q reads. complexity_report meters the same figures on a session."""
-    per_summary = qubits_per_summary(code.params.m)
-    return ComplexityReport(k * per_summary, 2 * k * per_summary + code.params.q)
 
 
 def complexity_report(state: CheckerState, memory: PublicMemory) -> ComplexityReport:

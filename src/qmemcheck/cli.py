@@ -26,8 +26,7 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from .analysis import p_multi, p_single, lemma1_bound, verify_lemma2, verify_swap_oracle
-from .checker import required_k
+from .analysis import p_multi, p_single, lemma1_bound, required_k, verify_lemma2, verify_swap_oracle
 from .code import HadamardCode
 from .harness import ExperimentConfig, canonical_json, flat_csv, output_dir, run_experiment, write_document
 

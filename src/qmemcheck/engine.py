@@ -24,7 +24,7 @@ schedule has.
 The per-trial checker.store and retrieve stay the library API and the
 reference that the tests compare this engine's verification, decode and
 refresh against. The complexity a run reports is the stated cost,
-checker.stated_complexity, which the harness checks against the meters of
+analysis.stated_complexity, which the harness checks against the meters of
 one library store and retrieve; no engine session is metered.
 
 Only live sessions hold rows. A session's first reject ends it, so after a

@@ -1,4 +1,4 @@
-"""Phase-state fingerprints and the controlled-SWAP comparison test.
+"""The controlled-SWAP comparison test on phase-state fingerprints: its law and its oracle.
 
 A fingerprint of an m-bit word y is the state with amplitude (-1)^(y_j)/sqrt(m)
 on basis state |j>. Such states are fully described by their classical phase
@@ -15,84 +15,22 @@ p_single, the formula every bound uses, to 1e-10 (the circuit uses
 2*log2(m) + 1 qubits, so floating-point error stays far below that). Two
 fingerprints a and b are its one row: a.phases[None] against b.phases[None].
 
-Measured copies are assumed to be discarded by the caller: each sampled test
-consumes one copy of each input state in the caller's resource accounting, and
-no post-measurement state is tracked. Because k copies of one pair all see the
-same distance, sample_swap_test runs them together: one distance, k uniforms.
+This module is the test's law and its oracle, which the engine and the
+bounds read. The fingerprint states themselves and the sampled test
+(Fingerprint, make_fingerprint, swap_accept_prob, sample_swap_test) belong
+to the per-trial library, checker.py.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import all_bits, as_bits, hamming_distance
+from .bits import all_bits
 
 # Dense oracle limit: m = 64 means 13 qubits, a statevector of 8192 entries.
 MAX_ORACLE_M = 64
-
-
-class Fingerprint:
-    """Immutable classical description of a phase state: the m-bit phase pattern.
-
-    Two fingerprints are equal iff their phase patterns are equal; global phase
-    never enters because the amplitude on j is pinned to (-1)^(phases_j)/sqrt(m).
-    """
-
-    __slots__ = ("phases",)
-
-    def __init__(self, phases) -> None:
-        arr = as_bits(phases, name="phases")
-        arr.setflags(write=False)
-        object.__setattr__(self, "phases", arr)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Fingerprint is immutable")
-
-    @property
-    def m(self) -> int:
-        return self.phases.size
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Fingerprint):
-            return NotImplemented
-        return self.phases.shape == other.phases.shape and bool(
-            np.array_equal(self.phases, other.phases)
-        )
-
-    def __hash__(self) -> int:
-        return hash(self.phases.tobytes())
-
-    def __repr__(self) -> str:
-        body = "".join(str(int(b)) for b in self.phases[:16])
-        tail = "..." if self.m > 16 else ""
-        return f"Fingerprint({body}{tail}, m={self.m})"
-
-
-@dataclass(frozen=True)
-class SwapOutcome:
-    """Measurement of the comparison test's control qubit: 0 accepts, 1 rejects."""
-
-    bit: int
-
-    def __post_init__(self) -> None:
-        if self.bit not in (0, 1):
-            raise ValueError(f"outcome bit must be 0 or 1, got {self.bit}")
-
-
-def make_fingerprint(word: np.ndarray) -> Fingerprint:
-    """Fingerprint of a bit vector the package built: phases = word bits, verbatim.
-
-    Takes *word* over with no parse and no copy, and makes it read-only; the
-    caller hands over a uint8 0/1 array it no longer writes. Values from
-    outside the package go through Fingerprint(...), which parses them.
-    """
-    word.setflags(write=False)
-    fp = object.__new__(Fingerprint)
-    object.__setattr__(fp, "phases", word)
-    return fp
 
 
 def _amplitude_rows(phases: np.ndarray) -> np.ndarray:
@@ -125,31 +63,6 @@ def p_accept(delta_frac: float, k: int) -> float:
     the per-test law is raised to the k, as a float power: numpy's array **
     differs from float ** in the last bit at large m."""
     return p_single(delta_frac) ** k
-
-
-def swap_accept_prob(a: Fingerprint, b: Fingerprint) -> float:
-    """Probability the comparison test accepts: p_single(d/m) at Hamming distance d, in [1/2, 1]."""
-    return p_single(hamming_distance(a.phases, b.phases) / a.m)
-
-
-# Outcomes are immutable, so every test shares these two instances.
-_OUTCOMES = (SwapOutcome(0), SwapOutcome(1))
-
-
-def sample_swap_test(
-    a: Fingerprint, b: Fingerprint, rng: np.random.Generator, copies: int = 1
-) -> SwapOutcome:
-    """Sample the comparison test on *copies* copies of the pair: 1 if any copy rejects.
-
-    Each copy accepts with probability swap_accept_prob(a, b), computed once.
-    rng.random(copies) yields the same doubles as *copies* scalar draws, so
-    this consumes the stream exactly as *copies* single tests would. The
-    sampled copies are consumed and must not be reused.
-    """
-    if copies < 1:
-        raise ValueError(f"copies must be >= 1, got {copies}")
-    p = swap_accept_prob(a, b)
-    return _OUTCOMES[int((rng.random(copies) >= p).any())]
 
 
 def check_oracle_size(m: int) -> int:

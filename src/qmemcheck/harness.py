@@ -33,9 +33,9 @@ import numpy as np
 from .adversary import (
     SCHEDULES, AttackSchedule, ConfigError, NoOpAttack, _field_table, _is_bitstring, _is_int, _is_number,
 )
-from .analysis import BoundReport, binomial_std_error, binomial_tail, lemma1_bound
+from .analysis import BoundReport, binomial_std_error, binomial_tail, lemma1_bound, required_k, stated_complexity
 from .bits import as_bits
-from .checker import CheckerState, PublicMemory, complexity_report, required_k, retrieve, stated_complexity, store
+from .checker import CheckerState, PublicMemory, complexity_report, retrieve, store
 from .code import MAX_HADAMARD_N, HadamardCode
 from .engine import Tally, run_sessions
 from .fingerprint import p_accept
@@ -191,10 +191,6 @@ class ExperimentConfig:
 
         if not isinstance(self.attack, AttackSchedule):
             raise ConfigError("attack", f"expected an attack schedule, got {self.attack!r}")
-        # without steps, a default script runs one step per delta of an incremental schedule
-        if self.script is None and self.steps is None and (self.attack.intrinsic_steps or 1) > MAX_STEPS:
-            raise ConfigError("attack.deltas", f"a default script runs at most {MAX_STEPS} steps, "
-                              f"got {self.attack.intrinsic_steps}")
         try:
             self.attack.check(self.code, self.message)
         except ConfigError as exc:
@@ -269,10 +265,14 @@ class ExperimentConfig:
         return tuple((kind, step, law(step) if kind == "attack" else value) for kind, step, value in ops)
 
     def build_script(self) -> tuple[OpSpec, ...]:
-        """The op sequence a session runs: explicit script, or the default shape."""
+        """The op sequence a session runs: explicit script, or the default shape.
+        Without steps, the default runs one step per delta of an incremental
+        schedule, at most MAX_STEPS of them."""
         if self.script is not None:
             return self.script
         steps = (self.attack.intrinsic_steps or 1) if self.steps is None else self.steps
+        if steps > MAX_STEPS:
+            raise ConfigError("attack.deltas", f"a default script runs at most {MAX_STEPS} steps, got {steps}")
         return (OpSpec(op="store"),) + (OpSpec(op="attack"), OpSpec(op="retrieve")) * steps
 
     def resolved_k(self) -> int:
@@ -294,7 +294,7 @@ class ExperimentConfig:
 
 
 def _probe_complexity(config: ExperimentConfig) -> dict[str, int]:
-    """The protocol's stated cost (checker.stated_complexity), checked against the
+    """The protocol's stated cost (analysis.stated_complexity), checked against the
     traffic that a live honest session, one store and one retrieve, is metered with."""
     rng = np.random.default_rng(config.seed)  # an honest session's counts do not depend on it
     state = CheckerState(config.code, config.resolved_k())

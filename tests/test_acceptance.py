@@ -14,16 +14,8 @@ import time
 import numpy as np
 
 from qmemcheck.adversary import IncrementalAttack, SubstituteCodeword
-from qmemcheck.analysis import p_multi, verify_lemma2, verify_swap_oracle
-from qmemcheck.checker import (
-    PublicMemory,
-    complexity_report,
-    new_checker,
-    required_k,
-    retrieve,
-    stated_complexity,
-    store,
-)
+from qmemcheck.analysis import p_multi, required_k, stated_complexity, verify_lemma2, verify_swap_oracle
+from qmemcheck.checker import PublicMemory, complexity_report, new_checker, retrieve, store
 from qmemcheck.code import MAX_HADAMARD_N, HadamardCode
 from qmemcheck.harness import ExperimentConfig, OpSpec, canonical_json, run_experiment
 

@@ -24,7 +24,8 @@ from qmemcheck.analysis import (
     verify_swap_oracle,
 )
 from qmemcheck.adversary import FlipCount
-from qmemcheck.fingerprint import MAX_ORACLE_M, Fingerprint, cswap_statevector_probs, p_accept, swap_accept_prob
+from qmemcheck.checker import Fingerprint, swap_accept_prob
+from qmemcheck.fingerprint import MAX_ORACLE_M, cswap_statevector_probs, p_accept
 from qmemcheck.harness import ExperimentConfig, _attach_bounds, run_experiment
 
 
@@ -379,6 +380,11 @@ class TestBoundReport:
         # exported dicts are copies, not views of the report's state
         d["analytic"]["v"] = 2.0
         assert report.analytic["v"] == 1.0
+
+    def test_every_field_is_required(self):
+        # a check that leaves out its verdict cannot pass by default
+        with pytest.raises(TypeError):
+            BoundReport(name="x", analytic={"v": 1.0})
 
 
 def test_binomial_std_error():

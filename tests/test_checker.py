@@ -1,24 +1,18 @@
+import ast
 import math
+import pkgutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmemcheck import fingerprint
+import qmemcheck
+from qmemcheck import checker
+from qmemcheck.analysis import ComplexityReport, qubits_per_summary, required_k
 from qmemcheck.bits import as_bits
-from qmemcheck.checker import (
-    ComplexityReport,
-    ProtocolError,
-    PublicMemory,
-    Verdict,
-    complexity_report,
-    new_checker,
-    qubits_per_summary,
-    required_k,
-    retrieve,
-    store,
-)
+from qmemcheck.checker import ProtocolError, PublicMemory, Verdict, complexity_report, new_checker, retrieve, store
 from qmemcheck.code import HadamardCode
 
 
@@ -216,13 +210,13 @@ class TestPublicMemory:
 class TestVerification:
     def test_one_distance_per_verification(self, rng, monkeypatch):
         calls = []
-        exact = fingerprint.swap_accept_prob
+        exact = checker.swap_accept_prob
 
         def counting(a, b):
             calls.append(1)
             return exact(a, b)
 
-        monkeypatch.setattr(fingerprint, "swap_accept_prob", counting)
+        monkeypatch.setattr(checker, "swap_accept_prob", counting)
         state = new_checker(HadamardCode(4), 0.01)
         assert state.k == 7
         mem = PublicMemory()
@@ -476,3 +470,34 @@ class TestCheckerState:
     def test_k_validated(self):
         with pytest.raises(ValueError):
             new_checker(HadamardCode(3), 0.01, k=0)
+
+
+def checker_imports(module: str) -> set[str]:
+    """What the source of package module *module* imports that names the checker
+    module: "checker" for the module, "checker.X" for each name X taken from it."""
+    imported = set()
+    for node in ast.walk(ast.parse((Path(qmemcheck.__file__).parent / f"{module}.py").read_text())):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported.update(f"{node.module or ''}.{alias.name}" for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    return {name.removeprefix("qmemcheck.") for name in imported if "checker" in name.split(".")}
+
+
+@pytest.mark.parametrize(
+    "module",
+    [info.name for info in pkgutil.iter_modules(qmemcheck.__path__)
+     if info.name not in ("checker", "harness", "__init__", "__main__")],
+    ids=lambda module: f"qmemcheck.{module}",
+)
+def test_run_path_imports_nothing_from_the_checker(module):
+    # the per-trial library is one module, which no module on the run path reads
+    assert checker_imports(module) == set()
+
+
+def test_harness_imports_only_the_names_its_probe_plays():
+    assert checker_imports("harness") == {
+        "checker", "checker.CheckerState", "checker.PublicMemory", "checker.complexity_report",
+        "checker.retrieve", "checker.store",
+    }

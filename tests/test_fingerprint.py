@@ -8,18 +8,8 @@ from hypothesis import strategies as st
 from qmemcheck import analysis
 from qmemcheck.bits import hamming_distance
 from qmemcheck.code import HadamardCode
-from qmemcheck.fingerprint import (
-    MAX_ORACLE_M,
-    Fingerprint,
-    SwapOutcome,
-    _amplitude_rows,
-    check_oracle_size,
-    cswap_statevector_probs,
-    make_fingerprint,
-    p_single,
-    sample_swap_test,
-    swap_accept_prob,
-)
+from qmemcheck.checker import Fingerprint, SwapOutcome, make_fingerprint, sample_swap_test, swap_accept_prob
+from qmemcheck.fingerprint import MAX_ORACLE_M, _amplitude_rows, check_oracle_size, cswap_statevector_probs, p_single
 
 
 def reference_cswap_probs(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -671,7 +671,7 @@ class TestRunExperiment:
         assert agg["complexity"] == {"s_qubits": 56, "t_qubits_per_retrieve": 114}
 
     def test_a_run_reports_the_stated_cost_its_session_meters(self, monkeypatch):
-        # the complexity block is checker.stated_complexity, and a run stops if
+        # the complexity block is analysis.stated_complexity, and a run stops if
         # the live session's meters disagree with it
         stated = []
         real = harness.stated_complexity
