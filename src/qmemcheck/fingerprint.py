@@ -80,7 +80,8 @@ def cswap_statevector_probs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a and b are (P, m) uint8 0/1 phase rows; pair i compares a[i] with b[i].
     Runs |0>|psi_a>|psi_b> on 2*log2(m) + 1 qubits for each pair through a
     Hadamard on the control, a register swap controlled on it (log2(m)
-    qubit-pair swaps), a second Hadamard, and returns the probability of
+    qubit-pair swaps, which together transpose each pair's (m, m) block of
+    amplitudes), a second Hadamard, and returns the probability of
     measuring the control as 0: one contiguous m*m-element sum of squares per
     pair. Serves as the independent oracle for p_single; m must pass
     check_oracle_size, and an entry other than 0 or 1 raises ValueError.
@@ -97,18 +98,15 @@ def cswap_statevector_probs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.ndim != 2 or a.shape != b.shape:
         raise ValueError(f"phase rows must be two (P, m) arrays of one shape, got {a.shape} and {b.shape}")
     pairs, m = a.shape
-    n_reg = check_oracle_size(m).bit_length() - 1  # qubits per register
+    check_oracle_size(m)
     if not (all_bits(a) and all_bits(b)):
         raise ValueError("phase rows must hold only 0s and 1s")
 
     branch = _amplitude_rows(a)[:, :, None] * _amplitude_rows(b)[:, None, :]
     branch /= math.sqrt(2)  # first Hadamard: either branch of the control
-    # Controlled register swap: exchange qubit i of each register on the |1> branch. The
-    # swaps only permute axes, so swapped is a view of branch.
-    swapped = branch.reshape((pairs,) + (2,) * (2 * n_reg))
-    for i in range(n_reg):
-        swapped = np.swapaxes(swapped, 1 + i, 1 + n_reg + i)
-    accept = branch + swapped.reshape(pairs, m, m)  # second Hadamard, |0> half
+    # Controlled register swap on the |1> branch: exchanging qubit i of the two registers for
+    # every i exchanges the registers, the transpose of each pair's (m, m) block (a view).
+    accept = branch + branch.transpose(0, 2, 1)  # second Hadamard, |0> half
     accept /= math.sqrt(2)
     accept *= accept
     return accept.reshape(pairs, m * m).sum(axis=1)

@@ -19,7 +19,9 @@ def test_a_tree_against_itself(capsys):
     out, err = capsys.readouterr()
     assert err == ""
     assert re.fullmatch(
-        r"substitute-n4 pairs=3 a_ms=\d+\.\d{4} b_ms=\d+\.\d{4} change=[+-]\d+\.\d% b_faster=[0-3]/3 \(\d+%\)\n", out
+        r"substitute-n4 pairs=3 a_ms=\d+\.\d{4} b_ms=\d+\.\d{4} change=[+-]\d+\.\d% "
+        r"a_ref=\d+\.\d{4} b_ref=\d+\.\d{4} ref_change=[+-]\d+\.\d% b_faster=[0-3]/3 \(\d+%\)\n",
+        out,
     )
     assert not any(name.split(".")[0] in ab_calls.PACKAGES for name in sys.modules)  # both copies unloaded
 

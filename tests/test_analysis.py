@@ -41,8 +41,9 @@ def reference_compositions(grid, t_max, prefix=()):
 
 
 def reference_margins(grid, t_max):
-    """p_multi(parts) - p_single(sum(parts)) per schedule, one scalar call each, as verify_lemma2 computed them."""
-    return [p_multi([g / grid for g in parts]) - p_single(sum(parts) / grid)
+    """p_multi(parts) - p_single(sum(parts)) per schedule, one scalar call each, as verify_lemma2
+    computed them. Both read analysis.p_single, so a law patched in there is the law used here."""
+    return [p_multi([g / grid for g in parts]) - analysis.p_single(sum(parts) / grid)
             for parts in reference_compositions(grid, t_max)]
 
 
@@ -246,27 +247,89 @@ class TestVerifyLemma2:
             assert report.details["violations"] == sum(x > tolerance for x in margins)
             assert report.analytic["max_margin"] == max(margins)
 
+    @pytest.mark.parametrize("t_max", [2, 3, 4])
+    @pytest.mark.parametrize("grid", [1, 2, 3, 4, 5, 6])
+    def test_matches_reference_under_a_law_that_breaks_lemma2(self, grid, t_max, monkeypatch):
+        # p(a) * p(b) = p(a + b) + a*b/4 under 1 - f/2, so every split with two nonzero parts
+        # beats the single step; the largest margin and every violation must still be exact
+        monkeypatch.setattr(analysis, "p_single", lambda f: 1.0 - f / 2)
+        margins = reference_margins(grid, t_max)
+        for tolerance in (analysis.FLOAT_TOL, -1e-3, sorted(margins)[len(margins) // 2]):
+            report = verify_lemma2(grid=grid, t_max=t_max, tolerance=tolerance)
+            assert report.samples == len(margins)
+            assert report.details["violations"] == sum(x > tolerance for x in margins)
+            assert report.analytic["max_margin"] == max(margins)
+        assert (verify_lemma2(grid=grid, t_max=t_max).details["violations"] > 0) == (grid > 1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_tolerance_rejected_before_counting(self, bad, monkeypatch):
+        # an infinite tolerance would pass every schedule, and a NaN one compare false to all
+        monkeypatch.setattr(analysis, "p_single", lambda f: pytest.fail("counted before the tolerance check"))
+        with pytest.raises(ValueError, match="tolerance"):
+            verify_lemma2(grid=6, t_max=3, tolerance=bad)
+
     def test_violations_fail_the_report(self):
         report = verify_lemma2(grid=6, t_max=3, tolerance=-1e-3)
         assert report.details["violations"] > 0
         assert not report.passed
 
     def test_blocks_cover_every_schedule_once(self, monkeypatch):
-        # tiny blocks split parents across many blocks; the totals must not change
-        want = verify_lemma2(grid=7, t_max=4, tolerance=-1e-2).to_dict()
-        monkeypatch.setattr(engine, "CHUNK_BYTES", 5 * 64)  # blocks of 5 children at 64 bytes each
-        assert verify_lemma2(grid=7, t_max=4, tolerance=-1e-2).to_dict() == want
+        # tiny blocks split parents across many blocks; the totals must not change. Only a
+        # margin over the tolerance sends the check to the exact enumeration.
+        real = analysis._schedule_margins
+        runs = []
+
+        def recorded(*args):
+            runs.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(analysis, "_schedule_margins", recorded)
+        for tolerance, enumerates in ((analysis.FLOAT_TOL, False), (-1e-2, True)):
+            runs.clear()
+            want = verify_lemma2(grid=7, t_max=4, tolerance=tolerance).to_dict()
+            with monkeypatch.context() as tiny:
+                tiny.setattr(engine, "CHUNK_BYTES", 5 * 64)  # blocks of 5 children at 64 bytes each
+                assert verify_lemma2(grid=7, t_max=4, tolerance=tolerance).to_dict() == want
+            assert len(runs) == (2 if enumerates else 0)
+            assert want["passed"] != enumerates
+
+    @pytest.mark.parametrize("cap", [1, 5, 12, 40, 10**6])
+    def test_child_blocks_are_whole_parents_up_to_the_cap(self, cap):
+        # each block takes every next parent whose children still fit, and at least one
+        grid = 9
+        table = p_single(np.arange(grid + 1) / grid)
+        sums = np.random.default_rng(cap).integers(0, grid + 1, size=30)
+        prods = np.random.default_rng(cap + 1).random(30)
+        children = (grid + 1 - sums).tolist()
+        blocks = list(analysis._child_blocks(sums, prods, table, cap))
+        first = 0
+        for block_sums, block_prods in blocks:
+            counts, size = [], block_sums.size
+            while size:
+                counts.append(children[first + len(counts)])
+                size -= counts[-1]
+            assert size == 0 and (sum(counts) <= cap or len(counts) == 1)
+            assert first + len(counts) == len(children) or sum(counts) + children[first + len(counts)] > cap
+            first += len(counts)
+        assert first == len(children)
+        want = [(s + g, x * table[g]) for s, x in zip(sums.tolist(), prods.tolist()) for g in range(grid + 1 - s)]
+        got = np.concatenate([b[0] for b in blocks]).tolist(), np.concatenate([b[1] for b in blocks]).tolist()
+        assert list(zip(*got)) == want
 
     def test_memory_does_not_grow_with_schedule_count(self):
-        # 4,292,144 schedules: as whole arrays, their sums and products alone are 69 MB
-        tracemalloc.start()
-        try:
-            report = verify_lemma2(grid=20, t_max=8)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert report.samples == 4292144 and report.passed
-        assert peak < 4 * 2**20
+        # 4,292,144 schedules at (20, 8), 9,692,802 at (4400, 2): as whole arrays, their sums
+        # and products alone are 69 MB and 155 MB. A negative tolerance makes the check
+        # enumerate them. At t_max 2 every sum has one parent, so no level is smaller per sum.
+        for grid, t_max, tolerance in ((20, 8, analysis.FLOAT_TOL), (20, 8, -1e-3), (4400, 2, analysis.FLOAT_TOL)):
+            tracemalloc.start()
+            try:
+                report = verify_lemma2(grid=grid, t_max=t_max, tolerance=tolerance)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert report.samples == sum(math.comb(grid + t, t) for t in range(1, t_max + 1))
+            assert report.passed == (tolerance > 0)
+            assert peak < 4 * 2**20, (grid, t_max, tolerance)
 
 
 class TestVerifySwapOracle:

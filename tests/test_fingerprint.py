@@ -12,11 +12,21 @@ from qmemcheck.checker import Fingerprint, SwapOutcome, make_fingerprint, sample
 from qmemcheck.fingerprint import MAX_ORACLE_M, _amplitude_rows, check_oracle_size, cswap_statevector_probs, p_single
 
 
+def qubit_pair_swaps(branch: np.ndarray) -> np.ndarray:
+    """The controlled swap's gates on a (P, m, m) branch: for each qubit i of the log2(m)
+    per register, exchange qubit i of the first register with qubit i of the second."""
+    pairs, m, _ = branch.shape
+    n_reg = m.bit_length() - 1
+    qubits = branch.reshape((pairs,) + (2,) * (2 * n_reg))
+    for i in range(n_reg):
+        qubits = np.swapaxes(qubits, 1 + i, 1 + n_reg + i)
+    return qubits.reshape(pairs, m, m)
+
+
 def reference_cswap_probs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The gate-level circuit cswap_statevector_probs replaced: the full (P, 2, m, m)
     statevector through both Hadamards on the control and the controlled swap."""
     pairs, m = a.shape
-    n_reg = m.bit_length() - 1
     state = np.zeros((pairs, 2, m, m))
     amp_a = ((-1.0) ** a.astype(np.int64)) / math.sqrt(m)
     amp_b = ((-1.0) ** b.astype(np.int64)) / math.sqrt(m)
@@ -29,10 +39,7 @@ def reference_cswap_probs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return out
 
     state = hadamard_on_control(state)
-    branch = state[:, 1].reshape((pairs,) + (2,) * (2 * n_reg))
-    for i in range(n_reg):
-        branch = np.swapaxes(branch, 1 + i, 1 + n_reg + i)
-    state[:, 1] = branch.reshape(pairs, m, m)
+    state[:, 1] = qubit_pair_swaps(state[:, 1])
     state = hadamard_on_control(state)
     return (state[:, 0] ** 2).reshape(pairs, m * m).sum(axis=1)
 
@@ -320,6 +327,12 @@ class TestStatevectorOracle:
             b = rng.integers(0, 2, size=(pairs, m), dtype=np.uint8)
             b[0] = a[0]
             assert cswap_statevector_probs(a, b).tobytes() == reference_cswap_probs(a, b).tobytes()
+
+    @pytest.mark.parametrize("m", [1, 2, 4, 8, 16, 32, 64])
+    def test_register_swap_is_the_transpose(self, m, rng):
+        # the oracle exchanges its registers with one transpose in place of the log2(m) gates
+        branch = rng.standard_normal((3, m, m))
+        assert np.array_equal(qubit_pair_swaps(branch), branch.transpose(0, 2, 1))
 
     def test_rows_reject_shape_mismatch(self):
         a = np.zeros((3, 4), dtype=np.uint8)

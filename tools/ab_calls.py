@@ -7,14 +7,22 @@ Both trees then run one untimed iteration, and then --pairs timed pairs:
 pair i runs A then B when i is even, B then A when it is odd. An iteration
 is the workload's CLI calls (Workload.calls in perfbench/workloads.py, at
 --seed, each tree writing to its own --out directory), with stdout sent to
-devnull. One line is printed:
+devnull. After every iteration the workload's reference gauge is timed
+(REFERENCES in perfbench/child.py, the median of three runs), and each
+iteration is also taken relative to the mean of the two gauge readings
+around it, as the benchmark's child does for its call_ref. One line is
+printed:
 
-    <workload> pairs=N a_ms=<median> b_ms=<median> change=<+x.x%> b_faster=<k>/N (<share>%)
+    <workload> pairs=N a_ms=<median> b_ms=<median> change=<+x.x%> a_ref=<median> b_ref=<median> ref_change=<+x.x%> b_faster=<k>/N (<share>%)
 
-change is the relative change of B's median iteration time from A's, and
-b_faster counts the pairs in which B's iteration took less time than A's.
-Calls in one process see the same machine drift, so this resolves changes
-of a few percent that separate benchmark runs cannot tell from drift:
+change is the relative change of B's median iteration time from A's, a_ref
+and b_ref are each tree's median iteration time over its gauge, ref_change
+is the relative change of b_ref from a_ref, and b_faster counts the pairs
+in which B's iteration took less time than A's. The gauge's own allocations
+share the heap with the calls, so a change can read faster raw and slower
+over the gauge, as it would in the benchmark. Calls in one process see the
+same machine drift, so this resolves changes of a few percent that separate
+benchmark runs cannot tell from drift:
 
     python tools/ab_calls.py --a PARENT_TREE --b . --workload honest-mixed-n8 --pairs 3000
 
@@ -37,8 +45,11 @@ import tempfile
 import time
 from pathlib import Path
 
+import numpy as np
+
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
+from child import REFERENCES, _time_reference  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 PACKAGES = ("qmemcheck_a", "qmemcheck_b")
@@ -71,9 +82,10 @@ def iteration(cli, calls: list[list[str]], devnull) -> float:
     return time.perf_counter() - start
 
 
-def ab_times(trees: list[Path], workload: str, pairs: int, seed: int) -> tuple[list[float], list[float]]:
-    """Per-pair iteration times of A and of B, in seconds."""
+def ab_times(trees: list[Path], workload: str, pairs: int, seed: int) -> tuple[list[list[float]], list[list[float]]]:
+    """Per-pair iteration times of A and of B, in seconds, and the same times over the gauge."""
     spec = WORKLOADS[workload]
+    reference = REFERENCES[spec.reference]
     with tempfile.TemporaryDirectory() as tmp_name, open(os.devnull, "w") as devnull:
         tmp = Path(tmp_name)
         config_path = tmp / "config.json"
@@ -84,14 +96,19 @@ def ab_times(trees: list[Path], workload: str, pairs: int, seed: int) -> tuple[l
             clis = load_clis(trees, tmp)
             for cli, argv in zip(clis, calls):
                 iteration(cli, argv, devnull)
-            times = ([], [])
+            times, ratios = [[], []], [[], []]
+            ref_before = _time_reference(reference, np)
             for i in range(pairs):
                 for side in (0, 1) if i % 2 == 0 else (1, 0):
-                    times[side].append(iteration(clis[side], calls[side], devnull))
+                    elapsed = iteration(clis[side], calls[side], devnull)
+                    ref_after = _time_reference(reference, np)
+                    times[side].append(elapsed)
+                    ratios[side].append(elapsed / ((ref_before + ref_after) / 2))
+                    ref_before = ref_after
         finally:
             sys.path.remove(tmp_name)
             unload()
-    return times
+    return times, ratios
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -113,13 +130,15 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {problems[0]}", file=sys.stderr)
         return 1
     try:
-        a, b = ab_times(trees, args.workload, args.pairs, args.seed)
+        (a, b), ratios = ab_times(trees, args.workload, args.pairs, args.seed)
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     a_ms, b_ms = 1e3 * statistics.median(a), 1e3 * statistics.median(b)
+    a_ref, b_ref = (statistics.median(side) for side in ratios)
     faster = sum(tb < ta for ta, tb in zip(a, b))
     print(f"{args.workload} pairs={args.pairs} a_ms={a_ms:.4f} b_ms={b_ms:.4f} change={b_ms / a_ms - 1:+.1%} "
+          f"a_ref={a_ref:.4f} b_ref={b_ref:.4f} ref_change={b_ref / a_ref - 1:+.1%} "
           f"b_faster={faster}/{args.pairs} ({faster / args.pairs:.0%})")
     return 0
 
