@@ -137,6 +137,14 @@ class AttackSchedule:
         message (a (T, n) uint8 array, which it only reads) and the step's draws (OpDraws)."""
         raise NotImplementedError
 
+    def uniform_flips(self, step: int, m: int, fresh: np.ndarray | None = None) -> tuple[int, bool] | None:
+        """The step's lazy form, which the engine's deferred-decision sampler plays in
+        place of apply: (d, fresh_only) where the step flips a uniform d-subset of the m
+        positions, or of the fresh ones (the zero bits of P) when fresh_only, or None
+        where it does not. fresh, each row's count of fresh positions, is given where the
+        sampler plays the step, and a step that draws from them checks it."""
+        return None
+
 
 @dataclass(frozen=True)
 class NoOpAttack(AttackSchedule):
@@ -149,6 +157,9 @@ class NoOpAttack(AttackSchedule):
 
     def apply(self, step, patterns, message, code, draws) -> None:
         pass
+
+    def uniform_flips(self, step, m, fresh=None) -> tuple[int, bool]:
+        return 0, False
 
 
 @dataclass(frozen=True)
@@ -233,6 +244,9 @@ class FlipCount(AttackSchedule):
         # the pool is the codeword, so a row's ranks are its positions
         _flip_ranked(patterns, self.policy, m, d, draws, lambda rows, ranks: flip_rows(patterns[rows], ranks))
 
+    def uniform_flips(self, step, m, fresh=None) -> tuple[int, bool] | None:
+        return (min(self.bits_per_step, m), False) if self.policy == "uniform" else None
+
 
 @dataclass(frozen=True)
 class IncrementalAttack(AttackSchedule):
@@ -288,16 +302,29 @@ class IncrementalAttack(AttackSchedule):
         # flips land on whole bits: the rounded count, not the requested fraction
         return {self.step_flips(step, code.params.m): 1.0}
 
+    def uniform_flips(self, step, m, fresh=None) -> tuple[int, bool] | None:
+        if self.policy != "uniform":
+            return None
+        d = self.step_flips(step, m)
+        if fresh is not None:
+            self._check_fresh(step, d, fresh)
+        return d, True
+
+    @staticmethod
+    def _check_fresh(step: int, d: int, fresh: np.ndarray) -> int:
+        """The rows' fresh-position count, which every row must share: every row has run
+        the same flip counts since its last store. ScheduleError unless it holds d."""
+        f = int(fresh[0])
+        if d > f or (fresh != f).any():
+            held = sorted(set(fresh.tolist()))
+            raise ScheduleError(f"step {step} needs {d} fresh positions in every row, rows hold {held}")
+        return f
+
     def apply(self, step, patterns, message, code, draws) -> None:
         m = code.params.m
         d = self.step_flips(step, m)
-        # every row has run the same flip counts since its last store, so all hold f fresh
-        # positions, the zero bits of its pattern; padding bits are zero, so they never count
-        counts = m - np.bitwise_count(patterns).sum(axis=1, dtype=np.int64)
-        f = int(counts[0])
-        if d > f or (counts != f).any():
-            held = sorted(set(counts.tolist()))
-            raise ScheduleError(f"step {step} needs {d} fresh positions in every row, rows hold {held}")
+        # the zero bits of each pattern; padding bits are zero, so they never count
+        f = self._check_fresh(step, d, m - np.bitwise_count(patterns).sum(axis=1, dtype=np.int64))
         # the pool is a row's f fresh positions, so a row's ranks pick among them
         _flip_ranked(
             patterns, self.policy, f, d, draws,

@@ -164,7 +164,8 @@ def required_k(epsilon: float, delta: float) -> int:
     A single comparison against memory at relative distance >= delta accepts
     with probability at most lemma1_bound(delta, 1) = p_single(delta) =
     1 - 2*delta + 2*delta^2, so k = ceil(log(epsilon) / log(p_single(delta)))
-    suffices. lemma1_bound also checks delta.
+    suffices; the k returned is the least one whose bound, as computed, is at
+    most epsilon. lemma1_bound also checks delta.
     """
     if not 0.0 < epsilon < 0.5:
         raise ValueError(f"epsilon must be in (0, 1/2), got {epsilon}")
@@ -174,9 +175,16 @@ def required_k(epsilon: float, delta: float) -> int:
         # comparison test; no finite k reaches the target error rate.
         raise ValueError(f"no finite k for delta={delta}: per-test accept probability is 1")
     ratio = math.log(epsilon) / math.log(base)
-    # Nudge guards against float noise at exact-integer ratios; the true k is
-    # any integer >= ratio, so rounding a hair down is always safe.
-    return max(1, math.ceil(ratio - 1e-12))
+    # The nudge keeps float noise at an exact-integer ratio from adding a copy, but
+    # it also rounds a ratio just above an integer down, one copy short. So k is
+    # settled on the doubles every bound uses: the least k with
+    # lemma1_bound(delta, k) <= epsilon.
+    k = max(1, math.ceil(ratio - 1e-12))
+    while lemma1_bound(delta, k) > epsilon:
+        k += 1
+    while k > 1 and lemma1_bound(delta, k - 1) <= epsilon:
+        k -= 1
+    return k
 
 
 @dataclass(frozen=True)

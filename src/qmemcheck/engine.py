@@ -1,35 +1,54 @@
 """Batch session engine: a run's trials in chunks, one array row per session.
 
 run_sessions plays the protocol of checker.store/retrieve on a chunk of T
-sessions at once. A session's row holds its corruption pattern P, the memory
-xor the codeword of its last store, as a (T, W) uint64 array of packed rows,
-W = ceil(m / 64): position a is bit a & 63 of word a >> 6, and the padding
-bits past m are zero in every array, so they never count. Everything the
-checker decides depends on P and the stored message, which the engine keeps
-instead of its codeword, so a store zeroes its rows' patterns and encodes
-nothing. A verification is one row-wise Hamming distance d from the memory to
-the stored fingerprint: the weight of P right after a store, else of P xor the
-snapshot of P that the last retrieve took. One uniform per session is compared
-with fingerprint.p_accept(d/m, k): that is the chance that all k copies of the
-comparison test accept, so the verdict has exactly the law of k copies without
-drawing k numbers. A decode is the code's decode on the rows of P, each row
-reading bit a & 63 of its own word a >> 6. The code is linear and its decode a
-xor of reads, so a retrieve answers the stored message bit xor the decode of
-P, and it is correct exactly where that decode is 0; checker.retrieve runs the
-same method on one row of memory bytes. The decode of a clean codeword is
+sessions at once. Everything the checker decides depends on the session's
+corruption pattern P, the memory xor the codeword of its last store, and on
+the stored message, which the engine keeps instead of its codeword, so a store
+zeroes P and encodes nothing. A verification is one Hamming distance d from
+the memory to the stored fingerprint: the weight of P right after a store,
+else of P xor the snapshot S of P that the last retrieve took. One uniform per
+session is compared with fingerprint.p_accept(d/m, k): that is the chance that
+all k copies of the comparison test accept, so the verdict has exactly the law
+of k copies without drawing k numbers. The code is linear and its decode a xor
+of reads, so a retrieve answers the stored message bit xor the decode of P,
+and it is correct exactly where that decode is 0; checker.retrieve runs the
+same decode on one row of memory bytes. The decode of a clean codeword is
 exact, so a retrieve with no attack op since its store, where P is 0, answers
-the stored bit and draws no decode mask. An attack op runs its schedule's apply
-on the chunk's pattern rows and stored messages, the one corruption method each
-schedule has.
-The per-trial checker.store and retrieve stay the library API and the
-reference that the tests compare this engine's verification, decode and
-refresh against. The complexity a run reports is the stated cost,
-analysis.stated_complexity, which the harness checks against the meters of
-one library store and retrieve; no engine session is metered.
+the stored bit and draws no decode mask. The per-trial checker.store and
+retrieve stay the library API and the reference that the tests compare this
+engine's verification, decode and refresh against. The complexity a run
+reports is the stated cost, analysis.stated_complexity, which the harness
+checks against the meters of one library store and retrieve; no engine
+session is metered.
 
-Only live sessions hold rows. A session's first reject ends it, so after a
-verification with rejects the survivors' rows move to the front of the run's
-buffers, and every later op of the chunk works on them alone. Between
+Two samplers hold P, and _run_chunk plays the same plan, draws, verdict codes
+and Tally on either one:
+- The dense sampler (_Buffers) holds P as a (T, W) uint64 array of packed
+  rows, W = ceil(m / 64): position a is bit a & 63 of word a >> 6, and the
+  padding bits past m are zero in every array, so they never count. A decode
+  reads the bits of P, and an attack op runs its schedule's apply on the
+  pattern rows and stored messages, the one corruption method each schedule
+  has. Every answer and distance is the one the memory itself gives, and an
+  op costs O(m) a session.
+- The deferred-decision sampler (lazy.LazySampler) holds no rows: per session,
+  the counts of unread positions in each (P bit, S bit) class and the
+  positions its decodes have read. It plays steps that state a uniform lazy
+  form (AttackSchedule.uniform_flips). Their law is the same under every
+  permutation of the positions, so given the counts and the read positions'
+  classes the unread positions are exchangeable, and a position's class is
+  drawn only when a decode first reads it; lazy.py gives the argument. An op
+  costs O(reads) a session, whatever m is.
+_lazy_reads gives a config to the lazy sampler when m >= LAZY_MIN_M (2^15),
+every attack op has a uniform lazy form, and the read set holds at most
+LAZY_READS * m / LAZY_MIN_M positions (16 at m = 2^15, 32 at m = 2^16); both
+constants come from a measured crossover, and the dense sampler runs all
+other configs. The rule reads only the config, so a trial replayed alone
+takes its run's sampler. The two samplers answer differently from the same
+draws, each with the exact law.
+
+Only live sessions hold state. A session's first reject ends it, so after a
+verification with rejects the survivors move to the front of the sampler's
+arrays, and every later op of the chunk works on them alone. Between
 refreshes (a store's zero pattern, a retrieve's snapshot) only attack ops
 change the pattern, so with no attack op since the last refresh every row sits at
 distance 0: while p_accept(0.0, k) is 1 such an op has no verification at all.
@@ -46,10 +65,12 @@ The package has one memory rule, row_blocks: a loop over rows takes them in
 blocks of at most max(1, CHUNK_BYTES // row_bytes) rows, where row_bytes is
 the most any one array of the loop holds per row, so no such array exceeds
 CHUNK_BYTES unless one row does. Each loop states only its own row_bytes. A
-chunk here is a block of sessions at 8 * max(W, n, 3) bytes each: the packed
+dense chunk is a block of sessions at 8 * max(W, n, 3) bytes each: the packed
 row, the int64 bits of a drawn message and the protocol's 3 draws. That is
-8,192 sessions at n=4, 4,096 at n=8, 32 at n=16 and 2 at n=20. A run
-allocates its (T, W) arrays once and every chunk reuses them.
+8,192 sessions at n=4, 4,096 at n=8, 32 at n=16 and 2 at n=20, and a run
+allocates its (T, W) arrays once for every chunk to reuse. A lazy chunk takes
+8 * max(reads, n, 4) bytes a session: the read positions, a drawn message's
+bits and the 4 class counts.
 
 The config resolves its script once (ExperimentConfig.ops): each op's kind,
 its attack step or retrieve position, and its fixed message or index, or an
@@ -61,7 +82,8 @@ sessions takes the script in row_blocks blocks of ops and hashes each block
 in two passes, one for its ops' keys and one for all its planned slots; an
 op's key takes 8 * T bytes and so does each slot, so an op's row_bytes is
 8 * T times the most slots any op plans, at least 1. No array grows with the
-script.
+script. The lazy sampler hashes its own few draws from the op keys where it
+makes them.
 """
 
 from __future__ import annotations
@@ -101,6 +123,13 @@ INDEX_SLOT = 1  # a retrieve's random index
 MASK_SLOT = 2  # a retrieve's decode mask
 
 _BUGGY = 2  # verdict code of a reject; an answer's code is its bit
+
+# The deferred-decision sampler plays a config only at m >= LAZY_MIN_M, and only
+# where its read set holds at most LAZY_READS * m / LAZY_MIN_M positions
+# (_lazy_reads): an op costs it O(reads) and costs the dense sampler O(m). Both
+# were set from a measured crossover.
+LAZY_MIN_M = 1 << 15
+LAZY_READS = 16
 
 
 def _mix(z: np.ndarray) -> np.ndarray:
@@ -287,7 +316,9 @@ def run_sessions(config, trials: range) -> Tally:
     with k = config.resolved_k() comparison copies per verification; verdict
     codes are kept when config.record_trials is set. trials must have step 1
     and lie in [0, 2^64), since trial indices are uint64 counters; an empty
-    range gives an empty tally.
+    range gives an empty tally. The deferred-decision sampler (lazy.LazySampler)
+    plays the sessions where _lazy_reads gives it a read set, and the dense one
+    (_Buffers) plays all others.
     """
     if trials.step != 1:
         raise ValueError(f"trials must be a range of step 1, got {trials!r}")
@@ -302,18 +333,51 @@ def run_sessions(config, trials: range) -> Tally:
     if not size:
         return tally
     n, m = config.code.params.n, config.code.params.m
-    # per session: its packed row, a drawn message's int64 bits and the protocol's 3 draws
-    session_bytes = 8 * max(word_count(m), n, 3)
-    buffers = _Buffers(next(row_blocks(size, session_bytes)).stop, m)
+    reads = _lazy_reads(config, plan)
+    if reads is None:
+        # per session: its packed row, a drawn message's int64 bits and the protocol's 3 draws
+        session_bytes = 8 * max(word_count(m), n, 3)
+        state = _Buffers(next(row_blocks(size, session_bytes)).stop, m)
+    else:
+        # per session: its read positions, a drawn message's int64 bits and its 4 class counts
+        session_bytes = 8 * max(reads, n, 4)
+        from .lazy import LazySampler  # loaded only by the runs that take it
+
+        state = LazySampler(m, reads)
     for rows in row_blocks(size, session_bytes):
         indices = np.arange(trials.start + rows.start, trials.start + rows.stop, dtype=np.uint64)
-        _run_chunk(config, plan, indices, buffers, tally, None if tally.codes is None else tally.codes[rows])
+        _run_chunk(config, plan, indices, state, tally, None if tally.codes is None else tally.codes[rows])
     return tally
 
 
+def _lazy_reads(config, plan) -> int | None:
+    """The read-set size the deferred-decision sampler needs for config's plan
+    (_draw_plan), or None where the dense sampler plays it: at m below
+    LAZY_MIN_M, where the schedule states no lazy form (uniform_flips) for one
+    of the plan's attack ops, or where the read set would pass LAZY_READS * m /
+    LAZY_MIN_M. Each decode reads q positions, and a store empties the read
+    set, so the size is q times the most retrieves with a MASK slot between two
+    stores."""
+    params = config.code.params
+    if params.m < LAZY_MIN_M:
+        return None
+    if any(kind == "attack" and config.attack.uniform_flips(step, params.m) is None for kind, _, step, _ in plan):
+        return None
+    most = reads = 0
+    for kind, slots, *_ in plan:
+        reads = 0 if kind == "store" else reads + params.q * (MASK_SLOT in slots)
+        most = max(most, reads)
+    return most if most * LAZY_MIN_M <= LAZY_READS * params.m else None
+
+
 class _Buffers:
-    """The (T, W) word arrays every chunk of a run reuses. A new array that
-    large would come from the operating system page by page at every op."""
+    """The dense sampler: each live session's pattern P as a packed row, in
+    (T, W) word arrays that every chunk of a run reuses. A new array that large
+    would come from the operating system page by page at every op.
+
+    live views the live sessions' rows of pattern. stored is what a
+    verification compares P with: the snapshot a retrieve takes when it
+    verifies, or None after a store, for the zero pattern of its codeword."""
 
     def __init__(self, size: int, m: int) -> None:
         shape = (size, word_count(m))
@@ -321,6 +385,37 @@ class _Buffers:
         self.snapshot = np.empty(shape, dtype=np.uint64)
         self.diff = np.empty(shape, dtype=np.uint64)
         self.counts = np.empty(shape, dtype=np.uint8)
+
+    def start(self, size: int) -> None:
+        """Take the first size rows for a chunk's sessions; its first op is a store."""
+        self.live, self.stored = self.pattern[:size], None
+
+    def attack(self, schedule, step, message, code, draws) -> None:
+        schedule.apply(step, self.live, message, code, draws)
+
+    def verify_distance(self) -> np.ndarray:
+        return self.distance(self.live, self.stored)
+
+    def clean(self, rows: np.ndarray) -> np.ndarray:
+        """Whether P is 0, for each of the live rows picked by the boolean mask rows."""
+        return ~self.live[rows].any(axis=1)
+
+    def keep(self, keep: np.ndarray, store: bool) -> None:
+        """Keep the live rows keep (ascending). A store zeroes the patterns next, so
+        there only the view shrinks and no row is gathered."""
+        self.live = self.pattern[: keep.size] if store else self.compact(keep)
+
+    def store(self) -> None:
+        self.live.fill(0)
+        self.stored = None
+
+    def decode(self, code, index, masks, draws) -> np.ndarray:
+        # the code is linear and decodes by a xor of reads: the answer is the stored bit xor P's decode
+        return code.decode(index, masks, lambda pos: read_rows(self.live, pos))
+
+    def refresh(self) -> None:
+        self.stored = self.snapshot[: len(self.live)]
+        np.copyto(self.stored, self.live)
 
     def compact(self, keep: np.ndarray) -> np.ndarray:
         """Move rows keep (ascending) of pattern to the front, and return the
@@ -339,39 +434,41 @@ class _Buffers:
         return np.bitwise_count(a, out=self.counts[:rows]).sum(axis=1, dtype=np.int32)
 
 
+def _per_distinct(values: np.ndarray, f) -> np.ndarray:
+    """f of each entry of an integer array, as doubles, called once per distinct value."""
+    # the distinct values as np.unique finds them, which costs twice as much on a
+    # few dozen rows, and whose first call maps up to 1.3 MB more of numpy's pages
+    ranked = np.sort(values, axis=None)
+    distinct = np.concatenate([ranked[:1], ranked[1:][ranked[1:] != ranked[:-1]]])
+    return np.array([f(v) for v in distinct.tolist()], dtype=float)[np.searchsorted(distinct, values)]
+
+
 def _accept_prob(distance: np.ndarray, m: int, k: int):
     """p_accept(d/m, k) per row: the chance that all k copies of the comparison
     test accept at distance d, computed once per distinct distance."""
-    # the distinct distances as np.unique finds them, which costs twice as much on a
-    # few dozen rows, and whose first call maps up to 1.3 MB more of numpy's pages
-    ranked = np.sort(distance)
-    values = np.concatenate([ranked[:1], ranked[1:][ranked[1:] != ranked[:-1]]])
-    return np.array([p_accept(d / m, k) for d in values.tolist()])[np.searchsorted(values, distance)]
+    return _per_distinct(distance, lambda d: p_accept(d / m, k))
 
 
-def _run_chunk(config, plan, indices: np.ndarray, buffers: _Buffers, tally: Tally, codes):
-    """Play the plan (_draw_plan) on one chunk, one session per row, writing the
-    verdict codes into codes, the chunk's rows of tally.codes, unless it is None.
-    Each op's kind, step and value are the plan's, as config.ops resolved them;
-    a value of None is drawn at the op's planned slot.
+def _run_chunk(config, plan, indices: np.ndarray, state, tally: Tally, codes):
+    """Play the plan (_draw_plan) on one chunk, one session per row, on the sampler
+    state (_Buffers or lazy.LazySampler), writing the verdict codes into codes, the
+    chunk's rows of tally.codes, unless it is None. Each op's kind, step and value
+    are the plan's, as config.ops resolved them; a value of None is drawn at the
+    op's planned slot.
 
-    Row r of the buffers belongs to chunk session live[r], and keys, message and
-    the block's op keys and draws (one row per op or planned slot, one column per
-    session) keep the same sessions. pattern holds each row's P, the memory xor
-    the codeword of its last store. After a verification with rejects, the
-    survivors' pattern rows are packed to the front (_Buffers.compact), so the
-    op and every later one run on live sessions only; a store zeroes them, so
-    there only the views shrink. stored is what a verification compares P with:
-    the snapshot a retrieve takes exactly when it verified, or None after a
-    store, for the zero pattern of its codeword. An op the plan does not verify
-    follows a refresh with no corrupting attack op and no moved row, so stored
-    still equals every live row's P; a retrieve the plan gives no MASK has P = 0."""
+    Row r of the state belongs to chunk session live[r], and keys, message and the
+    block's op keys and draws (one row per op or planned slot, one column per
+    session) keep the same sessions. After a verification with rejects, the state
+    keeps the survivors' rows only, so the op and every later one run on live
+    sessions only. An op the plan does not verify follows a refresh with no
+    corrupting attack op, so P still equals its snapshot in every live row; a
+    retrieve the plan gives no MASK has P = 0."""
     code, k = config.code, config.resolved_k()
     n, m = code.params.n, code.params.m
     live = np.arange(indices.size)
     keys = trial_keys(config.seed, indices)
-    pattern = buffers.pattern[: indices.size]
-    stored = message = None
+    state.start(indices.size)
+    message = None
     for block in row_blocks(len(plan), 8 * indices.size * max(1, *(len(slots) for _, slots, *_ in plan))):
         op_keys = _stream(keys, np.arange(block.start, block.stop)[:, None])
         planned = np.array([slot for _, slots, *_ in plan[block] for slot in slots], dtype=np.int64)
@@ -380,48 +477,44 @@ def _run_chunk(config, plan, indices: np.ndarray, buffers: _Buffers, tally: Tall
         for j in range(block.start, block.stop):
             kind, slots, step, value = plan[j]
             if kind == "attack":
-                config.attack.apply(step, pattern, message, code, OpDraws(op_keys[j - block.start]))
+                state.attack(config.attack, step, message, code, OpDraws(op_keys[j - block.start]))
                 continue
             read = dict(zip(slots, range(row, row + len(slots))))  # slot -> row of drawn
             row += len(slots)
             if kind == "retrieve":
                 tally.reached[step] += live.size
             if VERIFY_SLOT in read:
-                accept = _uniform(drawn[read[VERIFY_SLOT]]) < _accept_prob(buffers.distance(pattern, stored), m, k)
+                accept = _uniform(drawn[read[VERIFY_SLOT]]) < _accept_prob(state.verify_distance(), m, k)
                 if not accept.all():
                     reject = ~accept
                     tally.buggy += int(np.count_nonzero(reject))
                     # "false buggy" means rejecting a memory that matches the stored codeword: P = 0
-                    tally.false_buggy += int(np.count_nonzero(~pattern[reject].any(axis=1)))
+                    tally.false_buggy += int(np.count_nonzero(state.clean(reject)))
                     if codes is not None:
                         codes[live[reject], j] = _BUGGY
                     keep = np.flatnonzero(accept)
                     if not keep.size:
                         return
                     live, keys, op_keys, drawn = live[keep], keys[keep], op_keys[:, keep], drawn[:, keep]
-                    if kind == "store":  # which zeroes the patterns: no row to gather
-                        pattern = buffers.pattern[: keep.size]
-                    else:
+                    state.keep(keep, kind == "store")
+                    if kind != "store":
                         message = message[keep]
-                        pattern = buffers.compact(keep)
             if kind == "store":
                 message = (
                     _messages(drawn[read[MESSAGE_SLOT]], n) if value is None else np.broadcast_to(value, (live.size, n))
                 )
-                pattern.fill(0)
-                stored = None
+                state.store()
                 verdict = 1
             else:
                 index = _below(drawn[read[INDEX_SLOT]], n) if value is None else value
                 wrong = 0  # with no attack op since the store, P is 0 and so is its decode
                 if MASK_SLOT in read:
-                    # the code is linear and decodes by a xor of reads: the answer is the stored bit xor P's decode
-                    wrong = code.decode(index, _below(drawn[read[MASK_SLOT]], m), lambda pos: read_rows(pattern, pos))
+                    masks = _below(drawn[read[MASK_SLOT]], m)
+                    wrong = state.decode(code, index, masks, OpDraws(op_keys[j - block.start]))
                 verdict = message[np.arange(live.size), index] ^ wrong
                 tally.correct += live.size - int(np.count_nonzero(wrong))
                 tally.accepted[step] += live.size
                 if VERIFY_SLOT in read:
-                    stored = buffers.snapshot[: live.size]
-                    np.copyto(stored, pattern)
+                    state.refresh()
             if codes is not None:
                 codes[live, j] = verdict

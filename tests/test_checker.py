@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import qmemcheck
 from qmemcheck import checker
-from qmemcheck.analysis import ComplexityReport, qubits_per_summary, required_k
+from qmemcheck.analysis import ComplexityReport, lemma1_bound, qubits_per_summary, required_k
 from qmemcheck.bits import as_bits
 from qmemcheck.checker import ProtocolError, PublicMemory, Verdict, complexity_report, new_checker, retrieve, store
 from qmemcheck.code import HadamardCode
@@ -43,6 +43,25 @@ class TestRequiredK:
     def test_exact_integer_ratio(self):
         # log 0.25 / log 0.5 = 2 exactly; float noise must not bump it to 3
         assert required_k(0.25, 0.5) == 2
+
+    def test_ratio_just_above_an_integer_is_not_rounded_down(self):
+        # log(eps) / log(1/2) = 7 + 6.6e-13 here, which the nudge before ceil rounds to 7,
+        # yet 0.5^7 = 2^-7 exceeds eps: the least valid k is 8
+        eps = 2**-7 * (1 - 2**-41)
+        assert lemma1_bound(0.5, 7) > eps >= lemma1_bound(0.5, 8)
+        assert required_k(eps, 0.5) == 8
+        assert required_k(2**-7, 0.5) == 7
+
+    def test_k_is_the_least_on_the_doubles(self):
+        # near every power of the per-test bound, on both sides of it
+        for delta in (0.5, 0.3, 0.1):
+            for power in range(1, 40):
+                for scale in (1 - 2**-40, 1 - 2**-52, 1.0, 1 + 2**-52, 1 + 2**-40):
+                    eps = lemma1_bound(delta, power) * scale
+                    if not 0 < eps < 0.5:
+                        continue
+                    k = required_k(eps, delta)
+                    assert lemma1_bound(delta, k) <= eps and (k == 1 or lemma1_bound(delta, k - 1) > eps)
 
     def test_half_distance_minimizes_k(self):
         # the per-test accept base 1 - 2d + 2d^2 bottoms out at d = 1/2

@@ -400,6 +400,7 @@ def test_trials_past_2_63_reach_the_first_chunk(monkeypatch):
 
 
 def test_chunk_arrays_capped_at_n16(monkeypatch):
+    monkeypatch.setattr(engine, "LAZY_MIN_M", 2**62)  # the dense sampler's chunks; the lazy one takes this config
     chunks = recorded_chunks(monkeypatch)
     config = ExperimentConfig(n=16, k=7, attack=FlipCount(bits_per_step=1024), steps=3, trials=300)
     tracemalloc.start()
@@ -414,6 +415,7 @@ def test_chunk_arrays_capped_at_n16(monkeypatch):
 
 
 def test_two_sessions_per_chunk_at_n20(monkeypatch):
+    monkeypatch.setattr(engine, "LAZY_MIN_M", 2**62)  # the dense sampler's chunks; the lazy one takes this config
     chunks = recorded_chunks(monkeypatch)
     config = ExperimentConfig(n=20, k=7, attack=FlipCount(bits_per_step=64), steps=2, trials=3)
     agg = run_experiment(config).aggregates
