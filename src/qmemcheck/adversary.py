@@ -15,22 +15,25 @@ F2-linear, so replacing the memory by the codeword C(t) of a target t sets P
 to C(t) xor C(x) = C(t xor x) for stored message x. Strategies are
 information-theoretic scripts: they never observe checker verdicts or
 measurement outcomes. Everything that depends on the kind of attack (field
-checks, serialisation, config checks against the code, the corruption
-itself, and the distance each step puts between memory and the checker's
-fingerprint) is a method of its schedule class. A new kind is added here
-alone: its step_distances, which ExperimentConfig.ops resolves once per
-attack op for the draw plan and harness._attach_bounds, is all a run needs
-to check it.
-Facts of the code, such as how far apart two codewords sit, come from the
-code each method is given (code.substitution_distances), not from here.
+checks, serialisation, config checks against the code, and the step) is a
+method of its schedule class. A new kind is added here alone.
 
-FlipCount and incremental steps share one ranked flip, _flip_ranked: per
-row, d ascending ranks in a pool (the codeword, or the row's fresh
-positions, the zero bits of P), flipped a block of rows at a time under
-engine.row_blocks, the package's one memory rule, at 8 bytes a row per
-rank, or per pool position where the draws sample the complement.
-Incremental steps find the fresh positions for spans of rows at 8*m bytes a
-row.
+A flip schedule states its step once, as a flip rule: flips(step, m) gives
+(d, fresh_only, policy), d positions drawn from all m or from the fresh
+ones, placed uniformly or by rank. The noop, flip_count and incremental
+schedules state only that; the base class derives the rest from it. Their
+step_distances is {d: 1}, which ExperimentConfig.ops resolves once per
+attack op for the draw plan and harness._attach_bounds. Their apply flips d
+ranks in a pool (the codeword, or each row's fresh positions, the zero bits
+of P, after one fresh-count check, check_fresh) with one ranked flip,
+_flip_ranked, a block of rows at a time under engine.row_blocks, the
+package's one memory rule, at 8 bytes a row per rank, or per pool position
+where the draws sample the complement. Fresh positions are found for spans
+of rows at 8*m bytes a row. The engine's deferred-decision sampler plays a
+step in place of apply where its policy is "uniform". A substitution is no
+flip: it states its own step_distances and apply. Facts of the code, such
+as how far apart two codewords sit, come from the code each method is
+given (code.substitution_distances), not from here.
 """
 
 from __future__ import annotations
@@ -124,26 +127,37 @@ class AttackSchedule:
             raise ScheduleError(f"step {step} is outside the schedule's {self.intrinsic_steps} step(s)")
         return step
 
+    def flips(self, step: int, m: int) -> tuple[int, bool, str] | None:
+        """The step's flip rule for codeword length m, or None for a step that is no
+        flip: (d, fresh_only, policy), where the step flips d positions of the m, or of
+        the fresh ones (the zero bits of P) when fresh_only, picked by policy (see
+        POSITION_POLICIES). The engine's deferred-decision sampler plays the steps whose
+        policy is "uniform" in place of apply."""
+        return None
+
     def step_distances(self, code: LocallyDecodableCode, message: str, step: int) -> dict[int, float]:
         """{distance: probability} of the Hamming distance from memory to the
         checker's fingerprint, refreshed at the last accepted op, right after
-        step *step* of the default script storing the config-level message."""
-        raise NotImplementedError
+        step *step* of the default script storing the config-level message:
+        {d: 1} for a flip step, whose d flips land on the refreshed memory."""
+        return {self.flips(step, code.params.m)[0]: 1.0}
 
     def apply(self, step, patterns, message, code, draws) -> None:
         """The schedule's one corruption method, run by the engine on its chunks: corrupt
         one in-range step of the (T, W) array of packed corruption patterns (see bits.py;
         a row is the memory xor the stored codeword) in place, given each row's stored
-        message (a (T, n) uint8 array, which it only reads) and the step's draws (OpDraws)."""
-        raise NotImplementedError
-
-    def uniform_flips(self, step: int, m: int, fresh: np.ndarray | None = None) -> tuple[int, bool] | None:
-        """The step's lazy form, which the engine's deferred-decision sampler plays in
-        place of apply: (d, fresh_only) where the step flips a uniform d-subset of the m
-        positions, or of the fresh ones (the zero bits of P) when fresh_only, or None
-        where it does not. fresh, each row's count of fresh positions, is given where the
-        sampler plays the step, and a step that draws from them checks it."""
-        return None
+        message (a (T, n) uint8 array, which it only reads) and the step's draws (OpDraws).
+        A flip step flips its rule's d positions by rank (_flip_ranked) in a pool: the
+        codeword, so a row's ranks are its positions, or a row's f fresh positions."""
+        m = code.params.m
+        d, fresh_only, policy = self.flips(step, m)
+        pool, flip = m, lambda rows, ranks: flip_rows(patterns[rows], ranks)
+        if fresh_only:
+            # the zero bits of each pattern; padding bits are zero, so they never count
+            pool = check_fresh(step, d, m - np.bitwise_count(patterns).sum(axis=1, dtype=np.int64))
+            flip = lambda rows, ranks: _flip_fresh(patterns[rows], m, pool, ranks)
+        if d:
+            _flip_ranked(patterns, policy, pool, d, draws, flip)
 
 
 @dataclass(frozen=True)
@@ -152,14 +166,8 @@ class NoOpAttack(AttackSchedule):
 
     kind = "noop"
 
-    def step_distances(self, code, message, step) -> dict[int, float]:
-        return {0: 1.0}
-
-    def apply(self, step, patterns, message, code, draws) -> None:
-        pass
-
-    def uniform_flips(self, step, m, fresh=None) -> tuple[int, bool]:
-        return 0, False
+    def flips(self, step, m) -> tuple[int, bool, str]:
+        return 0, False, "uniform"
 
 
 @dataclass(frozen=True)
@@ -233,19 +241,10 @@ class FlipCount(AttackSchedule):
             raise ConfigError("bits_per_step", f"must be >= 0, got {self.bits_per_step}")
         _check_policy(self.policy)
 
-    def step_distances(self, code, message, step) -> dict[int, float]:
+    def flips(self, step, m) -> tuple[int, bool, str]:
         # every step flips that many positions of the refreshed memory (prefix
         # toggles the same ones again)
-        return {min(self.bits_per_step, code.params.m): 1.0}
-
-    def apply(self, step, patterns, message, code, draws) -> None:
-        m = code.params.m
-        d = min(self.bits_per_step, m)
-        # the pool is the codeword, so a row's ranks are its positions
-        _flip_ranked(patterns, self.policy, m, d, draws, lambda rows, ranks: flip_rows(patterns[rows], ranks))
-
-    def uniform_flips(self, step, m, fresh=None) -> tuple[int, bool] | None:
-        return (min(self.bits_per_step, m), False) if self.policy == "uniform" else None
+        return min(self.bits_per_step, m), False, self.policy
 
 
 @dataclass(frozen=True)
@@ -285,10 +284,6 @@ class IncrementalAttack(AttackSchedule):
     def intrinsic_steps(self) -> int | None:
         return len(self.deltas)
 
-    def step_flips(self, step: int, m: int) -> int:
-        """The whole-bit flip count of one step for codeword length m."""
-        return round_half_up(self.deltas[self._check_step(step)] * m)
-
     def check(self, code: LocallyDecodableCode, message: str) -> None:
         params = code.params
         total = sum(round_half_up(d * params.m) for d in self.deltas)
@@ -298,38 +293,19 @@ class IncrementalAttack(AttackSchedule):
         if self.require_reach and total < params.delta * params.m - 1e-9:
             raise ConfigError("deltas", f"rounded flip total {total} falls short of the code distance")
 
-    def step_distances(self, code, message, step) -> dict[int, float]:
+    def flips(self, step, m) -> tuple[int, bool, str]:
         # flips land on whole bits: the rounded count, not the requested fraction
-        return {self.step_flips(step, code.params.m): 1.0}
+        return round_half_up(self.deltas[self._check_step(step)] * m), True, self.policy
 
-    def uniform_flips(self, step, m, fresh=None) -> tuple[int, bool] | None:
-        if self.policy != "uniform":
-            return None
-        d = self.step_flips(step, m)
-        if fresh is not None:
-            self._check_fresh(step, d, fresh)
-        return d, True
 
-    @staticmethod
-    def _check_fresh(step: int, d: int, fresh: np.ndarray) -> int:
-        """The rows' fresh-position count, which every row must share: every row has run
-        the same flip counts since its last store. ScheduleError unless it holds d."""
-        f = int(fresh[0])
-        if d > f or (fresh != f).any():
-            held = sorted(set(fresh.tolist()))
-            raise ScheduleError(f"step {step} needs {d} fresh positions in every row, rows hold {held}")
-        return f
-
-    def apply(self, step, patterns, message, code, draws) -> None:
-        m = code.params.m
-        d = self.step_flips(step, m)
-        # the zero bits of each pattern; padding bits are zero, so they never count
-        f = self._check_fresh(step, d, m - np.bitwise_count(patterns).sum(axis=1, dtype=np.int64))
-        # the pool is a row's f fresh positions, so a row's ranks pick among them
-        _flip_ranked(
-            patterns, self.policy, f, d, draws,
-            lambda rows, ranks: _flip_fresh(patterns[rows], m, f, ranks),
-        )
+def check_fresh(step: int, d: int, fresh: np.ndarray) -> int:
+    """The rows' fresh-position count, which every row must share: every row has run
+    the same flip counts since its last store. ScheduleError unless it holds d."""
+    f = int(fresh[0])
+    if d > f or (fresh != f).any():
+        held = sorted(set(fresh.tolist()))
+        raise ScheduleError(f"step {step} needs {d} fresh positions in every row, rows hold {held}")
+    return f
 
 
 def _flip_ranked(patterns, policy, pool, d, draws, flip) -> None:

@@ -33,13 +33,17 @@ monotone, so a child's margin never falls as its parent's product grows:
 each level's largest margin, and each sum's largest product, is a child of
 some sum's largest product. So verify_lemma2 builds, level by level, only
 the children of each sum's largest product, at most (grid + 1)(grid + 2)/2
-a level. Only if the largest margin exceeds the tolerance does it also
-enumerate every schedule, depth first, to count the violations exactly.
+a level. A sum has one schedule of one part, so the levels of one and two
+parts hold every such schedule, and their violations are counted as they
+are built. Only if the largest margin exceeds the tolerance does it also
+enumerate the schedules of three parts and more, depth first, to count
+theirs exactly.
 Both run in blocks of children at 64 bytes each, 4,096 to a block unless
 one parent has more, so memory does not grow with the schedule count. On a
 2-core Xeon, a passing check at the cap of MAX_LEMMA2_SCHEDULES takes under
 4 ms at t_max 3 and up, and about 0.1-0.2 s at t_max 2 (grid 4,400), where
-every sum of one part is its own parent; the enumeration adds 0.05-0.2 s.
+every sum of one part is its own parent; a failing check at t_max 3 and up
+adds the enumeration, 0.05-0.2 s, and one at t_max 2 enumerates nothing.
 
 verify_swap_oracle draws each block of pairs with one Generator call and
 runs the controlled-SWAP circuit on the block (cswap_statevector_probs),
@@ -252,13 +256,14 @@ def _child_blocks(
 
 
 def _schedule_margins(table: np.ndarray, t_max: int, cap: int) -> Iterator[np.ndarray]:
-    """Blocks of p_multi(parts) - p_single(sum(parts)) over every schedule on the grid.
+    """Blocks of p_multi(parts) - p_single(sum(parts)) over every schedule of 3 to t_max parts.
 
     A schedule is (g_1..g_j), 1 <= j <= t_max, of integers g_i >= 0 with sum
     <= grid, standing for the flip fractions g_i / grid; table[g] is
     p_single(g / grid). Each level's schedules are the children of the
     level before, built depth first in _child_blocks' blocks, so memory is
-    O(t_max * block) whatever the schedule count.
+    O(t_max * block) whatever the schedule count. _max_margin counts the
+    schedules of one and two parts.
     """
     stack = [(1, _child_blocks(np.zeros(1, dtype=np.int64), np.ones(1), table, cap))]
     while stack:
@@ -268,13 +273,15 @@ def _schedule_margins(table: np.ndarray, t_max: int, cap: int) -> Iterator[np.nd
             stack.pop()
             continue
         sums, prods = block
-        yield prods - table[sums]
+        if length >= 3:
+            yield prods - table[sums]
         if length < t_max:
             stack.append((length + 1, _child_blocks(sums, prods, table, cap)))
 
 
-def _max_margin(table: np.ndarray, t_max: int, cap: int) -> float:
-    """The largest of _schedule_margins' margins, from each level's largest product per sum.
+def _max_margin(table: np.ndarray, t_max: int, cap: int, tolerance: float) -> tuple[float, int]:
+    """The largest margin over every schedule, from each level's largest product per
+    sum, and the count of schedules of one or two parts whose margin exceeds tolerance.
 
     A child's margin fl(fl(x * table[g]) - table[s + g]) never decreases as
     its parent's product x grows, since IEEE round-to-nearest multiply (by
@@ -283,18 +290,24 @@ def _max_margin(table: np.ndarray, t_max: int, cap: int) -> float:
     the child of sum s's largest product has the largest margin and the
     largest product. Each level is then the children of at most grid + 1
     parents, one per sum: the previous level's largest product of each sum.
+    A sum has one schedule of one part, so the levels of one and two parts
+    hold every such schedule.
     """
     top = np.full(table.size, -np.inf)
     top[0] = 1.0  # the empty schedule
-    worst = -np.inf
+    worst, violations = -np.inf, 0
     for length in range(1, t_max + 1):
         sums = np.flatnonzero(top > -np.inf)
         prods, top = top[sums], np.full(table.size, -np.inf)
         for child_sums, child_prods in _child_blocks(sums, prods, table, cap):
-            worst = max(worst, (child_prods - table[child_sums]).max())
+            margins = child_prods - table[child_sums]
+            largest = margins.max()
+            worst = max(worst, largest)
+            if length <= 2 and largest > tolerance:
+                violations += int(np.count_nonzero(margins > tolerance))
             if length < t_max:
                 np.maximum.at(top, child_sums, child_prods)
-    return worst
+    return worst, violations
 
 
 def verify_lemma2(grid: int = 20, t_max: int = 4, tolerance: float = FLOAT_TOL) -> BoundReport:
@@ -302,9 +315,10 @@ def verify_lemma2(grid: int = 20, t_max: int = 4, tolerance: float = FLOAT_TOL) 
 
     Checks every split of every total Delta on the grid {0, 1/grid, ...}
     into at most t_max parts for p_multi(parts) <= p_single(sum) within
-    float tolerance. The largest margin comes from _max_margin; only when
-    it exceeds the tolerance are the schedules enumerated, to count the
-    violations. Also scans the T=2 identity on a finer grid: the re-derived
+    float tolerance. The largest margin, and the violations among schedules
+    of one and two parts, come from _max_margin; only when the margin
+    exceeds the tolerance are the longer schedules enumerated, to count
+    theirs. Also scans the T=2 identity on a finer grid: the re-derived
     closed form must match direct subtraction to tolerance, while the
     sign-flipped variant's worst disagreement is reported so any mismatch
     is visible rather than silently trusted. A tolerance that is not a
@@ -329,9 +343,9 @@ def verify_lemma2(grid: int = 20, t_max: int = 4, tolerance: float = FLOAT_TOL) 
     table = p_single(np.arange(grid + 1) / grid)
     # children per block, at 64 bytes each: room for eight int64 or float64 arrays over them
     cap = next(row_blocks(MAX_LEMMA2_SCHEDULES, 64)).stop
-    worst_margin = _max_margin(table, t_max, cap)  # <= 0 means the bound holds
-    violations = 0
-    if worst_margin > tolerance:
+    # a margin <= 0 means the bound holds
+    worst_margin, violations = _max_margin(table, t_max, cap, tolerance)
+    if worst_margin > tolerance and t_max > 2:
         for margins in _schedule_margins(table, t_max, cap):
             violations += int(np.count_nonzero(margins > tolerance))
 

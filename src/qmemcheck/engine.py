@@ -22,24 +22,25 @@ checks against the meters of one library store and retrieve; no engine
 session is metered.
 
 Two samplers hold P, and _run_chunk plays the same plan, draws, verdict codes
-and Tally on either one:
+and Tally on either one; a retrieve runs code.decode over the sampler's read
+of P's bits:
 - The dense sampler (_Buffers) holds P as a (T, W) uint64 array of packed
   rows, W = ceil(m / 64): position a is bit a & 63 of word a >> 6, and the
-  padding bits past m are zero in every array, so they never count. A decode
-  reads the bits of P, and an attack op runs its schedule's apply on the
+  padding bits past m are zero in every array, so they never count. A read
+  takes the bits of P, and an attack op runs its schedule's apply on the
   pattern rows and stored messages, the one corruption method each schedule
   has. Every answer and distance is the one the memory itself gives, and an
   op costs O(m) a session.
 - The deferred-decision sampler (lazy.LazySampler) holds no rows: per session,
   the counts of unread positions in each (P bit, S bit) class and the
-  positions its decodes have read. It plays steps that state a uniform lazy
-  form (AttackSchedule.uniform_flips). Their law is the same under every
-  permutation of the positions, so given the counts and the read positions'
-  classes the unread positions are exchangeable, and a position's class is
-  drawn only when a decode first reads it; lazy.py gives the argument. An op
-  costs O(reads) a session, whatever m is.
+  positions its decodes have read. It plays the steps whose flip rule
+  (AttackSchedule.flips) has the uniform policy. Their law is the same under
+  every permutation of the positions, so given the counts and the read
+  positions' classes the unread positions are exchangeable, and a position's
+  class is drawn only when a decode first reads it; lazy.py gives the
+  argument. An op costs O(reads) a session, whatever m is.
 _lazy_reads gives a config to the lazy sampler when m >= LAZY_MIN_M (2^15),
-every attack op has a uniform lazy form, and the read set holds at most
+every attack op is a uniform flip step, and the read set holds at most
 LAZY_READS * m / LAZY_MIN_M positions (16 at m = 2^15, 32 at m = 2^16); both
 constants come from a measured crossover, and the dense sampler runs all
 other configs. The rule reads only the config, so a trial replayed alone
@@ -353,15 +354,16 @@ def run_sessions(config, trials: range) -> Tally:
 def _lazy_reads(config, plan) -> int | None:
     """The read-set size the deferred-decision sampler needs for config's plan
     (_draw_plan), or None where the dense sampler plays it: at m below
-    LAZY_MIN_M, where the schedule states no lazy form (uniform_flips) for one
-    of the plan's attack ops, or where the read set would pass LAZY_READS * m /
-    LAZY_MIN_M. Each decode reads q positions, and a store empties the read
-    set, so the size is q times the most retrieves with a MASK slot between two
-    stores."""
+    LAZY_MIN_M, where one of the plan's attack ops is no flip step or flips by
+    a policy other than "uniform" (AttackSchedule.flips), or where the read set
+    would pass LAZY_READS * m / LAZY_MIN_M. Each decode reads q positions, and a
+    store empties the read set, so the size is q times the most retrieves with a
+    MASK slot between two stores."""
     params = config.code.params
     if params.m < LAZY_MIN_M:
         return None
-    if any(kind == "attack" and config.attack.uniform_flips(step, params.m) is None for kind, _, step, _ in plan):
+    rules = [config.attack.flips(step, params.m) for kind, _, step, _ in plan if kind == "attack"]
+    if any(rule is None or rule[2] != "uniform" for rule in rules):
         return None
     most = reads = 0
     for kind, slots, *_ in plan:
@@ -394,7 +396,10 @@ class _Buffers:
         schedule.apply(step, self.live, message, code, draws)
 
     def verify_distance(self) -> np.ndarray:
-        return self.distance(self.live, self.stored)
+        """Row-wise Hamming weights of P, or of P xor the snapshot."""
+        rows = len(self.live)
+        p = self.live if self.stored is None else np.bitwise_xor(self.live, self.stored, out=self.diff[:rows])
+        return np.bitwise_count(p, out=self.counts[:rows]).sum(axis=1, dtype=np.int32)
 
     def clean(self, rows: np.ndarray) -> np.ndarray:
         """Whether P is 0, for each of the live rows picked by the boolean mask rows."""
@@ -409,9 +414,9 @@ class _Buffers:
         self.live.fill(0)
         self.stored = None
 
-    def decode(self, code, index, masks, draws) -> np.ndarray:
-        # the code is linear and decodes by a xor of reads: the answer is the stored bit xor P's decode
-        return code.decode(index, masks, lambda pos: read_rows(self.live, pos))
+    def read(self, positions: np.ndarray, draws) -> np.ndarray:
+        """The P bits at positions, a (rows, q) array."""
+        return read_rows(self.live, positions)
 
     def refresh(self) -> None:
         self.stored = self.snapshot[: len(self.live)]
@@ -426,12 +431,6 @@ class _Buffers:
         np.take(self.pattern, keep, axis=0, out=self.snapshot[:rows], mode="clip")
         self.pattern, self.snapshot = self.snapshot, self.pattern
         return self.pattern[:rows]
-
-    def distance(self, a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
-        """Row-wise Hamming weights of a (rows, W) array of packed rows, or of its xor with b."""
-        rows = a.shape[0]
-        a = a if b is None else np.bitwise_xor(a, b, out=self.diff[:rows])
-        return np.bitwise_count(a, out=self.counts[:rows]).sum(axis=1, dtype=np.int32)
 
 
 def _per_distinct(values: np.ndarray, f) -> np.ndarray:
@@ -510,7 +509,9 @@ def _run_chunk(config, plan, indices: np.ndarray, state, tally: Tally, codes):
                 wrong = 0  # with no attack op since the store, P is 0 and so is its decode
                 if MASK_SLOT in read:
                     masks = _below(drawn[read[MASK_SLOT]], m)
-                    wrong = state.decode(code, index, masks, OpDraws(op_keys[j - block.start]))
+                    draws = OpDraws(op_keys[j - block.start])
+                    # the code is linear and decodes by a xor of reads: the answer is the stored bit xor P's decode
+                    wrong = code.decode(index, masks, lambda positions: state.read(positions, draws))
                 verdict = message[np.arange(live.size), index] ^ wrong
                 tally.correct += live.size - int(np.count_nonzero(wrong))
                 tally.accepted[step] += live.size

@@ -10,10 +10,10 @@ snapshot of P at its last refresh. Every position is in one of four classes,
 - its read set: the positions that decodes have read since the last store,
   each with its class.
 
-It plays only steps that state a uniform lazy form
-(AttackSchedule.uniform_flips): a uniform d-subset of all m positions flips (a
-uniform flip_count step), or of the positions with P = 0 (an incremental step
-with the uniform policy), or none (a noop). The law of such a step, of a
+It plays only the steps whose flip rule (AttackSchedule.flips) has the
+uniform policy: a uniform d-subset of all m positions flips (a uniform
+flip_count step), or of the positions with P = 0 (an incremental step with
+the uniform policy), or none (a noop). The law of such a step, of a
 verification (it reads only the distance) and of a decode mask (uniform and
 independent of P) is the same under every permutation of the positions. So,
 given the counts and the read positions' classes, every arrangement of the
@@ -21,9 +21,9 @@ unread classes over the unread positions is equally likely. A position's class
 is therefore drawn only when a decode first reads it, in proportion to the
 counts, and that is exact: the principle of deferred decisions (Motwani &
 Raghavan, "Randomized Algorithms", 1995, 3.5). A step draws which read
-positions it flips one after another and splits its other flips over the
-unread classes by hypergeometric draws. An op costs O(reads) a session, and
-nothing grows with m.
+positions it flips one after another, in one loop over the read set, and
+splits its other flips over the unread classes by hypergeometric draws. An
+op costs O(reads) a session, and nothing grows with m.
 
 The sampler's draws come from the op keys as every engine draw does, at slots
 of its own (HYPER_SLOT, READ_FLIP_SLOT, QUERY_SLOT); an attack op's slots
@@ -36,6 +36,7 @@ import math
 
 import numpy as np
 
+from .adversary import check_fresh
 from .engine import _per_distinct, _uniform, row_blocks
 
 HYPER_SLOT = 0  # an attack op's hypergeometric draw for class c, at slot HYPER_SLOT + c
@@ -73,36 +74,31 @@ class LazySampler:
 
     def attack(self, schedule, step, message, code, draws) -> None:
         """Flip a uniform d-subset of the pool, every position or the fresh ones (P = 0,
-        classes 0 and 1) as schedule.uniform_flips says. The read positions in the pool
-        go first, one after another: each flips with probability (flips left)/(pool
-        positions left), at slot READ_FLIP_SLOT + its entry (Knuth, TAOCP vol. 2,
-        3.4.2, Algorithm S). The flips left split over the unread classes of the pool
-        by chained hypergeometric draws, class c's at slot HYPER_SLOT + c."""
+        classes 0 and 1), as the schedule's flip rule (flips) says. The read positions
+        in the pool go first, one after another: entry j flips where u_j * (pool
+        positions left) < (flips left), so with probability (flips left)/(pool positions
+        left), u_j drawn at slot READ_FLIP_SLOT + j (Knuth, TAOCP vol. 2, 3.4.2,
+        Algorithm S). The flips left split over the unread classes of the pool by
+        chained hypergeometric draws, class c's at slot HYPER_SLOT + c."""
         counts, classes = self.counts, self.classes[:, : self.used]
-        fresh = counts[:, 0] + counts[:, 1] + np.count_nonzero(classes < 2, axis=1)
-        d, fresh_only = schedule.uniform_flips(step, self.m, fresh)
+        d, fresh_only, _ = schedule.flips(step, self.m)
+        if fresh_only:
+            remaining = counts[:, 0] + counts[:, 1] + np.count_nonzero(classes < 2, axis=1)
+            check_fresh(step, d, remaining)
+        else:
+            remaining = np.full(len(counts), self.m, dtype=np.int64)
         if not d:
             return
         pool = 2 if fresh_only else 4  # the pool's classes are [0, pool)
         left = np.full(len(counts), d, dtype=np.int64)
-        remaining = fresh.copy() if fresh_only else np.full(len(counts), self.m, dtype=np.int64)
         if self.used:
-            # entry j flips where u_j * (pool positions left at j) < flips left; the flips
-            # left change only at a flip, so each pass finds every row's next flip at once
-            eligible = classes < pool
-            room = remaining[:, None] - (np.cumsum(eligible, axis=1) - eligible)
-            scaled = _uniform(draws.u64(READ_FLIP_SLOT + np.arange(self.used))) * room
-            scaled[~eligible] = np.inf
-            while True:
-                hit = scaled < left[:, None]
-                rows = np.flatnonzero(hit.any(axis=1))
-                if not rows.size:
-                    break
-                first = hit[rows].argmax(axis=1)
-                classes[rows, first] ^= 2
-                left[rows] -= 1
-                scaled[rows] = np.where(np.arange(self.used) <= first[:, None], np.inf, scaled[rows])
-            remaining -= np.count_nonzero(eligible, axis=1)
+            u = _uniform(draws.u64(READ_FLIP_SLOT + np.arange(self.used)))
+            for j in range(self.used):
+                eligible = classes[:, j] < pool
+                hit = eligible & (u[:, j] * remaining < left)
+                classes[hit, j] ^= 2
+                left -= hit
+                remaining -= eligible
         moved = np.zeros((len(counts), pool), dtype=np.int64)
         for c in range(pool - 1):
             if counts[:, c].any():
@@ -133,10 +129,7 @@ class LazySampler:
         self.fill.fill(0)
         self.used = 0
 
-    def decode(self, code, index, masks, draws) -> np.ndarray:
-        return code.decode(index, masks, lambda positions: self._read(positions, draws))
-
-    def _read(self, positions: np.ndarray, draws) -> np.ndarray:
+    def read(self, positions: np.ndarray, draws) -> np.ndarray:
         """The P bits at positions, a (rows, q) array, one query column at a time. A
         position in the read set has its class. Any other is unread, so it is equally
         likely to be each unread position: it takes a class drawn in proportion to the

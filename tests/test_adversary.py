@@ -110,8 +110,8 @@ class TestScheduleValidation:
 
     def test_step_flips(self):
         sched = IncrementalAttack(deltas=(0.25, 0.5))
-        assert [sched.step_flips(step, 8) for step in (0, 1)] == [2, 4]
-        assert [sched.step_flips(step, 6) for step in (0, 1)] == [2, 3]  # 1.5 rounds up
+        assert [sched.flips(step, 8) for step in (0, 1)] == [(2, True, "uniform"), (4, True, "uniform")]
+        assert [sched.flips(step, 6)[0] for step in (0, 1)] == [2, 3]  # 1.5 rounds up
 
     def test_rounding_is_linear_in_the_steps(self, monkeypatch):
         # check sums every step's count once, and each step law and apply rounds its own step
@@ -183,10 +183,15 @@ class TestScheduleProtocol:
 
     def test_step_distances(self):
         code = HadamardCode(3)
-        assert NoOpAttack().step_distances(code, "random", 0) == {0: 1.0}
-        assert FlipCount(3).step_distances(code, "random", 2) == {3: 1.0}
-        assert FlipCount(20, policy="prefix").step_distances(code, "101", 0) == {8: 1.0}
-        assert IncrementalAttack((0.25, 0.5)).step_distances(code, "random", 1) == {4: 1.0}
+        # a flip step's law is its rule's d flips; a substitution states no flip rule
+        flips = [
+            (NoOpAttack(), 0, 0), (FlipCount(3), 2, 3), (FlipCount(20, policy="prefix"), 0, 8),
+            (IncrementalAttack((0.25, 0.5)), 1, 4),
+        ]
+        for sched, step, d in flips:
+            assert sched.flips(step, code.params.m)[0] == d
+            assert sched.step_distances(code, "101", step) == {d: 1.0}
+        assert SubstituteCodeword().flips(0, code.params.m) is None
         assert SubstituteCodeword().step_distances(code, "random", 0) == {4: 1.0}
         assert SubstituteCodeword("011").step_distances(code, "101", 0) == {4: 1.0}
         # a random message equals the fixed target in 1 of 2^n sessions

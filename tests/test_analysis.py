@@ -261,6 +261,13 @@ class TestVerifyLemma2:
             assert report.analytic["max_margin"] == max(margins)
         assert (verify_lemma2(grid=grid, t_max=t_max).details["violations"] > 0) == (grid > 1)
 
+    def test_a_failing_two_part_check_enumerates_nothing(self, monkeypatch):
+        # the levels of one and two parts that _max_margin builds are every such schedule
+        monkeypatch.setattr(analysis, "_schedule_margins", lambda *args: pytest.fail("enumerated"))
+        report = verify_lemma2(grid=20, t_max=2, tolerance=-1e-3)
+        assert report.details["violations"] == sum(x > -1e-3 for x in reference_margins(20, 2)) > 0
+        assert not report.passed
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_tolerance_rejected_before_counting(self, bad, monkeypatch):
         # an infinite tolerance would pass every schedule, and a NaN one compare false to all

@@ -191,13 +191,13 @@ def test_attack_steps_run_on_live_sessions_only(monkeypatch):
 def test_honest_runs_take_no_distance_pass(monkeypatch):
     # only attack ops change the memory between refreshes, and this script has none
     calls = []
-    real = engine._Buffers.distance
+    real = engine._Buffers.verify_distance
 
-    def counted(self, a, b):
-        calls.append(a.shape[0])
-        return real(self, a, b)
+    def counted(self):
+        calls.append(len(self.live))
+        return real(self)
 
-    monkeypatch.setattr(engine._Buffers, "distance", counted)
+    monkeypatch.setattr(engine._Buffers, "verify_distance", counted)
     text = run_experiment(ExperimentConfig.from_dict(CONFIGS["honest-mixed-n8"])).results_json()
     assert calls == []
     assert text.encode() == (GOLDEN_DIR / "honest-mixed-n8.results.json").read_bytes()

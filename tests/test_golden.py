@@ -88,6 +88,14 @@ CONFIGS = {
         ],
         "record_trials": True, "trials": 60, "seed": 10,
     },
+    # m = 2^15: both run on the deferred-decision sampler (engine._lazy_reads)
+    "flipcount-lazy-n15": {
+        "n": 15, "k": 3, "attack": {"kind": "flip_count", "bits_per_step": 2048}, "steps": 3,
+        "record_trials": True, "trials": 200, "seed": 12,
+    },
+    "incremental-lazy-n15": {
+        "n": 15, "k": 2, "attack": {"kind": "incremental", "deltas": [0.05, 0.05, 0.05]}, "trials": 300, "seed": 13,
+    },
 }
 
 

@@ -17,10 +17,11 @@ import numpy as np
 import pytest
 
 from qmemcheck import engine, lazy
-from qmemcheck.adversary import IncrementalAttack, ScheduleError
+from qmemcheck.adversary import FlipCount, IncrementalAttack, ScheduleError
 from qmemcheck.fingerprint import p_single
 from qmemcheck.harness import ExperimentConfig, run_experiment
 from test_engine import ENGINE_CONFIGS, recorded_chunks, same_rate
+from test_golden import CONFIGS as GOLDEN_CONFIGS
 
 LAZY, DENSE = 1, 2**62
 
@@ -110,6 +111,57 @@ def test_read_set_keeps_the_joint_law_of_two_decodes(monkeypatch):
     assert not within(int(np.count_nonzero(first & second)), samples, 9 / 49)
 
 
+# (first wrong, second wrong) = (0, 0), (0, 1), (1, 0), (1, 1) for a step before each of two decodes of
+# bit 0 at m = 8, enumerated over both steps' flips and both masks
+STEP_BETWEEN_DECODES = {
+    "flip_count": ({"kind": "flip_count", "bits_per_step": 2}, (29 / 98, 27 / 98, 3 / 14, 3 / 14)),
+    "incremental": ({"kind": "incremental", "deltas": [0.25, 0.25]}, (9 / 35, 11 / 35, 6 / 35, 9 / 35)),
+}
+
+
+@pytest.mark.parametrize("min_m", [LAZY, DENSE], ids=["lazy", "dense"])
+@pytest.mark.parametrize("attack", sorted(STEP_BETWEEN_DECODES))
+def test_a_step_between_decodes_keeps_their_joint_law(attack, min_m, monkeypatch):
+    # k = 1: store, attack, retrieve, attack, retrieve. The second step may flip the positions the
+    # first decode read. Both verifications sit at distance 2, so given that both retrieves were
+    # reached, the answers have the enumerated joint law
+    force(monkeypatch, min_m)
+    schedule, exact = STEP_BETWEEN_DECODES[attack]
+    ops = ["store", "attack", "retrieve", "attack", "retrieve"]
+    config = ExperimentConfig.from_dict({
+        "n": 3, "k": 1, "message": "000", "attack": schedule,
+        "script": [{"op": op} if op != "retrieve" else {"op": op, "index": 0} for op in ops],
+        "record_trials": True, "trials": 60_000, "seed": 14,
+    })
+    assert (lazy_reads(config) is None) == (min_m == DENSE)
+    codes = engine.run_sessions(config, range(config.trials)).codes
+    answered = (codes[:, 4] == 0) | (codes[:, 4] == 1)
+    cells = np.bincount(2 * codes[answered, 2] + codes[answered, 4], minlength=4)  # the stored bit is 0
+    samples = int(np.count_nonzero(answered))
+    assert cells.size == 4
+    for cell, p in enumerate(exact):
+        assert within(int(cells[cell]), samples, p), (cell, cells.tolist())
+
+
+@pytest.mark.parametrize("schedule", [FlipCount(2), IncrementalAttack((0.25,))], ids=["flip_count", "incremental"])
+def test_a_step_flips_a_uniform_subset_of_the_read_positions(schedule):
+    # m = 8: a store, four read positions, then a step of 2 flips among all 8 fresh positions. The read
+    # positions it flips are a uniform pick: each set of s of them with probability C(4, 2 - s) / C(8, 2)
+    rows = 40_000
+    sampler = lazy.LazySampler(8, 4)
+    sampler.start(rows)
+    sampler.store()
+    trials = np.arange(rows, dtype=np.uint64)
+    sampler.read(np.tile(np.arange(4), (rows, 1)), engine.OpDraws(engine.trial_keys(1, trials)))
+    sampler.attack(schedule, 0, None, None, engine.OpDraws(engine.trial_keys(2, trials)))
+    flipped = lazy._P_BIT[sampler.classes[:, :4]]
+    assert (sampler.counts[:, 2] == 2 - flipped.sum(axis=1)).all()
+    seen = np.bincount(flipped @ (1 << np.arange(4)), minlength=16)
+    for subset, count in enumerate(seen.tolist()):
+        s = subset.bit_count()
+        assert within(count, rows, math.comb(4, 2 - s) / math.comb(8, 2) if s <= 2 else 0.0), (subset, count)
+
+
 # uniform schedules at n = 10 to 12, where three steps of each put a few percent of m apart
 UNIFORM_CONFIGS = {
     "flipcount-n10": {"n": 10, "k": 3, "attack": {"kind": "flip_count", "bits_per_step": 40}, "steps": 3},
@@ -162,7 +214,8 @@ def test_lazy_and_dense_samplers_agree(name, monkeypatch):
 # every golden and engine shape with a lazy form: uniform flips, incremental-uniform and honest scripts
 LAZY_SHAPES = [
     "flipcount-uniform-n6", "packed-flipcount-n7", "incremental-uniform-n3", "packed-incremental-n7",
-    "reject-heavy-flipcount-n6", "honest-mixed-n8", "script-store-reject-n3",
+    "reject-heavy-flipcount-n6", "honest-mixed-n8", "script-store-reject-n3", "flipcount-lazy-n15",
+    "incremental-lazy-n15",
 ]
 
 
@@ -232,7 +285,8 @@ def test_lazy_rule():
     big = {"n": 16, "k": 7, "steps": 3}
     assert lazy_reads(ExperimentConfig.from_dict({**big, "attack": {"kind": "flip_count", "bits_per_step": 1024}})) == 6
     assert lazy_reads(ExperimentConfig.from_dict({**big, "attack": {"kind": "noop"}})) == 0
-    for attack in ({"kind": "flip_count", "bits_per_step": 1024, "policy": "prefix"}, {"kind": "substitute"}):
+    prefix = {"kind": "flip_count", "bits_per_step": 1024, "policy": "prefix"}
+    for attack in (prefix, {**prefix, "bits_per_step": 0}, {"kind": "substitute"}):
         assert lazy_reads(ExperimentConfig.from_dict({**big, "steps": 1, "attack": attack})) is None
     below = {**big, "n": engine.LAZY_MIN_M.bit_length() - 2, "attack": {"kind": "flip_count", "bits_per_step": 1}}
     assert lazy_reads(ExperimentConfig.from_dict(below)) is None
@@ -246,4 +300,7 @@ def test_lazy_rule():
     steps = {**big, "attack": {"kind": "flip_count", "bits_per_step": 1}}
     assert lazy_reads(ExperimentConfig.from_dict({**steps, "steps": 16})) == 32
     assert lazy_reads(ExperimentConfig.from_dict({**steps, "steps": 17})) is None
-    assert engine.LAZY_MIN_M > 2**8  # the goldens (n <= 8) stay dense
+    # the goldens at n <= 8 stay dense, and the two at n = 15 run lazily
+    assert engine.LAZY_MIN_M > 2**8
+    assert lazy_reads(ExperimentConfig.from_dict(GOLDEN_CONFIGS["flipcount-lazy-n15"])) == 6
+    assert lazy_reads(ExperimentConfig.from_dict(GOLDEN_CONFIGS["incremental-lazy-n15"])) == 6

@@ -1,8 +1,8 @@
 """Time one benchmark workload's CLI calls for two source trees, alternating in one process.
 
 Each tree's src/qmemcheck is copied into a temporary directory under its own
-package name (qmemcheck_a for --a, qmemcheck_b for --b). Every import inside
-the package is relative, so both load side by side in this interpreter.
+package name (qmemcheck_a for --a, qmemcheck_b for --b) and imported there by
+tools/seed_sweep.py's load_clis, so both load side by side in this interpreter.
 Both trees then run one untimed iteration, and then --pairs timed pairs:
 pair i runs A then B when i is even, B then A when it is odd. An iteration
 is the workload's CLI calls (Workload.calls in perfbench/workloads.py, at
@@ -35,10 +35,8 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import importlib
 import json
 import os
-import shutil
 import statistics
 import sys
 import tempfile
@@ -48,27 +46,13 @@ from pathlib import Path
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from child import REFERENCES, _time_reference  # noqa: E402
+from seed_sweep import load_clis  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 PACKAGES = ("qmemcheck_a", "qmemcheck_b")
-
-
-def load_clis(trees: list[Path], tmp: Path) -> list:
-    """The cli module of each tree's package, imported from a copy under its own name in tmp,
-    which must already be on sys.path."""
-    clis = []
-    for tree, name in zip(trees, PACKAGES):
-        shutil.copytree(tree / "src" / "qmemcheck", tmp / name, ignore=shutil.ignore_patterns("__pycache__"))
-        clis.append(importlib.import_module(f"{name}.cli"))
-    return clis
-
-
-def unload() -> None:
-    """Forget the copied packages, so a later run imports its trees afresh."""
-    for name in [m for m in sys.modules if m.split(".")[0] in PACKAGES]:
-        del sys.modules[name]
 
 
 def iteration(cli, calls: list[list[str]], devnull) -> float:
@@ -86,28 +70,23 @@ def ab_times(trees: list[Path], workload: str, pairs: int, seed: int) -> tuple[l
     """Per-pair iteration times of A and of B, in seconds, and the same times over the gauge."""
     spec = WORKLOADS[workload]
     reference = REFERENCES[spec.reference]
-    with tempfile.TemporaryDirectory() as tmp_name, open(os.devnull, "w") as devnull:
+    with tempfile.TemporaryDirectory() as tmp_name, open(os.devnull, "w") as devnull, \
+            load_clis(trees, PACKAGES) as clis:
         tmp = Path(tmp_name)
         config_path = tmp / "config.json"
         config_path.write_text(json.dumps(spec.config))
         calls = [spec.calls(seed, str(config_path), str(tmp / f"out-{name}")) for name in PACKAGES]
-        sys.path.insert(0, tmp_name)
-        try:
-            clis = load_clis(trees, tmp)
-            for cli, argv in zip(clis, calls):
-                iteration(cli, argv, devnull)
-            times, ratios = [[], []], [[], []]
-            ref_before = _time_reference(reference, np)
-            for i in range(pairs):
-                for side in (0, 1) if i % 2 == 0 else (1, 0):
-                    elapsed = iteration(clis[side], calls[side], devnull)
-                    ref_after = _time_reference(reference, np)
-                    times[side].append(elapsed)
-                    ratios[side].append(elapsed / ((ref_before + ref_after) / 2))
-                    ref_before = ref_after
-        finally:
-            sys.path.remove(tmp_name)
-            unload()
+        for cli, argv in zip(clis, calls):
+            iteration(cli, argv, devnull)
+        times, ratios = [[], []], [[], []]
+        ref_before = _time_reference(reference, np)
+        for i in range(pairs):
+            for side in (0, 1) if i % 2 == 0 else (1, 0):
+                elapsed = iteration(clis[side], calls[side], devnull)
+                ref_after = _time_reference(reference, np)
+                times[side].append(elapsed)
+                ratios[side].append(elapsed / ((ref_before + ref_after) / 2))
+                ref_before = ref_after
     return times, ratios
 
 

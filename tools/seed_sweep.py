@@ -1,8 +1,9 @@
 """Check one benchmark workload's output documents at every seed of a range, for one source tree.
 
 The tree's src/qmemcheck is copied into a temporary directory under its own
-package name (qmemcheck_sweep) and imported there, so the sweep runs in this
-process whatever qmemcheck is installed. For each seed A <= seed < B, the
+package name (qmemcheck_sweep) and imported there (load_clis, which
+tools/ab_calls.py shares), so the sweep runs in this process whatever
+qmemcheck is installed. For each seed A <= seed < B, the
 workload's CLI calls (Workload.calls in perfbench/workloads.py) run with
 stdout and stderr sent to devnull, each seed into its own empty --out
 directory, and each of the workload's documents is checked with perfbench's
@@ -37,6 +38,7 @@ import shutil
 import sys
 import tempfile
 from pathlib import Path
+from typing import Iterator, Sequence
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
@@ -45,37 +47,49 @@ from workloads import WORKLOADS, check_document  # noqa: E402
 PACKAGE = "qmemcheck_sweep"
 
 
+@contextlib.contextmanager
+def load_clis(trees: Sequence[Path], packages: Sequence[str]) -> Iterator[list]:
+    """The cli module of each tree's src/qmemcheck, imported from a copy under the
+    matching package name in a temporary directory. Every import inside the package
+    is relative, so copies load side by side whatever qmemcheck is installed. On exit
+    the copies are unloaded, so a later run imports its trees afresh."""
+    with tempfile.TemporaryDirectory() as tmp_name:
+        sys.path.insert(0, tmp_name)
+        try:
+            for tree, name in zip(trees, packages):
+                source = tree / "src" / "qmemcheck"
+                shutil.copytree(source, Path(tmp_name) / name, ignore=shutil.ignore_patterns("__pycache__"))
+            yield [importlib.import_module(f"{name}.cli") for name in packages]
+        finally:
+            sys.path.remove(tmp_name)
+            for name in [m for m in sys.modules if m.split(".")[0] in packages]:
+                del sys.modules[name]
+
+
 def sweep(tree: Path, workload: str, seeds: range) -> dict[int, list[str]]:
     """The problems check_document finds in each seed's documents, for the seeds with any."""
     spec = WORKLOADS[workload]
     failed = {}
-    with tempfile.TemporaryDirectory() as tmp_name, open(os.devnull, "w") as devnull:
+    with tempfile.TemporaryDirectory() as tmp_name, open(os.devnull, "w") as devnull, \
+            load_clis([tree], [PACKAGE]) as (cli,):
         tmp = Path(tmp_name)
         config_path = tmp / "config.json"
         config_path.write_text(json.dumps(spec.config))
-        shutil.copytree(tree / "src" / "qmemcheck", tmp / PACKAGE, ignore=shutil.ignore_patterns("__pycache__"))
-        sys.path.insert(0, tmp_name)
-        try:
-            cli = importlib.import_module(f"{PACKAGE}.cli")
-            for seed in seeds:
-                out_dir = tmp / f"out-{seed}"
-                with contextlib.redirect_stdout(devnull), contextlib.redirect_stderr(devnull):
-                    for argv in spec.calls(seed, str(config_path), str(out_dir)):
-                        rc = cli.main(argv)
-                        if rc not in (0, 2):
-                            raise RuntimeError(f"seed {seed}: {' '.join(argv)} exited {rc}")
-                problems = [
-                    problem
-                    for doc in spec.docs
-                    for problem in check_document(spec, doc, json.loads((out_dir / doc).read_text()))
-                ]
-                if problems:
-                    failed[seed] = problems
-                shutil.rmtree(out_dir)
-        finally:
-            sys.path.remove(tmp_name)
-            for name in [m for m in sys.modules if m.split(".")[0] == PACKAGE]:
-                del sys.modules[name]
+        for seed in seeds:
+            out_dir = tmp / f"out-{seed}"
+            with contextlib.redirect_stdout(devnull), contextlib.redirect_stderr(devnull):
+                for argv in spec.calls(seed, str(config_path), str(out_dir)):
+                    rc = cli.main(argv)
+                    if rc not in (0, 2):
+                        raise RuntimeError(f"seed {seed}: {' '.join(argv)} exited {rc}")
+            problems = [
+                problem
+                for doc in spec.docs
+                for problem in check_document(spec, doc, json.loads((out_dir / doc).read_text()))
+            ]
+            if problems:
+                failed[seed] = problems
+            shutil.rmtree(out_dir)
     return failed
 
 
