@@ -24,9 +24,10 @@ session is metered.
 Two samplers hold P, and _run_chunk plays the same plan, draws, verdict codes
 and Tally on either one; a retrieve runs code.decode over the sampler's read
 of P's bits:
-- The dense sampler (_Buffers) holds P as a (T, W) uint64 array of packed
+- The dense sampler (_DenseSampler) holds P as a (T, W) uint64 array of packed
   rows, W = ceil(m / 64): position a is bit a & 63 of word a >> 6, and the
-  padding bits past m are zero in every array, so they never count. A read
+  padding bits past m are zero in every array, so they never count. A
+  verifying retrieve copies the rows as S, and a store drops that copy. A read
   takes the bits of P, and an attack op runs its schedule's apply on the
   pattern rows and stored messages, the one corruption method each schedule
   has. Every answer and distance is the one the memory itself gives, and an
@@ -48,11 +49,11 @@ takes its run's sampler. The two samplers answer differently from the same
 draws, each with the exact law.
 
 Only live sessions hold state. A session's first reject ends it, so after a
-verification with rejects the survivors move to the front of the sampler's
-arrays, and every later op of the chunk works on them alone. Between
-refreshes (a store's zero pattern, a retrieve's snapshot) only attack ops
-change the pattern, so with no attack op since the last refresh every row sits at
-distance 0: while p_accept(0.0, k) is 1 such an op has no verification at all.
+verification with rejects the sampler gathers the survivors' state, and every
+later op of the chunk works on them alone. Between refreshes (a store's zero
+pattern, a retrieve's snapshot) only attack ops change the pattern, so with no
+attack op since the last refresh every row sits at distance 0: while
+p_accept(0.0, k) is 1 such an op has no verification at all.
 An attack op whose step law is {0: 1} (a noop) changes no pattern and counts as absent.
 
 Every draw is counter-based: the draw of trial i's op j at slot s is a
@@ -68,10 +69,10 @@ the most any one array of the loop holds per row, so no such array exceeds
 CHUNK_BYTES unless one row does. Each loop states only its own row_bytes. A
 dense chunk is a block of sessions at 8 * max(W, n, 3) bytes each: the packed
 row, the int64 bits of a drawn message and the protocol's 3 draws. That is
-8,192 sessions at n=4, 4,096 at n=8, 32 at n=16 and 2 at n=20, and a run
-allocates its (T, W) arrays once for every chunk to reuse. A lazy chunk takes
-8 * max(reads, n, 4) bytes a session: the read positions, a drawn message's
-bits and the 4 class counts.
+8,192 sessions at n=4, 4,096 at n=8, 32 at n=16 and 2 at n=20. A lazy chunk
+takes 8 * max(reads, n, 4) bytes a session: the read positions, a drawn
+message's bits and the 4 class counts. Each chunk plays on a sampler of its
+own, built for its sessions, so no state passes between chunks.
 
 The config resolves its script once (ExperimentConfig.ops): each op's kind,
 its attack step or retrieve position, and its fixed message or index, or an
@@ -92,7 +93,7 @@ from __future__ import annotations
 import itertools
 import numbers
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Iterator
 
 import numpy as np
@@ -317,9 +318,9 @@ def run_sessions(config, trials: range) -> Tally:
     with k = config.resolved_k() comparison copies per verification; verdict
     codes are kept when config.record_trials is set. trials must have step 1
     and lie in [0, 2^64), since trial indices are uint64 counters; an empty
-    range gives an empty tally. The deferred-decision sampler (lazy.LazySampler)
-    plays the sessions where _lazy_reads gives it a read set, and the dense one
-    (_Buffers) plays all others.
+    range gives an empty tally. Each chunk gets a fresh sampler: the
+    deferred-decision one (lazy.LazySampler) where _lazy_reads gives the config a
+    read set, and the dense one (_DenseSampler) for all others.
     """
     if trials.step != 1:
         raise ValueError(f"trials must be a range of step 1, got {trials!r}")
@@ -338,16 +339,17 @@ def run_sessions(config, trials: range) -> Tally:
     if reads is None:
         # per session: its packed row, a drawn message's int64 bits and the protocol's 3 draws
         session_bytes = 8 * max(word_count(m), n, 3)
-        state = _Buffers(next(row_blocks(size, session_bytes)).stop, m)
+        sampler = partial(_DenseSampler, m=m)
     else:
         # per session: its read positions, a drawn message's int64 bits and its 4 class counts
         session_bytes = 8 * max(reads, n, 4)
         from .lazy import LazySampler  # loaded only by the runs that take it
 
-        state = LazySampler(m, reads)
+        sampler = partial(LazySampler, m=m, reads=reads)
     for rows in row_blocks(size, session_bytes):
         indices = np.arange(trials.start + rows.start, trials.start + rows.stop, dtype=np.uint64)
-        _run_chunk(config, plan, indices, state, tally, None if tally.codes is None else tally.codes[rows])
+        codes = None if tally.codes is None else tally.codes[rows]
+        _run_chunk(config, plan, indices, sampler(indices.size), tally, codes)
     return tally
 
 
@@ -372,43 +374,32 @@ def _lazy_reads(config, plan) -> int | None:
     return most if most * LAZY_MIN_M <= LAZY_READS * params.m else None
 
 
-class _Buffers:
-    """The dense sampler: each live session's pattern P as a packed row, in
-    (T, W) word arrays that every chunk of a run reuses. A new array that large
-    would come from the operating system page by page at every op.
-
-    live views the live sessions' rows of pattern. stored is what a
-    verification compares P with: the snapshot a retrieve takes when it
-    verifies, or None after a store, for the zero pattern of its codeword."""
+class _DenseSampler:
+    """The dense sampler of one chunk of size sessions: live holds each live
+    session's pattern P as a packed row of W words. stored is what a verification
+    compares P with: the copy of live that a retrieve takes when it verifies, or
+    None after a store, for the zero pattern of its codeword."""
 
     def __init__(self, size: int, m: int) -> None:
-        shape = (size, word_count(m))
-        self.pattern = np.empty(shape, dtype=np.uint64)
-        self.snapshot = np.empty(shape, dtype=np.uint64)
-        self.diff = np.empty(shape, dtype=np.uint64)
-        self.counts = np.empty(shape, dtype=np.uint8)
-
-    def start(self, size: int) -> None:
-        """Take the first size rows for a chunk's sessions; its first op is a store."""
-        self.live, self.stored = self.pattern[:size], None
+        self.live = np.empty((size, word_count(m)), dtype=np.uint64)  # the chunk's first op, a store, zeroes it
+        self.stored = None
 
     def attack(self, schedule, step, message, code, draws) -> None:
         schedule.apply(step, self.live, message, code, draws)
 
     def verify_distance(self) -> np.ndarray:
         """Row-wise Hamming weights of P, or of P xor the snapshot."""
-        rows = len(self.live)
-        p = self.live if self.stored is None else np.bitwise_xor(self.live, self.stored, out=self.diff[:rows])
-        return np.bitwise_count(p, out=self.counts[:rows]).sum(axis=1, dtype=np.int32)
+        p = self.live if self.stored is None else self.live ^ self.stored
+        return np.bitwise_count(p).sum(axis=1, dtype=np.int32)
 
     def clean(self, rows: np.ndarray) -> np.ndarray:
         """Whether P is 0, for each of the live rows picked by the boolean mask rows."""
         return ~self.live[rows].any(axis=1)
 
-    def keep(self, keep: np.ndarray, store: bool) -> None:
-        """Keep the live rows keep (ascending). A store zeroes the patterns next, so
-        there only the view shrinks and no row is gathered."""
-        self.live = self.pattern[: keep.size] if store else self.compact(keep)
+    def keep(self, rows: np.ndarray) -> None:
+        """Keep the live rows rows (ascending). Only a verification keeps rows, and
+        the store or refresh that follows it resets stored."""
+        self.live = self.live[rows]
 
     def store(self) -> None:
         self.live.fill(0)
@@ -419,18 +410,7 @@ class _Buffers:
         return read_rows(self.live, positions)
 
     def refresh(self) -> None:
-        self.stored = self.snapshot[: len(self.live)]
-        np.copyto(self.stored, self.live)
-
-    def compact(self, keep: np.ndarray) -> np.ndarray:
-        """Move rows keep (ascending) of pattern to the front, and return the
-        packed view. They are gathered into the snapshot array, which then
-        trades places with pattern, so no array is allocated; the snapshot
-        array holds no rows that count afterwards."""
-        rows = keep.size
-        np.take(self.pattern, keep, axis=0, out=self.snapshot[:rows], mode="clip")
-        self.pattern, self.snapshot = self.snapshot, self.pattern
-        return self.pattern[:rows]
+        self.stored = self.live.copy()
 
 
 def _per_distinct(values: np.ndarray, f) -> np.ndarray:
@@ -449,24 +429,23 @@ def _accept_prob(distance: np.ndarray, m: int, k: int):
 
 
 def _run_chunk(config, plan, indices: np.ndarray, state, tally: Tally, codes):
-    """Play the plan (_draw_plan) on one chunk, one session per row, on the sampler
-    state (_Buffers or lazy.LazySampler), writing the verdict codes into codes, the
-    chunk's rows of tally.codes, unless it is None. Each op's kind, step and value
-    are the plan's, as config.ops resolved them; a value of None is drawn at the
-    op's planned slot.
+    """Play the plan (_draw_plan) on one chunk, one session per row, on state, a
+    sampler (_DenseSampler or lazy.LazySampler) built for the chunk's sessions,
+    writing the verdict codes into codes, the chunk's rows of tally.codes, unless
+    it is None. Each op's kind, step and value are the plan's, as config.ops
+    resolved them; a value of None is drawn at the op's planned slot.
 
     Row r of the state belongs to chunk session live[r], and keys, message and the
     block's op keys and draws (one row per op or planned slot, one column per
     session) keep the same sessions. After a verification with rejects, the state
-    keeps the survivors' rows only, so the op and every later one run on live
-    sessions only. An op the plan does not verify follows a refresh with no
+    keeps the survivors' rows only (state.keep), so the op and every later one run
+    on live sessions only. An op the plan does not verify follows a refresh with no
     corrupting attack op, so P still equals its snapshot in every live row; a
     retrieve the plan gives no MASK has P = 0."""
     code, k = config.code, config.resolved_k()
     n, m = code.params.n, code.params.m
     live = np.arange(indices.size)
     keys = trial_keys(config.seed, indices)
-    state.start(indices.size)
     message = None
     for block in row_blocks(len(plan), 8 * indices.size * max(1, *(len(slots) for _, slots, *_ in plan))):
         op_keys = _stream(keys, np.arange(block.start, block.stop)[:, None])
@@ -495,7 +474,7 @@ def _run_chunk(config, plan, indices: np.ndarray, state, tally: Tally, codes):
                     if not keep.size:
                         return
                     live, keys, op_keys, drawn = live[keep], keys[keep], op_keys[:, keep], drawn[:, keep]
-                    state.keep(keep, kind == "store")
+                    state.keep(keep)
                     if kind != "store":
                         message = message[keep]
             if kind == "store":

@@ -1,7 +1,7 @@
 """The deferred-decision sampler: sessions of a uniform schedule with no pattern rows.
 
 engine.run_sessions plays a config here when engine._lazy_reads gives it a
-read set, and on the dense sampler (engine._Buffers) otherwise; the plan,
+read set, and on the dense sampler (engine._DenseSampler) otherwise; the plan,
 draws, verdict codes and Tally are the engine's in both. A session's corruption
 pattern P is the memory xor the codeword of its last store, and S is the
 snapshot of P at its last refresh. Every position is in one of four classes,
@@ -61,14 +61,12 @@ class LazySampler:
     reads only the first used entries of the read set, the most any live row has
     filled; reads bounds the fill."""
 
-    def __init__(self, m: int, reads: int) -> None:
-        self.m, self.reads = m, reads
-
-    def start(self, size: int) -> None:
-        """Take size sessions for a chunk; its first op is a store."""
+    def __init__(self, size: int, m: int, reads: int) -> None:
+        """The state of a chunk of size sessions; its first op, a store, fills the counts."""
+        self.m = m
         self.counts = np.empty((size, 4), dtype=np.int64)
-        self.pos = np.full((size, self.reads), -1, dtype=np.int64)
-        self.classes = np.full((size, self.reads), UNUSED, dtype=np.int8)
+        self.pos = np.full((size, reads), -1, dtype=np.int64)
+        self.classes = np.full((size, reads), UNUSED, dtype=np.int8)
         self.fill = np.empty(size, dtype=np.int64)
         self.used = 0
 
@@ -116,10 +114,10 @@ class LazySampler:
         """Whether P is 0, for each of the live rows picked by the boolean mask rows."""
         return (self.counts[rows, 2:].sum(axis=1) == 0) & ~_P_BIT[self.classes[rows, : self.used]].any(axis=1)
 
-    def keep(self, keep: np.ndarray, store: bool) -> None:
-        """Keep the live rows keep (ascending)."""
-        self.counts, self.fill = self.counts[keep], self.fill[keep]
-        self.pos, self.classes = self.pos[keep], self.classes[keep]
+    def keep(self, rows: np.ndarray) -> None:
+        """Keep the live rows rows (ascending)."""
+        self.counts, self.fill = self.counts[rows], self.fill[rows]
+        self.pos, self.classes = self.pos[rows], self.classes[rows]
 
     def store(self) -> None:
         self.counts.fill(0)

@@ -88,6 +88,21 @@ CONFIGS = {
         ],
         "record_trials": True, "trials": 60, "seed": 10,
     },
+    # m = 1024: dense rows of 16 words, with rejects at stores and retrieves
+    "dense-reject-n10": {
+        "n": 10, "k": 2, "attack": {"kind": "flip_count", "bits_per_step": 60},
+        "script": [
+            {"op": "store"},
+            {"op": "attack"},
+            {"op": "retrieve"},
+            {"op": "attack"},
+            {"op": "store"},
+            {"op": "attack"},
+            {"op": "retrieve", "index": "cycle"},
+            {"op": "retrieve"},
+        ],
+        "record_trials": True, "trials": 200, "seed": 14,
+    },
     # m = 2^15: both run on the deferred-decision sampler (engine._lazy_reads)
     "flipcount-lazy-n15": {
         "n": 15, "k": 3, "attack": {"kind": "flip_count", "bits_per_step": 2048}, "steps": 3,

@@ -148,8 +148,7 @@ def test_a_step_flips_a_uniform_subset_of_the_read_positions(schedule):
     # m = 8: a store, four read positions, then a step of 2 flips among all 8 fresh positions. The read
     # positions it flips are a uniform pick: each set of s of them with probability C(4, 2 - s) / C(8, 2)
     rows = 40_000
-    sampler = lazy.LazySampler(8, 4)
-    sampler.start(rows)
+    sampler = lazy.LazySampler(rows, 8, 4)
     sampler.store()
     trials = np.arange(rows, dtype=np.uint64)
     sampler.read(np.tile(np.arange(4), (rows, 1)), engine.OpDraws(engine.trial_keys(1, trials)))
